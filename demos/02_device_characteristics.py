@@ -49,4 +49,4 @@ for row in rows[::6]:
 
 ev = eval_mosfet(nmos, 1.5, 1.5, 0.0)
 print(f"\nat vgs=vds=1.5 V: id={ev.id*1e6:.2f} uA  gm={ev.gm*1e6:.1f} uS  "
-      f"gds={ev.gds:.1f} S ({ev.region.value}; no channel-length modulation)")
+      f"gds={ev.gds:.1f} S (saturated: no channel-length modulation)")

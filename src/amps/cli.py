@@ -14,7 +14,7 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ from .solver import (
     SingularMatrixError,
     SolverOptions,
     TransientNonConvergence,
+    TransientOptions,
     build_graph,
     dc_sweep,
     solve_dc,
@@ -77,24 +78,33 @@ def _eng_list(text: str) -> list[float]:
 
 
 def _atomic_write(path: Path, writer) -> None:
+    """Write through a temporary file; on failure remove it and re-raise."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer(fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# solver flag -> SolverOptions field
+_SOLVER_FLAGS = {"reltol": "reltol", "abstol": "abstol_i", "vntol": "vntol", "gmin": "gmin"}
 
 
 def _solver_options(args) -> SolverOptions:
-    opts = SolverOptions()
-    for flag, attr in (
-        ("reltol", "reltol"),
-        ("abstol", "abstol_i"),
-        ("vntol", "vntol"),
-        ("gmin", "gmin"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(opts, attr, value)
-    return opts
+    """Solver options from the tolerance flags; a bad value is a usage error (exit 1)."""
+    given = {
+        attr: getattr(args, flag)
+        for flag, attr in _SOLVER_FLAGS.items()
+        if getattr(args, flag) is not None
+    }
+    try:
+        return replace(SolverOptions(), **given)
+    except ValueError as exc:
+        print(f"amps {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -121,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--steps-per-period", type=int, default=1000)
     p_bench.add_argument("--periods", type=int, default=20)
     p_bench.add_argument("-o", "--out", default=".", help="output directory")
-    p_bench.add_argument("--workers", type=int, default=1)
     _add_solver_flags(p_bench)
 
     p_dc = sub.add_parser("dc-sweep", help="bench DC transfer curve per temperature")
@@ -209,8 +218,6 @@ def cmd_run(args) -> int:
     if any(d.severity == "error" for d in diags):
         return 1
     opts = _solver_options(args)
-
-    analyses = [d for d in doc.directives if not isinstance(d, TempDirective)]
     jobs = []  # (directive, temp)
     temps = list(args.temp) if args.temp else [27.0]
     forced = args.temp is not None
@@ -259,8 +266,6 @@ def cmd_run(args) -> int:
                 )
                 points = len(curve)
             else:
-                from .solver import TransientOptions
-
                 topts = TransientOptions(tstep=directive.tstep, tstop=directive.tstop)
                 ws = solve_transient(graph, topts, opts)
                 _atomic_write(out_path, lambda fh: write_csv(ws, fh))
@@ -293,6 +298,7 @@ def _bench_point(cfg: BenchConfig, opts: SolverOptions, outdir: Path):
 
 
 def cmd_bench(args) -> int:
+    opts = _solver_options(args)
     if any(f <= 0 for f in args.freq):
         print("amps bench: error: frequencies must be > 0", file=sys.stderr)
         return 1
@@ -301,7 +307,6 @@ def cmd_bench(args) -> int:
         return 1
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    opts = _solver_options(args)
     configs = [
         BenchConfig(
             amplitude_pp=args.amp,
@@ -314,11 +319,7 @@ def cmd_bench(args) -> int:
         for t in args.temp
     ]
     started = time.perf_counter()
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(lambda c: _bench_point(c, opts, outdir), configs))
-    else:
-        results = [_bench_point(c, opts, outdir) for c in configs]
+    results = [_bench_point(c, opts, outdir) for c in configs]
 
     def write_report(fh):
         fh.write(
@@ -359,9 +360,9 @@ def cmd_dc_sweep(args) -> int:
     if args.step == 0 or (args.stop - args.start) * args.step < 0:
         print("amps dc-sweep: error: step must be nonzero and sign-consistent", file=sys.stderr)
         return 1
+    opts = _solver_options(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    opts = _solver_options(args)
     for temp in args.temp:
         cfg = BenchConfig(amplitude_pp=args.amp, temp=temp)
         try:

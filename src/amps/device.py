@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .netlist import ModelCard
 
@@ -24,12 +23,6 @@ EPS_OX = 3.45313e-11
 TNOM_K = 300.15
 # threshold drift, V per degC (magnitude shrinks with temperature)
 VTH_TC = 2.0e-3
-
-
-class Region(Enum):
-    CUTOFF = "cutoff"
-    TRIODE = "triode"
-    SATURATION = "saturation"
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +51,6 @@ class DeviceEval:
     gm: float  # A/V, d(id)/d(vgs)
     gds: float  # A/V, d(id)/d(vds)
     gmbs: float  # A/V, d(id)/d(vbs)
-    region: Region
 
 
 class MissingModelParameter(ValueError):
@@ -129,10 +121,10 @@ def _eval_forward(
     vgs: float,
     vds: float,
     vbs: float,
-) -> tuple[float, float, float, float, Region]:
+) -> tuple[float, float, float, float]:
     """Normalized NMOS evaluation, vds >= 0.
 
-    Returns (id, d/dvgs, d/dvds, d/dvbs, region).
+    Returns (id, d/dvgs, d/dvds, d/dvbs).
     """
     vbs_c = vbs if vbs < phi - 1e-6 else phi - 1e-6
     sq = math.sqrt(phi - vbs_c)
@@ -141,7 +133,7 @@ def _eval_forward(
     dvth = -gamma / (2.0 * sq) if vbs < phi - 1e-6 else 0.0
     vov = vgs - vth
     if vov <= 0.0:
-        return (0.0, 0.0, 0.0, 0.0, Region.CUTOFF)
+        return (0.0, 0.0, 0.0, 0.0)
     u = 1.0 / (1.0 + theta * vov)
     du = -theta * u * u  # du/dvov
     if vds < vov:
@@ -149,14 +141,12 @@ def _eval_forward(
         cur = beta * u * core
         dvov = beta * (du * core + u * vds)
         gds = beta * u * (vov - vds)
-        region = Region.TRIODE
     else:
         cur = 0.5 * beta * u * vov * vov
         dvov = 0.5 * beta * vov * (du * vov + 2.0 * u)
         gds = 0.0
-        region = Region.SATURATION
     # vov = vgs - vth(vbs):  d/dvgs = dvov,  d/dvbs = -dvth * dvov
-    return (cur, dvov, gds, -dvth * dvov, region)
+    return (cur, dvov, gds, -dvth * dvov)
 
 
 def eval_mosfet(p: MosfetParams, vgs: float, vds: float, vbs: float) -> DeviceEval:
@@ -177,12 +167,12 @@ def eval_mosfet(p: MosfetParams, vgs: float, vds: float, vbs: float) -> DeviceEv
         vth0 = p.vth0
     beta = p.kp_eff * (p.w / p.leff)
     if vds >= 0.0:
-        cur, gm, gds, gmbs, region = _eval_forward(
+        cur, gm, gds, gmbs = _eval_forward(
             vth0, p.gamma, p.phi, beta, p.theta, vgs, vds, vbs
         )
     else:
         # swap source and drain: primed device sees the reversed branch
-        c, g_m, g_ds, g_mbs, region = _eval_forward(
+        c, g_m, g_ds, g_mbs = _eval_forward(
             vth0, p.gamma, p.phi, beta, p.theta, vgs - vds, -vds, vbs - vds
         )
         cur = -c
@@ -191,4 +181,4 @@ def eval_mosfet(p: MosfetParams, vgs: float, vds: float, vbs: float) -> DeviceEv
         gmbs = -g_mbs
     if pmos:
         cur = -cur
-    return DeviceEval(id=cur, gm=gm, gds=gds, gmbs=gmbs, region=region)
+    return DeviceEval(id=cur, gm=gm, gds=gds, gmbs=gmbs)

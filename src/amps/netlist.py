@@ -10,6 +10,7 @@ names are case-insensitive, node names are case-sensitive.  See
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -107,8 +108,6 @@ class SinSpec:
     frequency: float
 
     def value_at(self, t: float) -> float:
-        import math
-
         return self.offset + self.amplitude * math.sin(2.0 * math.pi * self.frequency * t)
 
 

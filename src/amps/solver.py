@@ -1,22 +1,33 @@
 """Modified nodal analysis: DC operating points, DC sweeps, transient runs.
 
 Unknowns are the non-ground node voltages followed by the branch currents of
-the voltage sources.  Nonlinear solves are damped Newton-Raphson over dense
-LU; DC convergence falls back to gmin stepping and then source stepping.
-Transient integration is fixed-step trapezoidal with a backward-Euler first
-step.
+the voltage sources.  ``build_graph`` compiles a netlist once, at one
+temperature, into immutable MNA stamps (Ho, Ruehli & Brennan, IEEE TCAS
+1975): the linear stamp ``G`` (resistors, voltage-source incidence), the
+capacitance stamp ``C`` (capacitors, MOSFET overlaps), the gmin rows (nodes
+a MOSFET touches), one two-terminal branch table whose currents give each
+node's KCL residual and tolerance scale, and a MOSFET table with the
+precomputed scatter of device conductances into the Jacobian.  An assembly
+context fixes the source scale, gmin and companion factor alpha (0 for DC,
+1/h backward Euler, 2/h trapezoidal) once: its Jacobian is
+``G + alpha*C + gmin*D`` plus the device scatter, and the time and the
+capacitor history currents are arguments of each assembly.
+
+Nonlinear solves are damped Newton-Raphson over dense LU; DC convergence
+falls back to gmin stepping and then source stepping.  Transient integration
+is fixed-step trapezoidal with a backward-Euler first step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import Waveform, WaveformSet
 from .device import MosfetParams, derive_params, eval_mosfet, overlap_caps
-from .netlist import ElementKind, NetlistDocument, validate
+from .netlist import DcSpec, ElementKind, NetlistDocument, SourceSpec, validate
 
 
 class SingularMatrixError(RuntimeError):
@@ -44,7 +55,7 @@ class TransientNonConvergence(RuntimeError):
         super().__init__(f"transient aborted at t={time:.6e}s: {cause}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     reltol: float = 1e-3
     abstol_i: float = 1e-12  # A
@@ -78,7 +89,6 @@ class OperatingPoint:
 class TransientOptions:
     tstep: float
     tstop: float
-    method: str = "trapezoidal"
     ic: str = "from_op"  # "from_op" | "zero_start"
 
     def __post_init__(self):
@@ -86,8 +96,6 @@ class TransientOptions:
             raise ValueError("tstep must be positive")
         if self.tstop < 10 * self.tstep:
             raise ValueError("tstop must be at least 10*tstep")
-        if self.method != "trapezoidal":
-            raise ValueError(f"unsupported method {self.method!r}")
         if self.ic not in ("from_op", "zero_start"):
             raise ValueError(f"unknown initial-condition mode {self.ic!r}")
 
@@ -96,121 +104,188 @@ TransferCurve = list[tuple[float, OperatingPoint]]
 
 
 @dataclass(frozen=True)
-class _VSource:
+class _Source:
     name: str
     p: int
     m: int
-    spec: object
+    spec: SourceSpec
 
 
-@dataclass(frozen=True)
-class _ISource:
-    name: str
-    p: int
-    m: int
-    spec: object
+# Jacobian entries of one MOSFET as (row terminal, column terminal, value,
+# sign), with terminals d=0, g=1, s=2, b=3 and values id=0, gm=1, gds=2,
+# gmbs=3, gsum=gm+gds+gmbs=4.  The drain row gets +d(id), the source row
+# -d(id).
+_MOS_STAMP = (
+    (0, 0, 2, 1.0), (0, 1, 1, 1.0), (0, 3, 3, 1.0), (0, 2, 4, -1.0),
+    (2, 2, 4, 1.0), (2, 0, 2, -1.0), (2, 1, 1, -1.0), (2, 3, 3, -1.0),
+)
 
 
-@dataclass(frozen=True)
-class _Mosfet:
-    name: str
-    d: int
-    g: int
-    s: int
-    b: int
-    params: MosfetParams
-
-
+@dataclass(frozen=True, eq=False)
 class CircuitGraph:
-    """A netlist resolved against one temperature, ready for assembly.
+    """A netlist compiled at one temperature into MNA stamps (built by ``build_graph``).
 
     Node numbering is dense and deterministic (order of first appearance);
-    ground is index 0 and never gets a matrix row.
+    ground is index 0 and never gets a matrix row.  Every array is
+    read-only.
     """
 
-    def __init__(self, doc: NetlistDocument, temp: float):
-        diags = validate(doc)
-        errors = [d for d in diags if d.severity == "error"]
-        if errors:
-            lines = "; ".join(f"{d.message} [{d.location}]" for d in errors)
-            raise ValueError(f"netlist validation failed: {lines}")
-        self.doc = doc
-        self.temp = temp
-        self.node_names: list[str] = [""] * len(doc.nodes)
-        for name, idx in doc.nodes.items():
-            self.node_names[idx] = name
-        self.n = len(doc.nodes) - 1
-        self.vsources: list[_VSource] = []
-        self.isources: list[_ISource] = []
-        self.mosfets: list[_Mosfet] = []
-        res: list[tuple[int, int, float]] = []
-        caps: list[tuple[int, int, float]] = []
-        nod = doc.nodes
-        for e in doc.elements:
-            if e.kind is ElementKind.RESISTOR:
-                res.append((nod[e.nodes[0]], nod[e.nodes[1]], 1.0 / e.value))
-            elif e.kind is ElementKind.CAPACITOR:
-                if e.value > 0:
-                    caps.append((nod[e.nodes[0]], nod[e.nodes[1]], e.value))
-            elif e.kind is ElementKind.VSOURCE:
-                self.vsources.append(_VSource(e.name, nod[e.nodes[0]], nod[e.nodes[1]], e.source))
-            elif e.kind is ElementKind.ISOURCE:
-                self.isources.append(_ISource(e.name, nod[e.nodes[0]], nod[e.nodes[1]], e.source))
-            else:
-                params = derive_params(doc.models[e.model], e.w, e.l, temp)
-                d, g, s, b = (nod[x] for x in e.nodes)
-                self.mosfets.append(_Mosfet(e.name, d, g, s, b, params))
-                cgd, cgs, cgb = overlap_caps(params)
-                for (na, nb, c) in ((g, d, cgd), (g, s, cgs), (g, b, cgb)):
-                    if c > 0:
-                        caps.append((na, nb, c))
-        self.m = len(self.vsources)
-        self.size = self.n + self.m
-        self.res_a = np.array([a for a, _, _ in res], dtype=int)
-        self.res_b = np.array([b for _, b, _ in res], dtype=int)
-        self.res_g = np.array([g for _, _, g in res], dtype=float)
-        self.cap_a = np.array([a for a, _, _ in caps], dtype=int)
-        self.cap_b = np.array([b for _, b, _ in caps], dtype=int)
-        self.cap_c = np.array([c for _, _, c in caps], dtype=float)
-        mos_nodes = sorted(
-            {t for mos in self.mosfets for t in (mos.d, mos.g, mos.s, mos.b) if t != 0}
-        )
-        self.mos_rows = np.array([j - 1 for j in mos_nodes], dtype=int)
-        self._j_static = self._build_static()
+    doc: NetlistDocument
+    node_names: tuple[str, ...]
+    n: int  # node unknowns
+    m: int  # voltage-source branch unknowns
+    size: int
+    vsources: tuple[_Source, ...]
+    isources: tuple[_Source, ...]
+    mosfets: tuple[MosfetParams, ...]
+    G: np.ndarray
+    C: np.ndarray
+    gmin_rows: np.ndarray
+    # two-terminal branches, current flowing from node a to node b, in the
+    # order resistors, capacitors, current sources, voltage sources, MOSFET
+    # channels (drain to source)
+    branch_a: np.ndarray
+    branch_b: np.ndarray
+    res_g: np.ndarray
+    cap_c: np.ndarray
+    # branch ends sorted by node, in table order within a node: the node,
+    # the index of its flow in (currents, -currents), the first end of each
+    # node that has one, and that node
+    end_node: np.ndarray
+    end_flow: np.ndarray
+    end_starts: np.ndarray
+    end_nodes: np.ndarray
+    mos_terms: np.ndarray  # (4, MOSFETs): d, g, s, b node indices
+    # the Jacobian scatter: every flat index once (the base), then one per
+    # MOSFET entry; and for each entry its index in the flat (MOSFETs, 5)
+    # table of evaluated values, and its sign
+    jac_index: np.ndarray
+    mos_value: np.ndarray
+    mos_sign: np.ndarray
 
-    def _build_static(self) -> np.ndarray:
-        n, size = self.n, self.size
-        J = np.zeros((size, size))
-        for a, b, g in zip(self.res_a, self.res_b, self.res_g):
-            ra, rb = a - 1, b - 1
-            if a:
-                J[ra, ra] += g
-            if b:
-                J[rb, rb] += g
-            if a and b:
-                J[ra, rb] -= g
-                J[rb, ra] -= g
-        for k, src in enumerate(self.vsources):
-            row = n + k
-            if src.p:
-                J[src.p - 1, row] += 1.0
-                J[row, src.p - 1] += 1.0
-            if src.m:
-                J[src.m - 1, row] -= 1.0
-                J[row, src.m - 1] -= 1.0
-        return J
-
-    def find_source(self, name: str):
+    def find_source(self, name: str) -> _Source:
         name = name.upper()
         for src in self.vsources + self.isources:
             if src.name == name:
                 return src
         raise KeyError(f"no source named {name}")
 
+    def with_source(self, name: str, value: float) -> CircuitGraph:
+        """The same circuit with one source held at a DC value; shares every stamp."""
+        src = self.find_source(name)
+        held = replace(src, spec=DcSpec(value))
+
+        def swap(group):
+            return tuple(held if s is src else s for s in group)
+
+        return replace(self, vsources=swap(self.vsources), isources=swap(self.isources))
+
+
+def _readonly(a) -> np.ndarray:
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+def _two_terminal_stamp(size: int, branches: list[tuple[int, int, float]]) -> np.ndarray:
+    M = np.zeros((size, size))
+    for a, b, v in branches:
+        for r, c, s in ((a, a, v), (b, b, v), (a, b, -v), (b, a, -v)):
+            if r and c:
+                M[r - 1, c - 1] += s
+    return M
+
 
 def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
-    """Resolve a validated netlist at one temperature."""
-    return CircuitGraph(doc, temp)
+    """Validate a netlist and compile it at one temperature."""
+    errors = [d for d in validate(doc) if d.severity == "error"]
+    if errors:
+        lines = "; ".join(f"{d.message} [{d.location}]" for d in errors)
+        raise ValueError(f"netlist validation failed: {lines}")
+    node_names = [""] * len(doc.nodes)
+    for name, idx in doc.nodes.items():
+        node_names[idx] = name
+    n = len(doc.nodes) - 1
+    vsources: list[_Source] = []
+    isources: list[_Source] = []
+    mosfets: list[MosfetParams] = []
+    terms: list[tuple[int, int, int, int]] = []  # d, g, s, b of each MOSFET
+    res: list[tuple[int, int, float]] = []
+    caps: list[tuple[int, int, float]] = []
+    nod = doc.nodes
+    for e in doc.elements:
+        if e.kind is ElementKind.RESISTOR:
+            res.append((nod[e.nodes[0]], nod[e.nodes[1]], 1.0 / e.value))
+        elif e.kind is ElementKind.CAPACITOR:
+            if e.value > 0:
+                caps.append((nod[e.nodes[0]], nod[e.nodes[1]], e.value))
+        elif e.kind in (ElementKind.VSOURCE, ElementKind.ISOURCE):
+            group = vsources if e.kind is ElementKind.VSOURCE else isources
+            group.append(_Source(e.name, nod[e.nodes[0]], nod[e.nodes[1]], e.source))
+        else:
+            params = derive_params(doc.models[e.model], e.w, e.l, temp)
+            d, g, s, b = (nod[x] for x in e.nodes)
+            mosfets.append(params)
+            terms.append((d, g, s, b))
+            cgd, cgs, cgb = overlap_caps(params)
+            for (na, nb, c) in ((g, d, cgd), (g, s, cgs), (g, b, cgb)):
+                if c > 0:
+                    caps.append((na, nb, c))
+    size = n + len(vsources)
+
+    G = _two_terminal_stamp(size, res)
+    for k, src in enumerate(vsources):
+        for node, sign in ((src.p, 1.0), (src.m, -1.0)):
+            if node:
+                G[node - 1, n + k] += sign
+                G[n + k, node - 1] += sign
+
+    ends = (
+        [(a, b) for a, b, _ in res + caps]
+        + [(src.p, src.m) for src in isources + vsources]
+        + [(d, s) for d, _, s, _ in terms]
+    )
+    branch_a = np.array([a for a, _ in ends], dtype=int)
+    branch_b = np.array([b for _, b in ends], dtype=int)
+    nb = branch_a.size
+    end_node = np.column_stack((branch_a, branch_b)).ravel()
+    end_flow = np.column_stack((np.arange(nb), nb + np.arange(nb))).ravel()
+    order = np.argsort(end_node, kind="stable")
+    end_node, end_flow = end_node[order], end_flow[order]
+    end_starts = np.flatnonzero(np.diff(end_node, prepend=-1))
+
+    entries = [
+        ((t[r] - 1) * size + t[c] - 1, 5 * k + value, sign)
+        for k, t in enumerate(terms)
+        for r, c, value, sign in _MOS_STAMP
+        if t[r] and t[c]
+    ]
+    terms = np.array(terms, dtype=int).reshape(-1, 4)
+    return CircuitGraph(
+        doc=doc,
+        node_names=tuple(node_names),
+        n=n,
+        m=len(vsources),
+        size=size,
+        vsources=tuple(vsources),
+        isources=tuple(isources),
+        mosfets=tuple(mosfets),
+        G=_readonly(G),
+        C=_readonly(_two_terminal_stamp(size, caps)),
+        gmin_rows=_readonly(np.array(sorted({t - 1 for t in terms.flat if t}), dtype=int)),
+        branch_a=_readonly(branch_a),
+        branch_b=_readonly(branch_b),
+        res_g=_readonly([g for _, _, g in res]),
+        cap_c=_readonly([c for _, _, c in caps]),
+        end_node=_readonly(end_node),
+        end_flow=_readonly(end_flow),
+        end_starts=_readonly(end_starts),
+        end_nodes=_readonly(end_node[end_starts]),
+        mos_terms=_readonly(terms.T),
+        jac_index=_readonly(np.array([*range(size * size), *(f for f, _, _ in entries)])),
+        mos_value=_readonly(np.array([v for _, v, _ in entries], dtype=int)),
+        mos_sign=_readonly([s for _, _, s in entries]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,140 +317,94 @@ def _lu_solve(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 class _System:
-    """One assembly context: time point, source scale/overrides, gmin, caps."""
+    """One assembly context: graph, options, source scale, gmin and alpha.
+
+    Everything is fixed here; nothing changes it afterwards.
+    """
+
+    __slots__ = ("g", "opt", "scale", "gmin", "alpha", "cap_geq", "coef", "j_base", "vsrc")
 
     def __init__(
         self,
         graph: CircuitGraph,
         options: SolverOptions,
         *,
-        time: float = 0.0,
         source_scale: float = 1.0,
-        overrides: dict[str, float] | None = None,
         gmin: float | None = None,
-        cap_geq: np.ndarray | None = None,
+        alpha: float = 0.0,
     ):
         self.g = graph
         self.opt = options
-        self.time = time
         self.scale = source_scale
-        self.overrides = overrides or {}
         self.gmin = options.gmin if gmin is None else gmin
-        self.cap_geq = cap_geq
-        self.cap_ieq = None if cap_geq is None else np.zeros_like(cap_geq)
-        base = graph._j_static.copy()
-        base[graph.mos_rows, graph.mos_rows] += self.gmin
-        if cap_geq is not None:
-            for (a, b, geq) in zip(graph.cap_a, graph.cap_b, cap_geq):
-                ra, rb = a - 1, b - 1
-                if a:
-                    base[ra, ra] += geq
-                if b:
-                    base[rb, rb] += geq
-                if a and b:
-                    base[ra, rb] -= geq
-                    base[rb, ra] -= geq
-        self._j_base = base
+        self.alpha = alpha
+        self.cap_geq = alpha * graph.cap_c
+        rest = graph.branch_a.size - graph.res_g.size - graph.cap_c.size
+        self.coef = np.concatenate((graph.res_g, self.cap_geq, np.zeros(rest)))
+        base = graph.G + alpha * graph.C
+        base[graph.gmin_rows, graph.gmin_rows] += self.gmin
+        self.j_base = base
+        first = graph.res_g.size + graph.cap_c.size + len(graph.isources)
+        self.vsrc = slice(first, first + graph.m)
 
-    def source_value(self, name: str, spec) -> float:
-        if name in self.overrides:
-            return self.scale * self.overrides[name]
-        return self.scale * spec.value_at(self.time)
+    def assemble(self, x: np.ndarray, t: float, cap_ieq: np.ndarray):
+        """Residual F(x), Jacobian J(x) and per-row current/voltage scales at time t.
 
-    def assemble(self, x: np.ndarray):
-        """Residual F(x), Jacobian J(x) and per-row current/voltage scales."""
+        ``cap_ieq`` holds the capacitor companion history currents.
+        """
         g = self.g
-        n, m = g.n, g.m
-        J = self._j_base.copy()
-        fe = np.zeros(n + 1)  # node residuals, slot 0 collects ground
-        se = np.zeros(n + 1)  # local current scale per node
-        V = np.empty(n + 1)
-        V[0] = 0.0
-        V[1:] = x[:n]
-        if g.res_g.size:
-            cur = g.res_g * (V[g.res_a] - V[g.res_b])
-            np.add.at(fe, g.res_a, cur)
-            np.add.at(fe, g.res_b, -cur)
-            np.maximum.at(se, g.res_a, np.abs(cur))
-            np.maximum.at(se, g.res_b, np.abs(cur))
-        if self.cap_geq is not None and g.cap_c.size:
-            cur = self.cap_geq * (V[g.cap_a] - V[g.cap_b]) + self.cap_ieq
-            np.add.at(fe, g.cap_a, cur)
-            np.add.at(fe, g.cap_b, -cur)
-            np.maximum.at(se, g.cap_a, np.abs(cur))
-            np.maximum.at(se, g.cap_b, np.abs(cur))
-        for src in g.isources:
-            cur = self.source_value(src.name, src.spec)
-            fe[src.p] += cur
-            fe[src.m] -= cur
-            se[src.p] = max(se[src.p], abs(cur))
-            se[src.m] = max(se[src.m], abs(cur))
-        fb = np.zeros(m)
-        sb = np.zeros(m)
-        for k, src in enumerate(g.vsources):
-            ik = x[n + k]
-            fe[src.p] += ik
-            fe[src.m] -= ik
-            se[src.p] = max(se[src.p], abs(ik))
-            se[src.m] = max(se[src.m], abs(ik))
-            e = self.source_value(src.name, src.spec)
-            fb[k] = V[src.p] - V[src.m] - e
-            sb[k] = abs(e)
-        for mos in g.mosfets:
-            vd, vg, vs, vb = V[mos.d], V[mos.g], V[mos.s], V[mos.b]
-            ev = eval_mosfet(mos.params, vg - vs, vd - vs, vb - vs)
-            fe[mos.d] += ev.id
-            fe[mos.s] -= ev.id
-            a = abs(ev.id)
-            se[mos.d] = max(se[mos.d], a)
-            se[mos.s] = max(se[mos.s], a)
-            gsum = ev.gm + ev.gds + ev.gmbs
-            rd, rg, rs, rb = mos.d - 1, mos.g - 1, mos.s - 1, mos.b - 1
-            if mos.d:
-                J[rd, rd] += ev.gds
-                if mos.g:
-                    J[rd, rg] += ev.gm
-                if mos.b:
-                    J[rd, rb] += ev.gmbs
-                if mos.s:
-                    J[rd, rs] -= gsum
-            if mos.s:
-                J[rs, rs] += gsum
-                if mos.d:
-                    J[rs, rd] -= ev.gds
-                if mos.g:
-                    J[rs, rg] -= ev.gm
-                if mos.b:
-                    J[rs, rb] -= ev.gmbs
-        if g.mos_rows.size:
-            fe[1:][g.mos_rows] += self.gmin * x[:n][g.mos_rows]
-        F = np.concatenate((fe[1:], fb))
-        scale = np.concatenate((se[1:], sb))
+        n = g.n
+        V = np.concatenate(([0.0], x[:n]))
+        dv = V[g.branch_a] - V[g.branch_b]
+        isrc = [self.scale * src.spec.value_at(t) for src in g.isources]
+        e = np.array([self.scale * src.spec.value_at(t) for src in g.vsources])
+        vd, vg, vs, vb = V[g.mos_terms]
+        evaluate = eval_mosfet
+        dev = []  # id, gm, gds, gmbs, gsum of each MOSFET in turn
+        for params, vgs, vds, vbs in zip(g.mosfets, (vg - vs).tolist(), (vd - vs).tolist(),
+                                         (vb - vs).tolist()):
+            ev = evaluate(params, vgs, vds, vbs)
+            dev += (ev.id, ev.gm, ev.gds, ev.gmbs, ev.gm + ev.gds + ev.gmbs)
+        dev = np.array(dev)
+
+        cur = self.coef * dv
+        cur[g.res_g.size:] += np.concatenate((cap_ieq, isrc, x[n:], dev[0::5]))
+        flow = np.concatenate((cur, -cur))[g.end_flow]
+        fe = np.bincount(g.end_node, weights=flow, minlength=n + 1)  # slot 0 is ground
+        se = np.zeros(n + 1)  # largest incident branch current per node
+        se[g.end_nodes] = np.maximum.reduceat(np.abs(flow), g.end_starts)
+        fe[1:][g.gmin_rows] += self.gmin * x[g.gmin_rows]
+        F = np.concatenate((fe[1:], dv[self.vsrc] - e))
+        scale = np.concatenate((se[1:], np.abs(e)))
+
+        entries = np.concatenate((self.j_base.ravel(), g.mos_sign * dev[g.mos_value]))
+        J = np.bincount(g.jac_index, weights=entries).reshape(g.size, g.size)
         return F, J, scale
 
-    def residual_excess(self, F: np.ndarray, scale: np.ndarray) -> float:
-        """Largest residual above its tolerance; <= 0 when within tolerance."""
-        n = self.g.n
-        opt = self.opt
-        tol_nodes = opt.abstol_i + opt.reltol * scale[:n]
-        tol_branch = opt.vntol + opt.reltol * scale[n:]
-        excess = np.concatenate((np.abs(F[:n]) - tol_nodes, np.abs(F[n:]) - tol_branch))
-        return float(excess.max()) if excess.size else 0.0
-
-    def worst_row_name(self, F: np.ndarray, scale: np.ndarray) -> str:
+    def excess(self, F: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """Each row's residual above its tolerance; <= 0 when within tolerance."""
         n = self.g.n
         opt = self.opt
         tol = np.concatenate(
             (opt.abstol_i + opt.reltol * scale[:n], opt.vntol + opt.reltol * scale[n:])
         )
-        idx = int(np.argmax(np.abs(F) - tol))
+        return np.abs(F) - tol
+
+    def residual_excess(self, F: np.ndarray, scale: np.ndarray) -> float:
+        """Largest residual above its tolerance."""
+        excess = self.excess(F, scale)
+        return float(excess.max()) if excess.size else 0.0
+
+    def worst_row_name(self, F: np.ndarray, scale: np.ndarray) -> str:
+        n = self.g.n
+        idx = int(np.argmax(self.excess(F, scale)))
         if idx < n:
             return f"node {self.g.node_names[idx + 1]}"
         return f"source {self.g.vsources[idx - n].name}"
 
 
-def _newton(sys: _System, x0: np.ndarray, options: SolverOptions):
-    """Damped Newton iteration.
+def _newton(sys: _System, x0: np.ndarray, t: float = 0.0, cap_ieq: np.ndarray | None = None):
+    """Damped Newton iteration at time t (with capacitor history ``cap_ieq``).
 
     Counts applied updates; convergence requires both the KCL residual and
     the proposed (undamped) voltage step to be within tolerance.  Returns
@@ -383,13 +412,15 @@ def _newton(sys: _System, x0: np.ndarray, options: SolverOptions):
     """
     g = sys.g
     n = g.n
+    options = sys.opt
+    if cap_ieq is None:
+        cap_ieq = np.zeros(g.cap_c.size)
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite initial guess")
     clamp = options.vstep_clamp
-    last = (None, None)
     for iterations in range(options.max_newton_iters + 1):
-        F, J, scale = sys.assemble(x)
+        F, J, scale = sys.assemble(x, t, cap_ieq)
         if not (np.all(np.isfinite(F)) and np.all(np.isfinite(J))):
             raise NonConvergenceError("non-finite assembly", float("inf"))
         excess = sys.residual_excess(F, scale)
@@ -399,14 +430,11 @@ def _newton(sys: _System, x0: np.ndarray, options: SolverOptions):
         if excess <= 0.0 and dv < options.vntol + options.reltol * vmax:
             return x, iterations, excess
         if iterations == options.max_newton_iters:
-            last = (F, scale)
-            break
+            raise NonConvergenceError(sys.worst_row_name(F, scale), excess)
         step = dx.copy()
-        if g.mos_rows.size:
-            step[g.mos_rows] = np.clip(step[g.mos_rows], -clamp, clamp)
+        if g.gmin_rows.size:
+            step[g.gmin_rows] = np.clip(step[g.gmin_rows], -clamp, clamp)
         x += step
-    F, scale = last
-    raise NonConvergenceError(sys.worst_row_name(F, scale), sys.residual_excess(F, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +448,11 @@ def newton_solve(
     options: SolverOptions,
     source_scale: float = 1.0,
     gmin_override: float | None = None,
-    _overrides: dict[str, float] | None = None,
 ) -> OperatingPoint:
     """Single Newton solve of the DC system (sources at their t=0 values)."""
     x0 = np.zeros(graph.size) if initial_guess is None else initial_guess
-    sys = _System(
-        graph,
-        options,
-        source_scale=source_scale,
-        gmin=gmin_override,
-        overrides=_overrides,
-    )
-    x, iters, excess = _newton(sys, x0, options)
+    sys = _System(graph, options, source_scale=source_scale, gmin=gmin_override)
+    x, iters, excess = _newton(sys, x0)
     return OperatingPoint(
         voltages=x[: graph.n].copy(),
         branch_currents=x[graph.n:].copy(),
@@ -444,41 +465,39 @@ def newton_solve(
 def solve_dc(
     graph: CircuitGraph,
     options: SolverOptions,
-    _overrides: dict[str, float] | None = None,
-    _x0: np.ndarray | None = None,
+    initial_guess: np.ndarray | None = None,
 ) -> OperatingPoint:
     """DC operating point with homotopy fallbacks.
 
-    Tries a plain Newton solve, then gmin stepping (one decade per step from
-    1e-2 S down to gmin), then source stepping, each warm-starting from the
-    previous stage's progress.
+    Tries a plain Newton solve from ``initial_guess`` (zeros when None),
+    then gmin stepping (one decade per step from 1e-2 S down to gmin), then
+    source stepping; the homotopies start from zeros and each stage
+    warm-starts from the previous one.
     """
     log: list[str] = []
     try:
-        return newton_solve(graph, _x0, options, _overrides=_overrides)
+        return newton_solve(graph, initial_guess, options)
     except (NonConvergenceError, SingularMatrixError) as exc:
         log.append(f"plain: {exc}")
-    # gmin stepping
-    x = np.zeros(graph.size)
-    gmins = np.geomspace(1e-2, options.gmin, options.gmin_steps + 1)
-    try:
-        op = None
-        for gval in gmins:
-            op = newton_solve(graph, x, options, gmin_override=float(gval), _overrides=_overrides)
-            x = np.concatenate((op.voltages, op.branch_currents))
-        return op
-    except (NonConvergenceError, SingularMatrixError) as exc:
-        log.append(f"gmin stepping: {exc}")
-    # source stepping
-    x = np.zeros(graph.size)
-    try:
-        op = None
-        for scale in np.linspace(1.0 / options.source_steps, 1.0, options.source_steps):
-            op = newton_solve(graph, x, options, source_scale=float(scale), _overrides=_overrides)
-            x = np.concatenate((op.voltages, op.branch_currents))
-        return op
-    except (NonConvergenceError, SingularMatrixError) as exc:
-        log.append(f"source stepping: {exc}")
+    homotopies = {
+        "gmin stepping": [
+            {"gmin_override": float(gval)}
+            for gval in np.geomspace(1e-2, options.gmin, options.gmin_steps + 1)
+        ],
+        "source stepping": [
+            {"source_scale": float(scale)}
+            for scale in np.linspace(1.0 / options.source_steps, 1.0, options.source_steps)
+        ],
+    }
+    for label, stages in homotopies.items():
+        x = np.zeros(graph.size)
+        try:
+            for stage in stages:
+                op = newton_solve(graph, x, options, **stage)
+                x = np.concatenate((op.voltages, op.branch_currents))
+            return op
+        except (NonConvergenceError, SingularMatrixError) as exc:
+            log.append(f"{label}: {exc}")
     raise NonConvergenceError("all homotopies exhausted", float("nan"), log)
 
 
@@ -504,24 +523,17 @@ def dc_sweep(
     step: float,
     options: SolverOptions,
 ) -> TransferCurve:
-    """Sweep one source's DC value, warm-starting each point.
+    """Sweep one source's DC value, warm-starting each point from the last.
 
     Non-convergent points are recorded (``converged=False``, NaN vectors) and
     the sweep continues.
     """
-    src = graph.find_source(source_name)  # KeyError if unknown
+    name = graph.find_source(source_name).name  # KeyError if unknown
     curve: TransferCurve = []
     x_prev: np.ndarray | None = None
     for value in _sweep_values(start, stop, step):
-        overrides = {src.name: value}
         try:
-            if x_prev is None:
-                op = solve_dc(graph, options, _overrides=overrides)
-            else:
-                try:
-                    op = newton_solve(graph, x_prev, options, _overrides=overrides)
-                except (NonConvergenceError, SingularMatrixError):
-                    op = solve_dc(graph, options, _overrides=overrides, _x0=x_prev)
+            op = solve_dc(graph.with_source(name, value), options, x_prev)
             x_prev = np.concatenate((op.voltages, op.branch_currents))
         except (NonConvergenceError, SingularMatrixError):
             op = OperatingPoint(
@@ -566,13 +578,18 @@ def solve_transient(
     volts[0] = x[:n]
     currents[0] = x[n:]
 
-    caps = graph.cap_c
-    V = np.concatenate(([0.0], x[:n]))
-    v_prev = V[graph.cap_a] - V[graph.cap_b] if caps.size else np.zeros(0)
+    caps = slice(graph.res_g.size, graph.res_g.size + graph.cap_c.size)
+    cap_a, cap_b = graph.branch_a[caps], graph.branch_b[caps]
+
+    def cap_voltage(x: np.ndarray) -> np.ndarray:
+        V = np.concatenate(([0.0], x[:n]))
+        return V[cap_a] - V[cap_b]
+
+    v_prev = cap_voltage(x)
     i_prev = np.zeros_like(v_prev)
 
-    sys_be = _System(graph, sopts, time=h, cap_geq=caps / h if caps.size else None)
-    sys_tr = _System(graph, sopts, time=h, cap_geq=2.0 * caps / h if caps.size else None)
+    sys_be = _System(graph, sopts, alpha=1.0 / h)
+    sys_tr = _System(graph, sopts, alpha=2.0 / h)
 
     def build_ws(upto: int) -> WaveformSet:
         times = np.arange(upto + 1) * h
@@ -601,45 +618,35 @@ def solve_transient(
     for k in range(1, nsteps + 1):
         t = k * h
         sys = sys_be if k == 1 else sys_tr
-        sys.time = t
-        if caps.size:
-            if k == 1:
-                sys.cap_ieq = -sys.cap_geq * v_prev
-            else:
-                sys.cap_ieq = -sys.cap_geq * v_prev - i_prev
+        # the backward-Euler step starts from i_prev = 0
+        cap_ieq = -sys.cap_geq * v_prev - i_prev
         try:
             try:
-                x, iters, excess = _newton(sys, x, sopts)
+                x, iters, excess = _newton(sys, x, t, cap_ieq)
             except (NonConvergenceError, SingularMatrixError):
-                x, iters, excess = _rescue_step(sys, x, sopts)
+                x, iters, excess = _rescue_step(sys, x, t, cap_ieq)
         except (NonConvergenceError, SingularMatrixError) as exc:
             raise TransientNonConvergence(t, build_ws(k - 1), exc) from exc
         total_iters += iters
         max_excess = max(max_excess, excess)
         volts[k] = x[:n]
         currents[k] = x[n:]
-        if caps.size:
-            V = np.concatenate(([0.0], x[:n]))
-            v_new = V[graph.cap_a] - V[graph.cap_b]
-            i_prev = sys.cap_geq * v_new + sys.cap_ieq
-            v_prev = v_new
+        v_new = cap_voltage(x)
+        i_prev = sys.cap_geq * v_new + cap_ieq
+        v_prev = v_new
     return build_ws(nsteps)
 
 
-def _rescue_step(sys: _System, x0: np.ndarray, options: SolverOptions):
-    """gmin-stepping homotopy for a stubborn transient step."""
-    x = x0.copy()
-    nominal = sys.gmin
+def _rescue_step(sys: _System, x0: np.ndarray, t: float, cap_ieq: np.ndarray):
+    """gmin-stepping homotopy for a stubborn transient step.
+
+    Each stage solves in a fresh context whose gmin steps one decade from
+    1e-2 S down to the step's own gmin.
+    """
+    x = x0
     iters_total = 0
-    try:
-        for gval in np.geomspace(1e-2, nominal, options.gmin_steps + 1):
-            rows = sys.g.mos_rows
-            sys._j_base[rows, rows] += gval - sys.gmin
-            sys.gmin = float(gval)
-            x, iters, excess = _newton(sys, x, options)
-            iters_total += iters
-    finally:
-        rows = sys.g.mos_rows
-        sys._j_base[rows, rows] += nominal - sys.gmin
-        sys.gmin = nominal
+    for gval in np.geomspace(1e-2, sys.gmin, sys.opt.gmin_steps + 1):
+        stage = _System(sys.g, sys.opt, source_scale=sys.scale, gmin=float(gval), alpha=sys.alpha)
+        x, iters, excess = _newton(stage, x, t, cap_ieq)
+        iters_total += iters
     return x, iters_total, excess

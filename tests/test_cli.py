@@ -1,8 +1,9 @@
 """CLI surface tests: exit codes, output files, stream discipline."""
 
 import numpy as np
+import pytest
 
-from amps.cli import main
+from amps.cli import _atomic_write, main
 from amps.rectifier import bench_netlist_path
 
 DIVIDER = """resistive divider
@@ -152,19 +153,19 @@ def test_bench_zero_freq_usage_error(tmp_path, capsys):
     assert "must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--reltol", "--abstol", "--vntol", "--gmin"])
+def test_bench_negative_tolerance_usage_error(tmp_path, capsys, flag):
+    assert main(bench_args(tmp_path, **{flag[2:]: "-1"})) == 1
+    err = capsys.readouterr().err
+    assert "must be positive" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_bench_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(bench_args(a)) == 0
     assert main(bench_args(b)) == 0
     for name in ("bench_f1000_t25.csv", "report.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
-def test_bench_workers_flag_same_output(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(bench_args(a, freq="1k,10k")) == 0
-    assert main(bench_args(b, freq="1k,10k", workers="2")) == 0
-    for name in ("bench_f1000_t25.csv", "bench_f10000_t25.csv", "report.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -270,3 +271,18 @@ def test_bad_number_flag_exits_1(capsys):
 
 def test_missing_required_flag_exits_1(capsys):
     assert main(["dc-sweep", "--to", "1u", "--step", "1u"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+
+def test_atomic_write_removes_tmp_when_writer_raises(tmp_path):
+    def failing(fh):
+        fh.write("partial row\n")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        _atomic_write(tmp_path / "out.csv", failing)
+    assert list(tmp_path.iterdir()) == []
