@@ -19,7 +19,7 @@ OUT.mkdir(exist_ok=True)
 cfg = BenchConfig(frequency=1e3, periods=8, steps_per_period=500)
 print(f"running bench: {cfg.frequency:g} Hz, {cfg.amplitude_pp*1e6:g} uA p-p, "
       f"{cfg.temp:g} degC, {cfg.periods} periods ...")
-ws = run_bench(cfg)
+(ws,) = run_bench([cfg])  # one config in, one result out
 path = OUT / "bench_1khz.csv"
 write_csv(ws, path)
 print(f"wrote {path}  (columns: time,{','.join(ws.names())})")

@@ -10,10 +10,16 @@ from amps.rectifier import BenchConfig, compare, run_bench
 # default sweeps 1 kHz through 100 MHz.
 freqs = (1e3, 1e5, 1e7)
 
+# One call runs every frequency's transient in lockstep; each result equals
+# the one a single-frequency call gives.
+cfgs = [BenchConfig(frequency=f, periods=10, steps_per_period=500) for f in freqs]
+results = run_bench(cfgs)
+
 print("freq (Hz)   rms+      rms-      peak+     zcw/T      power (uW)")
-for f in freqs:
-    cfg = BenchConfig(frequency=f, periods=10, steps_per_period=500)
-    ws = run_bench(cfg)
+for f, cfg, ws in zip(freqs, cfgs, results):
+    if isinstance(ws, Exception):
+        print(f"{f:9.0e}   failed: {ws}")
+        continue
     rep = compare(ws, cfg)
     print(f"{f:9.0e}   {rep.rms_error_plus:.5f}   {rep.rms_error_minus:.5f}   "
           f"{rep.peak_error_plus:.5f}   {rep.zero_crossing_width * f:.5f}   "

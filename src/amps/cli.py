@@ -48,7 +48,7 @@ _FMT = "{:.8e}"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse that exits 1 (not 2) on usage errors, per the CLI contract.
+    """argparse that exits 1 (not 2) on usage errors, with a one-line diagnostic.
 
     Also treats ``-200u``-style engineering numbers as values, not options.
     """
@@ -58,7 +58,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -174,6 +173,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except (OSError, ValueError) as exc:  # an unwritable output or a rejected value
+        print(f"amps {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +237,7 @@ def cmd_run(args) -> int:
 
     single = len(jobs) == 1 and args.out and not Path(args.out).is_dir()
     outdir = Path(args.out) if (args.out and not single) else path.parent
+    outdir.mkdir(parents=True, exist_ok=True)
     graphs: dict[float, object] = {}
     for idx, (directive, temp) in enumerate(jobs, start=1):
         if temp not in graphs:
@@ -286,27 +289,17 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bench_point(cfg: BenchConfig, opts: SolverOptions, outdir: Path):
-    name = f"bench_f{cfg.frequency:.0f}_t{cfg.temp:g}.csv"
-    try:
-        ws = run_bench(cfg, opts)
-        report = compare(ws, cfg)
-        _atomic_write(outdir / name, lambda fh: write_csv(ws, fh))
-        return (cfg, name, report, "ok")
-    except (NonConvergenceError, SingularMatrixError, TransientNonConvergence) as exc:
-        return (cfg, name, None, f"failed: {type(exc).__name__}")
-
-
 def cmd_bench(args) -> int:
     opts = _solver_options(args)
+    if not args.freq or not args.temp:
+        print("amps bench: error: need at least one frequency and temperature", file=sys.stderr)
+        return 1
     if any(f <= 0 for f in args.freq):
         print("amps bench: error: frequencies must be > 0", file=sys.stderr)
         return 1
     if args.amp <= 0:
         print("amps bench: error: amplitude must be > 0", file=sys.stderr)
         return 1
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     configs = [
         BenchConfig(
             amplitude_pp=args.amp,
@@ -318,8 +311,18 @@ def cmd_bench(args) -> int:
         for f in args.freq
         for t in args.temp
     ]
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    results = [_bench_point(c, opts, outdir) for c in configs]
+    results = []
+    for cfg, ws in zip(configs, run_bench(configs, opts)):
+        name = f"bench_f{cfg.frequency:.0f}_t{cfg.temp:g}.csv"
+        if isinstance(ws, Exception):
+            results.append((cfg, name, None, f"failed: {type(ws).__name__}"))
+            continue
+        report = compare(ws, cfg)
+        _atomic_write(outdir / name, lambda fh: write_csv(ws, fh))
+        results.append((cfg, name, report, "ok"))
 
     def write_report(fh):
         fh.write(
@@ -409,6 +412,10 @@ def cmd_device_curves(args) -> int:
         return 1
     if args.polarity and args.polarity != card.polarity:
         print(f"model {card.name} is {card.polarity}, not {args.polarity}", file=sys.stderr)
+        return 1
+    if args.vds_step == 0 or (args.vds_to - args.vds_from) * args.vds_step < 0:
+        print("amps device-curves: error: --vds-step must be nonzero and sign-consistent",
+              file=sys.stderr)
         return 1
     params = derive_params(card, args.w, args.l, args.temp)
     steps = int(round((args.vds_to - args.vds_from) / args.vds_step))

@@ -13,7 +13,10 @@ conductance comes only from the solver's gmin.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .netlist import ModelCard
 
@@ -182,3 +185,65 @@ def eval_mosfet(p: MosfetParams, vgs: float, vds: float, vbs: float) -> DeviceEv
     if pmos:
         cur = -cur
     return DeviceEval(id=cur, gm=gm, gds=gds, gmbs=gmbs)
+
+
+def device_table(params: Sequence[MosfetParams]) -> np.ndarray:
+    """The per-device constants of ``eval_mosfet`` as an (11, devices) table.
+
+    Rows: polarity sign (-1 for PMOS), threshold with that sign folded in,
+    gamma, -gamma, phi, the vbs clamp phi - 1e-6, sqrt(phi), beta = kp_eff *
+    (w / leff), 0.5 * beta, theta and -theta, each computed as
+    ``eval_mosfet`` computes it.
+    """
+    rows = []
+    for p in params:
+        sign = -1.0 if p.polarity == "PMOS" else 1.0
+        beta = p.kp_eff * (p.w / p.leff)
+        rows.append((sign, -p.vth0 if sign < 0 else p.vth0, p.gamma, -p.gamma, p.phi,
+                     p.phi - 1e-6, math.sqrt(p.phi), beta, 0.5 * beta, p.theta, -p.theta))
+    return np.array(rows).reshape(-1, 11).T
+
+
+def eval_mosfet_table(table: np.ndarray, vgs, vds, vbs) -> np.ndarray:
+    """``eval_mosfet`` over arrays of bias points, one device per last-axis column.
+
+    ``table`` is a ``device_table``, (11, devices), or one per row of the
+    bias arrays, (11, rows, devices).  Every value is computed with
+    ``eval_mosfet``'s operations in its order (its only function is the
+    correctly rounded sqrt), so each result is bit-identical to the scalar
+    one.  Non-finite biases are not rejected; they give non-finite results.
+    Returns (..., devices, 5): id, gm, gds, gmbs and gm + gds + gmbs.
+    """
+    sign, vth0, gamma, neg_gamma, phi, lim, sqrt_phi, beta, half_beta, theta, neg_theta = table
+    vgs, vds, vbs = sign * vgs, sign * vds, sign * vbs
+    rev = vds < 0.0  # evaluated with source and drain swapped
+    # the swapped device sees (vgs - vds, -vds, vbs - vds); x - 0.0 is x and
+    # vds - 2*vds is -vds exactly
+    shift = np.where(rev, vds, 0.0)
+    vgs, vds, vbs = vgs - shift, vds - (shift + shift), vbs - shift
+    # both branches of every condition are computed; the unused ones may overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sq = np.sqrt(phi - np.minimum(vbs, lim))
+        vth = vth0 + gamma * (sq - sqrt_phi)
+        dvth = np.where(vbs < lim, neg_gamma / (2.0 * sq), 0.0)
+        vov = vgs - vth
+        u = 1.0 / (1.0 + theta * vov)
+        du = neg_theta * u * u
+        triode = vds < vov
+        beta_u = beta * u
+        core = vov * vds - 0.5 * vds * vds
+        cur = np.where(triode, beta_u * core, half_beta * u * vov * vov)
+        dvov = np.where(triode, beta * (du * core + u * vds),
+                        half_beta * vov * (du * vov + 2.0 * u))
+        gds = np.where(triode, beta_u * (vov - vds), 0.0)
+        gmbs = -dvth * dvov
+    fwd = np.empty(vov.shape + (4,))
+    fwd[..., 0], fwd[..., 1], fwd[..., 2], fwd[..., 3] = cur, dvov, gds, gmbs
+    fwd = np.where((vov > 0.0)[..., None], fwd, 0.0)
+    swapped = -fwd
+    swapped[..., 2] = fwd[..., 1] + fwd[..., 2] + fwd[..., 3]
+    out = np.empty(vov.shape + (5,))
+    out[..., :4] = np.where(rev[..., None], swapped, fwd)
+    out[..., 0] *= sign
+    out[..., 4] = out[..., 1] + out[..., 2] + out[..., 3]
+    return out

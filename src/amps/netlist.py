@@ -161,6 +161,10 @@ class DcSweepDirective:
     step: float
 
 
+# A transient covers at least this many steps: tstop >= TRAN_MIN_STEPS * tstep.
+TRAN_MIN_STEPS = 10
+
+
 @dataclass(frozen=True)
 class TranDirective:
     tstep: float
@@ -406,6 +410,8 @@ def _parse_directive(card: str, lineno: int, doc: NetlistDocument) -> None:
         tstep, tstop = _num(tokens[1], lineno), _num(tokens[2], lineno)
         if not (tstop > tstep > 0):
             raise NetlistError(".TRAN requires tstop > tstep > 0", lineno)
+        if tstop < TRAN_MIN_STEPS * tstep:
+            raise NetlistError(f".TRAN requires tstop >= {TRAN_MIN_STEPS}*tstep", lineno)
         doc.directives.append(TranDirective(tstep, tstop))
     elif word == ".TEMP":
         if len(tokens) < 2:

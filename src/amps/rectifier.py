@@ -10,6 +10,7 @@ blocked.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib.resources import files
 
@@ -18,11 +19,15 @@ import numpy as np
 from .analysis import PrecisionReport, Waveform, WaveformError, WaveformSet
 from .netlist import parse_netlist
 from .solver import (
+    NonConvergenceError,
+    SingularMatrixError,
     SolverOptions,
+    TransientNonConvergence,
     TransientOptions,
     build_graph,
     dc_sweep,
-    solve_transient,
+    solve_dc,
+    solve_lockstep,
 )
 
 # The 0.5 um CMOS model cards used by every bench variant.
@@ -150,21 +155,48 @@ _BENCH_RENAMES = {
 BENCH_COLUMNS = ("iin", "out_plus", "out_minus", "i_vdd", "i_vss")
 
 
-def run_bench(cfg: BenchConfig, options: SolverOptions | None = None) -> WaveformSet:
-    """Transient-simulate one bench configuration.
+def run_bench(
+    configs: Sequence[BenchConfig], options: SolverOptions | None = None
+) -> list[WaveformSet | NonConvergenceError | SingularMatrixError | TransientNonConvergence]:
+    """Transient-simulate bench configurations, one result per config, in order.
 
-    Returns the five contract waveforms (iin, out_plus, out_minus, i_vdd,
-    i_vss) on a shared time base; solver statistics ride along in ``stats``.
+    A result holds the five contract waveforms (iin, out_plus, out_minus,
+    i_vdd, i_vss) on a shared time base, with solver statistics in
+    ``stats``; a config whose DC operating point or transient fails gets
+    that solver error in place of its waveforms.  Every netlist and graph is
+    built first, so a bad config raises ValueError before any solve.  Each
+    config's operating point is a ``solve_dc`` call; configs with the same
+    step count then run their transients in lockstep, with the same results
+    as one at a time.
     """
     options = options or SolverOptions()
-    doc = parse_netlist(build_bench_netlist(cfg))
-    graph = build_graph(doc, cfg.temp)
-    topts = TransientOptions(
-        tstep=1.0 / (cfg.frequency * cfg.steps_per_period),
-        tstop=cfg.periods / cfg.frequency,
-        ic="from_op",
-    )
-    raw = solve_transient(graph, topts, options)
+    graphs = [build_graph(parse_netlist(build_bench_netlist(cfg)), cfg.temp) for cfg in configs]
+    results: list = [None] * len(configs)
+    starts = {}
+    for i, graph in enumerate(graphs):
+        try:
+            starts[i] = solve_dc(graph, options)
+        except (NonConvergenceError, SingularMatrixError) as exc:
+            results[i] = exc
+    groups: dict[int, list[int]] = {}
+    for i in starts:
+        groups.setdefault(configs[i].periods * configs[i].steps_per_period, []).append(i)
+    for group in groups.values():
+        topts = [
+            TransientOptions(
+                tstep=1.0 / (configs[i].frequency * configs[i].steps_per_period),
+                tstop=configs[i].periods / configs[i].frequency,
+            )
+            for i in group
+        ]
+        runs = solve_lockstep([graphs[i] for i in group], topts, options,
+                              [starts[i] for i in group])
+        for i, raw in zip(group, runs):
+            results[i] = raw if isinstance(raw, Exception) else _contract_waveforms(raw)
+    return results
+
+
+def _contract_waveforms(raw: WaveformSet) -> WaveformSet:
     out = WaveformSet(shared_time=True, stats=dict(raw.stats))
     for raw_name, name in _BENCH_RENAMES.items():
         w = raw.get(raw_name)
@@ -203,8 +235,10 @@ def bench_dc_transfer(
 
 
 def _windowed(w: Waveform, t0: float, t1: float):
-    sel = (w.times >= t0 - 1e-15) & (w.times <= t1 + 1e-15)
-    return w.times[sel], w.values[sel]
+    """Views of the samples with t0 <= t <= t1, to 1e-15 s (times increase)."""
+    lo = np.searchsorted(w.times, t0 - 1e-15)
+    hi = np.searchsorted(w.times, t1 + 1e-15, side="right")
+    return w.times[lo:hi], w.values[lo:hi]
 
 
 def compare(sim: WaveformSet, cfg: BenchConfig) -> PrecisionReport:

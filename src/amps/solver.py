@@ -15,19 +15,30 @@ capacitor history currents are arguments of each assembly.
 
 Nonlinear solves are damped Newton-Raphson over dense LU; DC convergence
 falls back to gmin stepping and then source stepping.  Transient integration
-is fixed-step trapezoidal with a backward-Euler first step.
+is fixed-step trapezoidal with a backward-Euler first step.  Transients of
+circuits that share one topology can run in lockstep (``solve_lockstep``):
+each time step is one batched assembly, device evaluation and LU solve for
+all of them, and each one's results are the ones it gets alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import Waveform, WaveformSet
-from .device import MosfetParams, derive_params, eval_mosfet, overlap_caps
-from .netlist import DcSpec, ElementKind, NetlistDocument, SourceSpec, validate
+from .device import (
+    MosfetParams,
+    derive_params,
+    device_table,
+    eval_mosfet,
+    eval_mosfet_table,
+    overlap_caps,
+)
+from .netlist import TRAN_MIN_STEPS, DcSpec, ElementKind, NetlistDocument, SourceSpec, validate
 
 
 class SingularMatrixError(RuntimeError):
@@ -85,7 +96,7 @@ class OperatingPoint:
     residual_excess: float = float("nan")  # max KCL residual minus its tolerance
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransientOptions:
     tstep: float
     tstop: float
@@ -94,8 +105,8 @@ class TransientOptions:
     def __post_init__(self):
         if self.tstep <= 0:
             raise ValueError("tstep must be positive")
-        if self.tstop < 10 * self.tstep:
-            raise ValueError("tstop must be at least 10*tstep")
+        if self.tstop < TRAN_MIN_STEPS * self.tstep:
+            raise ValueError(f"tstop must be at least {TRAN_MIN_STEPS}*tstep")
         if self.ic not in ("from_op", "zero_start"):
             raise ValueError(f"unknown initial-condition mode {self.ic!r}")
 
@@ -382,11 +393,15 @@ class _System:
         return F, J, scale
 
     def excess(self, F: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        """Each row's residual above its tolerance; <= 0 when within tolerance."""
+        """Each row's residual above its tolerance; <= 0 when within tolerance.
+
+        F and scale may hold one system per row of a leading axis.
+        """
         n = self.g.n
         opt = self.opt
         tol = np.concatenate(
-            (opt.abstol_i + opt.reltol * scale[:n], opt.vntol + opt.reltol * scale[n:])
+            (opt.abstol_i + opt.reltol * scale[..., :n], opt.vntol + opt.reltol * scale[..., n:]),
+            axis=-1,
         )
         return np.abs(F) - tol
 
@@ -429,12 +444,156 @@ def _newton(sys: _System, x0: np.ndarray, t: float = 0.0, cap_ieq: np.ndarray | 
         dv = float(np.max(np.abs(dx[:n]))) if n else 0.0
         if excess <= 0.0 and dv < options.vntol + options.reltol * vmax:
             return x, iterations, excess
-        if iterations == options.max_newton_iters:
+        if iterations == options.max_newton_iters or not np.all(np.isfinite(dx)):
             raise NonConvergenceError(sys.worst_row_name(F, scale), excess)
         step = dx.copy()
         if g.gmin_rows.size:
             step[g.gmin_rows] = np.clip(step[g.gmin_rows], -clamp, clamp)
         x += step
+
+
+class _Lockstep:
+    """Assembly contexts of one topology, stacked for one batched Newton step.
+
+    The members share the graph's index tables; each member's own
+    ``_System`` bases (``coef``, ``j_base``) and device constants are
+    stacked along the first axis, and the KCL and Jacobian sums use the
+    index tables offset per member, so each member's sums keep their
+    element order.
+    """
+
+    __slots__ = ("systems", "g", "opt", "gmin", "scale", "vsrc", "coef", "j_base", "devices",
+                 "end_index", "jac_index")
+
+    def __init__(self, systems: Sequence[_System]):
+        first = systems[0]
+        g = first.g
+        self.systems = systems
+        self.g, self.opt, self.gmin, self.scale, self.vsrc = (
+            g, first.opt, first.gmin, first.scale, first.vsrc)
+        self.coef = np.array([s.coef for s in systems])
+        self.j_base = np.array([s.j_base.ravel() for s in systems])
+        self.devices = np.array([device_table(s.g.mosfets) for s in systems])
+        member = np.arange(len(systems))[:, None]
+        self.end_index = (g.end_node + (g.n + 1) * member).ravel()
+        self.jac_index = (g.jac_index + g.size * g.size * member).ravel()
+
+    def sources(self, t: np.ndarray):
+        """Each member's current-source and voltage-source values at its own time."""
+        pairs = list(zip(self.systems, t.tolist()))
+        isrc = [[src.spec.value_at(tb) for src in sys.g.isources] for sys, tb in pairs]
+        vsrc = [[src.spec.value_at(tb) for src in sys.g.vsources] for sys, tb in pairs]
+        shape = (len(pairs), -1)
+        return self.scale * np.array(isrc).reshape(shape), self.scale * np.array(vsrc).reshape(shape)
+
+    def assemble(self, xg, coef, j_base, devices, fixed, e):
+        """``_System.assemble`` for each row of xg, the unknowns after a ground column.
+
+        The other arguments are the per-member rows that go with xg: the
+        stack's ``coef``, ``j_base`` and ``devices``, the currents fixed
+        for the step (capacitor history, then current sources) and the
+        voltage-source values.
+        """
+        g = self.g
+        n, rows = g.n, len(xg)
+        V = xg[:, : n + 1]
+        dv = V[:, g.branch_a] - V[:, g.branch_b]
+        vd, vg, vs, vb = V[:, g.mos_terms].transpose(1, 0, 2)
+        dev = eval_mosfet_table(devices.transpose(1, 0, 2), vg - vs, vd - vs, vb - vs)
+        dev = dev.reshape(rows, -1)
+
+        cur = coef * dv
+        cur[:, g.res_g.size:] += np.concatenate((fixed, xg[:, n + 1:], dev[:, 0::5]), axis=1)
+        flow = np.concatenate((cur, -cur), axis=1)[:, g.end_flow]
+        fe = np.bincount(self.end_index[: flow.size], weights=flow.ravel(),
+                         minlength=rows * (n + 1)).reshape(rows, n + 1)
+        se = np.zeros((rows, n + 1))
+        se[:, g.end_nodes] = np.maximum.reduceat(np.abs(flow), g.end_starts, axis=1)
+        fe[:, g.gmin_rows + 1] += self.gmin * xg[:, g.gmin_rows + 1]
+        F = np.concatenate((fe[:, 1:], dv[:, self.vsrc] - e), axis=1)
+        scale = np.concatenate((se[:, 1:], np.abs(e)), axis=1)
+
+        entries = np.concatenate((j_base, g.mos_sign * dev[:, g.mos_value]), axis=1)
+        J = np.bincount(self.jac_index[: entries.size], weights=entries.ravel())
+        return F, J.reshape(rows, g.size, g.size), scale
+
+    def excess(self, F: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """Each member's largest residual above its tolerance."""
+        return self.systems[0].excess(F, scale).max(axis=1)
+
+
+def _solve_each(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched dense LU solves; a member whose matrix is singular gets NaN."""
+    try:
+        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        dx = np.full_like(rhs, np.nan)
+        for k in range(len(J)):
+            try:
+                dx[k] = np.linalg.solve(J[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+        return dx
+
+
+def _newton_lockstep(stack: _Lockstep, X: np.ndarray, t: np.ndarray, cap_ieq: np.ndarray):
+    """``_newton`` for every member of a stack at once, each at its own time.
+
+    Each member's iterates, update count and residual are the ones
+    ``_newton`` gives it alone: a member leaves the batch when it converges,
+    and one that fails (iteration cap, non-finite assembly, singular or
+    non-finite step) is flagged instead of raising.  Returns (x, iterations,
+    residual_excess, failed), one row per member.
+    """
+    g, opt = stack.g, stack.opt
+    n, rows, clamp = g.n, g.gmin_rows, opt.vstep_clamp
+    count = len(X)
+    out = X.copy()
+    iters = np.zeros(count, dtype=int)
+    excess = np.full(count, np.nan)
+    failed = np.zeros(count, dtype=bool)
+    isrc, e = stack.sources(t)
+    per_member = (stack.coef, stack.j_base, stack.devices,
+                  np.concatenate((cap_ieq, isrc), axis=1), e)
+    members = np.arange(count)  # the ones still iterating, and their state
+    xg = np.concatenate((np.zeros((count, 1)), X), axis=1)
+    for iteration in range(opt.max_newton_iters + 1):
+        F, J, scale = stack.assemble(xg, *per_member)
+        finite = np.isfinite(F).all(axis=1) & np.isfinite(J.reshape(len(J), -1)).all(axis=1)
+        exc = stack.excess(F, scale)
+        dx = _solve_each(J, -F)
+        vmax = np.abs(xg[:, 1: n + 1]).max(axis=1, initial=0.0)
+        dv = np.abs(dx[:, :n]).max(axis=1, initial=0.0)
+        conv = finite & (exc <= 0.0) & (dv < opt.vntol + opt.reltol * vmax)
+        fail = ~conv & (~finite | ~np.isfinite(dx).all(axis=1)
+                        | (iteration == opt.max_newton_iters))
+        if conv.any():
+            done = members[conv]
+            out[done], iters[done], excess[done] = xg[conv, 1:], iteration, exc[conv]
+        failed[members[fail]] = True
+        going = ~(conv | fail)
+        if not going.all():
+            if not going.any():
+                break
+            members, xg, dx = members[going], xg[going], dx[going]
+            per_member = tuple(a[going] for a in per_member)
+        dx[:, rows] = np.clip(dx[:, rows], -clamp, clamp)
+        xg[:, 1:] += dx
+    return out, iters, excess, failed
+
+
+def _newton_each(systems: Sequence[_System], X: np.ndarray, t: np.ndarray, cap_ieq: np.ndarray):
+    """The scalar ``_newton`` member by member, with ``_newton_lockstep``'s result."""
+    X = X.copy()
+    iters = np.zeros(len(X), dtype=int)
+    excess = np.zeros(len(X))
+    failed = np.zeros(len(X), dtype=bool)
+    for j, sys in enumerate(systems):
+        try:
+            X[j], iters[j], excess[j] = _newton(sys, X[j], float(t[j]), cap_ieq[j])
+        except (NonConvergenceError, SingularMatrixError):
+            failed[j] = True
+    return X, iters, excess, failed
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +705,10 @@ def dc_sweep(
     return curve
 
 
+def _steps(topts: TransientOptions) -> int:
+    return int(math.floor(topts.tstop / topts.tstep + 1e-9))
+
+
 def solve_transient(
     graph: CircuitGraph,
     topts: TransientOptions,
@@ -558,83 +721,162 @@ def solve_transient(
     every node voltage and every source branch current at each accepted time,
     with solver statistics in ``WaveformSet.stats``.
     """
-    h = topts.tstep
-    nsteps = int(math.floor(topts.tstop / h + 1e-9))
-    if nsteps < 10:
-        raise ValueError("transient needs at least 10 steps")
-    n, m = graph.n, graph.m
     if topts.ic == "from_op":
-        op0 = solve_dc(graph, sopts)
-        x = np.concatenate((op0.voltages, op0.branch_currents))
-        max_excess = op0.residual_excess
-        total_iters = op0.iterations
+        start = solve_dc(graph, sopts)
     else:
-        x = np.zeros(graph.size)
-        max_excess = float("-inf")
-        total_iters = 0
+        start = OperatingPoint(np.zeros(graph.n), np.zeros(graph.m), converged=True,
+                               iterations=0, residual_excess=float("-inf"))
+    (ws,) = _march([graph], [topts], sopts, [start], voltages=True)
+    if isinstance(ws, TransientNonConvergence):
+        raise ws
+    return ws
 
-    volts = np.empty((nsteps + 1, n))
-    currents = np.empty((nsteps + 1, m))
-    volts[0] = x[:n]
-    currents[0] = x[n:]
 
-    caps = slice(graph.res_g.size, graph.res_g.size + graph.cap_c.size)
-    cap_a, cap_b = graph.branch_a[caps], graph.branch_b[caps]
+def _same_topology(a: CircuitGraph, b: CircuitGraph) -> bool:
+    tables = ("branch_a", "branch_b", "end_node", "end_flow", "gmin_rows", "mos_terms",
+              "jac_index", "mos_value", "mos_sign")
+    return (
+        (a.n, a.size, a.res_g.size, a.cap_c.size, len(a.isources))
+        == (b.n, b.size, b.res_g.size, b.cap_c.size, len(b.isources))
+        and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in tables)
+    )
+
+
+def solve_lockstep(
+    graphs: Sequence[CircuitGraph],
+    topts: Sequence[TransientOptions],
+    sopts: SolverOptions,
+    starts: Sequence[OperatingPoint],
+) -> list[WaveformSet | TransientNonConvergence]:
+    """Fixed-step transients of circuits that share one topology, stepped together.
+
+    Member b starts from ``starts[b]`` (its t=0 state, whose iterations and
+    residual count in its stats) and steps with ``topts[b]``; every member
+    takes the same number of steps.  Each member's waveforms and stats are
+    the ones ``solve_transient`` gives it alone, except that only the
+    voltage-source branch currents (and the current-source waveforms) are
+    recorded, not the node voltages.  A member whose step fails even after a
+    gmin-stepping rescue gets its TransientNonConvergence, with its partial
+    record, in place of its waveforms; the others go on.
+    """
+    if not len(graphs) == len(topts) == len(starts):
+        raise ValueError("need one TransientOptions and one start per graph")
+    if not graphs:
+        return []
+    if not all(_same_topology(graphs[0], g) for g in graphs[1:]):
+        raise ValueError("lockstep members must share one topology")
+    if len({_steps(o) for o in topts}) > 1:
+        raise ValueError("lockstep members must take the same number of steps")
+    return _march(graphs, topts, sopts, starts, voltages=False)
+
+
+def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
+    """The time loop of ``solve_transient`` and ``solve_lockstep``.
+
+    Each step makes one Newton solve for every running member: the scalar
+    ``_newton`` for a single graph, ``_newton_lockstep`` for several (on
+    this small system the batched kernel costs twice the scalar one at one
+    member).  A member that fails gets the scalar ``_rescue_step`` from its
+    state at the start of the step, and stops with a TransientNonConvergence
+    if that fails too.  Records every unknown, or with ``voltages`` false
+    only the branch currents.
+    """
+    g = graphs[0]
+    n, count = g.n, len(graphs)
+    h = np.array([o.tstep for o in topts])
+    nsteps = _steps(topts[0])
+    first = 0 if voltages else n  # the first recorded unknown
+    x = np.array([np.concatenate((op.voltages, op.branch_currents)) for op in starts])
+    max_excess = np.array([op.residual_excess for op in starts])
+    total_iters = np.array([op.iterations for op in starts])
+    record = np.empty((nsteps + 1, count, g.size - first))
+    record[0] = x[:, first:]
+
+    caps = slice(g.res_g.size, g.res_g.size + g.cap_c.size)
+    cap_a, cap_b = g.branch_a[caps], g.branch_b[caps]
 
     def cap_voltage(x: np.ndarray) -> np.ndarray:
-        V = np.concatenate(([0.0], x[:n]))
-        return V[cap_a] - V[cap_b]
+        V = np.concatenate((np.zeros((count, 1)), x[:, :n]), axis=1)
+        return V[:, cap_a] - V[:, cap_b]
 
     v_prev = cap_voltage(x)
     i_prev = np.zeros_like(v_prev)
 
-    sys_be = _System(graph, sopts, alpha=1.0 / h)
-    sys_tr = _System(graph, sopts, alpha=2.0 / h)
+    # backward Euler for the first step, trapezoidal after it
+    phases = [[_System(gr, sopts, alpha=a / o.tstep) for gr, o in zip(graphs, topts)]
+              for a in (1.0, 2.0)]
+    cap_geq = [np.array([sys.cap_geq for sys in systems]) for systems in phases]
+    stack, newton = (_Lockstep, _newton_lockstep) if count > 1 else (list, _newton_each)
+    kernels = {}  # (phase, members still running) -> what ``newton`` steps them with
+    running = np.arange(count)
+    results: list = [None] * count
+    # time bases and source waveforms, built once for the members that share them
+    built: dict[tuple, np.ndarray] = {}
 
-    def build_ws(upto: int) -> WaveformSet:
-        times = np.arange(upto + 1) * h
+    def shared(key: tuple, make) -> np.ndarray:
+        if key not in built:
+            built[key] = make()
+            built[key].flags.writeable = False
+        return built[key]
+
+    def waveforms(b: int, upto: int) -> WaveformSet:
+        gr, h_b = graphs[b], topts[b].tstep
         ws = WaveformSet(shared_time=True)
-        ws.stats["max_kcl_excess"] = max_excess
-        ws.stats["newton_iterations"] = total_iters
+        ws.stats["max_kcl_excess"] = float(max_excess[b])
+        ws.stats["newton_iterations"] = int(total_iters[b])
         ws.stats["steps"] = upto
-        ws.stats["tstep"] = h
+        ws.stats["tstep"] = h_b
         if upto < 1:  # failed on the very first step: no valid waveforms yet
             return ws
-        for j in range(1, n + 1):
-            name = f"v({graph.node_names[j]})"
-            ws.waveforms.append(Waveform(name, times, volts[: upto + 1, j - 1]))
-            ws.units[name] = "V"
-        for k, src in enumerate(graph.vsources):
+        times = shared((h_b, upto), lambda: np.arange(upto + 1) * h_b)
+        columns = [(f"v({name})", "V") for name in gr.node_names[1:]]
+        columns += [(f"i({src.name})", "A") for src in gr.vsources]
+        for (name, unit), values in zip(columns[first:], record[: upto + 1, b].T):
+            ws.waveforms.append(Waveform(name, times, values))
+            ws.units[name] = unit
+        for src in gr.isources:
             name = f"i({src.name})"
-            ws.waveforms.append(Waveform(name, times, currents[: upto + 1, k]))
-            ws.units[name] = "A"
-        for src in graph.isources:
-            name = f"i({src.name})"
-            vals = np.array([src.spec.value_at(t) for t in times])
+            vals = shared((src.spec, h_b, upto),
+                          lambda: np.array([src.spec.value_at(t) for t in times]))
             ws.waveforms.append(Waveform(name, times, vals))
             ws.units[name] = "A"
         return ws
 
     for k in range(1, nsteps + 1):
         t = k * h
-        sys = sys_be if k == 1 else sys_tr
+        phase = min(k, 2) - 1
+        systems = phases[phase]
         # the backward-Euler step starts from i_prev = 0
-        cap_ieq = -sys.cap_geq * v_prev - i_prev
-        try:
-            try:
-                x, iters, excess = _newton(sys, x, t, cap_ieq)
-            except (NonConvergenceError, SingularMatrixError):
-                x, iters, excess = _rescue_step(sys, x, t, cap_ieq)
-        except (NonConvergenceError, SingularMatrixError) as exc:
-            raise TransientNonConvergence(t, build_ws(k - 1), exc) from exc
-        total_iters += iters
-        max_excess = max(max_excess, excess)
-        volts[k] = x[:n]
-        currents[k] = x[n:]
+        cap_ieq = -cap_geq[phase] * v_prev - i_prev
+        key = (phase, running.size)  # running members only ever leave
+        if key not in kernels:
+            kernels[key] = stack([systems[b] for b in running])
+        sel = running if running.size < count else slice(None)
+        xs, iters, excess, failed = newton(kernels[key], x[sel], t[sel], cap_ieq[sel])
+        if failed.any():
+            for j in np.flatnonzero(failed):
+                b = running[j]
+                try:
+                    xs[j], iters[j], excess[j] = _rescue_step(
+                        systems[b], x[b], float(t[b]), cap_ieq[b])
+                except (NonConvergenceError, SingularMatrixError) as exc:
+                    results[b] = TransientNonConvergence(float(t[b]), waveforms(b, k - 1), exc)
+                    results[b].__cause__ = exc
+            ok = np.array([results[b] is None for b in running])
+            running, xs, iters, excess = running[ok], xs[ok], iters[ok], excess[ok]
+            if not running.size:
+                break
+            sel = running
+        x[sel] = xs
+        total_iters[sel] += iters
+        max_excess[sel] = np.maximum(max_excess[sel], excess)
+        record[k] = x[:, first:]
         v_new = cap_voltage(x)
-        i_prev = sys.cap_geq * v_new + cap_ieq
+        i_prev = cap_geq[phase] * v_new + cap_ieq
         v_prev = v_new
-    return build_ws(nsteps)
+    for b in running:
+        results[b] = waveforms(b, nsteps)
+    return results
 
 
 def _rescue_step(sys: _System, x0: np.ndarray, t: float, cap_ieq: np.ndarray):

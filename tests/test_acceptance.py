@@ -50,15 +50,29 @@ CMOSP_EXPECTED = {
 }
 
 BENCH_RUNS: dict[tuple[float, float], tuple] = {}
+BENCH_ERRORS: dict[tuple[float, float], Exception] = {}
+# every (freq, temp) that criteria 5-7 simulate
+BENCH_KEYS = [(f, 25.0) for f in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8)] + [
+    (1e7, t) for t in (50.0, 75.0, 100.0)
+]
 
 
 def bench_run(freq: float, temp: float):
-    """Full-scale bench transient (20 periods, 1000 steps/period), cached."""
+    """Full-scale bench transient (20 periods, 1000 steps/period), cached.
+
+    The first call simulates every key in BENCH_KEYS with one lockstep
+    run_bench call; a key whose run failed re-raises its solver error.
+    """
+    if not BENCH_RUNS and not BENCH_ERRORS:
+        cfgs = [BenchConfig(frequency=f, temp=t) for f, t in BENCH_KEYS]
+        for key, cfg, ws in zip(BENCH_KEYS, cfgs, run_bench(cfgs)):
+            if isinstance(ws, Exception):
+                BENCH_ERRORS[key] = ws
+            else:
+                BENCH_RUNS[key] = (cfg, ws, compare(ws, cfg))
     key = (freq, temp)
-    if key not in BENCH_RUNS:
-        cfg = BenchConfig(frequency=freq, temp=temp)
-        ws = run_bench(cfg)
-        BENCH_RUNS[key] = (cfg, ws, compare(ws, cfg))
+    if key in BENCH_ERRORS:
+        raise BENCH_ERRORS[key]
     return BENCH_RUNS[key]
 
 

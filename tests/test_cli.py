@@ -1,10 +1,19 @@
 """CLI surface tests: exit codes, output files, stream discipline."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import amps.cli
 from amps.cli import _atomic_write, main
 from amps.rectifier import bench_netlist_path
+from amps.solver import SolverOptions
 
 DIVIDER = """resistive divider
 V1 top 0 DC 3
@@ -161,6 +170,68 @@ def test_bench_negative_tolerance_usage_error(tmp_path, capsys, flag):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+def test_bench_bad_temperature_among_several_runs_nothing(tmp_path, capsys):
+    assert main(bench_args(tmp_path, temp="25,400")) == 1
+    err = capsys.readouterr().err
+    assert "400" in err and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_lockstep_writes_what_single_runs_write(tmp_path):
+    freqs, temps = ("1k", "1meg", "100meg"), ("25", "75")
+    both = tmp_path / "both"
+    assert main(bench_args(both, freq=",".join(freqs), temp=",".join(temps), periods="3")) == 0
+    rows = []
+    for f in freqs:
+        for t in temps:
+            one = tmp_path / f"{f}_{t}"
+            assert main(bench_args(one, freq=f, temp=t, periods="3")) == 0
+            (name,) = [p.name for p in one.iterdir() if p.name != "report.csv"]
+            assert (both / name).read_bytes() == (one / name).read_bytes(), name
+            rows += (one / "report.csv").read_text().splitlines()[1:]
+    assert (both / "report.csv").read_text().splitlines()[1:] == rows
+
+
+def test_bench_failed_member_reported_others_written(tmp_path, monkeypatch):
+    # six Newton updates per step: 100 MHz needs rescues, 10 MHz aborts
+    monkeypatch.setattr(amps.cli, "SolverOptions", lambda: SolverOptions(max_newton_iters=6))
+    assert main(bench_args(tmp_path, freq="30meg,10meg,100meg", periods="3")) == 0
+    report = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in report] == ["ok", "failed: TransientNonConvergence", "ok"]
+    assert (tmp_path / "bench_f30000000_t25.csv").exists()
+    assert (tmp_path / "bench_f100000000_t25.csv").exists()
+    assert not (tmp_path / "bench_f10000000_t25.csv").exists()
+
+
+def read_report(path):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    return {
+        float(row.split(",")[0]): dict(zip(header[2:-1], map(float, row.split(",")[2:-1])))
+        for row in lines[1:]
+    }
+
+
+def test_bench_metrics_converged_in_time_step(tmp_path):
+    """Doubling the step density leaves the bench metrics where they were.
+
+    The normalized RMS errors may move by 1 % of their value or 1e-4 (500
+    times below the 0.05 bound of acceptance criterion 5), the supply power
+    by 1e-4 of its value.  Observed from 1000 to 2000 steps per period over
+    3 periods: at 1 kHz the RMS errors rise from 2.9e-5 to 5.1e-5 and the
+    power moves by 9e-6 of its value; at 100 MHz the RMS errors move by
+    0.06 % and 0.10 % of their values and the power by 1e-6.
+    """
+    coarse, fine = tmp_path / "coarse", tmp_path / "fine"
+    assert main(bench_args(coarse, freq="1k,100meg", periods="3", spp="1000")) == 0
+    assert main(bench_args(fine, freq="1k,100meg", periods="3", spp="2000")) == 0
+    a, b = read_report(coarse / "report.csv"), read_report(fine / "report.csv")
+    for freq in (1e3, 1e8):
+        for metric in ("rms_error_plus", "rms_error_minus"):
+            assert b[freq][metric] == pytest.approx(a[freq][metric], rel=0.01, abs=1e-4)
+        assert b[freq]["dc_power"] == pytest.approx(a[freq]["dc_power"], rel=1e-4)
+
+
 def test_bench_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(bench_args(a)) == 0
@@ -271,6 +342,99 @@ def test_bad_number_flag_exits_1(capsys):
 
 def test_missing_required_flag_exits_1(capsys):
     assert main(["dc-sweep", "--to", "1u", "--step", "1u"]) == 1
+
+
+SHORT_TRAN = "too short a transient\nV1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.TRAN 1m 5m\n.END\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--periods", "0"],
+        ["bench", "--steps-per-period", "5"],
+        ["bench", "--temp", "400"],
+        ["dc-sweep", "--from", "-10u", "--to", "10u", "--step", "10u", "--temp", "400"],
+        ["device-curves", "--model", "CMOSN", "--temp", "500"],
+        ["device-curves", "--model", "CMOSN", "--vds-step", "0"],
+        ["run", "short_tran.cir"],
+    ],
+)
+def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv):
+    write(tmp_path, "short_tran.cir", SHORT_TRAN)
+    argv = [str(tmp_path / a) if a.endswith(".cir") else a for a in argv]
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+# Each subcommand's flags with good and bad values.  Periods and steps per
+# period are always given and tiny, so every draw runs in well under a second.
+CLI_GRAMMAR = {
+    "bench": {
+        "--freq": ["1k", "1meg,100meg", "0", "-1k", ",", "1x2"],
+        "--temp": ["25", "25,100", "400", "-60"],
+        "--amp": ["400u", "0", "-1m"],
+        "--reltol": ["1m", "-1"],
+    },
+    "dc-sweep": {
+        "--source": ["IIN", "NOPE"],
+        "--temp": ["25", "25,100", "400"],
+        "--amp": ["400u", "-1"],
+        "--gmin": ["1p", "0"],
+    },
+    "device-curves": {
+        "--model": ["CMOSN", "CMOSP", "NOPE"],
+        "--polarity": ["NMOS", "PMOS", "BJT"],
+        "--vgs": ["1", "0.5,1.5", "x"],
+        "--vds-step": ["0.5", "0", "-0.5"],
+        "--temp": ["27", "500"],
+        "--l": ["0.15u", "1e-14"],
+    },
+    "run": {"--temp": ["27", "25,100", "400"], "--reltol": ["1m", "0"]},
+}
+REQUIRED = {
+    "bench": {"--periods": ["3", "0", "1", "x"], "--steps-per-period": ["10", "12", "5"]},
+    "dc-sweep": {"--from": ["-20u", "20u", "abc"], "--to": ["20u"], "--step": ["10u", "0", "-10u"]},
+    "device-curves": {},
+    "run": {},
+}
+NETLISTS = {
+    "rc.cir": "rc\nV1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.TRAN 1u 20u\n.END\n",
+    "divider.cir": DIVIDER,
+    "broken.cir": BROKEN,
+    "short.cir": SHORT_TRAN,
+    "missing.cir": None,
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(CLI_GRAMMAR)))
+    argv = [command]
+    if command == "run":
+        argv.append(draw(st.sampled_from(sorted(NETLISTS))))
+    for flag, values in REQUIRED[command].items():
+        argv += [flag, draw(st.sampled_from(values))]
+    for flag in draw(st.sets(st.sampled_from(sorted(CLI_GRAMMAR[command])), max_size=3)):
+        argv += [flag, draw(st.sampled_from(CLI_GRAMMAR[command][flag]))]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(cli_argv())
+def test_cli_contract_holds_for_drawn_argv(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, text in NETLISTS.items():
+            if text is not None:
+                (tmp / name).write_text(text)
+        argv = [str(tmp / a) if a.endswith(".cir") else a for a in argv]
+        out = tmp / ("curves.csv" if argv[0] == "device-curves" else "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv + ["-o", str(out)])
+    assert rc in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
 
 
 # ---------------------------------------------------------------------------

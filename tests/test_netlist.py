@@ -148,8 +148,9 @@ def test_ground_is_index_zero():
         ("V1 a 0 TRI(1 2 3)", "unrecognized source"),
         ("I1 a 0 SIN(1 2)", "exactly 3 arguments"),
         ("I1 a 0 SIN(0 1 0)", "frequency must be > 0"),
-        (".TRAN 1u 2u\n.WEIRD", "unknown directive"),
+        (".TRAN 1u 20u\n.WEIRD", "unknown directive"),
         (".TRAN 2u 1u", "tstop > tstep > 0"),
+        (".TRAN 1m 5m", "tstop >= 10*tstep"),
         (".DC V1 0 1 -0.1", "sign inconsistent"),
     ],
 )

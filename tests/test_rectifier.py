@@ -17,6 +17,7 @@ from amps.rectifier import (
     ideal_dual_phase,
     run_bench,
 )
+from amps.solver import SolverOptions, TransientNonConvergence
 
 HALF_AMP = 200e-6
 
@@ -189,7 +190,7 @@ def test_dc_transfer_monotone_in_conduction():
 
 def test_short_transient_dual_phase_symmetry():
     cfg = BenchConfig(periods=6, steps_per_period=200)
-    ws = run_bench(cfg)
+    (ws,) = run_bench([cfg])
     t = ws.get("out_plus").times
     sel = t >= 0.25 * t[-1]
     p = ws.get("out_plus").values[sel]
@@ -200,6 +201,47 @@ def test_short_transient_dual_phase_symmetry():
 
 def test_run_bench_returns_contract_columns():
     cfg = BenchConfig(periods=4, steps_per_period=100)
-    ws = run_bench(cfg)
+    (ws,) = run_bench([cfg])
     assert ws.names() == ["iin", "out_plus", "out_minus", "i_vdd", "i_vss"]
     assert ws.stats["max_kcl_excess"] <= 0.0
+
+
+def test_lockstep_members_match_single_runs():
+    cfgs = [
+        BenchConfig(frequency=f, temp=t, periods=3, steps_per_period=100)
+        for f in (1e3, 1e6, 1e8)
+        for t in (25.0, 75.0)
+    ]
+    for cfg, ws in zip(cfgs, run_bench(cfgs)):
+        (alone,) = run_bench([cfg])
+        assert ws.stats == alone.stats
+        assert ws.names() == alone.names()
+        for a, b in zip(ws.waveforms, alone.waveforms):
+            assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
+
+
+def test_lockstep_rescue_and_abort_stay_with_their_member(monkeypatch):
+    import amps.solver
+
+    rescued = []
+    rescue = amps.solver._rescue_step
+
+    def counted_rescue(sys, *args):
+        rescued.append(sys.g.isources[0].spec.frequency)
+        return rescue(sys, *args)
+
+    monkeypatch.setattr(amps.solver, "_rescue_step", counted_rescue)
+    opts = SolverOptions(max_newton_iters=6)
+    cfgs = [BenchConfig(frequency=f, periods=3, steps_per_period=100) for f in (3e7, 1e7, 1e8)]
+    batch = run_bench(cfgs, opts)
+    assert 1e8 in rescued, "the 100 MHz member should need gmin-stepping rescues"
+    for cfg, got in zip(cfgs, batch):
+        (alone,) = run_bench([cfg], opts)
+        if cfg.frequency == 1e7:
+            assert isinstance(got, TransientNonConvergence)
+            assert isinstance(alone, TransientNonConvergence)
+            assert got.time == alone.time == pytest.approx(5.1e-8)
+            got, alone = got.partial, alone.partial
+        assert got.stats == alone.stats
+        for a, b in zip(got.waveforms, alone.waveforms):
+            assert np.array_equal(a.values, b.values)
