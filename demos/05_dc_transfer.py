@@ -8,15 +8,15 @@ from pathlib import Path
 
 import numpy as np
 
-from amps.rectifier import BenchConfig, bench_dc_transfer, ideal_dual_phase
+from amps.rectifier import BenchConfig, bench_dc_transfer, bench_graph, ideal_dual_phase
 
 OUT = Path(__file__).with_name("output")
 OUT.mkdir(exist_ok=True)
 
 temps = (25.0, 50.0, 75.0, 100.0)
 for temp in temps:
-    cfg = BenchConfig(temp=temp)
-    iin, out_plus, out_minus = bench_dc_transfer(cfg, -200e-6, 200e-6, 5e-6)
+    graph = bench_graph(BenchConfig(temp=temp))
+    iin, out_plus, out_minus = bench_dc_transfer(graph, -200e-6, 200e-6, 5e-6)
     path = OUT / f"dc_transfer_t{temp:g}.csv"
     with open(path, "w") as fh:
         fh.write("iin,out_plus,out_minus\n")

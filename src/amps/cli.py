@@ -17,21 +17,19 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import rectifier
 from .analysis import write_csv
 from .device import derive_params, eval_mosfet
 from .netlist import (
     DcSweepDirective,
-    NetlistError,
+    NetlistDocument,
     OpDirective,
     TempDirective,
     parse_netlist,
     parse_number,
     validate,
 )
-from .rectifier import BenchConfig, compare, run_bench
+from .rectifier import BenchConfig, compare, retained_window, run_bench
 from .solver import (
     NonConvergenceError,
     SingularMatrixError,
@@ -42,6 +40,7 @@ from .solver import (
     dc_sweep,
     solve_dc,
     solve_transient,
+    sweep_values,
 )
 
 _FMT = "{:.8e}"
@@ -70,10 +69,10 @@ def _eng(text: str) -> float:
 
 
 def _eng_list(text: str) -> list[float]:
-    try:
-        return [parse_number(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    values = [_eng(t) for t in text.split(",") if t.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    return values
 
 
 def _atomic_write(path: Path, writer) -> None:
@@ -93,17 +92,22 @@ _SOLVER_FLAGS = {"reltol": "reltol", "abstol": "abstol_i", "vntol": "vntol", "gm
 
 
 def _solver_options(args) -> SolverOptions:
-    """Solver options from the tolerance flags; a bad value is a usage error (exit 1)."""
+    """Solver options from the tolerance flags; SolverOptions rejects a bad value."""
     given = {
         attr: getattr(args, flag)
         for flag, attr in _SOLVER_FLAGS.items()
         if getattr(args, flag) is not None
     }
+    return replace(SolverOptions(), **given)
+
+
+def _read_netlist(path: Path) -> NetlistDocument:
+    """Parse a netlist file; an unreadable file is an OSError naming it."""
     try:
-        return replace(SolverOptions(), **given)
-    except ValueError as exc:
-        print(f"amps {args.command}: error: {exc}", file=sys.stderr)
-        raise SystemExit(1) from None
+        text = path.read_text()
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror}") from None
+    return parse_netlist(text)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -138,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dc.add_argument("--to", dest="stop", type=_eng, required=True)
     p_dc.add_argument("--step", type=_eng, required=True)
     p_dc.add_argument("--temp", type=_eng_list, default=[25.0])
-    p_dc.add_argument("--amp", type=_eng, default=400e-6)
     p_dc.add_argument("-o", "--out", default=".", help="output directory")
     _add_solver_flags(p_dc)
 
@@ -158,6 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the one place where a bad input becomes exit 1.
+
+    The library owns each input rule and raises KeyError, OSError or
+    ValueError; handlers build every config and graph before their first
+    solve or write, so a rejected input leaves no output behind.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -171,10 +180,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except (OSError, ValueError) as exc:  # an unwritable output or a rejected value
-        print(f"amps {args.command}: error: {exc}", file=sys.stderr)
+    except (KeyError, OSError, ValueError) as exc:  # an unknown name, a file, a rejected value
+        text = exc.args[0] if isinstance(exc, KeyError) else exc  # str() quotes a KeyError
+        print(f"amps {args.command}: error: {text}", file=sys.stderr)
         return 1
 
 
@@ -203,27 +211,17 @@ def _write_sweep_csv(fh, graph, source_name, curve) -> None:
 
 
 def cmd_run(args) -> int:
+    opts = _solver_options(args)
     path = Path(args.netlist)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        doc = parse_netlist(text)
-    except NetlistError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
-        return 1
+    doc = _read_netlist(path)
     diags = validate(doc)
     for d in diags:
         print(f"{path}: {d.severity}: {d.message} [{d.location}]", file=sys.stderr)
     if any(d.severity == "error" for d in diags):
         return 1
-    opts = _solver_options(args)
     jobs = []  # (directive, temp)
-    temps = list(args.temp) if args.temp else [27.0]
     forced = args.temp is not None
-    current = temps
+    current = args.temp if forced else [27.0]
     for d in doc.directives:
         if isinstance(d, TempDirective):
             if not forced:
@@ -232,22 +230,20 @@ def cmd_run(args) -> int:
         for t in current:
             jobs.append((d, t))
     if not jobs:
-        print(f"{path}: no analysis directives", file=sys.stderr)
-        return 1
+        raise ValueError(f"{path}: no analysis directives")
+    # every temperature's graph before the first solve or write
+    graphs = {temp: build_graph(doc, temp) for temp in dict.fromkeys(t for _, t in jobs)}
 
     single = len(jobs) == 1 and args.out and not Path(args.out).is_dir()
     outdir = Path(args.out) if (args.out and not single) else path.parent
     outdir.mkdir(parents=True, exist_ok=True)
-    graphs: dict[float, object] = {}
     for idx, (directive, temp) in enumerate(jobs, start=1):
-        if temp not in graphs:
-            graphs[temp] = build_graph(doc, temp)
         graph = graphs[temp]
         kind = type(directive).__name__.replace("Directive", "").lower()
         if single:
             out_path = Path(args.out)
         else:
-            suffix = f"_t{temp:g}" if len({t for _, t in jobs}) > 1 else ""
+            suffix = f"_t{temp:g}" if len(graphs) > 1 else ""
             out_path = outdir / f"{path.stem}_{idx}_{kind}{suffix}.csv"
         started = time.perf_counter()
         try:
@@ -273,9 +269,6 @@ def cmd_run(args) -> int:
                 ws = solve_transient(graph, topts, opts)
                 _atomic_write(out_path, lambda fh: write_csv(ws, fh))
                 points = ws.stats["steps"] + 1
-        except KeyError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            return 1
         except (NonConvergenceError, SingularMatrixError, TransientNonConvergence) as exc:
             print(f"{path}: {kind} at {temp:g} degC failed: {exc}", file=sys.stderr)
             return 2
@@ -291,15 +284,6 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     opts = _solver_options(args)
-    if not args.freq or not args.temp:
-        print("amps bench: error: need at least one frequency and temperature", file=sys.stderr)
-        return 1
-    if any(f <= 0 for f in args.freq):
-        print("amps bench: error: frequencies must be > 0", file=sys.stderr)
-        return 1
-    if args.amp <= 0:
-        print("amps bench: error: amplitude must be > 0", file=sys.stderr)
-        return 1
     configs = [
         BenchConfig(
             amplitude_pp=args.amp,
@@ -311,6 +295,8 @@ def cmd_bench(args) -> int:
         for f in args.freq
         for t in args.temp
     ]
+    for cfg in configs:
+        retained_window(cfg)  # compare's rule, before any transient runs
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -360,21 +346,16 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dc_sweep(args) -> int:
-    if args.step == 0 or (args.stop - args.start) * args.step < 0:
-        print("amps dc-sweep: error: step must be nonzero and sign-consistent", file=sys.stderr)
-        return 1
     opts = _solver_options(args)
+    # every graph before the first sweep, which rejects a bad step or source
+    # before it solves
+    graphs = [rectifier.bench_graph(BenchConfig(temp=temp)) for temp in args.temp]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for temp in args.temp:
-        cfg = BenchConfig(amplitude_pp=args.amp, temp=temp)
-        try:
-            iin, out_plus, out_minus = rectifier.bench_dc_transfer(
-                cfg, args.start, args.stop, args.step, opts, source=args.source
-            )
-        except KeyError as exc:
-            print(f"amps dc-sweep: {exc.args[0]}", file=sys.stderr)
-            return 1
+    for temp, graph in zip(args.temp, graphs):
+        iin, out_plus, out_minus = rectifier.bench_dc_transfer(
+            graph, args.start, args.stop, args.step, opts, source=args.source
+        )
         name = f"dcsweep_t{temp:g}.csv"
 
         def write(fh):
@@ -394,32 +375,16 @@ def cmd_dc_sweep(args) -> int:
 
 def cmd_device_curves(args) -> int:
     if args.cards:
-        try:
-            text = Path(args.cards).read_text()
-        except OSError as exc:
-            print(f"cannot read {args.cards}: {exc}", file=sys.stderr)
-            return 1
+        doc = _read_netlist(Path(args.cards))
     else:
-        text = "bundled model cards\n" + rectifier.MODEL_CARDS + "\n.END\n"
-    try:
-        doc = parse_netlist(text)
-    except NetlistError as exc:
-        print(f"model cards: {exc}", file=sys.stderr)
-        return 1
+        doc = parse_netlist("bundled model cards\n" + rectifier.MODEL_CARDS + "\n.END\n")
     card = doc.models.get(args.model.upper())
     if card is None:
-        print(f"unknown model {args.model}", file=sys.stderr)
-        return 1
+        raise KeyError(f"unknown model {args.model}")
     if args.polarity and args.polarity != card.polarity:
-        print(f"model {card.name} is {card.polarity}, not {args.polarity}", file=sys.stderr)
-        return 1
-    if args.vds_step == 0 or (args.vds_to - args.vds_from) * args.vds_step < 0:
-        print("amps device-curves: error: --vds-step must be nonzero and sign-consistent",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"model {card.name} is {card.polarity}, not {args.polarity}")
     params = derive_params(card, args.w, args.l, args.temp)
-    steps = int(round((args.vds_to - args.vds_from) / args.vds_step))
-    vds = args.vds_from + args.vds_step * np.arange(steps + 1)
+    vds = sweep_values(args.vds_from, args.vds_to, args.vds_step)
     sign = 1.0 if card.polarity == "NMOS" else -1.0
 
     def write(fh):

@@ -55,25 +55,24 @@ def parse_number(token: str) -> float:
     Trailing unit letters after a recognized suffix are ignored
     (``400uA`` -> 4.0e-4).  When the mantissa has no exponent of its own the
     suffix is folded into the decimal literal before conversion, so e.g.
-    ``200u`` parses to exactly 2e-4.  Raises ``ValueError`` on malformed input.
+    ``200u`` parses to exactly 2e-4.  Raises ``ValueError`` on malformed input
+    and on a number too large for a float.
     """
     m = _NUM_RE.match(token.strip())
     if m is None:
         raise ValueError(f"malformed number: {token!r}")
     head = m.group(1)
     tail = m.group(2).lower()
-    if not tail:
-        return float(head)
-    if tail.startswith("meg"):
-        exp = 6
+    exp = 6 if tail.startswith("meg") else _SUFFIX_EXP.get(tail[:1])
+    if exp is None:  # no suffix, or bare unit letters (e.g. "1.5V"): no scaling
+        value = float(head)
+    elif "e" in head or "E" in head:
+        value = float(head) * 10.0**exp
     else:
-        exp = _SUFFIX_EXP.get(tail[0])
-    if exp is None:
-        # bare unit letters (e.g. "1.5V"), no scaling
-        return float(head)
-    if "e" in head or "E" in head:
-        return float(head) * 10.0**exp
-    return float(f"{head}e{exp}")
+        value = float(f"{head}e{exp}")
+    if not math.isfinite(value):
+        raise ValueError(f"number out of range: {token!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +158,12 @@ class DcSweepDirective:
     start: float
     stop: float
     step: float
+
+
+def check_sweep_step(start: float, stop: float, step: float) -> None:
+    """Reject a sweep step that is zero or points away from ``stop``."""
+    if step == 0 or (stop - start) * step < 0:
+        raise ValueError(f"sweep step {step:g} is zero or sign inconsistent with stop - start")
 
 
 # A transient covers at least this many steps: tstop >= TRAN_MIN_STEPS * tstep.
@@ -399,10 +404,10 @@ def _parse_directive(card: str, lineno: int, doc: NetlistDocument) -> None:
         if len(tokens) != 5:
             raise NetlistError(".DC needs: source start stop step", lineno)
         start, stop, step = (_num(t, lineno) for t in tokens[2:5])
-        if step == 0:
-            raise NetlistError(".DC step must be nonzero", lineno)
-        if (stop - start) * step < 0:
-            raise NetlistError(".DC step sign inconsistent with stop-start", lineno)
+        try:
+            check_sweep_step(start, stop, step)
+        except ValueError as exc:
+            raise NetlistError(f".DC {exc}", lineno) from None
         doc.directives.append(DcSweepDirective(tokens[1].upper(), start, stop, step))
     elif word == ".TRAN":
         if len(tokens) != 3:
@@ -432,12 +437,13 @@ def validate(doc: NetlistDocument) -> list[Diagnostic]:
     """Semantic checks on a parsed netlist.
 
     Errors: dangling node (single terminal reference), no ground node,
-    MOSFET with unresolved model, no sources.  Warnings: unused models.
+    MOSFET with unresolved model, no sources, ``.DC`` sweep of a source the
+    circuit lacks.  Warnings: unused models.
     """
     diags: list[Diagnostic] = []
     refcount: dict[str, int] = {}
     used_models: set[str] = set()
-    has_source = False
+    sources: set[str] = set()
     for elem in doc.elements:
         for n in elem.nodes:
             refcount[n] = refcount.get(n, 0) + 1
@@ -448,14 +454,17 @@ def validate(doc: NetlistDocument) -> list[Diagnostic]:
                     Diagnostic("error", f"unresolved model {elem.model}", elem.name)
                 )
         if elem.kind in (ElementKind.VSOURCE, ElementKind.ISOURCE):
-            has_source = True
+            sources.add(elem.name)
     if "0" not in refcount:
         diags.append(Diagnostic("error", "no ground node", "0"))
     for node, count in refcount.items():
         if count == 1:
             diags.append(Diagnostic("error", f"dangling node {node}", node))
-    if not has_source:
+    if not sources:
         diags.append(Diagnostic("error", "circuit has no sources", doc.title))
+    for d in doc.directives:
+        if isinstance(d, DcSweepDirective) and d.source not in sources:
+            diags.append(Diagnostic("error", f"no source named {d.source}", ".DC"))
     for name in doc.models:
         if name not in used_models:
             diags.append(Diagnostic("warning", f"unused model {name}", name))

@@ -19,6 +19,7 @@ import numpy as np
 from .analysis import PrecisionReport, Waveform, WaveformError, WaveformSet
 from .netlist import parse_netlist
 from .solver import (
+    CircuitGraph,
     NonConvergenceError,
     SingularMatrixError,
     SolverOptions,
@@ -48,6 +49,13 @@ MODEL_CARDS = """\
 + CJSW = 2.955161E-10 MJSW = 0.3184873"""
 
 
+# The paper's supplies and the geometry of all nine devices.
+VDD = 1.5  # V
+VSS = -1.5  # V
+W = 1.5e-6  # m
+L = 0.15e-6  # m
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """Bench operating conditions; defaults reproduce the 1 kHz / 25 degC run."""
@@ -55,18 +63,14 @@ class BenchConfig:
     amplitude_pp: float = 400e-6  # A peak-to-peak
     frequency: float = 1e3  # Hz
     temp: float = 25.0  # degC
-    vdd: float = 1.5  # V
-    vss: float = -1.5  # V
-    w: float = 1.5e-6  # m, all nine devices
-    l: float = 0.15e-6  # m
     periods: int = 20
     steps_per_period: int = 1000
 
     def __post_init__(self):
         if self.amplitude_pp <= 0:
-            raise ValueError("amplitude_pp must be positive")
+            raise ValueError(f"amplitude {self.amplitude_pp:g} A must be > 0")
         if self.frequency <= 0:
-            raise ValueError("frequency must be positive")
+            raise ValueError(f"frequency {self.frequency:g} Hz must be > 0")
         if self.periods < 1 or self.steps_per_period < 10:
             raise ValueError("need at least 1 period and 10 steps per period")
 
@@ -111,13 +115,12 @@ def build_bench_netlist(cfg: BenchConfig) -> str:
     amp = cfg.amplitude_pp / 2.0
     h = 1.0 / (cfg.frequency * cfg.steps_per_period)
     tstop = cfg.periods / cfg.frequency
-    vdd, vss, temp = float(cfg.vdd), float(cfg.vss), float(cfg.temp)
-    freq = float(cfg.frequency)
-    wl = f"W={float(cfg.w)!r} L={float(cfg.l)!r}"
+    temp, freq = float(cfg.temp), float(cfg.frequency)
+    wl = f"W={W!r} L={L!r}"
     return f"""dual-phase half-wave current rectifier bench
 * supplies and input current
-VDD vdd 0 DC {vdd!r}
-VSS vss 0 DC {vss!r}
+VDD vdd 0 DC {VDD!r}
+VSS vss 0 DC {VSS!r}
 IIN 0 in SIN(0 {amp!r} {freq!r})
 * input comparator (CMOS inverter) and steering pair
 M3 cmp in vdd vdd CMOSP {wl}
@@ -170,7 +173,7 @@ def run_bench(
     as one at a time.
     """
     options = options or SolverOptions()
-    graphs = [build_graph(parse_netlist(build_bench_netlist(cfg)), cfg.temp) for cfg in configs]
+    graphs = [bench_graph(cfg) for cfg in configs]
     results: list = [None] * len(configs)
     starts = {}
     for i, graph in enumerate(graphs):
@@ -205,21 +208,25 @@ def _contract_waveforms(raw: WaveformSet) -> WaveformSet:
     return out
 
 
+def bench_graph(cfg: BenchConfig) -> CircuitGraph:
+    """The compiled bench circuit of one configuration, at its temperature."""
+    return build_graph(parse_netlist(build_bench_netlist(cfg)), cfg.temp)
+
+
 def bench_dc_transfer(
-    cfg: BenchConfig,
+    graph: CircuitGraph,
     start: float,
     stop: float,
     step: float,
     options: SolverOptions | None = None,
     source: str = "IIN",
 ):
-    """DC-sweep the bench input current.
+    """DC-sweep one source of a ``bench_graph`` (by default the input current).
 
-    Returns (iin, out_plus, out_minus) arrays; non-converged points are NaN.
+    Returns (swept values, out_plus, out_minus) arrays; non-converged points
+    are NaN.
     """
     options = options or SolverOptions()
-    doc = parse_netlist(build_bench_netlist(cfg))
-    graph = build_graph(doc, cfg.temp)
     names = [src.name for src in graph.vsources]
     k_plus = names.index("VOUTP")
     k_minus = names.index("VOUTM")
@@ -241,11 +248,23 @@ def _windowed(w: Waveform, t0: float, t1: float):
     return w.times[lo:hi], w.values[lo:hi]
 
 
+def retained_window(cfg: BenchConfig, span: tuple[float, float] | None = None):
+    """(start, periods) of the window ``compare`` scores: the record, whose
+    (first, last) time is ``span`` (by default the configured run's), less its
+    first 25% as startup.  Fewer than two periods left is a WaveformError.
+    """
+    t_lo, t_hi = (0.0, cfg.periods / cfg.frequency) if span is None else span
+    t0 = t_lo + 0.25 * (t_hi - t_lo)
+    n_periods = (t_hi - t0) * cfg.frequency
+    if n_periods < 2.0 - 1e-9:
+        raise WaveformError(f"retained window holds {n_periods:.2f} periods; need at least 2")
+    return t0, n_periods
+
+
 def compare(sim: WaveformSet, cfg: BenchConfig) -> PrecisionReport:
     """Quantify a simulated bench run against the exact oracle.
 
-    The first 25% of the record is discarded as startup; at least two full
-    periods must remain.  RMS and peak errors are normalized to half the
+    Over ``retained_window``, RMS and peak errors are normalized to half the
     peak-to-peak input amplitude; ``zero_crossing_width`` is the time per
     period the sourcing output strays more than 5% of half-amplitude from
     ideal; ``dc_power`` is the mean total supply power over the window.
@@ -254,13 +273,8 @@ def compare(sim: WaveformSet, cfg: BenchConfig) -> PrecisionReport:
     if missing:
         raise WaveformError(f"missing required waveforms: {', '.join(missing)}")
     w_iin = sim.get("iin")
-    t_lo, t_hi = w_iin.span
-    t0 = t_lo + 0.25 * (t_hi - t_lo)
-    n_periods = (t_hi - t0) * cfg.frequency
-    if n_periods < 2.0 - 1e-9:
-        raise WaveformError(
-            f"retained window holds {n_periods:.2f} periods; need at least 2"
-        )
+    t_hi = w_iin.span[1]
+    t0, n_periods = retained_window(cfg, w_iin.span)
     half_amp = cfg.amplitude_pp / 2.0
 
     t, iin = _windowed(w_iin, t0, t_hi)
@@ -283,7 +297,7 @@ def compare(sim: WaveformSet, cfg: BenchConfig) -> PrecisionReport:
     if "i_vdd" in sim and "i_vss" in sim:
         _, i_vdd = _windowed(sim.get("i_vdd"), t0, t_hi)
         _, i_vss = _windowed(sim.get("i_vss"), t0, t_hi)
-        inst = np.abs(cfg.vdd * i_vdd) + np.abs(cfg.vss * i_vss)
+        inst = np.abs(VDD * i_vdd) + np.abs(VSS * i_vss)
         dc_power = float(np.trapezoid(inst, t) / span)
 
     return PrecisionReport(

@@ -38,7 +38,15 @@ from .device import (
     eval_mosfet_table,
     overlap_caps,
 )
-from .netlist import TRAN_MIN_STEPS, DcSpec, ElementKind, NetlistDocument, SourceSpec, validate
+from .netlist import (
+    TRAN_MIN_STEPS,
+    DcSpec,
+    ElementKind,
+    NetlistDocument,
+    SourceSpec,
+    check_sweep_step,
+    validate,
+)
 
 
 class SingularMatrixError(RuntimeError):
@@ -66,6 +74,11 @@ class TransientNonConvergence(RuntimeError):
         super().__init__(f"transient aborted at t={time:.6e}s: {cause}")
 
 
+GMIN_STEPS = 10  # gmin stepping: decades from 1e-2 S down to gmin
+SOURCE_STEPS = 10  # source stepping: equal increments up to full scale
+VSTEP_CLAMP = 0.3  # V, per-update damping on nonlinear-device nodes
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     reltol: float = 1e-3
@@ -73,16 +86,11 @@ class SolverOptions:
     vntol: float = 1e-6  # V
     gmin: float = 1e-12  # S
     max_newton_iters: int = 100
-    gmin_steps: int = 10  # decades from 1e-2 down to gmin
-    source_steps: int = 10
-    vstep_clamp: float = 0.3  # V, per-update damping on nonlinear-device nodes
 
     def __post_init__(self):
-        for name in ("reltol", "abstol_i", "vntol", "gmin", "vstep_clamp"):
+        for name in ("reltol", "abstol_i", "vntol", "gmin"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.gmin_steps < 1 or self.source_steps < 1:
-            raise ValueError("gmin_steps and source_steps must be >= 1")
 
 
 @dataclass
@@ -433,7 +441,7 @@ def _newton(sys: _System, x0: np.ndarray, t: float = 0.0, cap_ieq: np.ndarray | 
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite initial guess")
-    clamp = options.vstep_clamp
+    clamp = VSTEP_CLAMP
     for iterations in range(options.max_newton_iters + 1):
         F, J, scale = sys.assemble(x, t, cap_ieq)
         if not (np.all(np.isfinite(F)) and np.all(np.isfinite(J))):
@@ -546,7 +554,7 @@ def _newton_lockstep(stack: _Lockstep, X: np.ndarray, t: np.ndarray, cap_ieq: np
     residual_excess, failed), one row per member.
     """
     g, opt = stack.g, stack.opt
-    n, rows, clamp = g.n, g.gmin_rows, opt.vstep_clamp
+    n, rows, clamp = g.n, g.gmin_rows, VSTEP_CLAMP
     count = len(X)
     out = X.copy()
     iters = np.zeros(count, dtype=int)
@@ -641,11 +649,11 @@ def solve_dc(
     homotopies = {
         "gmin stepping": [
             {"gmin_override": float(gval)}
-            for gval in np.geomspace(1e-2, options.gmin, options.gmin_steps + 1)
+            for gval in np.geomspace(1e-2, options.gmin, GMIN_STEPS + 1)
         ],
         "source stepping": [
             {"source_scale": float(scale)}
-            for scale in np.linspace(1.0 / options.source_steps, 1.0, options.source_steps)
+            for scale in np.linspace(1.0 / SOURCE_STEPS, 1.0, SOURCE_STEPS)
         ],
     }
     for label, stages in homotopies.items():
@@ -660,11 +668,11 @@ def solve_dc(
     raise NonConvergenceError("all homotopies exhausted", float("nan"), log)
 
 
-def _sweep_values(start: float, stop: float, step: float) -> list[float]:
+def sweep_values(start: float, stop: float, step: float) -> list[float]:
+    """``start``, ``start + step``, ... up to ``stop``, the last step clamped to it."""
+    check_sweep_step(start, stop, step)
     if start == stop:
         return [start]
-    if step == 0 or (stop - start) * step < 0:
-        raise ValueError("sweep step must be nonzero and sign-consistent with stop-start")
     count = int(math.floor((stop - start) / step + 1e-9))
     values = [start + i * step for i in range(count + 1)]
     if abs(values[-1] - stop) <= abs(step) * 1e-9:
@@ -690,7 +698,7 @@ def dc_sweep(
     name = graph.find_source(source_name).name  # KeyError if unknown
     curve: TransferCurve = []
     x_prev: np.ndarray | None = None
-    for value in _sweep_values(start, stop, step):
+    for value in sweep_values(start, stop, step):
         try:
             op = solve_dc(graph.with_source(name, value), options, x_prev)
             x_prev = np.concatenate((op.voltages, op.branch_currents))
@@ -887,7 +895,7 @@ def _rescue_step(sys: _System, x0: np.ndarray, t: float, cap_ieq: np.ndarray):
     """
     x = x0
     iters_total = 0
-    for gval in np.geomspace(1e-2, sys.gmin, sys.opt.gmin_steps + 1):
+    for gval in np.geomspace(1e-2, sys.gmin, GMIN_STEPS + 1):
         stage = _System(sys.g, sys.opt, source_scale=sys.scale, gmin=float(gval), alpha=sys.alpha)
         x, iters, excess = _newton(stage, x, t, cap_ieq)
         iters_total += iters

@@ -18,6 +18,7 @@ from amps.rectifier import (
     MODEL_CARDS,
     BenchConfig,
     bench_dc_transfer,
+    bench_graph,
     compare,
     ideal_dual_phase,
     run_bench,
@@ -156,7 +157,7 @@ def test_c3ab_solver_verification():
 def test_c4_dc_transfer_fig10():
     started = time.perf_counter()
     iin, out_plus, out_minus = bench_dc_transfer(
-        BenchConfig(temp=25.0), -200e-6, 200e-6, 2e-6
+        bench_graph(BenchConfig(temp=25.0)), -200e-6, 200e-6, 2e-6
     )
     assert len(iin) == 201
     assert not np.isnan(out_plus).any()

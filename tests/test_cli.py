@@ -29,6 +29,14 @@ Q1 a 0 whatever
 .END
 """
 
+DIODE = """diode-connected nmos
+V1 d 0 DC 1.5
+M1 d d 0 0 NX W=1u L=1u
+.MODEL NX NMOS VTO=0.7 KP=1e-4
+.OP
+.END
+"""
+
 # validates cleanly but is exactly singular: current source into an island
 PATHOLOGICAL = """non-convergent
 Vb b 0 DC 1
@@ -177,6 +185,18 @@ def test_bench_bad_temperature_among_several_runs_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bench_short_window_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(amps.rectifier, "solve_dc", unreachable)
+    monkeypatch.setattr(amps.rectifier, "solve_lockstep", unreachable)
+    assert main(bench_args(tmp_path, freq="1k,1meg", periods="2", spp="10")) == 1
+    err = capsys.readouterr().err
+    assert "need at least 2" in err and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_lockstep_writes_what_single_runs_write(tmp_path):
     freqs, temps = ("1k", "1meg", "100meg"), ("25", "75")
     both = tmp_path / "both"
@@ -266,6 +286,31 @@ def test_dc_sweep_single_point(tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dc-sweep", "--from", "-10u", "--to", "10u", "--step", "10u", "--temp", "25,400"],
+        ["run", "diode.cir", "--temp", "25,400"],
+    ],
+)
+def test_bad_temperature_among_several_writes_nothing(tmp_path, capsys, argv):
+    src = write(tmp_path, "diode.cir", DIODE)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [str(src) if a == "diode.cir" else a for a in argv]
+    assert main(argv + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "400" in err and len(err.splitlines()) == 1
+    assert list(out.iterdir()) == []
+
+
+def test_run_sweep_of_unknown_source_writes_nothing(tmp_path, capsys):
+    src = write(tmp_path, "sweep.cir", DIVIDER.replace(".END", ".DC VX 0 1 0.5\n.END"))
+    assert main(["run", str(src), "-o", str(tmp_path / "out")]) == 1
+    assert "no source named VX" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dc_sweep_unknown_source(tmp_path, capsys):
     rc = main(["dc-sweep", "--source", "IWRONG", "--from", "0", "--to", "1u",
                "--step", "1u", "-o", str(tmp_path)])
@@ -314,6 +359,14 @@ def test_device_curves_pmos_mirror(tmp_path):
     assert np.allclose(dp, -dn, atol=1e-30)
 
 
+def test_device_curves_grid_clamps_last_step_to_endpoint(tmp_path):
+    out = tmp_path / "curves.csv"
+    assert main(["device-curves", "--model", "CMOSN", "--vds-step", "0.007", "-o", str(out)]) == 0
+    _, data = read_csv_columns(out)
+    assert len(data) == 216  # 0, 0.007, ..., 1.498, then 1.5
+    assert data[-1, 0] == 1.5 and data[-2, 0] == pytest.approx(214 * 0.007)
+
+
 def test_device_curves_unknown_model(tmp_path, capsys):
     rc = main(["device-curves", "--model", "NOPE", "-o", str(tmp_path / "x.csv")])
     assert rc == 1
@@ -357,6 +410,7 @@ SHORT_TRAN = "too short a transient\nV1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.TRAN 1m
         ["device-curves", "--model", "CMOSN", "--temp", "500"],
         ["device-curves", "--model", "CMOSN", "--vds-step", "0"],
         ["run", "short_tran.cir"],
+        ["dc-sweep", "--from", "0", "--to", "1u", "--step", "1u", "--temp", ","],
     ],
 )
 def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv):
@@ -379,7 +433,6 @@ CLI_GRAMMAR = {
     "dc-sweep": {
         "--source": ["IIN", "NOPE"],
         "--temp": ["25", "25,100", "400"],
-        "--amp": ["400u", "-1"],
         "--gmin": ["1p", "0"],
     },
     "device-curves": {

@@ -17,7 +17,9 @@ from amps.device import (
     DeviceEval,
     MissingModelParameter,
     derive_params,
+    device_table,
     eval_mosfet,
+    eval_mosfet_table,
     overlap_caps,
 )
 from amps.netlist import parse_model_card, parse_netlist
@@ -286,3 +288,34 @@ def test_dataclass_fields(nmos):
     ev = eval_mosfet(nmos, 1.5, 1.5, 0.0)
     assert isinstance(ev, DeviceEval)
     assert ev.gm > 0 and ev.gmbs > 0
+
+
+def test_table_evaluation_bit_identical_to_scalar():
+    """Lockstep transients equal single runs only if this holds bit for bit."""
+    params = [derive_params(card, W, L, temp) for card in (CMOSN, CMOSP) for temp in (25.0, 100.0)]
+    rng = np.random.default_rng(20101)
+    shape = (3000, len(params))
+    vgs, vds, vbs = (rng.uniform(-3.0, 3.0, shape) for _ in range(3))
+    # signed zeros, and vbs exactly at the body-effect clamp phi - 1e-6
+    for a in (vgs, vds, vbs):
+        pick = rng.random(shape) < 0.05
+        a[pick] = rng.choice([0.0, -0.0], size=pick.sum())
+    lim = np.array([(-1.0 if p.polarity == "PMOS" else 1.0) * (p.phi - 1e-6) for p in params])
+    vbs[:50] = lim
+    ref = np.empty(shape + (5,))
+    for (r, k), _ in np.ndenumerate(vgs):
+        ev = eval_mosfet(params[k], float(vgs[r, k]), float(vds[r, k]), float(vbs[r, k]))
+        ref[r, k] = (ev.id, ev.gm, ev.gds, ev.gmbs, ev.gm + ev.gds + ev.gmbs)
+    table = device_table(params)
+    for tab in (table, np.broadcast_to(table[:, None, :], (11,) + shape)):
+        out = eval_mosfet_table(tab, vgs, vds, vbs)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+    # the draws reach every branch, for both polarities
+    sign = np.where(table[0] < 0, -1.0, 1.0)
+    reverse = sign * vds < 0
+    for k in range(len(params)):
+        ids, gds = ref[:, k, 0], ref[:, k, 2]
+        assert (ids == 0.0).any() and (gds > 0.0).any()  # cutoff, triode
+        assert ((gds == 0.0) & (ids != 0.0)).any() and reverse[:, k].any()  # saturation
+    assert np.signbit(ref[..., 0][ref[..., 0] == 0.0]).any()  # -0.0 currents

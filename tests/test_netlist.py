@@ -1,5 +1,7 @@
 """Parser, validator and serializer tests."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +154,9 @@ def test_ground_is_index_zero():
         (".TRAN 2u 1u", "tstop > tstep > 0"),
         (".TRAN 1m 5m", "tstop >= 10*tstep"),
         (".DC V1 0 1 -0.1", "sign inconsistent"),
+        (".DC V1 0 1 0", "sign inconsistent"),
+        ("R1 a 0 1e999", "out of range"),
+        (".MODEL NX NMOS LEVEL=1e999", "value of LEVEL"),
     ],
 )
 def test_syntax_errors_carry_line_numbers(card, fragment):
@@ -291,3 +296,115 @@ def test_seven_digit_fidelity_spot_checks():
     assert f"{n['VTO']:.7g}" == "0.7640855"
     assert f"{n['KP']:.7g}" == "0.0001259355"
     assert float(f"{n['GAMMA']:.7g}") == 0.5483559
+
+
+# ---------------------------------------------------------------------------
+# property tests: arbitrary text, drawn documents
+# ---------------------------------------------------------------------------
+
+# One valid card of each kind, each given one fault: the value of a token
+# with a digit (after any "=") becomes a number-like string, or any token
+# becomes a word ("" deletes).
+CARDS = [
+    "R1 a 0 1k", "C1 a 0 1p", "V1 a 0 DC 1", "I1 0 a SIN(0 1u 1k)", "M1 d g s b NX W=1u L=1u",
+    ".MODEL NX NMOS LEVEL=3 VTO=0.7", "+ KP=1e-4", ".DC V1 0 1 0.1", ".TRAN 1u 20u",
+    ".TEMP 25 50", ".OP", "* comment", "R2 a b 1k ; note",
+]
+WORDS = ["", "Q1", ".MODEL", ".WEIRD", ".", "+", "=", "(", ")", "a", "DC", "SIN(0", "NMOS"]
+VALUES = ["1e999", "-5", "abc", "", "0", "4u7"]
+
+
+@st.composite
+def faulty_card(draw):
+    tokens = draw(st.sampled_from(CARDS)).split()
+    valued = [i for i, token in enumerate(tokens) if any(c.isdigit() for c in token)]
+    if valued and draw(st.booleans()):
+        at = draw(st.sampled_from(valued))
+        key = tokens[at].partition("=")[0] + "=" if "=" in tokens[at] else ""
+        tokens[at] = key + draw(st.sampled_from(VALUES))
+    else:
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(WORDS))
+    return " ".join(tokens)
+
+
+@st.composite
+def netlist_text(draw):
+    line = st.one_of(st.sampled_from(CARDS), faulty_card(), st.text(max_size=12))
+    lines = draw(st.lists(line, max_size=8))
+    return "\n".join([draw(st.sampled_from(["title", "", "R1 a 0 1k"]))] + lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(netlist_text())
+def test_any_text_parses_or_raises_netlist_error_with_line(text):
+    try:
+        doc = parse_netlist(text)
+    except NetlistError as err:
+        if text.strip():  # every fault but an empty netlist is on a card
+            assert err.line is not None and 2 <= err.line <= len(text.splitlines())
+            assert f"line {err.line}" in str(err)
+    else:
+        assert parse_netlist(serialize_netlist(doc)) == doc
+
+
+NODES = st.sampled_from(["0", "a", "b", "out_1", "N2"])
+
+
+def numbers(lo, hi):
+    """Number tokens in [lo, hi]: plain, or with an engineering suffix."""
+    plain = st.floats(lo, hi, allow_nan=False, allow_infinity=False).map(repr)
+    suffixed = st.tuples(st.integers(1, 999), st.sampled_from(["p", "n", "u", "m", "k", "meg"]))
+    return st.one_of(plain, suffixed.map(lambda t: f"{t[0]}{t[1]}"))
+
+
+@st.composite
+def element(draw, index):
+    kind = draw(st.sampled_from("RCVIM"))
+    name = f"{kind}{index}"
+    if kind == "M":
+        nodes = " ".join(draw(st.lists(NODES, min_size=4, max_size=4)))
+        model = draw(st.sampled_from(["NX", "PX"]))
+        return f"{name} {nodes} {model} W={draw(numbers(1e-7, 1e-4))} L={draw(numbers(1e-7, 1e-4))}"
+    nodes = f"{draw(NODES)} {draw(NODES)}"
+    if kind in "RC":
+        return f"{name} {nodes} {draw(numbers(1e-3 if kind == 'R' else 0.0, 1e6))}"
+    if draw(st.booleans()):
+        return f"{name} {nodes} DC {draw(numbers(-10, 10))}"
+    offset, amplitude, frequency = draw(numbers(-1, 1)), draw(numbers(-1, 1)), draw(numbers(1, 1e9))
+    return f"{name} {nodes} SIN({offset} {amplitude} {frequency})"
+
+
+@st.composite
+def directive(draw):
+    kind = draw(st.sampled_from([".OP", ".DC", ".TRAN", ".TEMP"]))
+    if kind == ".DC":
+        start, stop = draw(numbers(-5, 5)), draw(numbers(-5, 5))
+        span = parse_number(stop) - parse_number(start)
+        # a step of span/k, unless that is zero (start == stop, or underflow)
+        step = span / draw(st.integers(1, 50)) or math.copysign(
+            parse_number(draw(numbers(1e-3, 1))), span
+        )
+        return f".DC V0 {start} {stop} {step!r}"
+    if kind == ".TRAN":
+        tstep = parse_number(draw(numbers(1e-12, 1e-3)))
+        return f".TRAN {tstep!r} {tstep * draw(st.floats(10, 1e4))!r}"
+    if kind == ".TEMP":
+        return ".TEMP " + " ".join(draw(st.lists(numbers(-50, 150), min_size=1, max_size=3)))
+    return kind
+
+
+@st.composite
+def netlist_document(draw):
+    cards = ["V0 a 0 DC 1"]
+    cards += [draw(element(i)) for i in range(1, draw(st.integers(0, 6)) + 1)]
+    cards += [".MODEL NX NMOS VTO=0.7 KP=1e-4", ".MODEL PX PMOS LEVEL=1 VTO=-0.7"]
+    cards += draw(st.lists(directive(), max_size=4))
+    return parse_netlist(wrap(*draw(st.permutations(cards))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(netlist_document())
+def test_serialize_parse_round_trips_drawn_documents(doc):
+    text = serialize_netlist(doc)
+    assert parse_netlist(text) == doc
+    assert serialize_netlist(parse_netlist(text)) == text
