@@ -14,9 +14,11 @@ OUT = Path(__file__).with_name("output")
 OUT.mkdir(exist_ok=True)
 
 temps = (25.0, 50.0, 75.0, 100.0)
-for temp in temps:
-    graph = bench_graph(BenchConfig(temp=temp))
-    iin, out_plus, out_minus = bench_dc_transfer(graph, -200e-6, 200e-6, 5e-6)
+# One call sweeps every temperature in lockstep; each curve equals the one a
+# single-temperature call gives.
+graphs = [bench_graph(BenchConfig(temp=temp)) for temp in temps]
+curves = bench_dc_transfer(graphs, -200e-6, 200e-6, 5e-6)
+for temp, (iin, out_plus, out_minus) in zip(temps, curves):
     path = OUT / f"dc_transfer_t{temp:g}.csv"
     with open(path, "w") as fh:
         fh.write("iin,out_plus,out_minus\n")

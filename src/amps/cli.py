@@ -297,11 +297,13 @@ def cmd_bench(args) -> int:
     ]
     for cfg in configs:
         retained_window(cfg)  # compare's rule, before any transient runs
+    started = time.perf_counter()
+    # every solve before the directory, which a rejected config leaves uncreated
+    runs = run_bench(configs, opts)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
     results = []
-    for cfg, ws in zip(configs, run_bench(configs, opts)):
+    for cfg, ws in zip(configs, runs):
         name = f"bench_f{cfg.frequency:.0f}_t{cfg.temp:g}.csv"
         if isinstance(ws, Exception):
             results.append((cfg, name, None, f"failed: {type(ws).__name__}"))
@@ -347,15 +349,15 @@ def cmd_bench(args) -> int:
 
 def cmd_dc_sweep(args) -> int:
     opts = _solver_options(args)
-    # every graph before the first sweep, which rejects a bad step or source
-    # before it solves
+    # every graph before the sweep, which rejects a bad step or source before
+    # it solves, and the sweep before the directory
     graphs = [rectifier.bench_graph(BenchConfig(temp=temp)) for temp in args.temp]
+    sweeps = rectifier.bench_dc_transfer(
+        graphs, args.start, args.stop, args.step, opts, source=args.source
+    )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for temp, graph in zip(args.temp, graphs):
-        iin, out_plus, out_minus = rectifier.bench_dc_transfer(
-            graph, args.start, args.stop, args.step, opts, source=args.source
-        )
+    for temp, (iin, out_plus, out_minus) in zip(args.temp, sweeps):
         name = f"dcsweep_t{temp:g}.csv"
 
         def write(fh):

@@ -26,9 +26,10 @@ from .solver import (
     TransientNonConvergence,
     TransientOptions,
     build_graph,
-    dc_sweep,
+    dc_sweep_lockstep,
     solve_dc,
     solve_lockstep,
+    sweep_values,
 )
 
 # The 0.5 um CMOS model cards used by every bench variant.
@@ -214,31 +215,37 @@ def bench_graph(cfg: BenchConfig) -> CircuitGraph:
 
 
 def bench_dc_transfer(
-    graph: CircuitGraph,
+    graphs: Sequence[CircuitGraph],
     start: float,
     stop: float,
     step: float,
     options: SolverOptions | None = None,
     source: str = "IIN",
-):
-    """DC-sweep one source of a ``bench_graph`` (by default the input current).
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """DC-sweep one source of ``bench_graph``s (by default the input current).
 
-    Returns (swept values, out_plus, out_minus) arrays; non-converged points
-    are NaN.
+    Returns one (swept values, out_plus, out_minus) per graph, in order;
+    non-converged points are NaN.  Each graph's first point is a
+    ``solve_dc`` call; the graphs then sweep the other values in lockstep,
+    with the same results as one at a time.
     """
     options = options or SolverOptions()
-    names = [src.name for src in graph.vsources]
-    k_plus = names.index("VOUTP")
-    k_minus = names.index("VOUTM")
-    curve = dc_sweep(graph, source, start, stop, step, options)
-    iin = np.array([v for v, _ in curve])
-    out_plus = np.array(
-        [op.branch_currents[k_plus] if op.converged else np.nan for _, op in curve]
-    )
-    out_minus = np.array(
-        [op.branch_currents[k_minus] if op.converged else np.nan for _, op in curve]
-    )
-    return iin, out_plus, out_minus
+    values = sweep_values(start, stop, step)
+    firsts = []
+    for graph in graphs:
+        try:
+            firsts.append(solve_dc(graph.with_source(source, values[0]), options))
+        except (NonConvergenceError, SingularMatrixError):
+            firsts.append(None)
+    sweep = dc_sweep_lockstep(graphs, source, values, options, firsts)
+    iin = np.array(values)
+    results = []
+    for b, graph in enumerate(graphs):
+        names = [src.name for src in graph.vsources]
+        out_plus, out_minus = (sweep.x[:, b, graph.n + names.index(name)]
+                               for name in ("VOUTP", "VOUTM"))
+        results.append((iin, out_plus, out_minus))
+    return results
 
 
 def _windowed(w: Waveform, t0: float, t1: float):

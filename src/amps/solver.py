@@ -10,15 +10,17 @@ node's KCL residual and tolerance scale, and a MOSFET table with the
 precomputed scatter of device conductances into the Jacobian.  An assembly
 context fixes the source scale, gmin and companion factor alpha (0 for DC,
 1/h backward Euler, 2/h trapezoidal) once: its Jacobian is
-``G + alpha*C + gmin*D`` plus the device scatter, and the time and the
-capacitor history currents are arguments of each assembly.
+``G + alpha*C + gmin*D`` plus the device scatter, and the source values and
+the capacitor history currents are arguments of each Newton solve.
 
 Nonlinear solves are damped Newton-Raphson over dense LU; DC convergence
 falls back to gmin stepping and then source stepping.  Transient integration
-is fixed-step trapezoidal with a backward-Euler first step.  Transients of
-circuits that share one topology can run in lockstep (``solve_lockstep``):
-each time step is one batched assembly, device evaluation and LU solve for
-all of them, and each one's results are the ones it gets alone.
+is fixed-step trapezoidal with a backward-Euler first step.  Circuits that
+share one topology can be solved in lockstep: transients
+(``solve_lockstep``) take each time step, and DC sweeps of one source
+(``dc_sweep_lockstep``) each sweep value, as one batched assembly, device
+evaluation and LU solve for all of them, and each one's results are the
+ones it gets alone.
 """
 
 from __future__ import annotations
@@ -366,17 +368,17 @@ class _System:
         first = graph.res_g.size + graph.cap_c.size + len(graph.isources)
         self.vsrc = slice(first, first + graph.m)
 
-    def assemble(self, x: np.ndarray, t: float, cap_ieq: np.ndarray):
-        """Residual F(x), Jacobian J(x) and per-row current/voltage scales at time t.
+    def assemble(self, x: np.ndarray, fixed: np.ndarray, e: np.ndarray):
+        """Residual F(x), Jacobian J(x) and per-row current/voltage scales.
 
-        ``cap_ieq`` holds the capacitor companion history currents.
+        ``fixed`` holds the currents fixed for the solve (capacitor
+        companion history, then current sources) and ``e`` the
+        voltage-source values.
         """
         g = self.g
         n = g.n
         V = np.concatenate(([0.0], x[:n]))
         dv = V[g.branch_a] - V[g.branch_b]
-        isrc = [self.scale * src.spec.value_at(t) for src in g.isources]
-        e = np.array([self.scale * src.spec.value_at(t) for src in g.vsources])
         vd, vg, vs, vb = V[g.mos_terms]
         evaluate = eval_mosfet
         dev = []  # id, gm, gds, gmbs, gsum of each MOSFET in turn
@@ -387,7 +389,7 @@ class _System:
         dev = np.array(dev)
 
         cur = self.coef * dv
-        cur[g.res_g.size:] += np.concatenate((cap_ieq, isrc, x[n:], dev[0::5]))
+        cur[g.res_g.size:] += np.concatenate((fixed, x[n:], dev[0::5]))
         flow = np.concatenate((cur, -cur))[g.end_flow]
         fe = np.bincount(g.end_node, weights=flow, minlength=n + 1)  # slot 0 is ground
         se = np.zeros(n + 1)  # largest incident branch current per node
@@ -426,8 +428,9 @@ class _System:
         return f"source {self.g.vsources[idx - n].name}"
 
 
-def _newton(sys: _System, x0: np.ndarray, t: float = 0.0, cap_ieq: np.ndarray | None = None):
-    """Damped Newton iteration at time t (with capacitor history ``cap_ieq``).
+def _newton(sys: _System, x0: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
+    """Damped Newton iteration with source values ``src`` (one row of
+    ``_source_values``) and capacitor history ``cap_ieq``.
 
     Counts applied updates; convergence requires both the KCL residual and
     the proposed (undamped) voltage step to be within tolerance.  Returns
@@ -436,14 +439,14 @@ def _newton(sys: _System, x0: np.ndarray, t: float = 0.0, cap_ieq: np.ndarray | 
     g = sys.g
     n = g.n
     options = sys.opt
-    if cap_ieq is None:
-        cap_ieq = np.zeros(g.cap_c.size)
+    ni = len(g.isources)
+    fixed, e = np.concatenate((cap_ieq, src[:ni])), src[ni:]
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite initial guess")
     clamp = VSTEP_CLAMP
     for iterations in range(options.max_newton_iters + 1):
-        F, J, scale = sys.assemble(x, t, cap_ieq)
+        F, J, scale = sys.assemble(x, fixed, e)
         if not (np.all(np.isfinite(F)) and np.all(np.isfinite(J))):
             raise NonConvergenceError("non-finite assembly", float("inf"))
         excess = sys.residual_excess(F, scale)
@@ -470,29 +473,20 @@ class _Lockstep:
     element order.
     """
 
-    __slots__ = ("systems", "g", "opt", "gmin", "scale", "vsrc", "coef", "j_base", "devices",
+    __slots__ = ("systems", "g", "opt", "gmin", "vsrc", "coef", "j_base", "devices",
                  "end_index", "jac_index")
 
     def __init__(self, systems: Sequence[_System]):
         first = systems[0]
         g = first.g
         self.systems = systems
-        self.g, self.opt, self.gmin, self.scale, self.vsrc = (
-            g, first.opt, first.gmin, first.scale, first.vsrc)
+        self.g, self.opt, self.gmin, self.vsrc = g, first.opt, first.gmin, first.vsrc
         self.coef = np.array([s.coef for s in systems])
         self.j_base = np.array([s.j_base.ravel() for s in systems])
         self.devices = np.array([device_table(s.g.mosfets) for s in systems])
         member = np.arange(len(systems))[:, None]
         self.end_index = (g.end_node + (g.n + 1) * member).ravel()
         self.jac_index = (g.jac_index + g.size * g.size * member).ravel()
-
-    def sources(self, t: np.ndarray):
-        """Each member's current-source and voltage-source values at its own time."""
-        pairs = list(zip(self.systems, t.tolist()))
-        isrc = [[src.spec.value_at(tb) for src in sys.g.isources] for sys, tb in pairs]
-        vsrc = [[src.spec.value_at(tb) for src in sys.g.vsources] for sys, tb in pairs]
-        shape = (len(pairs), -1)
-        return self.scale * np.array(isrc).reshape(shape), self.scale * np.array(vsrc).reshape(shape)
 
     def assemble(self, xg, coef, j_base, devices, fixed, e):
         """``_System.assemble`` for each row of xg, the unknowns after a ground column.
@@ -530,6 +524,15 @@ class _Lockstep:
         return self.systems[0].excess(F, scale).max(axis=1)
 
 
+def _source_values(systems: Sequence[_System], t: Sequence[float]) -> np.ndarray:
+    """Each system's scaled source values at its own time, one row each:
+    the current sources, then the voltage sources."""
+    rows = [[src.spec.value_at(tb) for src in (*sys.g.isources, *sys.g.vsources)]
+            for sys, tb in zip(systems, np.asarray(t, dtype=float).tolist())]
+    scale = np.array([sys.scale for sys in systems])
+    return scale[:, None] * np.array(rows).reshape(len(rows), -1)
+
+
 def _solve_each(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched dense LU solves; a member whose matrix is singular gets NaN."""
     try:
@@ -544,8 +547,9 @@ def _solve_each(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return dx
 
 
-def _newton_lockstep(stack: _Lockstep, X: np.ndarray, t: np.ndarray, cap_ieq: np.ndarray):
-    """``_newton`` for every member of a stack at once, each at its own time.
+def _newton_lockstep(stack: _Lockstep, X: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
+    """``_newton`` for every member of a stack at once, each with its own
+    row of source values and capacitor history.
 
     Each member's iterates, update count and residual are the ones
     ``_newton`` gives it alone: a member leaves the batch when it converges,
@@ -560,9 +564,9 @@ def _newton_lockstep(stack: _Lockstep, X: np.ndarray, t: np.ndarray, cap_ieq: np
     iters = np.zeros(count, dtype=int)
     excess = np.full(count, np.nan)
     failed = np.zeros(count, dtype=bool)
-    isrc, e = stack.sources(t)
+    ni = len(g.isources)
     per_member = (stack.coef, stack.j_base, stack.devices,
-                  np.concatenate((cap_ieq, isrc), axis=1), e)
+                  np.concatenate((cap_ieq, src[:, :ni]), axis=1), src[:, ni:])
     members = np.arange(count)  # the ones still iterating, and their state
     xg = np.concatenate((np.zeros((count, 1)), X), axis=1)
     for iteration in range(opt.max_newton_iters + 1):
@@ -590,7 +594,17 @@ def _newton_lockstep(stack: _Lockstep, X: np.ndarray, t: np.ndarray, cap_ieq: np
     return out, iters, excess, failed
 
 
-def _newton_each(systems: Sequence[_System], X: np.ndarray, t: np.ndarray, cap_ieq: np.ndarray):
+def _kernel(systems: Sequence[_System]):
+    """The (stack, newton) pair that solves ``systems`` together: the scalar
+    ``_newton`` for one system, ``_newton_lockstep`` for several (on this
+    small system the batched kernel costs twice the scalar one at one
+    member)."""
+    if len(systems) > 1:
+        return _Lockstep(systems), _newton_lockstep
+    return list(systems), _newton_each
+
+
+def _newton_each(systems: Sequence[_System], X: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
     """The scalar ``_newton`` member by member, with ``_newton_lockstep``'s result."""
     X = X.copy()
     iters = np.zeros(len(X), dtype=int)
@@ -598,7 +612,7 @@ def _newton_each(systems: Sequence[_System], X: np.ndarray, t: np.ndarray, cap_i
     failed = np.zeros(len(X), dtype=bool)
     for j, sys in enumerate(systems):
         try:
-            X[j], iters[j], excess[j] = _newton(sys, X[j], float(t[j]), cap_ieq[j])
+            X[j], iters[j], excess[j] = _newton(sys, X[j], src[j], cap_ieq[j])
         except (NonConvergenceError, SingularMatrixError):
             failed[j] = True
     return X, iters, excess, failed
@@ -619,7 +633,8 @@ def newton_solve(
     """Single Newton solve of the DC system (sources at their t=0 values)."""
     x0 = np.zeros(graph.size) if initial_guess is None else initial_guess
     sys = _System(graph, options, source_scale=source_scale, gmin=gmin_override)
-    x, iters, excess = _newton(sys, x0)
+    x, iters, excess = _newton(sys, x0, _source_values([sys], [0.0])[0],
+                               np.zeros(graph.cap_c.size))
     return OperatingPoint(
         voltages=x[: graph.n].copy(),
         branch_currents=x[graph.n:].copy(),
@@ -641,11 +656,16 @@ def solve_dc(
     source stepping; the homotopies start from zeros and each stage
     warm-starts from the previous one.
     """
-    log: list[str] = []
     try:
         return newton_solve(graph, initial_guess, options)
     except (NonConvergenceError, SingularMatrixError) as exc:
-        log.append(f"plain: {exc}")
+        plain = f"plain: {exc}"
+    return _homotopies(graph, options, [plain])
+
+
+def _homotopies(graph: CircuitGraph, options: SolverOptions, log: list[str]) -> OperatingPoint:
+    """``solve_dc`` after its plain Newton solve failed (as ``log`` says):
+    gmin stepping, then source stepping, each from zeros."""
     homotopies = {
         "gmin stepping": [
             {"gmin_override": float(gval)}
@@ -692,25 +712,100 @@ def dc_sweep(
 ) -> TransferCurve:
     """Sweep one source's DC value, warm-starting each point from the last.
 
-    Non-convergent points are recorded (``converged=False``, NaN vectors) and
-    the sweep continues.
+    Each point is ``solve_dc`` of the circuit with the source held at that
+    value.  Non-convergent points are recorded (``converged=False``, NaN
+    vectors) and the sweep continues from the last converged point.
     """
     name = graph.find_source(source_name).name  # KeyError if unknown
-    curve: TransferCurve = []
-    x_prev: np.ndarray | None = None
-    for value in sweep_values(start, stop, step):
-        try:
-            op = solve_dc(graph.with_source(name, value), options, x_prev)
-            x_prev = np.concatenate((op.voltages, op.branch_currents))
-        except (NonConvergenceError, SingularMatrixError):
-            op = OperatingPoint(
-                voltages=np.full(graph.n, np.nan),
-                branch_currents=np.full(graph.m, np.nan),
-                converged=False,
-                iterations=0,
-            )
-        curve.append((value, op))
-    return curve
+    values = sweep_values(start, stop, step)
+    try:
+        first = solve_dc(graph.with_source(name, values[0]), options)
+    except (NonConvergenceError, SingularMatrixError):
+        first = None
+    sweep = dc_sweep_lockstep([graph], name, values, options, [first])
+    n = graph.n
+    return [
+        (value, OperatingPoint(
+            voltages=sweep.x[k, 0, :n],
+            branch_currents=sweep.x[k, 0, n:],
+            converged=bool(sweep.converged[k, 0]),
+            iterations=int(sweep.iterations[k, 0]),
+            residual_excess=float(sweep.residual_excess[k, 0]),
+        ))
+        for k, value in enumerate(values)
+    ]
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """DC sweeps of several circuits, indexed [point, member]."""
+
+    x: np.ndarray  # (points, members, size) unknowns; NaN where not converged
+    converged: np.ndarray
+    iterations: np.ndarray
+    residual_excess: np.ndarray
+
+
+def dc_sweep_lockstep(
+    graphs: Sequence[CircuitGraph],
+    source_name: str,
+    values: Sequence[float],
+    options: SolverOptions,
+    firsts: Sequence[OperatingPoint | None],
+) -> SweepRecord:
+    """DC sweeps of one source through circuits that share one topology, solved together.
+
+    Member b's point at ``values[0]`` is ``firsts[b]`` (None if it did not
+    converge).  Each later value is one Newton solve for every member, from
+    the member's own last converged point (zeros before it has one), on
+    ``_kernel``.
+    A member that fails there gets ``solve_dc``'s homotopies; if they fail
+    too, its point is not converged.  Each member's points are the ones
+    ``dc_sweep`` gives it alone.
+    """
+    if not graphs or len(firsts) != len(graphs):
+        raise ValueError("need one first point per graph, and at least one graph")
+    if not all(_same_topology(graphs[0], g) for g in graphs[1:]):
+        raise ValueError("lockstep members must share one topology")
+    count, points, size = len(graphs), len(values), graphs[0].size
+    systems = [_System(gr, options) for gr in graphs]
+    src = _source_values(systems, [0.0] * count)
+    members = np.arange(count)
+    # each member's column of the swept source in ``src``
+    held = [(*gr.isources, *gr.vsources).index(gr.find_source(source_name)) for gr in graphs]
+    sweep = SweepRecord(
+        x=np.full((points, count, size), np.nan),
+        converged=np.zeros((points, count), dtype=bool),
+        iterations=np.zeros((points, count), dtype=int),
+        residual_excess=np.full((points, count), np.nan),
+    )
+    last = np.zeros((count, size))  # each member's last converged point
+    for b, op in enumerate(firsts):
+        if op is not None:
+            last[b] = np.concatenate((op.voltages, op.branch_currents))
+            sweep.x[0, b] = last[b]
+            sweep.converged[0, b] = True
+            sweep.iterations[0, b], sweep.residual_excess[0, b] = op.iterations, op.residual_excess
+    kernel, newton = _kernel(systems)
+    cap_ieq = np.zeros((count, graphs[0].cap_c.size))
+    for k in range(1, points):
+        src[members, held] = values[k]
+        xs, iters, excess, failed = newton(kernel, last, src, cap_ieq)
+        for b in np.flatnonzero(failed):
+            graph = graphs[b].with_source(source_name, values[k])
+            try:
+                op = _homotopies(graph, options, [])
+            except NonConvergenceError:
+                continue
+            xs[b] = np.concatenate((op.voltages, op.branch_currents))
+            iters[b], excess[b], failed[b] = op.iterations, op.residual_excess, False
+        ok = ~failed
+        last[ok] = xs[ok]
+        sweep.x[k, ok] = xs[ok]
+        sweep.converged[k] = ok
+        sweep.iterations[k, ok] = iters[ok]
+        sweep.residual_excess[k, ok] = excess[ok]
+    return sweep
 
 
 def _steps(topts: TransientOptions) -> int:
@@ -781,13 +876,11 @@ def solve_lockstep(
 def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     """The time loop of ``solve_transient`` and ``solve_lockstep``.
 
-    Each step makes one Newton solve for every running member: the scalar
-    ``_newton`` for a single graph, ``_newton_lockstep`` for several (on
-    this small system the batched kernel costs twice the scalar one at one
-    member).  A member that fails gets the scalar ``_rescue_step`` from its
-    state at the start of the step, and stops with a TransientNonConvergence
-    if that fails too.  Records every unknown, or with ``voltages`` false
-    only the branch currents.
+    Each step makes one Newton solve for every running member, on the
+    ``_kernel`` of the running set.  A member that fails gets the scalar
+    ``_rescue_step`` from its state at the start of the step, and stops with
+    a TransientNonConvergence if that fails too.  Records every unknown, or
+    with ``voltages`` false only the branch currents.
     """
     g = graphs[0]
     n, count = g.n, len(graphs)
@@ -814,8 +907,7 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     phases = [[_System(gr, sopts, alpha=a / o.tstep) for gr, o in zip(graphs, topts)]
               for a in (1.0, 2.0)]
     cap_geq = [np.array([sys.cap_geq for sys in systems]) for systems in phases]
-    stack, newton = (_Lockstep, _newton_lockstep) if count > 1 else (list, _newton_each)
-    kernels = {}  # (phase, members still running) -> what ``newton`` steps them with
+    kernels = {}  # (phase, members still running) -> their ``_kernel``
     running = np.arange(count)
     results: list = [None] * count
     # time bases and source waveforms, built once for the members that share them
@@ -858,15 +950,16 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
         cap_ieq = -cap_geq[phase] * v_prev - i_prev
         key = (phase, running.size)  # running members only ever leave
         if key not in kernels:
-            kernels[key] = stack([systems[b] for b in running])
+            kernels[key] = _kernel([systems[b] for b in running])
+        stack, newton = kernels[key]
         sel = running if running.size < count else slice(None)
-        xs, iters, excess, failed = newton(kernels[key], x[sel], t[sel], cap_ieq[sel])
+        src = _source_values(systems, t)
+        xs, iters, excess, failed = newton(stack, x[sel], src[sel], cap_ieq[sel])
         if failed.any():
             for j in np.flatnonzero(failed):
                 b = running[j]
                 try:
-                    xs[j], iters[j], excess[j] = _rescue_step(
-                        systems[b], x[b], float(t[b]), cap_ieq[b])
+                    xs[j], iters[j], excess[j] = _rescue_step(systems[b], x[b], src[b], cap_ieq[b])
                 except (NonConvergenceError, SingularMatrixError) as exc:
                     results[b] = TransientNonConvergence(float(t[b]), waveforms(b, k - 1), exc)
                     results[b].__cause__ = exc
@@ -887,8 +980,9 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     return results
 
 
-def _rescue_step(sys: _System, x0: np.ndarray, t: float, cap_ieq: np.ndarray):
-    """gmin-stepping homotopy for a stubborn transient step.
+def _rescue_step(sys: _System, x0: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
+    """gmin-stepping homotopy for a stubborn transient step (source values
+    ``src``, capacitor history ``cap_ieq``).
 
     Each stage solves in a fresh context whose gmin steps one decade from
     1e-2 S down to the step's own gmin.
@@ -897,6 +991,6 @@ def _rescue_step(sys: _System, x0: np.ndarray, t: float, cap_ieq: np.ndarray):
     iters_total = 0
     for gval in np.geomspace(1e-2, sys.gmin, GMIN_STEPS + 1):
         stage = _System(sys.g, sys.opt, source_scale=sys.scale, gmin=float(gval), alpha=sys.alpha)
-        x, iters, excess = _newton(stage, x, t, cap_ieq)
+        x, iters, excess = _newton(stage, x, src, cap_ieq)
         iters_total += iters
     return x, iters_total, excess

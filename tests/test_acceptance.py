@@ -156,8 +156,8 @@ def test_c3ab_solver_verification():
 
 def test_c4_dc_transfer_fig10():
     started = time.perf_counter()
-    iin, out_plus, out_minus = bench_dc_transfer(
-        bench_graph(BenchConfig(temp=25.0)), -200e-6, 200e-6, 2e-6
+    ((iin, out_plus, out_minus),) = bench_dc_transfer(
+        [bench_graph(BenchConfig(temp=25.0))], -200e-6, 200e-6, 2e-6
     )
     assert len(iin) == 201
     assert not np.isnan(out_plus).any()

@@ -11,7 +11,12 @@ and leave the modules unchanged.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+import amps.cli
+import amps.rectifier
 import amps.solver
+from amps.rectifier import bench_netlist_path
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
@@ -46,3 +51,40 @@ def test_solver_entries_resolve_for_the_setup_probe():
             return fn
 
     assert Identity().install() == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--freq", "1k,1meg", "--temp", "25,75", "--periods", "3",
+         "--steps-per-period", "10"],
+        ["dc-sweep", "--from", "-20u", "--to", "20u", "--step", "10u", "--temp", "25,75"],
+        ["run", "bench.cir"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_setup_probe_stops_before_any_lockstep_solve_or_output(argv, tmp_path, monkeypatch):
+    """The benchmark's set-up probe ends every command at its first solver call.
+
+    A batched path that reached the solver some other way would run to the
+    end here instead of raising SetupDone.
+    """
+    spans = load_spans()
+    for name in spans.SOLVER_ENTRIES:
+        for module in (amps.cli, amps.rectifier):
+            if hasattr(module, name):  # restored when the test ends
+                monkeypatch.setattr(module, name, getattr(module, name))
+
+    def lockstep(*args):
+        raise AssertionError("a lockstep Newton step ran before set-up ended")
+
+    monkeypatch.setattr(amps.solver, "_newton_lockstep", lockstep)
+    assert spans.FirstSolverCall(stop=True).install() == []
+    netlist = tmp_path / "bench.cir"
+    netlist.write_text(bench_netlist_path().read_text())
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [str(netlist) if a == "bench.cir" else a for a in argv]
+    with pytest.raises(spans.SetupDone):
+        amps.cli.main(argv + ["-o", str(out)])
+    assert list(out.iterdir()) == []

@@ -185,6 +185,14 @@ def test_bench_bad_temperature_among_several_runs_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bench_bad_temperature_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "new" / "dir"
+    assert main(bench_args(out, temp="400", periods="3")) == 1
+    err = capsys.readouterr().err
+    assert "400" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "new").exists()
+
+
 def test_bench_short_window_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a solver ran")
@@ -276,6 +284,32 @@ def test_dc_sweep_four_temps(tmp_path):
         lines = path.read_text().splitlines()
         assert lines[0] == "iin,out_plus,out_minus"
         assert len(lines) == 22  # header + 21 points
+
+
+def test_dc_sweep_lockstep_writes_what_single_runs_write(tmp_path):
+    temps = ("25", "60", "100")
+    sweep = ["dc-sweep", "--from", "-200u", "--to", "200u", "--step", "20u"]
+    both = tmp_path / "both"
+    assert main(sweep + ["--temp", ",".join(temps), "-o", str(both)]) == 0
+    for t in temps:
+        one = tmp_path / t
+        assert main(sweep + ["--temp", t, "-o", str(one)]) == 0
+        name = f"dcsweep_t{t}.csv"
+        assert [p.name for p in one.iterdir()] == [name]
+        assert (both / name).read_bytes() == (one / name).read_bytes(), name
+    assert len(list(both.iterdir())) == len(temps)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--source", "IWRONG", "--step", "10u"], ["--step", "0"], ["--step", "-10u"]],
+)
+def test_dc_sweep_rejected_input_leaves_no_output_directory(tmp_path, capsys, flags):
+    out = tmp_path / "new" / "dir"
+    argv = ["dc-sweep", "--from", "-10u", "--to", "10u", *flags, "-o", str(out)]
+    assert main(argv) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "new").exists()
 
 
 def test_dc_sweep_single_point(tmp_path):

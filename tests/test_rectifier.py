@@ -183,7 +183,7 @@ def test_compare_window_is_last_75_percent():
 
 def test_dc_transfer_monotone_in_conduction():
     cfg = BenchConfig()
-    iin, out_plus, _ = bench_dc_transfer(bench_graph(cfg), -200e-6, 0.0, 10e-6)
+    ((iin, out_plus, _),) = bench_dc_transfer([bench_graph(cfg)], -200e-6, 0.0, 10e-6)
     sel = iin < -10e-6
     diffs = np.diff(out_plus[sel])
     assert np.all(diffs <= 1e-12)  # non-increasing as iin rises toward zero

@@ -14,9 +14,11 @@ from amps.solver import (
     TransientOptions,
     build_graph,
     dc_sweep,
+    dc_sweep_lockstep,
     newton_solve,
     solve_dc,
     solve_transient,
+    sweep_values,
 )
 
 OPTS = SolverOptions()
@@ -141,7 +143,9 @@ def test_compiled_dc_assembly_matches_element_stamping(text):
 
     g = graph_of(bench_netlist_path().read_text() if text == "bench" else text)
     x = np.random.default_rng(7).uniform(-1.5, 1.5, g.size)
-    got = amps.solver._System(g, OPTS).assemble(x, 0.0, np.zeros(g.cap_c.size))
+    fixed = np.concatenate((np.zeros(g.cap_c.size), [s.spec.value_at(0.0) for s in g.isources]))
+    e = np.array([s.spec.value_at(0.0) for s in g.vsources])
+    got = amps.solver._System(g, OPTS).assemble(x, fixed, e)
     for a, b in zip(got, reference_dc_assembly(g, x)):
         assert np.array_equal(a, b)
 
@@ -249,6 +253,71 @@ def test_sweep_unknown_source():
     g = graph_of(DIVIDER)
     with pytest.raises(KeyError, match="VX"):
         dc_sweep(g, "VX", 0.0, 1.0, 0.1, OPTS)
+
+
+def reference_sweep(graph, name, values, options):
+    """A DC sweep as one ``solve_dc`` per point, each from the last converged one."""
+    curve, x_prev = [], None
+    for value in values:
+        try:
+            op = solve_dc(graph.with_source(name, value), options, x_prev)
+            x_prev = np.concatenate((op.voltages, op.branch_currents))
+        except (NonConvergenceError, SingularMatrixError):
+            op = None
+        curve.append(op)
+    return curve
+
+
+def test_lockstep_dc_sweeps_match_single_sweeps(monkeypatch):
+    """Each member's points are the ones it gets alone, bit for bit.
+
+    Six Newton updates and reltol 1.5e-5 make every member fall back to the
+    homotopies mid-sweep; the 25 and 50 degC members also fail their first
+    points (non-converged, NaN), the 75 and 100 degC members none.
+    """
+    import amps.solver
+    from amps.rectifier import BenchConfig, bench_graph
+
+    fallbacks = []
+    homotopies = amps.solver._homotopies
+
+    def counted(graph, options, log):
+        fallbacks.append((graph.mosfets[0].temp, graph.find_source("IIN").spec.value))
+        return homotopies(graph, options, log)
+
+    monkeypatch.setattr(amps.solver, "_homotopies", counted)
+    opts = SolverOptions(max_newton_iters=6, reltol=1.5e-5)
+    temps = (25.0, 50.0, 75.0, 100.0)
+    graphs = [bench_graph(BenchConfig(temp=t)) for t in temps]
+    values = sweep_values(-100e-6, 100e-6, 20e-6)
+    firsts = []
+    for g in graphs:
+        try:
+            firsts.append(solve_dc(g.with_source("IIN", values[0]), opts))
+        except NonConvergenceError:
+            firsts.append(None)
+    fallbacks.clear()
+    sweep = dc_sweep_lockstep(graphs, "IIN", values, opts, firsts)
+    in_lockstep = list(fallbacks)
+    for temp in temps:
+        assert any(t == temp and v != values[0] for t, v in in_lockstep), temp
+
+    nan = np.full(graphs[0].size, np.nan)
+    for b, g in enumerate(graphs):
+        alone = dc_sweep(g, "IIN", -100e-6, 100e-6, 20e-6, opts)
+        assert [v for v, _ in alone] == values
+        for k, ((_, op), ref) in enumerate(zip(alone, reference_sweep(g, "IIN", values, opts))):
+            got = sweep.x[k, b]
+            assert got.tobytes() == np.concatenate((op.voltages, op.branch_currents)).tobytes()
+            if ref is None:
+                assert got.tobytes() == nan.tobytes() and not sweep.converged[k, b]
+            else:
+                want = np.concatenate((ref.voltages, ref.branch_currents))
+                assert got.tobytes() == want.tobytes()
+                assert sweep.iterations[k, b] == ref.iterations
+            assert sweep.converged[k, b] == op.converged
+            assert sweep.iterations[k, b] == op.iterations
+    assert (~sweep.converged).any(axis=0).tolist() == [True, True, False, False]
 
 
 # ---------------------------------------------------------------------------
