@@ -208,11 +208,26 @@ def eval_mosfet_table(table: np.ndarray, vgs, vds, vbs) -> np.ndarray:
     """``eval_mosfet`` over arrays of bias points, one device per last-axis column.
 
     ``table`` is a ``device_table``, (11, devices), or one per row of the
-    bias arrays, (11, rows, devices).  Every value is computed with
-    ``eval_mosfet``'s operations in its order (its only function is the
-    correctly rounded sqrt), so each result is bit-identical to the scalar
-    one.  Non-finite biases are not rejected; they give non-finite results.
-    Returns (..., devices, 5): id, gm, gds, gmbs and gm + gds + gmbs.
+    bias arrays, (11, rows, devices).  Non-finite biases are not rejected;
+    they give non-finite results.  Returns (..., devices, 5): id, gm, gds,
+    gmbs and gm + gds + gmbs.
+    """
+    out = np.empty((5,) + np.broadcast(vgs, vds, vbs).shape)
+    with np.errstate(all="ignore"):
+        eval_mosfet_into(table, vgs, vds, vbs, out)
+    return np.moveaxis(out, 0, -1)
+
+
+def eval_mosfet_into(table, vgs, vds, vbs, out: np.ndarray) -> None:
+    """``eval_mosfet`` over arrays of bias points, written into ``out``.
+
+    ``table`` holds the ``device_table`` rows, each broadcasting against the
+    bias arrays.  ``out`` is (5,) + the bias shape: id, gm, gds, gmbs and
+    gm + gds + gmbs.  Every value is computed with ``eval_mosfet``'s operations
+    in its order (its only function is the correctly rounded sqrt), so each
+    result is bit-identical to the scalar one.  Both branches of every
+    condition are computed and the unused ones may overflow, so the caller
+    ignores floating-point errors.
     """
     sign, vth0, gamma, neg_gamma, phi, lim, sqrt_phi, beta, half_beta, theta, neg_theta = table
     vgs, vds, vbs = sign * vgs, sign * vds, sign * vbs
@@ -221,29 +236,21 @@ def eval_mosfet_table(table: np.ndarray, vgs, vds, vbs) -> np.ndarray:
     # vds - 2*vds is -vds exactly
     shift = np.where(rev, vds, 0.0)
     vgs, vds, vbs = vgs - shift, vds - (shift + shift), vbs - shift
-    # both branches of every condition are computed; the unused ones may overflow
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sq = np.sqrt(phi - np.minimum(vbs, lim))
-        vth = vth0 + gamma * (sq - sqrt_phi)
-        dvth = np.where(vbs < lim, neg_gamma / (2.0 * sq), 0.0)
-        vov = vgs - vth
-        u = 1.0 / (1.0 + theta * vov)
-        du = neg_theta * u * u
-        triode = vds < vov
-        beta_u = beta * u
-        core = vov * vds - 0.5 * vds * vds
-        cur = np.where(triode, beta_u * core, half_beta * u * vov * vov)
-        dvov = np.where(triode, beta * (du * core + u * vds),
-                        half_beta * vov * (du * vov + 2.0 * u))
-        gds = np.where(triode, beta_u * (vov - vds), 0.0)
-        gmbs = -dvth * dvov
-    fwd = np.empty(vov.shape + (4,))
-    fwd[..., 0], fwd[..., 1], fwd[..., 2], fwd[..., 3] = cur, dvov, gds, gmbs
-    fwd = np.where((vov > 0.0)[..., None], fwd, 0.0)
-    swapped = -fwd
-    swapped[..., 2] = fwd[..., 1] + fwd[..., 2] + fwd[..., 3]
-    out = np.empty(vov.shape + (5,))
-    out[..., :4] = np.where(rev[..., None], swapped, fwd)
-    out[..., 0] *= sign
-    out[..., 4] = out[..., 1] + out[..., 2] + out[..., 3]
-    return out
+    sq = np.sqrt(phi - np.minimum(vbs, lim))
+    dvth = np.where(vbs < lim, neg_gamma / (2.0 * sq), 0.0)
+    vov = vgs - (vth0 + gamma * (sq - sqrt_phi))
+    u = 1.0 / (1.0 + theta * vov)
+    du = neg_theta * u * u
+    beta_u = beta * u
+    core = vov * vds - 0.5 * vds * vds
+    triode = vds < vov
+    cur = np.where(triode, beta_u * core, half_beta * u * vov * vov)
+    dvov = np.where(triode, beta * (du * core + u * vds), half_beta * vov * (du * vov + 2.0 * u))
+    gds = np.where(triode, beta_u * (vov - vds), 0.0)
+    # the forward device's id, gm, gds and gmbs, all zero in cutoff
+    fwd = np.where(vov > 0.0, np.array((cur, dvov, gds, -dvth * dvov)), 0.0)
+    np.negative(fwd, out=out[:4])
+    out[2] = fwd[1] + fwd[2] + fwd[3]  # the swapped device's gds
+    np.copyto(out[:4], fwd, where=~rev)
+    out[0] *= sign
+    out[4] = out[1] + out[2] + out[3]

@@ -5,9 +5,10 @@ the voltage sources.  ``build_graph`` compiles a netlist once, at one
 temperature, into immutable MNA stamps (Ho, Ruehli & Brennan, IEEE TCAS
 1975): the linear stamp ``G`` (resistors, voltage-source incidence), the
 capacitance stamp ``C`` (capacitors, MOSFET overlaps), the gmin rows (nodes
-a MOSFET touches), one two-terminal branch table whose currents give each
-node's KCL residual and tolerance scale, and a MOSFET table with the
-precomputed scatter of device conductances into the Jacobian.  An assembly
+a MOSFET touches), one table of currents (the branches, each voltage
+source's equation, the gmin loads) whose ordered sums give every row's
+residual and tolerance scale, and a MOSFET table with the precomputed
+scatter of device conductances into the Jacobian.  An assembly
 context fixes the source scale, gmin and companion factor alpha (0 for DC,
 1/h backward Euler, 2/h trapezoidal) once: its Jacobian is
 ``G + alpha*C + gmin*D`` plus the device scatter, and the source values and
@@ -15,12 +16,14 @@ the capacitor history currents are arguments of each Newton solve.
 
 Nonlinear solves are damped Newton-Raphson over dense LU; DC convergence
 falls back to gmin stepping and then source stepping.  Transient integration
-is fixed-step trapezoidal with a backward-Euler first step.  Circuits that
-share one topology can be solved in lockstep: transients
+is fixed-step trapezoidal with a backward-Euler first step.  Every Newton
+solve, of one circuit or of several that share one topology, runs on one
+batched kernel (``_newton_batch``): each iteration is one device
+evaluation, one assembly and one LU solve for every circuit still
+iterating.  So circuits can be solved in lockstep: transients
 (``solve_lockstep``) take each time step, and DC sweeps of one source
-(``dc_sweep_lockstep``) each sweep value, as one batched assembly, device
-evaluation and LU solve for all of them, and each one's results are the
-ones it gets alone.
+(``dc_sweep_lockstep``) each sweep value, together, and each one's results
+are the ones it gets alone.
 """
 
 from __future__ import annotations
@@ -32,12 +35,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import Waveform, WaveformSet
-from .device import (
+from .device import (  # noqa: F401  eval_mosfet: the benchmark tracer wraps it here
     MosfetParams,
     derive_params,
     device_table,
     eval_mosfet,
-    eval_mosfet_table,
+    eval_mosfet_into,
     overlap_caps,
 )
 from .netlist import (
@@ -169,18 +172,31 @@ class CircuitGraph:
     branch_b: np.ndarray
     res_g: np.ndarray
     cap_c: np.ndarray
-    # branch ends sorted by node, in table order within a node: the node,
-    # the index of its flow in (currents, -currents), the first end of each
-    # node that has one, and that node
-    end_node: np.ndarray
-    end_flow: np.ndarray
-    end_starts: np.ndarray
-    end_nodes: np.ndarray
+    # The Newton kernel's current columns.  Each is a factor
+    # (``_System.coef``) times the difference of two entries of the
+    # unknowns after a ground column, plus a term fixed for the solve: a
+    # zero current, the resistors, the voltage sources' currents (their
+    # unknowns), the MOSFET channels (their id is the fixed term) and the
+    # gmin loads; then the columns whose terms are fixed for a solve: the
+    # capacitors (companion history), the current sources, and for each
+    # voltage source its equation's residual V(p) - V(m) - e and its value e.
+    col_a: np.ndarray
+    col_b: np.ndarray
+    # The residual of each row sums its entries (column, sign, row) in list
+    # order, row ``size`` being discarded: a node adds its zero, then its
+    # branch ends in table order, then its gmin current.  Segments of the
+    # list starting at ``sum_starts`` give the tolerance scales (largest
+    # magnitude): a node's zero and branch ends, a source's value.
+    sum_col: np.ndarray
+    sum_sign: np.ndarray
+    sum_row: np.ndarray
+    sum_starts: np.ndarray
     mos_terms: np.ndarray  # (4, MOSFETs): d, g, s, b node indices
-    # the Jacobian scatter: every flat index once (the base), then one per
-    # MOSFET entry; and for each entry its index in the flat (MOSFETs, 5)
-    # table of evaluated values, and its sign
-    jac_index: np.ndarray
+    devices: np.ndarray  # (11, MOSFETs): ``device_table`` of ``mosfets``
+    # the Jacobian entries of the MOSFETs, in device order: flat index in
+    # J, device, evaluated value (id, gm, gds, gmbs, gsum) and sign
+    mos_jac: np.ndarray
+    mos_device: np.ndarray
     mos_value: np.ndarray
     mos_sign: np.ndarray
 
@@ -268,15 +284,37 @@ def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
     )
     branch_a = np.array([a for a, _ in ends], dtype=int)
     branch_b = np.array([b for _, b in ends], dtype=int)
-    nb = branch_a.size
-    end_node = np.column_stack((branch_a, branch_b)).ravel()
-    end_flow = np.column_stack((np.arange(nb), nb + np.arange(nb))).ravel()
-    order = np.argsort(end_node, kind="stable")
-    end_node, end_flow = end_node[order], end_flow[order]
-    end_starts = np.flatnonzero(np.diff(end_node, prepend=-1))
+    m, mosfet_count = len(vsources), len(terms)
+    gmin_rows = sorted({t - 1 for term in terms for t in term if t})
+    columns = (
+        [(0, 0)] + [(a, b) for a, b, _ in res] + [(n + 1 + k, 0) for k in range(m)]
+        + [(d, s) for d, _, s, _ in terms] + [(row + 1, 0) for row in gmin_rows]
+        + [(a, b) for a, b, _ in caps] + [(src.p, src.m) for src in isources + vsources]
+        + [(0, 0)] * m
+    )
+    # the column of each branch of the table, and where the fixed columns start
+    fixed = 1 + len(res) + m + mosfet_count + len(gmin_rows)
+    column = [*range(1, 1 + len(res)), *range(fixed, fixed + len(caps) + len(isources)),
+              *range(1 + len(res), 1 + len(res) + m + mosfet_count)]
+    residual = fixed + len(caps) + len(isources)  # the first source equation's column
+    node_ends: list[list[tuple[int, float]]] = [[(0, 1.0)] for _ in range(n + 1)]
+    for j, (a, b) in enumerate(ends):
+        node_ends[a].append((column[j], 1.0))
+        node_ends[b].append((column[j], -1.0))
+    sums = [(residual + k, 1.0, n + k) for k in range(m)]  # outside every segment
+    starts = []
+    for node in range(1, n + 1):
+        starts.append(len(sums))
+        sums += [(j, sign, node - 1) for j, sign in node_ends[node]]
+    for k in range(m):
+        starts.append(len(sums))
+        sums.append((residual + m + k, 1.0, size))
+    if gmin_rows:
+        starts.append(len(sums))  # a last segment, of no row
+        sums += [(fixed - len(gmin_rows) + q, 1.0, row) for q, row in enumerate(gmin_rows)]
 
     entries = [
-        ((t[r] - 1) * size + t[c] - 1, 5 * k + value, sign)
+        ((t[r] - 1) * size + t[c] - 1, k, value, sign)
         for k, t in enumerate(terms)
         for r, c, value, sign in _MOS_STAMP
         if t[r] and t[c]
@@ -293,19 +331,23 @@ def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
         mosfets=tuple(mosfets),
         G=_readonly(G),
         C=_readonly(_two_terminal_stamp(size, caps)),
-        gmin_rows=_readonly(np.array(sorted({t - 1 for t in terms.flat if t}), dtype=int)),
+        gmin_rows=_readonly(np.array(gmin_rows, dtype=int)),
         branch_a=_readonly(branch_a),
         branch_b=_readonly(branch_b),
         res_g=_readonly([g for _, _, g in res]),
         cap_c=_readonly([c for _, _, c in caps]),
-        end_node=_readonly(end_node),
-        end_flow=_readonly(end_flow),
-        end_starts=_readonly(end_starts),
-        end_nodes=_readonly(end_node[end_starts]),
+        col_a=_readonly(np.array([a for a, _ in columns], dtype=int)),
+        col_b=_readonly(np.array([b for _, b in columns], dtype=int)),
+        sum_col=_readonly(np.array([c for c, _, _ in sums], dtype=int)),
+        sum_sign=_readonly([sign for _, sign, _ in sums]),
+        sum_row=_readonly(np.array([r for _, _, r in sums], dtype=int)),
+        sum_starts=_readonly(np.array(starts, dtype=int)),
         mos_terms=_readonly(terms.T),
-        jac_index=_readonly(np.array([*range(size * size), *(f for f, _, _ in entries)])),
-        mos_value=_readonly(np.array([v for _, v, _ in entries], dtype=int)),
-        mos_sign=_readonly([s for _, _, s in entries]),
+        devices=_readonly(device_table(mosfets)),
+        mos_jac=_readonly(np.array([e[0] for e in entries], dtype=int)),
+        mos_device=_readonly(np.array([e[1] for e in entries], dtype=int)),
+        mos_value=_readonly(np.array([e[2] for e in entries], dtype=int)),
+        mos_sign=_readonly([e[3] for e in entries]),
     )
 
 
@@ -329,21 +371,13 @@ def _find_zero_pivot(a: np.ndarray) -> int:
     return size - 1
 
 
-def _lu_solve(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Dense LU with partial pivoting (LAPACK); raises SingularMatrixError."""
-    try:
-        return np.linalg.solve(J, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError(_find_zero_pivot(J)) from None
-
-
 class _System:
-    """One assembly context: graph, options, source scale, gmin and alpha.
+    """One member's assembly context: graph, options, source scale, gmin and alpha.
 
     Everything is fixed here; nothing changes it afterwards.
     """
 
-    __slots__ = ("g", "opt", "scale", "gmin", "alpha", "cap_geq", "coef", "j_base", "vsrc")
+    __slots__ = ("g", "opt", "scale", "gmin", "alpha", "cap_geq", "coef", "j_base")
 
     def __init__(
         self,
@@ -360,262 +394,188 @@ class _System:
         self.gmin = options.gmin if gmin is None else gmin
         self.alpha = alpha
         self.cap_geq = alpha * graph.cap_c
-        rest = graph.branch_a.size - graph.res_g.size - graph.cap_c.size
-        self.coef = np.concatenate((graph.res_g, self.cap_geq, np.zeros(rest)))
+        m = graph.m
+        # the factor of each of the Newton kernel's current columns (``col_a``)
+        self.coef = np.concatenate((
+            [0.0], graph.res_g, np.ones(m), np.zeros(len(graph.mosfets)),
+            np.full(graph.gmin_rows.size, self.gmin), self.cap_geq,
+            np.zeros(len(graph.isources)), np.ones(m), np.zeros(m),
+        ))
         base = graph.G + alpha * graph.C
         base[graph.gmin_rows, graph.gmin_rows] += self.gmin
         self.j_base = base
-        first = graph.res_g.size + graph.cap_c.size + len(graph.isources)
-        self.vsrc = slice(first, first + graph.m)
-
-    def assemble(self, x: np.ndarray, fixed: np.ndarray, e: np.ndarray):
-        """Residual F(x), Jacobian J(x) and per-row current/voltage scales.
-
-        ``fixed`` holds the currents fixed for the solve (capacitor
-        companion history, then current sources) and ``e`` the
-        voltage-source values.
-        """
-        g = self.g
-        n = g.n
-        V = np.concatenate(([0.0], x[:n]))
-        dv = V[g.branch_a] - V[g.branch_b]
-        vd, vg, vs, vb = V[g.mos_terms]
-        evaluate = eval_mosfet
-        dev = []  # id, gm, gds, gmbs, gsum of each MOSFET in turn
-        for params, vgs, vds, vbs in zip(g.mosfets, (vg - vs).tolist(), (vd - vs).tolist(),
-                                         (vb - vs).tolist()):
-            ev = evaluate(params, vgs, vds, vbs)
-            dev += (ev.id, ev.gm, ev.gds, ev.gmbs, ev.gm + ev.gds + ev.gmbs)
-        dev = np.array(dev)
-
-        cur = self.coef * dv
-        cur[g.res_g.size:] += np.concatenate((fixed, x[n:], dev[0::5]))
-        flow = np.concatenate((cur, -cur))[g.end_flow]
-        fe = np.bincount(g.end_node, weights=flow, minlength=n + 1)  # slot 0 is ground
-        se = np.zeros(n + 1)  # largest incident branch current per node
-        se[g.end_nodes] = np.maximum.reduceat(np.abs(flow), g.end_starts)
-        fe[1:][g.gmin_rows] += self.gmin * x[g.gmin_rows]
-        F = np.concatenate((fe[1:], dv[self.vsrc] - e))
-        scale = np.concatenate((se[1:], np.abs(e)))
-
-        entries = np.concatenate((self.j_base.ravel(), g.mos_sign * dev[g.mos_value]))
-        J = np.bincount(g.jac_index, weights=entries).reshape(g.size, g.size)
-        return F, J, scale
-
-    def excess(self, F: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        """Each row's residual above its tolerance; <= 0 when within tolerance.
-
-        F and scale may hold one system per row of a leading axis.
-        """
-        n = self.g.n
-        opt = self.opt
-        tol = np.concatenate(
-            (opt.abstol_i + opt.reltol * scale[..., :n], opt.vntol + opt.reltol * scale[..., n:]),
-            axis=-1,
-        )
-        return np.abs(F) - tol
-
-    def residual_excess(self, F: np.ndarray, scale: np.ndarray) -> float:
-        """Largest residual above its tolerance."""
-        excess = self.excess(F, scale)
-        return float(excess.max()) if excess.size else 0.0
-
-    def worst_row_name(self, F: np.ndarray, scale: np.ndarray) -> str:
-        n = self.g.n
-        idx = int(np.argmax(self.excess(F, scale)))
-        if idx < n:
-            return f"node {self.g.node_names[idx + 1]}"
-        return f"source {self.g.vsources[idx - n].name}"
 
 
-def _newton(sys: _System, x0: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
-    """Damped Newton iteration with source values ``src`` (one row of
-    ``_source_values``) and capacitor history ``cap_ieq``.
-
-    Counts applied updates; convergence requires both the KCL residual and
-    the proposed (undamped) voltage step to be within tolerance.  Returns
-    (x, iterations, residual_excess).
-    """
-    g = sys.g
-    n = g.n
-    options = sys.opt
-    ni = len(g.isources)
-    fixed, e = np.concatenate((cap_ieq, src[:ni])), src[ni:]
-    x = np.asarray(x0, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite initial guess")
-    clamp = VSTEP_CLAMP
-    for iterations in range(options.max_newton_iters + 1):
-        F, J, scale = sys.assemble(x, fixed, e)
-        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(J))):
-            raise NonConvergenceError("non-finite assembly", float("inf"))
-        excess = sys.residual_excess(F, scale)
-        dx = _lu_solve(J, -F)
-        vmax = float(np.max(np.abs(x[:n]))) if n else 0.0
-        dv = float(np.max(np.abs(dx[:n]))) if n else 0.0
-        if excess <= 0.0 and dv < options.vntol + options.reltol * vmax:
-            return x, iterations, excess
-        if iterations == options.max_newton_iters or not np.all(np.isfinite(dx)):
-            raise NonConvergenceError(sys.worst_row_name(F, scale), excess)
-        step = dx.copy()
-        if g.gmin_rows.size:
-            step[g.gmin_rows] = np.clip(step[g.gmin_rows], -clamp, clamp)
-        x += step
+def _failure(g: CircuitGraph, F: np.ndarray, J: np.ndarray, over: np.ndarray) -> Exception:
+    """The error of a Newton solve that failed at the assembly (F, J), with
+    each row's residual ``over`` its tolerance."""
+    if not (np.isfinite(F).all() and np.isfinite(J).all()):
+        return NonConvergenceError("non-finite assembly", float("inf"))
+    try:
+        np.linalg.solve(J, F)
+    except np.linalg.LinAlgError:
+        return SingularMatrixError(_find_zero_pivot(J))
+    idx = int(np.argmax(over))
+    where = f"node {g.node_names[idx + 1]}" if idx < g.n else f"source {g.vsources[idx - g.n].name}"
+    return NonConvergenceError(where, float(over[idx]))
 
 
-class _Lockstep:
-    """Assembly contexts of one topology, stacked for one batched Newton step.
+class _Batch:
+    """Assembly contexts of one topology, stacked for batched Newton solves.
 
-    The members share the graph's index tables; each member's own
-    ``_System`` bases (``coef``, ``j_base``) and device constants are
-    stacked along the first axis, and the KCL and Jacobian sums use the
-    index tables offset per member, so each member's sums keep their
-    element order.
+    The members share the graph's index tables; each member's ``_System``
+    bases (``coef``, ``j_base``) and device constants are stacked along the
+    member axis.  Gathers, row sums and the Jacobian scatter use the index
+    tables offset per member, so each member's sums keep their element
+    order and its values are the ones it gets alone, whatever the batch
+    size.
     """
 
-    __slots__ = ("systems", "g", "opt", "gmin", "vsrc", "coef", "j_base", "devices",
-                 "end_index", "jac_index")
+    __slots__ = ("g", "opt", "coef", "j_base", "devices", "tol", "clamp", "mos", "_offsets")
 
     def __init__(self, systems: Sequence[_System]):
         first = systems[0]
-        g = first.g
-        self.systems = systems
-        self.g, self.opt, self.gmin, self.vsrc = g, first.opt, first.gmin, first.vsrc
+        g = self.g = first.g
+        opt = self.opt = first.opt
         self.coef = np.array([s.coef for s in systems])
         self.j_base = np.array([s.j_base.ravel() for s in systems])
-        self.devices = np.array([device_table(s.g.mosfets) for s in systems])
-        member = np.arange(len(systems))[:, None]
-        self.end_index = (g.end_node + (g.n + 1) * member).ravel()
-        self.jac_index = (g.jac_index + g.size * g.size * member).ravel()
+        self.devices = np.stack([s.g.devices for s in systems], axis=1)
+        self.tol = np.concatenate((np.full(g.n, opt.abstol_i), np.full(g.m, opt.vntol)))
+        self.clamp = np.full(g.size, np.inf)  # update damping on nonlinear-device nodes
+        self.clamp[g.gmin_rows] = VSTEP_CLAMP
+        first_mos = 1 + g.res_g.size + g.m
+        self.mos = slice(first_mos, first_mos + len(g.mosfets))  # current columns
+        self._offsets: dict[int, tuple] = {}
 
-    def assemble(self, xg, coef, j_base, devices, fixed, e):
-        """``_System.assemble`` for each row of xg, the unknowns after a ground column.
+    def offsets(self, rows: int) -> tuple:
+        """The index tables offset for ``rows`` members (gathers, row sums,
+        Jacobian scatter), made once per row count."""
+        if rows not in self._offsets:
+            g = self.g
+            r = np.arange(rows)[:, None]
+            width, cols, devices = g.size + 1, g.col_a.size, len(g.mosfets)
+            self._offsets[rows] = (
+                g.mos_terms[[1, 0, 3], None] + width * r,  # g, d, b
+                g.mos_terms[[2, 2, 2], None] + width * r,  # s
+                g.col_a + width * r,
+                g.col_b + width * r,
+                g.sum_col + cols * r,
+                (g.sum_row + width * r).ravel(),
+                (g.mos_jac + g.size * g.size * r).ravel(),
+                (g.mos_value * rows * devices + devices * r + g.mos_device).ravel(),
+                np.tile(g.mos_sign, rows),
+            )
+        return self._offsets[rows]
 
-        The other arguments are the per-member rows that go with xg: the
-        stack's ``coef``, ``j_base`` and ``devices``, the currents fixed
-        for the step (capacitor history, then current sources) and the
-        voltage-source values.
+    def fixed_currents(self, src: np.ndarray, cap_ieq: np.ndarray) -> np.ndarray:
+        """The terms of the current columns fixed for a solve, one row per
+        member: zeros (``assemble`` fills in the MOSFET channels), the
+        capacitor companion history ``cap_ieq`` and the sources ``src``
+        (current sources, then voltage sources)."""
+        g = self.g
+        ni = len(g.isources)
+        e = src[:, ni:]
+        first = g.col_a.size - cap_ieq.shape[1] - ni - 2 * g.m
+        return np.concatenate((np.zeros((len(src), first)), cap_ieq, src[:, :ni], -e, e), axis=1)
+
+    def assemble(self, xg, coef, j_base, table, fixed):
+        """Residual F, Jacobian J and per-row current/voltage scales of each
+        row of ``xg``, the unknowns after a ground column.
+
+        The other arguments belong to the members in ``xg``, one row each:
+        their ``coef`` and ``j_base``, their ``devices`` rows and their
+        ``fixed_currents`` (which this fills in).
         """
         g = self.g
-        n, rows = g.n, len(xg)
-        V = xg[:, : n + 1]
-        dv = V[:, g.branch_a] - V[:, g.branch_b]
-        vd, vg, vs, vb = V[:, g.mos_terms].transpose(1, 0, 2)
-        dev = eval_mosfet_table(devices.transpose(1, 0, 2), vg - vs, vd - vs, vb - vs)
-        dev = dev.reshape(rows, -1)
-
-        cur = coef * dv
-        cur[:, g.res_g.size:] += np.concatenate((fixed, xg[:, n + 1:], dev[:, 0::5]), axis=1)
-        flow = np.concatenate((cur, -cur), axis=1)[:, g.end_flow]
-        fe = np.bincount(self.end_index[: flow.size], weights=flow.ravel(),
-                         minlength=rows * (n + 1)).reshape(rows, n + 1)
-        se = np.zeros((rows, n + 1))
-        se[:, g.end_nodes] = np.maximum.reduceat(np.abs(flow), g.end_starts, axis=1)
-        fe[:, g.gmin_rows + 1] += self.gmin * xg[:, g.gmin_rows + 1]
-        F = np.concatenate((fe[:, 1:], dv[:, self.vsrc] - e), axis=1)
-        scale = np.concatenate((se[:, 1:], np.abs(e)), axis=1)
-
-        entries = np.concatenate((j_base, g.mos_sign * dev[:, g.mos_value]), axis=1)
-        J = np.bincount(self.jac_index[: entries.size], weights=entries.ravel())
-        return F, J.reshape(rows, g.size, g.size), scale
-
-    def excess(self, F: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        """Each member's largest residual above its tolerance."""
-        return self.systems[0].excess(F, scale).max(axis=1)
+        rows, size = len(xg), g.size
+        at_g, at_s, at_a, at_b, at_sum, at_row, at_jac, at_value, jac_sign = self.offsets(rows)
+        dev = np.empty((5, rows, len(g.mosfets)))  # id, gm, gds, gmbs, gm + gds + gmbs
+        eval_mosfet_into(table, *(xg.take(at_g) - xg.take(at_s)), dev)
+        fixed[:, self.mos] = dev[0]
+        flow = (coef * (xg.take(at_a) - xg.take(at_b)) + fixed).take(at_sum) * g.sum_sign
+        F = np.bincount(at_row, flow.ravel(), rows * (size + 1)).reshape(rows, -1)[:, :size]
+        scale = np.maximum.reduceat(np.abs(flow), g.sum_starts, axis=1)[:, :size]
+        J = j_base.copy()
+        np.add.at(J.reshape(-1), at_jac, dev.take(at_value) * jac_sign)
+        return F, J.reshape(rows, size, size), scale
 
 
 def _source_values(systems: Sequence[_System], t: Sequence[float]) -> np.ndarray:
     """Each system's scaled source values at its own time, one row each:
     the current sources, then the voltage sources."""
     rows = [[src.spec.value_at(tb) for src in (*sys.g.isources, *sys.g.vsources)]
-            for sys, tb in zip(systems, np.asarray(t, dtype=float).tolist())]
+            for sys, tb in zip(systems, t)]
     scale = np.array([sys.scale for sys in systems])
     return scale[:, None] * np.array(rows).reshape(len(rows), -1)
 
 
-def _solve_each(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched dense LU solves; a member whose matrix is singular gets NaN."""
-    try:
-        return np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        dx = np.full_like(rhs, np.nan)
-        for k in range(len(J)):
-            try:
-                dx[k] = np.linalg.solve(J[k], rhs[k])
-            except np.linalg.LinAlgError:
-                pass
-        return dx
+def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
+    """Damped Newton solves of every member of ``batch`` at once.
 
-
-def _newton_lockstep(stack: _Lockstep, X: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
-    """``_newton`` for every member of a stack at once, each with its own
-    row of source values and capacitor history.
-
-    Each member's iterates, update count and residual are the ones
-    ``_newton`` gives it alone: a member leaves the batch when it converges,
-    and one that fails (iteration cap, non-finite assembly, singular or
-    non-finite step) is flagged instead of raising.  Returns (x, iterations,
-    residual_excess, failed), one row per member.
+    Member b starts from ``xg[b]`` (its unknowns after a ground column),
+    with its own row of source values (``_source_values``) and capacitor
+    history.  A member has converged when both its KCL residual and its
+    proposed (undamped) voltage step are within tolerance; it fails at the
+    iteration cap or on a non-finite or singular step.  Either way it
+    leaves the batch, so the others' iterates are the ones they get alone.
+    Returns (xg, iterations, residual_excess, errors): a member's
+    iterations are its applied updates (it assembled once more than that),
+    and ``errors`` maps each failed member to the error it fails with.
     """
-    g, opt = stack.g, stack.opt
-    n, rows, clamp = g.n, g.gmin_rows, VSTEP_CLAMP
-    count = len(X)
-    out = X.copy()
+    g, opt = batch.g, batch.opt
+    n, count = g.n, len(xg)
+    out = xg.copy()
     iters = np.zeros(count, dtype=int)
     excess = np.full(count, np.nan)
-    failed = np.zeros(count, dtype=bool)
-    ni = len(g.isources)
-    per_member = (stack.coef, stack.j_base, stack.devices,
-                  np.concatenate((cap_ieq, src[:, :ni]), axis=1), src[:, ni:])
-    members = np.arange(count)  # the ones still iterating, and their state
-    xg = np.concatenate((np.zeros((count, 1)), X), axis=1)
-    for iteration in range(opt.max_newton_iters + 1):
-        F, J, scale = stack.assemble(xg, *per_member)
-        finite = np.isfinite(F).all(axis=1) & np.isfinite(J.reshape(len(J), -1)).all(axis=1)
-        exc = stack.excess(F, scale)
-        dx = _solve_each(J, -F)
-        vmax = np.abs(xg[:, 1: n + 1]).max(axis=1, initial=0.0)
-        dv = np.abs(dx[:, :n]).max(axis=1, initial=0.0)
-        conv = finite & (exc <= 0.0) & (dv < opt.vntol + opt.reltol * vmax)
-        fail = ~conv & (~finite | ~np.isfinite(dx).all(axis=1)
-                        | (iteration == opt.max_newton_iters))
-        if conv.any():
-            done = members[conv]
-            out[done], iters[done], excess[done] = xg[conv, 1:], iteration, exc[conv]
-        failed[members[fail]] = True
-        going = ~(conv | fail)
-        if not going.all():
-            if not going.any():
-                break
-            members, xg, dx = members[going], xg[going], dx[going]
-            per_member = tuple(a[going] for a in per_member)
-        dx[:, rows] = np.clip(dx[:, rows], -clamp, clamp)
-        xg[:, 1:] += dx
-    return out, iters, excess, failed
+    errors: dict[int, Exception] = {}
+    members = np.arange(count)  # the ones still iterating, and their rows
+    x, coef, j_base, devices = xg.copy(), batch.coef, batch.j_base, batch.devices
+    fixed = batch.fixed_currents(src, cap_ieq)
+    table = tuple(devices)
+    with np.errstate(all="ignore"):  # the device model overflows in its unused branches
+        for iteration in range(opt.max_newton_iters + 1):
+            F, J, scale = batch.assemble(x, coef, j_base, table, fixed)
+            over = np.abs(F) - (opt.reltol * scale + batch.tol)  # <= 0 within tolerance
+            exc = np.maximum.reduce(over, axis=1)
+            # Batched LU (LAPACK gesv) through the gufunc np.linalg.solve calls,
+            # without its argument checks, which cost more than these small
+            # solves; a singular member gets NaN.  The Newton update is -step:
+            # the solve is exact under negation.
+            step = np.linalg._umath_linalg.solve1(J, F)
+            magnitude = np.abs(step)
+            conv = exc <= 0.0
+            if np.logical_or.reduce(conv):  # ndarray.any wraps this in Python
+                vmax = np.maximum.reduce(np.abs(x[:, 1 : n + 1]), axis=1, initial=0.0)
+                conv &= (np.maximum.reduce(magnitude[:, :n], axis=1, initial=0.0)
+                         < opt.vntol + opt.reltol * vmax)
+            if iteration == opt.max_newton_iters:
+                stop = np.ones(len(x), dtype=bool)
+            else:
+                stop = conv | ~np.isfinite(np.maximum.reduce(magnitude, axis=1))
+            if np.logical_or.reduce(stop):
+                done = members[conv]
+                out[done], excess[done] = x[conv], exc[conv]
+                iters[members[stop]] = iteration
+                for j in np.flatnonzero(stop & ~conv):
+                    errors[members[j]] = _failure(g, F[j], J[j], over[j])
+                going = ~stop
+                if not np.logical_or.reduce(going):
+                    break
+                members, x, step, coef, j_base, fixed = (
+                    a[going] for a in (members, x, step, coef, j_base, fixed))
+                devices = devices[:, going]
+                table = tuple(devices)
+            x[:, 1:] -= np.minimum(np.maximum(step, -batch.clamp), batch.clamp)
+    return out, iters, excess, errors
 
 
-def _kernel(systems: Sequence[_System]):
-    """The (stack, newton) pair that solves ``systems`` together: the scalar
-    ``_newton`` for one system, ``_newton_lockstep`` for several (on this
-    small system the batched kernel costs twice the scalar one at one
-    member)."""
-    if len(systems) > 1:
-        return _Lockstep(systems), _newton_lockstep
-    return list(systems), _newton_each
-
-
-def _newton_each(systems: Sequence[_System], X: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
-    """The scalar ``_newton`` member by member, with ``_newton_lockstep``'s result."""
-    X = X.copy()
-    iters = np.zeros(len(X), dtype=int)
-    excess = np.zeros(len(X))
-    failed = np.zeros(len(X), dtype=bool)
-    for j, sys in enumerate(systems):
-        try:
-            X[j], iters[j], excess[j] = _newton(sys, X[j], src[j], cap_ieq[j])
-        except (NonConvergenceError, SingularMatrixError):
-            failed[j] = True
-    return X, iters, excess, failed
+def _solve_one(sys: _System, xg: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
+    """``_newton_batch`` for one system; returns (xg, iterations, residual_excess)
+    or raises its error."""
+    out, iters, excess, errors = _newton_batch(_Batch([sys]), xg[None], src[None], cap_ieq[None])
+    if errors:  # popped, so that the error's traceback does not keep it alive
+        raise errors.pop(0)
+    return out[0], int(iters[0]), float(excess[0])
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +592,15 @@ def newton_solve(
 ) -> OperatingPoint:
     """Single Newton solve of the DC system (sources at their t=0 values)."""
     x0 = np.zeros(graph.size) if initial_guess is None else initial_guess
+    x0 = np.concatenate(([0.0], np.asarray(x0, dtype=float)))
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("non-finite initial guess")
     sys = _System(graph, options, source_scale=source_scale, gmin=gmin_override)
-    x, iters, excess = _newton(sys, x0, _source_values([sys], [0.0])[0],
-                               np.zeros(graph.cap_c.size))
+    xg, iters, excess = _solve_one(sys, x0, _source_values([sys], [0.0])[0],
+                                   np.zeros(graph.cap_c.size))
     return OperatingPoint(
-        voltages=x[: graph.n].copy(),
-        branch_currents=x[graph.n:].copy(),
+        voltages=xg[1 : graph.n + 1],
+        branch_currents=xg[graph.n + 1:],
         converged=True,
         iterations=iters,
         residual_excess=excess,
@@ -756,11 +719,10 @@ def dc_sweep_lockstep(
     """DC sweeps of one source through circuits that share one topology, solved together.
 
     Member b's point at ``values[0]`` is ``firsts[b]`` (None if it did not
-    converge).  Each later value is one Newton solve for every member, from
-    the member's own last converged point (zeros before it has one), on
-    ``_kernel``.
-    A member that fails there gets ``solve_dc``'s homotopies; if they fail
-    too, its point is not converged.  Each member's points are the ones
+    converge).  Each later value is one batched Newton solve for every
+    member, from the member's own last converged point (zeros before it has
+    one).  A member that fails there gets ``solve_dc``'s homotopies; if they
+    fail too, its point is not converged.  Each member's points are the ones
     ``dc_sweep`` gives it alone.
     """
     if not graphs or len(firsts) != len(graphs):
@@ -779,29 +741,30 @@ def dc_sweep_lockstep(
         iterations=np.zeros((points, count), dtype=int),
         residual_excess=np.full((points, count), np.nan),
     )
-    last = np.zeros((count, size))  # each member's last converged point
+    last = np.zeros((count, size + 1))  # each member's last converged point, after ground
     for b, op in enumerate(firsts):
         if op is not None:
-            last[b] = np.concatenate((op.voltages, op.branch_currents))
-            sweep.x[0, b] = last[b]
+            last[b, 1:] = np.concatenate((op.voltages, op.branch_currents))
+            sweep.x[0, b] = last[b, 1:]
             sweep.converged[0, b] = True
             sweep.iterations[0, b], sweep.residual_excess[0, b] = op.iterations, op.residual_excess
-    kernel, newton = _kernel(systems)
+    batch = _Batch(systems)
     cap_ieq = np.zeros((count, graphs[0].cap_c.size))
     for k in range(1, points):
         src[members, held] = values[k]
-        xs, iters, excess, failed = newton(kernel, last, src, cap_ieq)
-        for b in np.flatnonzero(failed):
+        xs, iters, excess, errors = _newton_batch(batch, last, src, cap_ieq)
+        ok = np.ones(count, dtype=bool)
+        for b in sorted(errors):
             graph = graphs[b].with_source(source_name, values[k])
             try:
                 op = _homotopies(graph, options, [])
             except NonConvergenceError:
+                ok[b] = False
                 continue
-            xs[b] = np.concatenate((op.voltages, op.branch_currents))
-            iters[b], excess[b], failed[b] = op.iterations, op.residual_excess, False
-        ok = ~failed
+            xs[b, 1:] = np.concatenate((op.voltages, op.branch_currents))
+            iters[b], excess[b] = op.iterations, op.residual_excess
         last[ok] = xs[ok]
-        sweep.x[k, ok] = xs[ok]
+        sweep.x[k, ok] = xs[ok, 1:]
         sweep.converged[k] = ok
         sweep.iterations[k, ok] = iters[ok]
         sweep.residual_excess[k, ok] = excess[ok]
@@ -822,7 +785,10 @@ def solve_transient(
     Capacitors use the trapezoidal companion (conductance 2C/h plus history
     current); the first accepted step is backward Euler.  The result holds
     every node voltage and every source branch current at each accepted time,
-    with solver statistics in ``WaveformSet.stats``.
+    with solver statistics in ``WaveformSet.stats``: the largest KCL excess,
+    Newton updates (those of the DC start included), the steps' Newton
+    assemblies (a rescued step's failed try and rescue stages included), the
+    steps that needed a gmin-stepping rescue, the step count and the step.
     """
     if topts.ic == "from_op":
         start = solve_dc(graph, sopts)
@@ -836,8 +802,8 @@ def solve_transient(
 
 
 def _same_topology(a: CircuitGraph, b: CircuitGraph) -> bool:
-    tables = ("branch_a", "branch_b", "end_node", "end_flow", "gmin_rows", "mos_terms",
-              "jac_index", "mos_value", "mos_sign")
+    tables = ("col_a", "col_b", "sum_col", "sum_sign", "sum_row", "gmin_rows", "mos_terms",
+              "mos_jac", "mos_device", "mos_value", "mos_sign")
     return (
         (a.n, a.size, a.res_g.size, a.cap_c.size, len(a.isources))
         == (b.n, b.size, b.res_g.size, b.cap_c.size, len(b.isources))
@@ -876,38 +842,41 @@ def solve_lockstep(
 def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     """The time loop of ``solve_transient`` and ``solve_lockstep``.
 
-    Each step makes one Newton solve for every running member, on the
-    ``_kernel`` of the running set.  A member that fails gets the scalar
-    ``_rescue_step`` from its state at the start of the step, and stops with
-    a TransientNonConvergence if that fails too.  Records every unknown, or
-    with ``voltages`` false only the branch currents.
+    Each step makes one batched Newton solve for every running member.  A
+    member that fails gets ``_rescue_step`` from its state at the start of
+    the step, and stops with a TransientNonConvergence if that fails too.
+    Records every unknown, or with ``voltages`` false only the branch
+    currents.
     """
     g = graphs[0]
     n, count = g.n, len(graphs)
-    h = np.array([o.tstep for o in topts])
+    tsteps = [o.tstep for o in topts]
     nsteps = _steps(topts[0])
-    first = 0 if voltages else n  # the first recorded unknown
-    x = np.array([np.concatenate((op.voltages, op.branch_currents)) for op in starts])
+    first = 1 if voltages else n + 1  # the first recorded column of xg
+    xg = np.zeros((count, g.size + 1))  # each member's unknowns, after a ground column
+    xg[:, 1:] = [np.concatenate((op.voltages, op.branch_currents)) for op in starts]
     max_excess = np.array([op.residual_excess for op in starts])
     total_iters = np.array([op.iterations for op in starts])
-    record = np.empty((nsteps + 1, count, g.size - first))
-    record[0] = x[:, first:]
+    assemblies = np.zeros(count, dtype=int)
+    rescues = np.zeros(count, dtype=int)
+    record = np.empty((nsteps + 1, count, g.size + 1 - first))
+    record[0] = xg[:, first:]
 
     caps = slice(g.res_g.size, g.res_g.size + g.cap_c.size)
-    cap_a, cap_b = g.branch_a[caps], g.branch_b[caps]
+    cap_ends = np.stack((g.branch_a[caps], g.branch_b[caps]))
 
-    def cap_voltage(x: np.ndarray) -> np.ndarray:
-        V = np.concatenate((np.zeros((count, 1)), x[:, :n]), axis=1)
-        return V[:, cap_a] - V[:, cap_b]
+    def cap_voltage(xg: np.ndarray) -> np.ndarray:
+        va, vb = xg.take(cap_ends, axis=1).transpose(1, 0, 2)
+        return va - vb
 
-    v_prev = cap_voltage(x)
+    v_prev = cap_voltage(xg)
     i_prev = np.zeros_like(v_prev)
 
     # backward Euler for the first step, trapezoidal after it
-    phases = [[_System(gr, sopts, alpha=a / o.tstep) for gr, o in zip(graphs, topts)]
+    phases = [[_System(gr, sopts, alpha=a / h) for gr, h in zip(graphs, tsteps)]
               for a in (1.0, 2.0)]
     cap_geq = [np.array([sys.cap_geq for sys in systems]) for systems in phases]
-    kernels = {}  # (phase, members still running) -> their ``_kernel``
+    batches = {}  # (phase, members still running) -> their ``_Batch``
     running = np.arange(count)
     results: list = [None] * count
     # time bases and source waveforms, built once for the members that share them
@@ -920,10 +889,12 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
         return built[key]
 
     def waveforms(b: int, upto: int) -> WaveformSet:
-        gr, h_b = graphs[b], topts[b].tstep
+        gr, h_b = graphs[b], tsteps[b]
         ws = WaveformSet(shared_time=True)
         ws.stats["max_kcl_excess"] = float(max_excess[b])
         ws.stats["newton_iterations"] = int(total_iters[b])
+        ws.stats["assemblies"] = int(assemblies[b])
+        ws.stats["rescues"] = int(rescues[b])
         ws.stats["steps"] = upto
         ws.stats["tstep"] = h_b
         if upto < 1:  # failed on the very first step: no valid waveforms yet
@@ -931,7 +902,7 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
         times = shared((h_b, upto), lambda: np.arange(upto + 1) * h_b)
         columns = [(f"v({name})", "V") for name in gr.node_names[1:]]
         columns += [(f"i({src.name})", "A") for src in gr.vsources]
-        for (name, unit), values in zip(columns[first:], record[: upto + 1, b].T):
+        for (name, unit), values in zip(columns[first - 1:], record[: upto + 1, b].T):
             ws.waveforms.append(Waveform(name, times, values))
             ws.units[name] = unit
         for src in gr.isources:
@@ -943,36 +914,39 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
         return ws
 
     for k in range(1, nsteps + 1):
-        t = k * h
+        t = [k * h for h in tsteps]
         phase = min(k, 2) - 1
         systems = phases[phase]
         # the backward-Euler step starts from i_prev = 0
         cap_ieq = -cap_geq[phase] * v_prev - i_prev
         key = (phase, running.size)  # running members only ever leave
-        if key not in kernels:
-            kernels[key] = _kernel([systems[b] for b in running])
-        stack, newton = kernels[key]
+        if key not in batches:
+            batches[key] = _Batch([systems[b] for b in running])
         sel = running if running.size < count else slice(None)
         src = _source_values(systems, t)
-        xs, iters, excess, failed = newton(stack, x[sel], src[sel], cap_ieq[sel])
-        if failed.any():
-            for j in np.flatnonzero(failed):
+        xs, iters, excess, errors = _newton_batch(batches[key], xg[sel], src[sel], cap_ieq[sel])
+        assemblies[sel] += iters + 1
+        if errors:
+            for j in sorted(errors):
                 b = running[j]
+                rescues[b] += 1
                 try:
-                    xs[j], iters[j], excess[j] = _rescue_step(systems[b], x[b], src[b], cap_ieq[b])
+                    xs[j], iters[j], excess[j], used = _rescue_step(systems[b], xg[b], src[b],
+                                                                    cap_ieq[b])
+                    assemblies[b] += used
                 except (NonConvergenceError, SingularMatrixError) as exc:
-                    results[b] = TransientNonConvergence(float(t[b]), waveforms(b, k - 1), exc)
+                    results[b] = TransientNonConvergence(t[b], waveforms(b, k - 1), exc)
                     results[b].__cause__ = exc
             ok = np.array([results[b] is None for b in running])
             running, xs, iters, excess = running[ok], xs[ok], iters[ok], excess[ok]
             if not running.size:
                 break
             sel = running
-        x[sel] = xs
+        xg[sel] = xs
         total_iters[sel] += iters
         max_excess[sel] = np.maximum(max_excess[sel], excess)
-        record[k] = x[:, first:]
-        v_new = cap_voltage(x)
+        record[k] = xg[:, first:]
+        v_new = cap_voltage(xg)
         i_prev = cap_geq[phase] * v_new + cap_ieq
         v_prev = v_new
     for b in running:
@@ -981,16 +955,19 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
 
 
 def _rescue_step(sys: _System, x0: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
-    """gmin-stepping homotopy for a stubborn transient step (source values
-    ``src``, capacitor history ``cap_ieq``).
+    """gmin-stepping homotopy for a stubborn transient step from ``x0`` (the
+    unknowns after a ground column), with source values ``src`` and
+    capacitor history ``cap_ieq``.
 
     Each stage solves in a fresh context whose gmin steps one decade from
-    1e-2 S down to the step's own gmin.
+    1e-2 S down to the step's own gmin.  Returns (xg, iterations,
+    residual_excess, assemblies).
     """
     x = x0
-    iters_total = 0
+    iters_total = assemblies = 0
     for gval in np.geomspace(1e-2, sys.gmin, GMIN_STEPS + 1):
         stage = _System(sys.g, sys.opt, source_scale=sys.scale, gmin=float(gval), alpha=sys.alpha)
-        x, iters, excess = _newton(stage, x, src, cap_ieq)
+        x, iters, excess = _solve_one(stage, x, src, cap_ieq)
         iters_total += iters
-    return x, iters_total, excess
+        assemblies += iters + 1
+    return x, iters_total, excess, assemblies

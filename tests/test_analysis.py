@@ -165,6 +165,26 @@ def test_csv_header_format():
     assert lines[2] == "0.00000000e+00,0.00000000e+00"
 
 
+def test_csv_row_bytes_pinned():
+    """Nine significant digits, signed zeros kept, subnormals and extremes
+    in full; non-finite values (which a Waveform rejects) are set after
+    construction to pin their spelling too."""
+    t = np.array([0.0, 1e-9, 2.5e-3])
+    a = Waveform("a", t, np.array([-0.0, 5e-324, -1.7976931348623157e308]))
+    b = Waveform("b", t, np.zeros(3))
+    object.__setattr__(b, "values", np.array([np.nan, np.inf, -np.inf]))
+    ws = WaveformSet(waveforms=[a, b], units={"a": "A"})
+    buf = io.StringIO()
+    write_csv(ws, buf)
+    assert buf.getvalue() == (
+        "# units: a=A,b=V\n"
+        "time,a,b\n"
+        "0.00000000e+00,-0.00000000e+00,nan\n"
+        "1.00000000e-09,4.94065646e-324,inf\n"
+        "2.50000000e-03,-1.79769313e+308,-inf\n"
+    )
+
+
 def test_csv_header_only_rejected():
     with pytest.raises(WaveformError, match="data rows"):
         read_csv(io.StringIO("time,a\n"))

@@ -75,10 +75,10 @@ def test_setup_probe_stops_before_any_lockstep_solve_or_output(argv, tmp_path, m
             if hasattr(module, name):  # restored when the test ends
                 monkeypatch.setattr(module, name, getattr(module, name))
 
-    def lockstep(*args):
-        raise AssertionError("a lockstep Newton step ran before set-up ended")
+    def newton(*args):
+        raise AssertionError("a Newton step ran before set-up ended")
 
-    monkeypatch.setattr(amps.solver, "_newton_lockstep", lockstep)
+    monkeypatch.setattr(amps.solver, "_newton_batch", newton)
     assert spans.FirstSolverCall(stop=True).install() == []
     netlist = tmp_path / "bench.cir"
     netlist.write_text(bench_netlist_path().read_text())

@@ -1,6 +1,7 @@
 """Solver tests: Newton behavior, homotopies, sweeps, transient accuracy."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -137,17 +138,24 @@ def reference_dc_assembly(g, x):
 
 @pytest.mark.parametrize("text", ["bench", DIODE_NMOS, DIVIDER])
 def test_compiled_dc_assembly_matches_element_stamping(text):
-    """Bit for bit: near-singular DC Jacobians make Newton's path hinge on the last bit."""
+    """Bit for bit, for one member and for each of three: near-singular DC
+    Jacobians make Newton's path hinge on the last bit."""
     import amps.solver
     from amps.rectifier import bench_netlist_path
 
-    g = graph_of(bench_netlist_path().read_text() if text == "bench" else text)
-    x = np.random.default_rng(7).uniform(-1.5, 1.5, g.size)
-    fixed = np.concatenate((np.zeros(g.cap_c.size), [s.spec.value_at(0.0) for s in g.isources]))
-    e = np.array([s.spec.value_at(0.0) for s in g.vsources])
-    got = amps.solver._System(g, OPTS).assemble(x, fixed, e)
-    for a, b in zip(got, reference_dc_assembly(g, x)):
-        assert np.array_equal(a, b)
+    doc = parse_netlist(bench_netlist_path().read_text() if text == "bench" else text)
+    for temps in ((27.0,), (25.0, 60.0, 100.0)):
+        graphs = [build_graph(doc, temp) for temp in temps]
+        systems = [amps.solver._System(g, OPTS) for g in graphs]
+        batch = amps.solver._Batch(systems)
+        x = np.random.default_rng(7).uniform(-1.5, 1.5, (len(graphs), graphs[0].size))
+        src = amps.solver._source_values(systems, [0.0] * len(graphs))
+        fixed = batch.fixed_currents(src, np.zeros((len(graphs), graphs[0].cap_c.size)))
+        xg = np.concatenate((np.zeros((len(graphs), 1)), x), axis=1)
+        got = batch.assemble(xg, batch.coef, batch.j_base, batch.devices, fixed)
+        for b, g in enumerate(graphs):
+            for a, want in zip(got, reference_dc_assembly(g, x[b])):
+                assert np.array_equal(a[b], want)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +223,60 @@ def test_kcl_residual_within_tolerance():
     g = graph_of(DIODE_NMOS)
     op = solve_dc(g, OPTS)
     assert op.residual_excess <= 0.0
+
+
+def inverter_chain(seed: int = 1, stages: int = 20) -> str:
+    """A CMOS inverter chain with seeded widths and loads and a wire
+    resistor on every second stage, as in the benchmark's ``netlist_run``."""
+    rng = random.Random(seed)
+    lines = ["inverter chain", "VDD vdd 0 DC 1.5", "VSS vss 0 DC -1.5", "VIN in 0 SIN(0 1.5 10meg)"]
+    prev = "in"
+    for k in range(1, stages + 1):
+        wn = rng.uniform(1.0e-6, 3.0e-6)
+        wp = wn * rng.uniform(2.0, 3.0)
+        cap = rng.uniform(5e-15, 20e-15)
+        out = f"s{k}"
+        lines.append(f"MP{k} {out} {prev} vdd vdd CMOSP W={wp:.4g} L=0.15u")
+        lines.append(f"MN{k} {out} {prev} vss vss CMOSN W={wn:.4g} L=0.15u")
+        if k % 2 == 0:
+            lines.append(f"RW{k} {out} w{k} {rng.uniform(500.0, 2000.0):.4g}")
+            out = f"w{k}"
+        lines.append(f"CL{k} {out} 0 {cap:.4g}")
+        prev = out
+    return "\n".join(lines) + "\n" + MODEL_CARDS + "\n.END\n"
+
+
+def test_inverter_chain_dc_converges_alike_alone_and_in_a_batch():
+    """The chain's DC Jacobian is nearly singular (condition number about
+    1e19 at the 1e-4 S gmin stage): plain Newton diverges, gmin stepping
+    converges, and the result must not depend on how many circuits share
+    the batched kernel, nor on a member that needs more iterations."""
+    import amps.solver
+
+    doc = parse_netlist(inverter_chain())
+    graphs = [build_graph(doc, temp) for temp in (27.0, -40.0, 150.0)]
+    g = graphs[0]
+    with pytest.raises(NonConvergenceError):
+        newton_solve(g, None, OPTS)
+    op = solve_dc(g, OPTS)
+    assert op.converged and op.residual_excess <= 0.0
+    alone = np.concatenate((op.voltages, op.branch_currents))
+
+    # solve_dc's gmin stepping, with the chain as the first of three members
+    x = np.zeros((len(graphs), g.size + 1))
+    cap_ieq = np.zeros((len(graphs), g.cap_c.size))
+    outlasted = False  # did another member iterate longer than the chain at 27 degC?
+    for gmin in np.geomspace(1e-2, OPTS.gmin, amps.solver.GMIN_STEPS + 1):
+        systems = [amps.solver._System(gr, OPTS, gmin=float(gmin)) for gr in graphs]
+        src = amps.solver._source_values(systems, [0.0] * len(graphs))
+        xs, iters, excess, errors = amps.solver._newton_batch(
+            amps.solver._Batch(systems), x, src, cap_ieq)
+        assert not errors
+        outlasted |= bool((iters[1:] > iters[0]).any())
+        x = xs
+    assert outlasted
+    assert x[0, 1:].tobytes() == alone.tobytes()
+    assert iters[0] == op.iterations and excess[0] == op.residual_excess
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +420,9 @@ def test_transient_stats_report_kcl():
     ws = solve_transient(g, TransientOptions(tstep=1e-5, tstop=1e-3), OPTS)
     assert ws.stats["max_kcl_excess"] <= 0.0
     assert ws.stats["steps"] == 100
+    # held at its DC point, every step converges on its first assembly
+    assert ws.stats["assemblies"] == ws.stats["steps"]
+    assert ws.stats["rescues"] == 0
 
 
 def test_transient_records_all_nodes_and_branches():
@@ -420,6 +485,7 @@ def test_rescued_transient_leaves_graph_unchanged(monkeypatch):
     before = solve_dc(g, opts)
     first = solve_transient(g, topts, opts)
     assert rescues, "the transient should need gmin-stepping rescues"
+    assert first.stats["rescues"] == len(rescues)
     second = solve_transient(g, topts, opts)
     after = solve_dc(g, opts)
     for a, b in zip(first.waveforms, second.waveforms):
