@@ -204,20 +204,6 @@ def device_table(params: Sequence[MosfetParams]) -> np.ndarray:
     return np.array(rows).reshape(-1, 11).T
 
 
-def eval_mosfet_table(table: np.ndarray, vgs, vds, vbs) -> np.ndarray:
-    """``eval_mosfet`` over arrays of bias points, one device per last-axis column.
-
-    ``table`` is a ``device_table``, (11, devices), or one per row of the
-    bias arrays, (11, rows, devices).  Non-finite biases are not rejected;
-    they give non-finite results.  Returns (..., devices, 5): id, gm, gds,
-    gmbs and gm + gds + gmbs.
-    """
-    out = np.empty((5,) + np.broadcast(vgs, vds, vbs).shape)
-    with np.errstate(all="ignore"):
-        eval_mosfet_into(table, vgs, vds, vbs, out)
-    return np.moveaxis(out, 0, -1)
-
-
 def eval_mosfet_into(table, vgs, vds, vbs, out: np.ndarray) -> None:
     """``eval_mosfet`` over arrays of bias points, written into ``out``.
 

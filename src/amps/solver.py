@@ -8,14 +8,15 @@ capacitance stamp ``C`` (capacitors, MOSFET overlaps), the gmin rows (nodes
 a MOSFET touches), one table of currents (the branches, each voltage
 source's equation, the gmin loads) whose ordered sums give every row's
 residual and tolerance scale, and a MOSFET table with the precomputed
-scatter of device conductances into the Jacobian.  An assembly
-context fixes the source scale, gmin and companion factor alpha (0 for DC,
-1/h backward Euler, 2/h trapezoidal) once: its Jacobian is
+scatter of device conductances into the Jacobian.  A solve context
+(``_Batch``) fixes, for each of its circuits, gmin and the companion factor
+alpha (0 for DC, 1/h backward Euler, 2/h trapezoidal) once: its Jacobian is
 ``G + alpha*C + gmin*D`` plus the device scatter, and the source values and
 the capacitor history currents are arguments of each Newton solve.
 
 Nonlinear solves are damped Newton-Raphson over dense LU; DC convergence
-falls back to gmin stepping and then source stepping.  Transient integration
+falls back to gmin stepping and then source stepping (a failed transient
+step to gmin stepping; both through ``_ladder``).  Transient integration
 is fixed-step trapezoidal with a backward-Euler first step.  Every Newton
 solve, of one circuit or of several that share one topology, runs on one
 batched kernel (``_newton_batch``): each iteration is one device
@@ -165,15 +166,11 @@ class CircuitGraph:
     G: np.ndarray
     C: np.ndarray
     gmin_rows: np.ndarray
-    # two-terminal branches, current flowing from node a to node b, in the
-    # order resistors, capacitors, current sources, voltage sources, MOSFET
-    # channels (drain to source)
-    branch_a: np.ndarray
-    branch_b: np.ndarray
     res_g: np.ndarray
     cap_c: np.ndarray
+    cap_ends: np.ndarray  # (2, capacitors): nodes a and b, current flowing from a to b
     # The Newton kernel's current columns.  Each is a factor
-    # (``_System.coef``) times the difference of two entries of the
+    # (``_Batch.coef``) times the difference of two entries of the
     # unknowns after a ground column, plus a term fixed for the solve: a
     # zero current, the resistors, the voltage sources' currents (their
     # unknowns), the MOSFET channels (their id is the fixed term) and the
@@ -277,13 +274,14 @@ def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
                 G[node - 1, n + k] += sign
                 G[n + k, node - 1] += sign
 
+    # the table of two-terminal branches, current flowing from node a to node
+    # b: resistors, capacitors, current sources, voltage sources, MOSFET
+    # channels (drain to source)
     ends = (
         [(a, b) for a, b, _ in res + caps]
         + [(src.p, src.m) for src in isources + vsources]
         + [(d, s) for d, _, s, _ in terms]
     )
-    branch_a = np.array([a for a, _ in ends], dtype=int)
-    branch_b = np.array([b for _, b in ends], dtype=int)
     m, mosfet_count = len(vsources), len(terms)
     gmin_rows = sorted({t - 1 for term in terms for t in term if t})
     columns = (
@@ -332,10 +330,9 @@ def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
         G=_readonly(G),
         C=_readonly(_two_terminal_stamp(size, caps)),
         gmin_rows=_readonly(np.array(gmin_rows, dtype=int)),
-        branch_a=_readonly(branch_a),
-        branch_b=_readonly(branch_b),
         res_g=_readonly([g for _, _, g in res]),
         cap_c=_readonly([c for _, _, c in caps]),
+        cap_ends=_readonly(np.array([(a, b) for a, b, _ in caps], dtype=int).reshape(-1, 2).T),
         col_a=_readonly(np.array([a for a, _ in columns], dtype=int)),
         col_b=_readonly(np.array([b for _, b in columns], dtype=int)),
         sum_col=_readonly(np.array([c for c, _, _ in sums], dtype=int)),
@@ -371,41 +368,6 @@ def _find_zero_pivot(a: np.ndarray) -> int:
     return size - 1
 
 
-class _System:
-    """One member's assembly context: graph, options, source scale, gmin and alpha.
-
-    Everything is fixed here; nothing changes it afterwards.
-    """
-
-    __slots__ = ("g", "opt", "scale", "gmin", "alpha", "cap_geq", "coef", "j_base")
-
-    def __init__(
-        self,
-        graph: CircuitGraph,
-        options: SolverOptions,
-        *,
-        source_scale: float = 1.0,
-        gmin: float | None = None,
-        alpha: float = 0.0,
-    ):
-        self.g = graph
-        self.opt = options
-        self.scale = source_scale
-        self.gmin = options.gmin if gmin is None else gmin
-        self.alpha = alpha
-        self.cap_geq = alpha * graph.cap_c
-        m = graph.m
-        # the factor of each of the Newton kernel's current columns (``col_a``)
-        self.coef = np.concatenate((
-            [0.0], graph.res_g, np.ones(m), np.zeros(len(graph.mosfets)),
-            np.full(graph.gmin_rows.size, self.gmin), self.cap_geq,
-            np.zeros(len(graph.isources)), np.ones(m), np.zeros(m),
-        ))
-        base = graph.G + alpha * graph.C
-        base[graph.gmin_rows, graph.gmin_rows] += self.gmin
-        self.j_base = base
-
-
 def _failure(g: CircuitGraph, F: np.ndarray, J: np.ndarray, over: np.ndarray) -> Exception:
     """The error of a Newton solve that failed at the assembly (F, J), with
     each row's residual ``over`` its tolerance."""
@@ -421,26 +383,38 @@ def _failure(g: CircuitGraph, F: np.ndarray, J: np.ndarray, over: np.ndarray) ->
 
 
 class _Batch:
-    """Assembly contexts of one topology, stacked for batched Newton solves.
+    """Solve contexts of circuits that share one topology, stacked for
+    batched Newton solves.
 
-    The members share the graph's index tables; each member's ``_System``
-    bases (``coef``, ``j_base``) and device constants are stacked along the
-    member axis.  Gathers, row sums and the Jacobian scatter use the index
-    tables offset per member, so each member's sums keep their element
-    order and its values are the ones it gets alone, whatever the batch
-    size.
+    Each member is a graph with gmin (the options' unless given) and a
+    companion factor ``alpha`` (one, or one per member) fixed: its column
+    factors ``coef``, Jacobian base ``j_base`` and device constants are
+    stacked along the member axis.  Gathers, row sums and the Jacobian
+    scatter use the index tables offset per member, so each member's sums
+    keep their element order and its values are the ones it gets alone,
+    whatever the batch size.
     """
 
     __slots__ = ("g", "opt", "coef", "j_base", "devices", "tol", "clamp", "mos", "_offsets")
 
-    def __init__(self, systems: Sequence[_System]):
-        first = systems[0]
-        g = self.g = first.g
-        opt = self.opt = first.opt
-        self.coef = np.array([s.coef for s in systems])
-        self.j_base = np.array([s.j_base.ravel() for s in systems])
-        self.devices = np.stack([s.g.devices for s in systems], axis=1)
-        self.tol = np.concatenate((np.full(g.n, opt.abstol_i), np.full(g.m, opt.vntol)))
+    def __init__(self, graphs: Sequence[CircuitGraph], options: SolverOptions, *,
+                 gmin: float | None = None, alpha: float | Sequence[float] = 0.0):
+        g = self.g = graphs[0]
+        self.opt = options
+        gmin = options.gmin if gmin is None else gmin
+        alphas = np.broadcast_to(alpha, len(graphs))
+        m = g.m
+        # the factor of each of the Newton kernel's current columns (``col_a``)
+        self.coef = np.array([np.concatenate((
+            [0.0], gr.res_g, np.ones(m), np.zeros(len(gr.mosfets)),
+            np.full(gr.gmin_rows.size, gmin), a * gr.cap_c,
+            np.zeros(len(gr.isources)), np.ones(m), np.zeros(m),
+        )) for gr, a in zip(graphs, alphas)])
+        j_base = np.array([gr.G + a * gr.C for gr, a in zip(graphs, alphas)])
+        j_base[:, g.gmin_rows, g.gmin_rows] += gmin
+        self.j_base = j_base.reshape(len(graphs), -1)
+        self.devices = np.stack([gr.devices for gr in graphs], axis=1)
+        self.tol = np.concatenate((np.full(g.n, options.abstol_i), np.full(g.m, options.vntol)))
         self.clamp = np.full(g.size, np.inf)  # update damping on nonlinear-device nodes
         self.clamp[g.gmin_rows] = VSTEP_CLAMP
         first_mos = 1 + g.res_g.size + g.m
@@ -500,13 +474,12 @@ class _Batch:
         return F, J.reshape(rows, size, size), scale
 
 
-def _source_values(systems: Sequence[_System], t: Sequence[float]) -> np.ndarray:
-    """Each system's scaled source values at its own time, one row each:
-    the current sources, then the voltage sources."""
-    rows = [[src.spec.value_at(tb) for src in (*sys.g.isources, *sys.g.vsources)]
-            for sys, tb in zip(systems, t)]
-    scale = np.array([sys.scale for sys in systems])
-    return scale[:, None] * np.array(rows).reshape(len(rows), -1)
+def _source_values(graphs: Sequence[CircuitGraph], t: Sequence[float]) -> np.ndarray:
+    """Each graph's source values at its own time, one row each: the current
+    sources, then the voltage sources."""
+    rows = [[src.spec.value_at(tb) for src in (*gr.isources, *gr.vsources)]
+            for gr, tb in zip(graphs, t)]
+    return np.array(rows, dtype=float).reshape(len(rows), -1)
 
 
 def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
@@ -569,13 +542,43 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
     return out, iters, excess, errors
 
 
-def _solve_one(sys: _System, xg: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
-    """``_newton_batch`` for one system; returns (xg, iterations, residual_excess)
-    or raises its error."""
-    out, iters, excess, errors = _newton_batch(_Batch([sys]), xg[None], src[None], cap_ieq[None])
-    if errors:  # popped, so that the error's traceback does not keep it alive
-        raise errors.pop(0)
-    return out[0], int(iters[0]), float(excess[0])
+def _ladder(graph: CircuitGraph, options: SolverOptions, xg: np.ndarray, src: np.ndarray,
+            cap_ieq: np.ndarray, stages: Sequence[tuple[float, float]], alpha: float = 0.0):
+    """Newton solves of one circuit through ``stages`` of (gmin, source
+    scale) at companion factor ``alpha``, the first from ``xg`` (the unknowns
+    after a ground column), each later one from the one before.  ``src``
+    holds the full-scale source values, ``cap_ieq`` the capacitor history.
+
+    Returns (xg, iterations, residual_excess, assemblies): the last stage's
+    point and excess, the updates and assemblies of all stages; raises the
+    first failing stage's error.
+    """
+    iterations = assemblies = 0
+    for gmin, scale in stages:
+        batch = _Batch([graph], options, gmin=gmin, alpha=alpha)
+        out, iters, excess, errors = _newton_batch(batch, xg[None], scale * src[None],
+                                                   cap_ieq[None])
+        if errors:  # popped, so that the error's traceback does not keep it alive
+            raise errors.pop(0)
+        xg = out[0]
+        iterations += int(iters[0])
+        assemblies += int(iters[0]) + 1
+    return xg, iterations, float(excess[0]), assemblies
+
+
+def _gmin_stages(gmin: float) -> list[tuple[float, float]]:
+    """gmin stepping: one decade per stage from 1e-2 S down to ``gmin``, at full source scale."""
+    return [(float(g), 1.0) for g in np.geomspace(1e-2, gmin, GMIN_STEPS + 1)]
+
+
+def _point(graph: CircuitGraph, xg: np.ndarray, iterations: int, excess: float) -> OperatingPoint:
+    return OperatingPoint(
+        voltages=xg[1 : graph.n + 1],
+        branch_currents=xg[graph.n + 1:],
+        converged=True,
+        iterations=iterations,
+        residual_excess=excess,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -587,24 +590,17 @@ def newton_solve(
     graph: CircuitGraph,
     initial_guess: np.ndarray | None,
     options: SolverOptions,
-    source_scale: float = 1.0,
-    gmin_override: float | None = None,
 ) -> OperatingPoint:
     """Single Newton solve of the DC system (sources at their t=0 values)."""
-    x0 = np.zeros(graph.size) if initial_guess is None else initial_guess
-    x0 = np.concatenate(([0.0], np.asarray(x0, dtype=float)))
+    x0 = np.zeros(graph.size) if initial_guess is None else np.asarray(initial_guess, dtype=float)
+    if x0.shape != (graph.size,):
+        raise ValueError(f"initial guess has {x0.size} values for {graph.size} unknowns")
+    x0 = np.concatenate(([0.0], x0))
     if not np.all(np.isfinite(x0)):
         raise ValueError("non-finite initial guess")
-    sys = _System(graph, options, source_scale=source_scale, gmin=gmin_override)
-    xg, iters, excess = _solve_one(sys, x0, _source_values([sys], [0.0])[0],
-                                   np.zeros(graph.cap_c.size))
-    return OperatingPoint(
-        voltages=xg[1 : graph.n + 1],
-        branch_currents=xg[graph.n + 1:],
-        converged=True,
-        iterations=iters,
-        residual_excess=excess,
-    )
+    xg, iters, excess, _ = _ladder(graph, options, x0, _source_values([graph], [0.0])[0],
+                                   np.zeros(graph.cap_c.size), [(options.gmin, 1.0)])
+    return _point(graph, xg, iters, excess)
 
 
 def solve_dc(
@@ -617,35 +613,30 @@ def solve_dc(
     Tries a plain Newton solve from ``initial_guess`` (zeros when None),
     then gmin stepping (one decade per step from 1e-2 S down to gmin), then
     source stepping; the homotopies start from zeros and each stage
-    warm-starts from the previous one.
+    warm-starts from the previous one.  A point found by a homotopy counts
+    the updates of all its stages.
     """
     try:
         return newton_solve(graph, initial_guess, options)
     except (NonConvergenceError, SingularMatrixError) as exc:
         plain = f"plain: {exc}"
-    return _homotopies(graph, options, [plain])
+    return _point(graph, *_homotopies(graph, options, [plain]))
 
 
-def _homotopies(graph: CircuitGraph, options: SolverOptions, log: list[str]) -> OperatingPoint:
+def _homotopies(graph: CircuitGraph, options: SolverOptions, log: list[str]):
     """``solve_dc`` after its plain Newton solve failed (as ``log`` says):
-    gmin stepping, then source stepping, each from zeros."""
+    gmin stepping, then source stepping, each from zeros.  Returns (xg,
+    iterations, residual_excess)."""
     homotopies = {
-        "gmin stepping": [
-            {"gmin_override": float(gval)}
-            for gval in np.geomspace(1e-2, options.gmin, GMIN_STEPS + 1)
-        ],
-        "source stepping": [
-            {"source_scale": float(scale)}
-            for scale in np.linspace(1.0 / SOURCE_STEPS, 1.0, SOURCE_STEPS)
-        ],
+        "gmin stepping": _gmin_stages(options.gmin),
+        "source stepping": [(options.gmin, float(scale))
+                            for scale in np.linspace(1.0 / SOURCE_STEPS, 1.0, SOURCE_STEPS)],
     }
+    src = _source_values([graph], [0.0])[0]
     for label, stages in homotopies.items():
-        x = np.zeros(graph.size)
         try:
-            for stage in stages:
-                op = newton_solve(graph, x, options, **stage)
-                x = np.concatenate((op.voltages, op.branch_currents))
-            return op
+            return _ladder(graph, options, np.zeros(graph.size + 1), src,
+                           np.zeros(graph.cap_c.size), stages)[:3]
         except (NonConvergenceError, SingularMatrixError) as exc:
             log.append(f"{label}: {exc}")
     raise NonConvergenceError("all homotopies exhausted", float("nan"), log)
@@ -730,8 +721,7 @@ def dc_sweep_lockstep(
     if not all(_same_topology(graphs[0], g) for g in graphs[1:]):
         raise ValueError("lockstep members must share one topology")
     count, points, size = len(graphs), len(values), graphs[0].size
-    systems = [_System(gr, options) for gr in graphs]
-    src = _source_values(systems, [0.0] * count)
+    src = _source_values(graphs, [0.0] * count)
     members = np.arange(count)
     # each member's column of the swept source in ``src``
     held = [(*gr.isources, *gr.vsources).index(gr.find_source(source_name)) for gr in graphs]
@@ -748,7 +738,7 @@ def dc_sweep_lockstep(
             sweep.x[0, b] = last[b, 1:]
             sweep.converged[0, b] = True
             sweep.iterations[0, b], sweep.residual_excess[0, b] = op.iterations, op.residual_excess
-    batch = _Batch(systems)
+    batch = _Batch(graphs, options)
     cap_ieq = np.zeros((count, graphs[0].cap_c.size))
     for k in range(1, points):
         src[members, held] = values[k]
@@ -757,12 +747,9 @@ def dc_sweep_lockstep(
         for b in sorted(errors):
             graph = graphs[b].with_source(source_name, values[k])
             try:
-                op = _homotopies(graph, options, [])
+                xs[b], iters[b], excess[b] = _homotopies(graph, options, [])
             except NonConvergenceError:
                 ok[b] = False
-                continue
-            xs[b, 1:] = np.concatenate((op.voltages, op.branch_currents))
-            iters[b], excess[b] = op.iterations, op.residual_excess
         last[ok] = xs[ok]
         sweep.x[k, ok] = xs[ok, 1:]
         sweep.converged[k] = ok
@@ -793,8 +780,7 @@ def solve_transient(
     if topts.ic == "from_op":
         start = solve_dc(graph, sopts)
     else:
-        start = OperatingPoint(np.zeros(graph.n), np.zeros(graph.m), converged=True,
-                               iterations=0, residual_excess=float("-inf"))
+        start = _point(graph, np.zeros(graph.size + 1), 0, float("-inf"))
     (ws,) = _march([graph], [topts], sopts, [start], voltages=True)
     if isinstance(ws, TransientNonConvergence):
         raise ws
@@ -862,20 +848,16 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     record = np.empty((nsteps + 1, count, g.size + 1 - first))
     record[0] = xg[:, first:]
 
-    caps = slice(g.res_g.size, g.res_g.size + g.cap_c.size)
-    cap_ends = np.stack((g.branch_a[caps], g.branch_b[caps]))
-
     def cap_voltage(xg: np.ndarray) -> np.ndarray:
-        va, vb = xg.take(cap_ends, axis=1).transpose(1, 0, 2)
+        va, vb = xg.take(g.cap_ends, axis=1).transpose(1, 0, 2)
         return va - vb
 
     v_prev = cap_voltage(xg)
     i_prev = np.zeros_like(v_prev)
 
     # backward Euler for the first step, trapezoidal after it
-    phases = [[_System(gr, sopts, alpha=a / h) for gr, h in zip(graphs, tsteps)]
-              for a in (1.0, 2.0)]
-    cap_geq = [np.array([sys.cap_geq for sys in systems]) for systems in phases]
+    alphas = [[a / h for h in tsteps] for a in (1.0, 2.0)]
+    cap_geq = [np.array([al * gr.cap_c for al, gr in zip(alpha, graphs)]) for alpha in alphas]
     batches = {}  # (phase, members still running) -> their ``_Batch``
     running = np.arange(count)
     results: list = [None] * count
@@ -916,14 +898,15 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     for k in range(1, nsteps + 1):
         t = [k * h for h in tsteps]
         phase = min(k, 2) - 1
-        systems = phases[phase]
+        alpha = alphas[phase]
         # the backward-Euler step starts from i_prev = 0
         cap_ieq = -cap_geq[phase] * v_prev - i_prev
         key = (phase, running.size)  # running members only ever leave
         if key not in batches:
-            batches[key] = _Batch([systems[b] for b in running])
+            batches[key] = _Batch([graphs[b] for b in running], sopts,
+                                  alpha=[alpha[b] for b in running])
         sel = running if running.size < count else slice(None)
-        src = _source_values(systems, t)
+        src = _source_values(graphs, t)
         xs, iters, excess, errors = _newton_batch(batches[key], xg[sel], src[sel], cap_ieq[sel])
         assemblies[sel] += iters + 1
         if errors:
@@ -931,8 +914,8 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
                 b = running[j]
                 rescues[b] += 1
                 try:
-                    xs[j], iters[j], excess[j], used = _rescue_step(systems[b], xg[b], src[b],
-                                                                    cap_ieq[b])
+                    xs[j], iters[j], excess[j], used = _rescue_step(
+                        graphs[b], sopts, xg[b], src[b], cap_ieq[b], alpha[b])
                     assemblies[b] += used
                 except (NonConvergenceError, SingularMatrixError) as exc:
                     results[b] = TransientNonConvergence(t[b], waveforms(b, k - 1), exc)
@@ -954,20 +937,11 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     return results
 
 
-def _rescue_step(sys: _System, x0: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
-    """gmin-stepping homotopy for a stubborn transient step from ``x0`` (the
-    unknowns after a ground column), with source values ``src`` and
-    capacitor history ``cap_ieq``.
-
-    Each stage solves in a fresh context whose gmin steps one decade from
-    1e-2 S down to the step's own gmin.  Returns (xg, iterations,
-    residual_excess, assemblies).
+def _rescue_step(graph: CircuitGraph, options: SolverOptions, x0: np.ndarray, src: np.ndarray,
+                 cap_ieq: np.ndarray, alpha: float):
+    """gmin stepping for a stubborn transient step from ``x0`` (the unknowns
+    after a ground column), with source values ``src``, capacitor history
+    ``cap_ieq`` and the step's companion factor ``alpha``.  Returns (xg,
+    iterations, residual_excess, assemblies).
     """
-    x = x0
-    iters_total = assemblies = 0
-    for gval in np.geomspace(1e-2, sys.gmin, GMIN_STEPS + 1):
-        stage = _System(sys.g, sys.opt, source_scale=sys.scale, gmin=float(gval), alpha=sys.alpha)
-        x, iters, excess = _solve_one(stage, x, src, cap_ieq)
-        iters_total += iters
-        assemblies += iters + 1
-    return x, iters_total, excess, assemblies
+    return _ladder(graph, options, x0, src, cap_ieq, _gmin_stages(options.gmin), alpha)

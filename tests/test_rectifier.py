@@ -227,9 +227,9 @@ def test_lockstep_rescue_and_abort_stay_with_their_member(monkeypatch):
     rescued = []
     rescue = amps.solver._rescue_step
 
-    def counted_rescue(sys, *args):
-        rescued.append(sys.g.isources[0].spec.frequency)
-        return rescue(sys, *args)
+    def counted_rescue(graph, *args):
+        rescued.append(graph.isources[0].spec.frequency)
+        return rescue(graph, *args)
 
     monkeypatch.setattr(amps.solver, "_rescue_step", counted_rescue)
     opts = SolverOptions(max_newton_iters=6)

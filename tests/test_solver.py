@@ -146,10 +146,9 @@ def test_compiled_dc_assembly_matches_element_stamping(text):
     doc = parse_netlist(bench_netlist_path().read_text() if text == "bench" else text)
     for temps in ((27.0,), (25.0, 60.0, 100.0)):
         graphs = [build_graph(doc, temp) for temp in temps]
-        systems = [amps.solver._System(g, OPTS) for g in graphs]
-        batch = amps.solver._Batch(systems)
+        batch = amps.solver._Batch(graphs, OPTS)
         x = np.random.default_rng(7).uniform(-1.5, 1.5, (len(graphs), graphs[0].size))
-        src = amps.solver._source_values(systems, [0.0] * len(graphs))
+        src = amps.solver._source_values(graphs, [0.0] * len(graphs))
         fixed = batch.fixed_currents(src, np.zeros((len(graphs), graphs[0].cap_c.size)))
         xg = np.concatenate((np.zeros((len(graphs), 1)), x), axis=1)
         got = batch.assemble(xg, batch.coef, batch.j_base, batch.devices, fixed)
@@ -219,6 +218,60 @@ def test_nonfinite_guess_rejected():
         newton_solve(g, np.array([np.nan, np.nan, 0.0]), OPTS)
 
 
+@pytest.mark.parametrize("solve", [lambda g, x: newton_solve(g, x, OPTS),
+                                   lambda g, x: solve_dc(g, OPTS, x)],
+                         ids=["newton_solve", "solve_dc"])
+@pytest.mark.parametrize("length", [1, 5])
+def test_wrong_length_guess_rejected(solve, length):
+    g = graph_of(DIVIDER)
+    with pytest.raises(ValueError, match=f"has {length} values for 3 unknowns"):
+        solve(g, np.zeros(length))
+
+
+def test_source_stepping_after_gmin_stepping_fails(monkeypatch):
+    """Plain Newton from a 1 kV guess fails, and so does gmin stepping once
+    its first stage has a NaN gmin: ``solve_dc`` ends in source stepping,
+    whose point counts the updates of all ten stages.  Tight tolerances
+    make two converged points agree to 1e-9 V."""
+    import amps.solver
+
+    opts = SolverOptions(reltol=1e-9, vntol=1e-12)
+    g = graph_of(DIODE_NMOS)
+    unforced = solve_dc(g, opts)
+    gmin_stages, ladder = amps.solver._gmin_stages, amps.solver._ladder
+    ladders = []  # (stages, result or error) of each stage loop run
+
+    def recorded(graph, options, xg, src, cap_ieq, stages, *args):
+        try:
+            result = ladder(graph, options, xg, src, cap_ieq, stages, *args)
+        except (NonConvergenceError, SingularMatrixError) as exc:
+            ladders.append((stages, exc))
+            raise
+        ladders.append((stages, result))
+        return result
+
+    monkeypatch.setattr(amps.solver, "_gmin_stages",
+                        lambda gmin: [(math.nan, 1.0), *gmin_stages(gmin)])
+    monkeypatch.setattr(amps.solver, "_ladder", recorded)
+    op = solve_dc(g, opts, np.full(g.size, 1e3))
+    (_, plain), (gmin, forced), (source, stepped) = ladders
+    assert isinstance(plain, NonConvergenceError)
+    assert math.isnan(gmin[0][0]) and isinstance(forced, NonConvergenceError)
+    assert len(source) == amps.solver.SOURCE_STEPS
+    assert [s for _, s in source] == pytest.approx(np.linspace(0.1, 1.0, 10))
+    assert np.allclose(op.voltages, unforced.voltages, rtol=0.0, atol=1e-9)
+
+    # the same stages one at a time: op counts each one's updates
+    xg, total = np.zeros(g.size + 1), 0
+    src = amps.solver._source_values([g], [0.0])[0]
+    for stage in source:
+        xg, iters, excess, _ = ladder(g, opts, xg, src, np.zeros(0), [stage])
+        total += iters
+    assert op.iterations == total == stepped[1] > iters
+    assert xg[1:].tobytes() == np.concatenate((op.voltages, op.branch_currents)).tobytes()
+    assert excess == op.residual_excess
+
+
 def test_kcl_residual_within_tolerance():
     g = graph_of(DIODE_NMOS)
     op = solve_dc(g, OPTS)
@@ -266,17 +319,18 @@ def test_inverter_chain_dc_converges_alike_alone_and_in_a_batch():
     x = np.zeros((len(graphs), g.size + 1))
     cap_ieq = np.zeros((len(graphs), g.cap_c.size))
     outlasted = False  # did another member iterate longer than the chain at 27 degC?
+    chain_iters = 0  # the chain's updates over all stages
+    src = amps.solver._source_values(graphs, [0.0] * len(graphs))
     for gmin in np.geomspace(1e-2, OPTS.gmin, amps.solver.GMIN_STEPS + 1):
-        systems = [amps.solver._System(gr, OPTS, gmin=float(gmin)) for gr in graphs]
-        src = amps.solver._source_values(systems, [0.0] * len(graphs))
         xs, iters, excess, errors = amps.solver._newton_batch(
-            amps.solver._Batch(systems), x, src, cap_ieq)
+            amps.solver._Batch(graphs, OPTS, gmin=float(gmin)), x, src, cap_ieq)
         assert not errors
         outlasted |= bool((iters[1:] > iters[0]).any())
+        chain_iters += iters[0]
         x = xs
     assert outlasted
     assert x[0, 1:].tobytes() == alone.tobytes()
-    assert iters[0] == op.iterations and excess[0] == op.residual_excess
+    assert chain_iters == op.iterations and excess[0] == op.residual_excess
 
 
 # ---------------------------------------------------------------------------
