@@ -19,9 +19,12 @@ falls back to gmin stepping and then source stepping (a failed transient
 step to gmin stepping; both through ``_ladder``).  Transient integration
 is fixed-step trapezoidal with a backward-Euler first step.  Every Newton
 solve, of one circuit or of several that share one topology, runs on one
-batched kernel (``_newton_batch``): each iteration is one device
-evaluation, one assembly and one LU solve for every circuit still
-iterating.  So circuits can be solved in lockstep: transients
+batched kernel (``_newton_batch``): each iteration is one assembly and one
+LU solve for every circuit still iterating.  Each assembly evaluates the
+devices, except a solve's first when it is given the evaluation at its
+start: a solve returns the evaluation at the point it returns, which is
+where the next time step, sweep point or homotopy stage starts.  So
+circuits can be solved in lockstep: transients
 (``solve_lockstep``) take each time step, and DC sweeps of one source
 (``dc_sweep_lockstep``) each sweep value, together, and each one's results
 are the ones it gets alone.
@@ -452,26 +455,29 @@ class _Batch:
         first = g.col_a.size - cap_ieq.shape[1] - ni - 2 * g.m
         return np.concatenate((np.zeros((len(src), first)), cap_ieq, src[:, :ni], -e, e), axis=1)
 
-    def assemble(self, xg, coef, j_base, table, fixed):
-        """Residual F, Jacobian J and per-row current/voltage scales of each
-        row of ``xg``, the unknowns after a ground column.
+    def assemble(self, xg, coef, j_base, table, fixed, dev=None):
+        """Residual F, Jacobian J, per-row current/voltage scales and device
+        evaluation of each row of ``xg``, the unknowns after a ground column.
 
         The other arguments belong to the members in ``xg``, one row each:
-        their ``coef`` and ``j_base``, their ``devices`` rows and their
-        ``fixed_currents`` (which this fills in).
+        their ``coef`` and ``j_base``, their ``devices`` rows, their
+        ``fixed_currents`` (which this fills in) and, if known, their device
+        evaluation at ``xg`` (5, rows, MOSFETs: id, gm, gds, gmbs and gm +
+        gds + gmbs), which is then used instead of evaluating the devices.
         """
         g = self.g
         rows, size = len(xg), g.size
         at_g, at_s, at_a, at_b, at_sum, at_row, at_jac, at_value, jac_sign = self.offsets(rows)
-        dev = np.empty((5, rows, len(g.mosfets)))  # id, gm, gds, gmbs, gm + gds + gmbs
-        eval_mosfet_into(table, *(xg.take(at_g) - xg.take(at_s)), dev)
+        if dev is None:
+            dev = np.empty((5, rows, len(g.mosfets)))
+            eval_mosfet_into(table, *(xg.take(at_g) - xg.take(at_s)), dev)
         fixed[:, self.mos] = dev[0]
         flow = (coef * (xg.take(at_a) - xg.take(at_b)) + fixed).take(at_sum) * g.sum_sign
         F = np.bincount(at_row, flow.ravel(), rows * (size + 1)).reshape(rows, -1)[:, :size]
         scale = np.maximum.reduceat(np.abs(flow), g.sum_starts, axis=1)[:, :size]
         J = j_base.copy()
         np.add.at(J.reshape(-1), at_jac, dev.take(at_value) * jac_sign)
-        return F, J.reshape(rows, size, size), scale
+        return F, J.reshape(rows, size, size), scale, dev
 
 
 def _source_values(graphs: Sequence[CircuitGraph], t: Sequence[float]) -> np.ndarray:
@@ -482,22 +488,28 @@ def _source_values(graphs: Sequence[CircuitGraph], t: Sequence[float]) -> np.nda
     return np.array(rows, dtype=float).reshape(len(rows), -1)
 
 
-def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray):
+def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray,
+                  dev: np.ndarray | None = None):
     """Damped Newton solves of every member of ``batch`` at once.
 
     Member b starts from ``xg[b]`` (its unknowns after a ground column),
     with its own row of source values (``_source_values``) and capacitor
-    history.  A member has converged when both its KCL residual and its
-    proposed (undamped) voltage step are within tolerance; it fails at the
-    iteration cap or on a non-finite or singular step.  Either way it
-    leaves the batch, so the others' iterates are the ones they get alone.
-    Returns (xg, iterations, residual_excess, errors): a member's
-    iterations are its applied updates (it assembled once more than that),
-    and ``errors`` maps each failed member to the error it fails with.
+    history; ``dev``, if given, is every member's device evaluation there
+    (as ``_Batch.assemble`` returns it), and the first assembly uses it.  A
+    member has converged when both its KCL residual and its proposed
+    (undamped) voltage step are within tolerance; it fails at the iteration
+    cap or on a non-finite or singular step.  Either way it leaves the
+    batch, so the others' iterates are the ones they get alone.
+    Returns (xg, iterations, residual_excess, dev, evaluations, errors):
+    each member's returned point and the device evaluation there (a failed
+    member returns its start), its applied updates (it assembled once more
+    than that), how many of its assemblies evaluated the devices, and
+    ``errors``, mapping each failed member to the error it fails with.
     """
     g, opt = batch.g, batch.opt
     n, count = g.n, len(xg)
     out = xg.copy()
+    evaluations = np.full(count, int(dev is None))
     iters = np.zeros(count, dtype=int)
     excess = np.full(count, np.nan)
     errors: dict[int, Exception] = {}
@@ -507,7 +519,9 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
     table = tuple(devices)
     with np.errstate(all="ignore"):  # the device model overflows in its unused branches
         for iteration in range(opt.max_newton_iters + 1):
-            F, J, scale = batch.assemble(x, coef, j_base, table, fixed)
+            F, J, scale, dev = batch.assemble(x, coef, j_base, table, fixed, dev)
+            if not iteration:
+                out_dev = dev.copy()
             over = np.abs(F) - (opt.reltol * scale + batch.tol)  # <= 0 within tolerance
             exc = np.maximum.reduce(over, axis=1)
             # Batched LU (LAPACK gesv) through the gufunc np.linalg.solve calls,
@@ -527,7 +541,7 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
                 stop = conv | ~np.isfinite(np.maximum.reduce(magnitude, axis=1))
             if np.logical_or.reduce(stop):
                 done = members[conv]
-                out[done], excess[done] = x[conv], exc[conv]
+                out[done], excess[done], out_dev[:, done] = x[conv], exc[conv], dev[:, conv]
                 iters[members[stop]] = iteration
                 for j in np.flatnonzero(stop & ~conv):
                     errors[members[j]] = _failure(g, F[j], J[j], over[j])
@@ -539,31 +553,37 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
                 devices = devices[:, going]
                 table = tuple(devices)
             x[:, 1:] -= np.minimum(np.maximum(step, -batch.clamp), batch.clamp)
-    return out, iters, excess, errors
+            dev = None
+    return out, iters, excess, out_dev, evaluations + iters, errors
 
 
 def _ladder(graph: CircuitGraph, options: SolverOptions, xg: np.ndarray, src: np.ndarray,
-            cap_ieq: np.ndarray, stages: Sequence[tuple[float, float]], alpha: float = 0.0):
+            cap_ieq: np.ndarray, stages: Sequence[tuple[float, float]], alpha: float = 0.0,
+            dev: np.ndarray | None = None):
     """Newton solves of one circuit through ``stages`` of (gmin, source
     scale) at companion factor ``alpha``, the first from ``xg`` (the unknowns
-    after a ground column), each later one from the one before.  ``src``
-    holds the full-scale source values, ``cap_ieq`` the capacitor history.
+    after a ground column; ``dev``, if given, its device evaluation), each
+    later one from the one before.  ``src`` holds the full-scale source
+    values, ``cap_ieq`` the capacitor history.
 
-    Returns (xg, iterations, residual_excess, assemblies): the last stage's
-    point and excess, the updates and assemblies of all stages; raises the
-    first failing stage's error.
+    Returns (xg, iterations, residual_excess, dev, assemblies, evaluations):
+    the last stage's point, excess and device evaluation, the updates,
+    assemblies and device evaluations of all stages; raises the first
+    failing stage's error.
     """
-    iterations = assemblies = 0
+    iterations = assemblies = evaluations = 0
+    dev = None if dev is None else dev[:, None]
     for gmin, scale in stages:
         batch = _Batch([graph], options, gmin=gmin, alpha=alpha)
-        out, iters, excess, errors = _newton_batch(batch, xg[None], scale * src[None],
-                                                   cap_ieq[None])
+        out, iters, excess, dev, evals, errors = _newton_batch(
+            batch, xg[None], scale * src[None], cap_ieq[None], dev)
         if errors:  # popped, so that the error's traceback does not keep it alive
             raise errors.pop(0)
         xg = out[0]
         iterations += int(iters[0])
         assemblies += int(iters[0]) + 1
-    return xg, iterations, float(excess[0]), assemblies
+        evaluations += int(evals[0])
+    return xg, iterations, float(excess[0]), dev[:, 0], assemblies, evaluations
 
 
 def _gmin_stages(gmin: float) -> list[tuple[float, float]]:
@@ -598,8 +618,8 @@ def newton_solve(
     x0 = np.concatenate(([0.0], x0))
     if not np.all(np.isfinite(x0)):
         raise ValueError("non-finite initial guess")
-    xg, iters, excess, _ = _ladder(graph, options, x0, _source_values([graph], [0.0])[0],
-                                   np.zeros(graph.cap_c.size), [(options.gmin, 1.0)])
+    xg, iters, excess = _ladder(graph, options, x0, _source_values([graph], [0.0])[0],
+                                np.zeros(graph.cap_c.size), [(options.gmin, 1.0)])[:3]
     return _point(graph, xg, iters, excess)
 
 
@@ -620,13 +640,13 @@ def solve_dc(
         return newton_solve(graph, initial_guess, options)
     except (NonConvergenceError, SingularMatrixError) as exc:
         plain = f"plain: {exc}"
-    return _point(graph, *_homotopies(graph, options, [plain]))
+    return _point(graph, *_homotopies(graph, options, [plain])[:3])
 
 
 def _homotopies(graph: CircuitGraph, options: SolverOptions, log: list[str]):
     """``solve_dc`` after its plain Newton solve failed (as ``log`` says):
     gmin stepping, then source stepping, each from zeros.  Returns (xg,
-    iterations, residual_excess)."""
+    iterations, residual_excess, device evaluation at xg)."""
     homotopies = {
         "gmin stepping": _gmin_stages(options.gmin),
         "source stepping": [(options.gmin, float(scale))
@@ -636,7 +656,7 @@ def _homotopies(graph: CircuitGraph, options: SolverOptions, log: list[str]):
     for label, stages in homotopies.items():
         try:
             return _ladder(graph, options, np.zeros(graph.size + 1), src,
-                           np.zeros(graph.cap_c.size), stages)[:3]
+                           np.zeros(graph.cap_c.size), stages)[:4]
         except (NonConvergenceError, SingularMatrixError) as exc:
             log.append(f"{label}: {exc}")
     raise NonConvergenceError("all homotopies exhausted", float("nan"), log)
@@ -740,17 +760,18 @@ def dc_sweep_lockstep(
             sweep.iterations[0, b], sweep.residual_excess[0, b] = op.iterations, op.residual_excess
     batch = _Batch(graphs, options)
     cap_ieq = np.zeros((count, graphs[0].cap_c.size))
+    dev = None  # the device evaluation at ``last``, once a solve has made one
     for k in range(1, points):
         src[members, held] = values[k]
-        xs, iters, excess, errors = _newton_batch(batch, last, src, cap_ieq)
+        xs, iters, excess, devs, _, errors = _newton_batch(batch, last, src, cap_ieq, dev)
         ok = np.ones(count, dtype=bool)
         for b in sorted(errors):
             graph = graphs[b].with_source(source_name, values[k])
             try:
-                xs[b], iters[b], excess[b] = _homotopies(graph, options, [])
+                xs[b], iters[b], excess[b], devs[:, b] = _homotopies(graph, options, [])
             except NonConvergenceError:
                 ok[b] = False
-        last[ok] = xs[ok]
+        last, dev = xs, devs  # the kernel returned a failed member's start and its evaluation
         sweep.x[k, ok] = xs[ok, 1:]
         sweep.converged[k] = ok
         sweep.iterations[k, ok] = iters[ok]
@@ -775,6 +796,8 @@ def solve_transient(
     with solver statistics in ``WaveformSet.stats``: the largest KCL excess,
     Newton updates (those of the DC start included), the steps' Newton
     assemblies (a rescued step's failed try and rescue stages included), the
+    ones of those that evaluated the devices (each step's first assembly
+    takes the evaluation at the point the step before converged to), the
     steps that needed a gmin-stepping rescue, the step count and the step.
     """
     if topts.ic == "from_op":
@@ -843,8 +866,8 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     xg[:, 1:] = [np.concatenate((op.voltages, op.branch_currents)) for op in starts]
     max_excess = np.array([op.residual_excess for op in starts])
     total_iters = np.array([op.iterations for op in starts])
-    assemblies = np.zeros(count, dtype=int)
-    rescues = np.zeros(count, dtype=int)
+    assemblies, evaluations, rescues = np.zeros((3, count), dtype=int)
+    dev = np.empty((5, count, len(g.mosfets)))  # each member's device evaluation at xg
     record = np.empty((nsteps + 1, count, g.size + 1 - first))
     record[0] = xg[:, first:]
 
@@ -876,6 +899,7 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
         ws.stats["max_kcl_excess"] = float(max_excess[b])
         ws.stats["newton_iterations"] = int(total_iters[b])
         ws.stats["assemblies"] = int(assemblies[b])
+        ws.stats["evaluations"] = int(evaluations[b])
         ws.stats["rescues"] = int(rescues[b])
         ws.stats["steps"] = upto
         ws.stats["tstep"] = h_b
@@ -907,25 +931,29 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
                                   alpha=[alpha[b] for b in running])
         sel = running if running.size < count else slice(None)
         src = _source_values(graphs, t)
-        xs, iters, excess, errors = _newton_batch(batches[key], xg[sel], src[sel], cap_ieq[sel])
+        xs, iters, excess, devs, evals, errors = _newton_batch(
+            batches[key], xg[sel], src[sel], cap_ieq[sel], None if k == 1 else dev[:, sel])
         assemblies[sel] += iters + 1
+        evaluations[sel] += evals
         if errors:
             for j in sorted(errors):
                 b = running[j]
                 rescues[b] += 1
                 try:
-                    xs[j], iters[j], excess[j], used = _rescue_step(
-                        graphs[b], sopts, xg[b], src[b], cap_ieq[b], alpha[b])
+                    xs[j], iters[j], excess[j], devs[:, j], used, evaluated = _rescue_step(
+                        graphs[b], sopts, xg[b], src[b], cap_ieq[b], alpha[b], devs[:, j])
                     assemblies[b] += used
+                    evaluations[b] += evaluated
                 except (NonConvergenceError, SingularMatrixError) as exc:
                     results[b] = TransientNonConvergence(t[b], waveforms(b, k - 1), exc)
                     results[b].__cause__ = exc
             ok = np.array([results[b] is None for b in running])
             running, xs, iters, excess = running[ok], xs[ok], iters[ok], excess[ok]
+            devs = devs[:, ok]
             if not running.size:
                 break
             sel = running
-        xg[sel] = xs
+        xg[sel], dev[:, sel] = xs, devs
         total_iters[sel] += iters
         max_excess[sel] = np.maximum(max_excess[sel], excess)
         record[k] = xg[:, first:]
@@ -938,10 +966,11 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
 
 
 def _rescue_step(graph: CircuitGraph, options: SolverOptions, x0: np.ndarray, src: np.ndarray,
-                 cap_ieq: np.ndarray, alpha: float):
+                 cap_ieq: np.ndarray, alpha: float, dev: np.ndarray):
     """gmin stepping for a stubborn transient step from ``x0`` (the unknowns
-    after a ground column), with source values ``src``, capacitor history
-    ``cap_ieq`` and the step's companion factor ``alpha``.  Returns (xg,
-    iterations, residual_excess, assemblies).
+    after a ground column) and its device evaluation ``dev``, with source
+    values ``src``, capacitor history ``cap_ieq`` and the step's companion
+    factor ``alpha``.  Returns (xg, iterations, residual_excess, dev,
+    assemblies, evaluations).
     """
-    return _ladder(graph, options, x0, src, cap_ieq, _gmin_stages(options.gmin), alpha)
+    return _ladder(graph, options, x0, src, cap_ieq, _gmin_stages(options.gmin), alpha, dev)

@@ -214,6 +214,9 @@ def test_lockstep_members_match_single_runs():
         for t in (25.0, 75.0)
     ]
     for cfg, ws in zip(cfgs, run_bench(cfgs)):
+        # every step after the first takes the device evaluation of its start
+        assert ws.stats["rescues"] == 0
+        assert ws.stats["evaluations"] == ws.stats["assemblies"] - (ws.stats["steps"] - 1)
         (alone,) = run_bench([cfg])
         assert ws.stats == alone.stats
         assert ws.names() == alone.names()

@@ -265,7 +265,7 @@ def test_source_stepping_after_gmin_stepping_fails(monkeypatch):
     xg, total = np.zeros(g.size + 1), 0
     src = amps.solver._source_values([g], [0.0])[0]
     for stage in source:
-        xg, iters, excess, _ = ladder(g, opts, xg, src, np.zeros(0), [stage])
+        xg, iters, excess, *_ = ladder(g, opts, xg, src, np.zeros(0), [stage])
         total += iters
     assert op.iterations == total == stepped[1] > iters
     assert xg[1:].tobytes() == np.concatenate((op.voltages, op.branch_currents)).tobytes()
@@ -322,7 +322,7 @@ def test_inverter_chain_dc_converges_alike_alone_and_in_a_batch():
     chain_iters = 0  # the chain's updates over all stages
     src = amps.solver._source_values(graphs, [0.0] * len(graphs))
     for gmin in np.geomspace(1e-2, OPTS.gmin, amps.solver.GMIN_STEPS + 1):
-        xs, iters, excess, errors = amps.solver._newton_batch(
+        xs, iters, excess, _, _, errors = amps.solver._newton_batch(
             amps.solver._Batch(graphs, OPTS, gmin=float(gmin)), x, src, cap_ieq)
         assert not errors
         outlasted |= bool((iters[1:] > iters[0]).any())
@@ -558,3 +558,93 @@ def test_sinusoid_source_waveform_recorded():
     w = ws.get("i(I1)")
     expected = 1e-3 * np.sin(2 * np.pi * 1e3 * w.times)
     assert np.allclose(w.values, expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The device evaluation each solve takes from the point it starts at
+# ---------------------------------------------------------------------------
+
+
+def kernel_counted(monkeypatch, carry: bool) -> list[int]:
+    """Patch the Newton kernel to pass on (or drop) the evaluation it is
+    given; the returned list collects each call's device evaluations."""
+    import amps.solver
+
+    kernel, counted = amps.solver._newton_batch, []
+
+    def wrapper(batch, xg, src, cap_ieq, dev=None):
+        result = kernel(batch, xg, src, cap_ieq, dev if carry else None)
+        counted.append(int(result[4].sum()))
+        return result
+
+    monkeypatch.setattr(amps.solver, "_newton_batch", wrapper)
+    return counted
+
+
+def test_carried_evaluation_changes_no_rescued_or_aborted_transient(monkeypatch):
+    """Carrying each point's device evaluation to the solve that starts
+    there changes no bit: the three-member bench whose 100 MHz member needs
+    rescues and whose 10 MHz member aborts gives the same waveforms, times
+    and stats as with every evaluation dropped, but fewer evaluations."""
+    import amps.solver
+    from amps.rectifier import BenchConfig, run_bench
+
+    opts = SolverOptions(max_newton_iters=6)
+    cfgs = [BenchConfig(frequency=f, periods=3, steps_per_period=100) for f in (3e7, 1e7, 1e8)]
+    kernel_counted(monkeypatch, carry=True)
+    got = run_bench(cfgs, opts)
+    monkeypatch.undo()
+    kernel_counted(monkeypatch, carry=False)
+    dropped = run_bench(cfgs, opts)
+    rescued = got[2].stats
+    assert rescued["rescues"] > 0
+    assert isinstance(got[1], amps.solver.TransientNonConvergence)
+    # every step after the first and every rescue stage took its start's
+    skipped = rescued["steps"] - 1 + (amps.solver.GMIN_STEPS + 1) * rescued["rescues"]
+    assert rescued["evaluations"] == rescued["assemblies"] - skipped
+    for a, b in zip(got, dropped):
+        if isinstance(b, amps.solver.TransientNonConvergence):
+            assert isinstance(a, amps.solver.TransientNonConvergence) and a.time == b.time
+            a, b = a.partial, b.partial
+        assert a.stats["evaluations"] < b.stats["evaluations"] == b.stats["assemblies"]
+        assert {**a.stats, "evaluations": 0} == {**b.stats, "evaluations": 0}
+        for wa, wb in zip(a.waveforms, b.waveforms, strict=True):
+            assert wa.values.tobytes() == wb.values.tobytes()
+
+
+def test_carried_evaluation_changes_no_lockstep_sweep(monkeypatch):
+    """The same for the 4-temperature sweep whose members fall back to the
+    homotopies: every field of the record is the same bits, and the carry
+    saves device evaluations."""
+    import amps.solver
+    from amps.rectifier import BenchConfig, bench_graph
+
+    fallbacks = []
+    homotopies = amps.solver._homotopies
+
+    def counted(graph, options, log):
+        fallbacks.append(graph.mosfets[0].temp)
+        return homotopies(graph, options, log)
+
+    opts = SolverOptions(max_newton_iters=6, reltol=1.5e-5)
+    graphs = [bench_graph(BenchConfig(temp=t)) for t in (25.0, 50.0, 75.0, 100.0)]
+    values = sweep_values(-100e-6, 100e-6, 20e-6)
+
+    def sweep(carry: bool):
+        counts = kernel_counted(monkeypatch, carry)
+        monkeypatch.setattr(amps.solver, "_homotopies", counted)
+        firsts = []
+        for g in graphs:
+            try:
+                firsts.append(solve_dc(g.with_source("IIN", values[0]), opts))
+            except NonConvergenceError:
+                firsts.append(None)
+        record = dc_sweep_lockstep(graphs, "IIN", values, opts, firsts)
+        monkeypatch.undo()
+        return record, sum(counts)
+
+    (got, evaluations), (dropped, dropped_evaluations) = sweep(True), sweep(False)
+    assert set(fallbacks) == {25.0, 50.0, 75.0, 100.0}
+    for field in ("x", "converged", "iterations", "residual_excess"):
+        assert getattr(got, field).tobytes() == getattr(dropped, field).tobytes(), field
+    assert evaluations < dropped_evaluations
