@@ -193,21 +193,18 @@ def main(argv: list[str] | None = None) -> int:
 
 def _write_op_csv(fh, graph, op) -> None:
     fh.write("name,value,unit\n")
-    for j in range(1, graph.n + 1):
-        fh.write(f"v({graph.node_names[j]}),{_FMT.format(op.voltages[j - 1])},V\n")
-    for k, src in enumerate(graph.vsources):
-        fh.write(f"i({src.name}),{_FMT.format(op.branch_currents[k])},A\n")
+    fh.writelines(map("v(%s),%.8e,V\n".__mod__, zip(graph.node_names[1:], op.voltages.tolist())))
+    fh.writelines(map("i(%s),%.8e,A\n".__mod__,
+                      zip([src.name for src in graph.vsources], op.branch_currents.tolist())))
 
 
 def _write_sweep_csv(fh, graph, source_name, curve) -> None:
     cols = [f"v({graph.node_names[j]})" for j in range(1, graph.n + 1)]
     cols += [f"i({src.name})" for src in graph.vsources]
     fh.write(f"{source_name}," + ",".join(cols) + "\n")
-    for value, op in curve:
-        row = [_FMT.format(value)]
-        row += [_FMT.format(v) for v in op.voltages]
-        row += [_FMT.format(i) for i in op.branch_currents]
-        fh.write(",".join(row) + "\n")
+    row = ",".join(["%.8e"] * (1 + graph.size)) + "\n"
+    fh.writelines(row % (value, *op.voltages.tolist(), *op.branch_currents.tolist())
+                  for value, op in curve)
 
 
 def cmd_run(args) -> int:
@@ -362,8 +359,8 @@ def cmd_dc_sweep(args) -> int:
 
         def write(fh):
             fh.write("iin,out_plus,out_minus\n")
-            for row in zip(iin, out_plus, out_minus):
-                fh.write(",".join(_FMT.format(v) for v in row) + "\n")
+            fh.writelines(map("%.8e,%.8e,%.8e\n".__mod__,
+                              zip(iin.tolist(), out_plus.tolist(), out_minus.tolist())))
 
         _atomic_write(outdir / name, write)
         print(f"dc-sweep T={temp:g}: {len(iin)} points -> {outdir / name}")

@@ -26,6 +26,7 @@ EPS_OX = 3.45313e-11
 TNOM_K = 300.15
 # threshold drift, V per degC (magnitude shrinks with temperature)
 VTH_TC = 2.0e-3
+_SWAP_SHIFT = np.array([1.0, 2.0, 1.0])  # (vgs, vds, vbs) shifts, in vds, of a swapped device
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,10 +189,10 @@ def eval_mosfet(p: MosfetParams, vgs: float, vds: float, vbs: float) -> DeviceEv
 
 
 def device_table(params: Sequence[MosfetParams]) -> np.ndarray:
-    """The per-device constants of ``eval_mosfet`` as an (11, devices) table.
+    """The per-device constants of ``eval_mosfet`` as a (10, devices) table.
 
     Rows: polarity sign (-1 for PMOS), threshold with that sign folded in,
-    gamma, -gamma, phi, the vbs clamp phi - 1e-6, sqrt(phi), beta = kp_eff *
+    gamma, phi, the vbs clamp phi - 1e-6, sqrt(phi), beta = kp_eff *
     (w / leff), 0.5 * beta, theta and -theta, each computed as
     ``eval_mosfet`` computes it.
     """
@@ -199,44 +200,48 @@ def device_table(params: Sequence[MosfetParams]) -> np.ndarray:
     for p in params:
         sign = -1.0 if p.polarity == "PMOS" else 1.0
         beta = p.kp_eff * (p.w / p.leff)
-        rows.append((sign, -p.vth0 if sign < 0 else p.vth0, p.gamma, -p.gamma, p.phi,
+        rows.append((sign, -p.vth0 if sign < 0 else p.vth0, p.gamma, p.phi,
                      p.phi - 1e-6, math.sqrt(p.phi), beta, 0.5 * beta, p.theta, -p.theta))
-    return np.array(rows).reshape(-1, 11).T
+    return np.array(rows).reshape(-1, 10).T
 
 
-def eval_mosfet_into(table, vgs, vds, vbs, out: np.ndarray) -> None:
+def eval_mosfet_into(table, bias: np.ndarray, out: np.ndarray) -> None:
     """``eval_mosfet`` over arrays of bias points, written into ``out``.
 
-    ``table`` holds the ``device_table`` rows, each broadcasting against the
-    bias arrays.  ``out`` is (5,) + the bias shape: id, gm, gds, gmbs and
-    gm + gds + gmbs.  Every value is computed with ``eval_mosfet``'s operations
-    in its order (its only function is the correctly rounded sqrt), so each
-    result is bit-identical to the scalar one.  Both branches of every
-    condition are computed and the unused ones may overflow, so the caller
-    ignores floating-point errors.
+    ``bias`` stacks vgs, vds and vbs, and each ``device_table`` row in
+    ``table`` broadcasts against one of them.  ``out`` is (5,) + the bias
+    shape: id, gm, gds, gmbs and gm + gds + gmbs.  Every value is computed
+    with ``eval_mosfet``'s operations in its order (its only function is the
+    correctly rounded sqrt), so each result is bit-identical to the scalar
+    one.  Both branches of every condition are computed and the unused ones
+    may overflow, so the caller ignores floating-point errors.
     """
-    sign, vth0, gamma, neg_gamma, phi, lim, sqrt_phi, beta, half_beta, theta, neg_theta = table
-    vgs, vds, vbs = sign * vgs, sign * vds, sign * vbs
-    rev = vds < 0.0  # evaluated with source and drain swapped
+    sign, vth0, gamma, phi, lim, sqrt_phi, beta, half_beta, theta, neg_theta = table
+    b = sign * bias
+    rev = b[1] < 0.0  # evaluated with source and drain swapped
     # the swapped device sees (vgs - vds, -vds, vbs - vds); x - 0.0 is x and
     # vds - 2*vds is -vds exactly
-    shift = np.where(rev, vds, 0.0)
-    vgs, vds, vbs = vgs - shift, vds - (shift + shift), vbs - shift
+    b -= np.multiply.outer(_SWAP_SHIFT, np.where(rev, b[1], 0.0))
+    vgs, vds, vbs = b
     sq = np.sqrt(phi - np.minimum(vbs, lim))
-    dvth = np.where(vbs < lim, neg_gamma / (2.0 * sq), 0.0)
     vov = vgs - (vth0 + gamma * (sq - sqrt_phi))
     u = 1.0 / (1.0 + theta * vov)
     du = neg_theta * u * u
     beta_u = beta * u
     core = vov * vds - 0.5 * vds * vds
-    triode = vds < vov
-    cur = np.where(triode, beta_u * core, half_beta * u * vov * vov)
-    dvov = np.where(triode, beta * (du * core + u * vds), half_beta * vov * (du * vov + 2.0 * u))
-    gds = np.where(triode, beta_u * (vov - vds), 0.0)
-    # the forward device's id, gm, gds and gmbs, all zero in cutoff
-    fwd = np.where(vov > 0.0, np.array((cur, dvov, gds, -dvth * dvov)), 0.0)
-    np.negative(fwd, out=out[:4])
-    out[2] = fwd[1] + fwd[2] + fwd[3]  # the swapped device's gds
-    np.copyto(out[:4], fwd, where=~rev)
+    fwd = np.zeros((4,) + vov.shape)  # the forward device's id, gm, gds, gmbs: saturated,
+    np.multiply(half_beta * u * vov, vov, out=fwd[0])
+    np.multiply(half_beta * vov, du * vov + 2.0 * u, out=fwd[1])
+    tri = np.empty((3,) + vov.shape)  # and in triode, where vds < vov
+    np.multiply(beta_u, core, out=tri[0])
+    np.multiply(beta, du * core + u * vds, out=tri[1])
+    np.multiply(beta_u, vov - vds, out=tri[2])
+    np.copyto(fwd[:3], tri, where=vds < vov)
+    # gmbs = -dvth * dvov, dvth = d vth / d vbs = -gamma / (2 sq), and 0.0 past the clamp
+    np.multiply(np.where(vbs < lim, gamma / (2.0 * sq), -0.0), fwd[1], out=fwd[3])
+    fwd = np.where(vov > 0.0, fwd, 0.0)  # all zero in cutoff
+    out[:4] = fwd
+    np.negative(fwd, out=out[:4], where=rev)  # the swapped device's id, gm and gmbs,
+    np.add(fwd[1] + fwd[2], fwd[3], out=out[2], where=rev)  # and its gds
     out[0] *= sign
-    out[4] = out[1] + out[2] + out[3]
+    np.add(out[1] + out[2], out[3], out=out[4])

@@ -20,11 +20,11 @@ step to gmin stepping; both through ``_ladder``).  Transient integration
 is fixed-step trapezoidal with a backward-Euler first step.  Every Newton
 solve, of one circuit or of several that share one topology, runs on one
 batched kernel (``_newton_batch``): each iteration is one assembly and one
-LU solve for every circuit still iterating.  Each assembly evaluates the
-devices, except a solve's first when it is given the evaluation at its
-start: a solve returns the evaluation at the point it returns, which is
-where the next time step, sweep point or homotopy stage starts.  So
-circuits can be solved in lockstep: transients
+LU solve for every circuit of the batch, spent ones too.  Each assembly
+evaluates the devices, except a solve's first when it is given the
+evaluation at its start: a solve returns the evaluation at the point it
+returns, which is where the next time step, sweep point or homotopy stage
+starts.  So circuits can be solved in lockstep: transients
 (``solve_lockstep``) take each time step, and DC sweeps of one source
 (``dc_sweep_lockstep``) each sweep value, together, and each one's results
 are the ones it gets alone.
@@ -192,7 +192,7 @@ class CircuitGraph:
     sum_row: np.ndarray
     sum_starts: np.ndarray
     mos_terms: np.ndarray  # (4, MOSFETs): d, g, s, b node indices
-    devices: np.ndarray  # (11, MOSFETs): ``device_table`` of ``mosfets``
+    devices: np.ndarray  # (10, MOSFETs): ``device_table`` of ``mosfets``
     # the Jacobian entries of the MOSFETs, in device order: flat index in
     # J, device, evaluated value (id, gm, gds, gmbs, gsum) and sign
     mos_jac: np.ndarray
@@ -391,21 +391,23 @@ class _Batch:
 
     Each member is a graph with gmin (the options' unless given) and a
     companion factor ``alpha`` (one, or one per member) fixed: its column
-    factors ``coef``, Jacobian base ``j_base`` and device constants are
-    stacked along the member axis.  Gathers, row sums and the Jacobian
-    scatter use the index tables offset per member, so each member's sums
-    keep their element order and its values are the ones it gets alone,
-    whatever the batch size.
+    factors ``coef``, Jacobian base ``j_base`` and device constants
+    ``devices`` are stacked along the member axis.  The members are fixed:
+    gathers, row sums and the Jacobian scatter use index tables offset per
+    member, built once, so each member's sums keep their element order and
+    its values are the ones it gets alone, whatever the batch size.
     """
 
-    __slots__ = ("g", "opt", "coef", "j_base", "devices", "tol", "clamp", "mos", "_offsets")
+    __slots__ = ("g", "opt", "coef", "j_base", "devices", "tol", "clamp", "neg_clamp", "mos",
+                 "at_terms", "at_ends", "at_sum", "at_row", "at_jac", "at_value", "jac_sign")
 
     def __init__(self, graphs: Sequence[CircuitGraph], options: SolverOptions, *,
                  gmin: float | None = None, alpha: float | Sequence[float] = 0.0):
         g = self.g = graphs[0]
         self.opt = options
         gmin = options.gmin if gmin is None else gmin
-        alphas = np.broadcast_to(alpha, len(graphs))
+        rows = len(graphs)
+        alphas = np.broadcast_to(alpha, rows)
         m = g.m
         # the factor of each of the Newton kernel's current columns (``col_a``)
         self.coef = np.array([np.concatenate((
@@ -415,34 +417,25 @@ class _Batch:
         )) for gr, a in zip(graphs, alphas)])
         j_base = np.array([gr.G + a * gr.C for gr, a in zip(graphs, alphas)])
         j_base[:, g.gmin_rows, g.gmin_rows] += gmin
-        self.j_base = j_base.reshape(len(graphs), -1)
-        self.devices = np.stack([gr.devices for gr in graphs], axis=1)
+        self.j_base = j_base.reshape(rows, -1)
+        self.devices = tuple(np.stack([gr.devices for gr in graphs], axis=1))
         self.tol = np.concatenate((np.full(g.n, options.abstol_i), np.full(g.m, options.vntol)))
         self.clamp = np.full(g.size, np.inf)  # update damping on nonlinear-device nodes
         self.clamp[g.gmin_rows] = VSTEP_CLAMP
+        self.neg_clamp = -self.clamp
         first_mos = 1 + g.res_g.size + g.m
         self.mos = slice(first_mos, first_mos + len(g.mosfets))  # current columns
-        self._offsets: dict[int, tuple] = {}
-
-    def offsets(self, rows: int) -> tuple:
-        """The index tables offset for ``rows`` members (gathers, row sums,
-        Jacobian scatter), made once per row count."""
-        if rows not in self._offsets:
-            g = self.g
-            r = np.arange(rows)[:, None]
-            width, cols, devices = g.size + 1, g.col_a.size, len(g.mosfets)
-            self._offsets[rows] = (
-                g.mos_terms[[1, 0, 3], None] + width * r,  # g, d, b
-                g.mos_terms[[2, 2, 2], None] + width * r,  # s
-                g.col_a + width * r,
-                g.col_b + width * r,
-                g.sum_col + cols * r,
-                (g.sum_row + width * r).ravel(),
-                (g.mos_jac + g.size * g.size * r).ravel(),
-                (g.mos_value * rows * devices + devices * r + g.mos_device).ravel(),
-                np.tile(g.mos_sign, rows),
-            )
-        return self._offsets[rows]
+        # index tables offset per member: gathers of the MOSFET terminals (g,
+        # d, b, s) and the current columns' ends, row sums, Jacobian scatter
+        r = np.arange(rows)[:, None]
+        width, cols, devices = g.size + 1, g.col_a.size, len(g.mosfets)
+        self.at_terms = g.mos_terms[[1, 0, 3, 2], None] + width * r
+        self.at_ends = np.stack((g.col_a, g.col_b))[:, None] + width * r
+        self.at_sum = g.sum_col + cols * r
+        self.at_row = (g.sum_row + width * r).ravel()
+        self.at_jac = (g.mos_jac + g.size * g.size * r).ravel()
+        self.at_value = (g.mos_value * rows * devices + devices * r + g.mos_device).ravel()
+        self.jac_sign = np.tile(g.mos_sign, rows)
 
     def fixed_currents(self, src: np.ndarray, cap_ieq: np.ndarray) -> np.ndarray:
         """The terms of the current columns fixed for a solve, one row per
@@ -455,36 +448,34 @@ class _Batch:
         first = g.col_a.size - cap_ieq.shape[1] - ni - 2 * g.m
         return np.concatenate((np.zeros((len(src), first)), cap_ieq, src[:, :ni], -e, e), axis=1)
 
-    def assemble(self, xg, coef, j_base, table, fixed, dev=None):
+    def assemble(self, xg, fixed, dev=None):
         """Residual F, Jacobian J, per-row current/voltage scales and device
-        evaluation of each row of ``xg``, the unknowns after a ground column.
-
-        The other arguments belong to the members in ``xg``, one row each:
-        their ``coef`` and ``j_base``, their ``devices`` rows, their
-        ``fixed_currents`` (which this fills in) and, if known, their device
-        evaluation at ``xg`` (5, rows, MOSFETs: id, gm, gds, gmbs and gm +
-        gds + gmbs), which is then used instead of evaluating the devices.
+        evaluation of each member at its row of ``xg`` (unknowns after a
+        ground column), given its ``fixed_currents`` (which this fills in)
+        and, if known, its device evaluation at ``xg`` (5, members, MOSFETs:
+        id, gm, gds, gmbs and gm + gds + gmbs), used then instead of
+        evaluating the devices.
         """
         g = self.g
         rows, size = len(xg), g.size
-        at_g, at_s, at_a, at_b, at_sum, at_row, at_jac, at_value, jac_sign = self.offsets(rows)
         if dev is None:
             dev = np.empty((5, rows, len(g.mosfets)))
-            eval_mosfet_into(table, *(xg.take(at_g) - xg.take(at_s)), dev)
+            v = xg.take(self.at_terms)
+            eval_mosfet_into(self.devices, v[:3] - v[3], dev)  # vgs, vds, vbs
         fixed[:, self.mos] = dev[0]
-        flow = (coef * (xg.take(at_a) - xg.take(at_b)) + fixed).take(at_sum) * g.sum_sign
-        F = np.bincount(at_row, flow.ravel(), rows * (size + 1)).reshape(rows, -1)[:, :size]
+        flow = (self.coef * np.subtract(*xg.take(self.at_ends)) + fixed).take(self.at_sum)
+        flow *= g.sum_sign
+        F = np.bincount(self.at_row, flow.ravel(), rows * (size + 1)).reshape(rows, -1)[:, :size]
         scale = np.maximum.reduceat(np.abs(flow), g.sum_starts, axis=1)[:, :size]
-        J = j_base.copy()
-        np.add.at(J.reshape(-1), at_jac, dev.take(at_value) * jac_sign)
+        J = self.j_base.copy()
+        np.add.at(J.reshape(-1), self.at_jac, dev.take(self.at_value) * self.jac_sign)
         return F, J.reshape(rows, size, size), scale, dev
 
 
-def _source_values(graphs: Sequence[CircuitGraph], t: Sequence[float]) -> np.ndarray:
-    """Each graph's source values at its own time, one row each: the current
+def _source_values(graphs: Sequence[CircuitGraph]) -> np.ndarray:
+    """Each graph's source values at t = 0, one row each: the current
     sources, then the voltage sources."""
-    rows = [[src.spec.value_at(tb) for src in (*gr.isources, *gr.vsources)]
-            for gr, tb in zip(graphs, t)]
+    rows = [[src.spec.value_at(0.0) for src in (*gr.isources, *gr.vsources)] for gr in graphs]
     return np.array(rows, dtype=float).reshape(len(rows), -1)
 
 
@@ -493,13 +484,15 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
     """Damped Newton solves of every member of ``batch`` at once.
 
     Member b starts from ``xg[b]`` (its unknowns after a ground column),
-    with its own row of source values (``_source_values``) and capacitor
-    history; ``dev``, if given, is every member's device evaluation there
-    (as ``_Batch.assemble`` returns it), and the first assembly uses it.  A
-    member has converged when both its KCL residual and its proposed
-    (undamped) voltage step are within tolerance; it fails at the iteration
-    cap or on a non-finite or singular step.  Either way it leaves the
-    batch, so the others' iterates are the ones they get alone.
+    with its own row of source values (ordered as ``_source_values``) and
+    capacitor history; ``dev``, if given, is every member's device
+    evaluation there (as ``_Batch.assemble`` returns it), and the first
+    assembly uses it.  A member has converged when both its KCL residual and
+    its proposed (undamped) voltage step are within tolerance; it fails at
+    the iteration cap or on a non-finite or singular step.  Either way its
+    result is recorded then, and its row stays in the batch, spent: nothing
+    reads it again (it may go non-finite), and the others' iterates are the
+    ones they get alone.
     Returns (xg, iterations, residual_excess, dev, evaluations, errors):
     each member's returned point and the device evaluation there (a failed
     member returns its start), its applied updates (it assembled once more
@@ -509,17 +502,16 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
     g, opt = batch.g, batch.opt
     n, count = g.n, len(xg)
     out = xg.copy()
-    evaluations = np.full(count, int(dev is None))
+    evaluated = int(dev is None)  # the first assembly evaluates the devices
     iters = np.zeros(count, dtype=int)
     excess = np.full(count, np.nan)
     errors: dict[int, Exception] = {}
-    members = np.arange(count)  # the ones still iterating, and their rows
-    x, coef, j_base, devices = xg.copy(), batch.coef, batch.j_base, batch.devices
+    going = np.ones(count, dtype=bool)  # the members still iterating
+    x = xg.copy()
     fixed = batch.fixed_currents(src, cap_ieq)
-    table = tuple(devices)
     with np.errstate(all="ignore"):  # the device model overflows in its unused branches
         for iteration in range(opt.max_newton_iters + 1):
-            F, J, scale, dev = batch.assemble(x, coef, j_base, table, fixed, dev)
+            F, J, scale, dev = batch.assemble(x, fixed, dev)
             if not iteration:
                 out_dev = dev.copy()
             over = np.abs(F) - (opt.reltol * scale + batch.tol)  # <= 0 within tolerance
@@ -529,32 +521,28 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
             # solves; a singular member gets NaN.  The Newton update is -step:
             # the solve is exact under negation.
             step = np.linalg._umath_linalg.solve1(J, F)
-            magnitude = np.abs(step)
-            conv = exc <= 0.0
-            if np.logical_or.reduce(conv):  # ndarray.any wraps this in Python
+            conv = (exc <= 0.0) & going
+            if np.count_nonzero(conv):  # the fastest test of any on small arrays
                 vmax = np.maximum.reduce(np.abs(x[:, 1 : n + 1]), axis=1, initial=0.0)
-                conv &= (np.maximum.reduce(magnitude[:, :n], axis=1, initial=0.0)
+                conv &= (np.maximum.reduce(np.abs(step[:, :n]), axis=1, initial=0.0)
                          < opt.vntol + opt.reltol * vmax)
-            if iteration == opt.max_newton_iters:
-                stop = np.ones(len(x), dtype=bool)
-            else:
-                stop = conv | ~np.isfinite(np.maximum.reduce(magnitude, axis=1))
-            if np.logical_or.reduce(stop):
-                done = members[conv]
-                out[done], excess[done], out_dev[:, done] = x[conv], exc[conv], dev[:, conv]
-                iters[members[stop]] = iteration
-                for j in np.flatnonzero(stop & ~conv):
-                    errors[members[j]] = _failure(g, F[j], J[j], over[j])
-                going = ~stop
-                if not np.logical_or.reduce(going):
+            stop = going.copy() if iteration == opt.max_newton_iters else conv.copy()
+            bad = ~np.isfinite(step)  # a non-finite step fails its member
+            if np.count_nonzero(bad):
+                stop |= going & np.logical_or.reduce(bad, axis=1)
+            if np.count_nonzero(stop):
+                np.copyto(out, x, where=conv[:, None])
+                np.copyto(excess, exc, where=conv)
+                np.copyto(out_dev, dev, where=conv[:, None])
+                np.copyto(iters, iteration, where=stop)
+                for j in (stop ^ conv).nonzero()[0]:  # failed
+                    errors[int(j)] = _failure(g, F[j], J[j], over[j])
+                going ^= stop
+                if not np.count_nonzero(going):
                     break
-                members, x, step, coef, j_base, fixed = (
-                    a[going] for a in (members, x, step, coef, j_base, fixed))
-                devices = devices[:, going]
-                table = tuple(devices)
-            x[:, 1:] -= np.minimum(np.maximum(step, -batch.clamp), batch.clamp)
+            x[:, 1:] -= np.minimum(np.maximum(step, batch.neg_clamp), batch.clamp)
             dev = None
-    return out, iters, excess, out_dev, evaluations + iters, errors
+    return out, iters, excess, out_dev, iters + evaluated, errors
 
 
 def _ladder(graph: CircuitGraph, options: SolverOptions, xg: np.ndarray, src: np.ndarray,
@@ -618,7 +606,7 @@ def newton_solve(
     x0 = np.concatenate(([0.0], x0))
     if not np.all(np.isfinite(x0)):
         raise ValueError("non-finite initial guess")
-    xg, iters, excess = _ladder(graph, options, x0, _source_values([graph], [0.0])[0],
+    xg, iters, excess = _ladder(graph, options, x0, _source_values([graph])[0],
                                 np.zeros(graph.cap_c.size), [(options.gmin, 1.0)])[:3]
     return _point(graph, xg, iters, excess)
 
@@ -652,7 +640,7 @@ def _homotopies(graph: CircuitGraph, options: SolverOptions, log: list[str]):
         "source stepping": [(options.gmin, float(scale))
                             for scale in np.linspace(1.0 / SOURCE_STEPS, 1.0, SOURCE_STEPS)],
     }
-    src = _source_values([graph], [0.0])[0]
+    src = _source_values([graph])[0]
     for label, stages in homotopies.items():
         try:
             return _ladder(graph, options, np.zeros(graph.size + 1), src,
@@ -741,7 +729,7 @@ def dc_sweep_lockstep(
     if not all(_same_topology(graphs[0], g) for g in graphs[1:]):
         raise ValueError("lockstep members must share one topology")
     count, points, size = len(graphs), len(values), graphs[0].size
-    src = _source_values(graphs, [0.0] * count)
+    src = _source_values(graphs)
     members = np.arange(count)
     # each member's column of the swept source in ``src``
     held = [(*gr.isources, *gr.vsources).index(gr.find_source(source_name)) for gr in graphs]
@@ -851,9 +839,10 @@ def solve_lockstep(
 def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     """The time loop of ``solve_transient`` and ``solve_lockstep``.
 
-    Each step makes one batched Newton solve for every running member.  A
-    member that fails gets ``_rescue_step`` from its state at the start of
-    the step, and stops with a TransientNonConvergence if that fails too.
+    Each step evaluates each distinct source waveform once and makes one
+    batched Newton solve for every running member.  A member that fails
+    gets ``_rescue_step`` from its state at the start of the step, and
+    stops with a TransientNonConvergence if that fails too.
     Records every unknown, or with ``voltages`` false only the branch
     currents.
     """
@@ -919,8 +908,17 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
             ws.units[name] = "A"
         return ws
 
+    # DC source values are set once, and each distinct time-varying waveform
+    # (spec and step) is evaluated once per step for all the members it drives
+    src = _source_values(graphs)
+    waves: dict[tuple, int] = {}
+    at = [(b, j, waves.setdefault((s.spec, h), len(waves)))
+          for b, (gr, h) in enumerate(zip(graphs, tsteps))
+          for j, s in enumerate((*gr.isources, *gr.vsources)) if not isinstance(s.spec, DcSpec)]
+    rows, cols, which = np.array(at, dtype=int).reshape(-1, 3).T
+
     for k in range(1, nsteps + 1):
-        t = [k * h for h in tsteps]
+        src[rows, cols] = np.array([spec.value_at(k * h) for spec, h in waves])[which]
         phase = min(k, 2) - 1
         alpha = alphas[phase]
         # the backward-Euler step starts from i_prev = 0
@@ -930,7 +928,6 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
             batches[key] = _Batch([graphs[b] for b in running], sopts,
                                   alpha=[alpha[b] for b in running])
         sel = running if running.size < count else slice(None)
-        src = _source_values(graphs, t)
         xs, iters, excess, devs, evals, errors = _newton_batch(
             batches[key], xg[sel], src[sel], cap_ieq[sel], None if k == 1 else dev[:, sel])
         assemblies[sel] += iters + 1
@@ -945,7 +942,7 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
                     assemblies[b] += used
                     evaluations[b] += evaluated
                 except (NonConvergenceError, SingularMatrixError) as exc:
-                    results[b] = TransientNonConvergence(t[b], waveforms(b, k - 1), exc)
+                    results[b] = TransientNonConvergence(k * tsteps[b], waveforms(b, k - 1), exc)
                     results[b].__cause__ = exc
             ok = np.array([results[b] is None for b in running])
             running, xs, iters, excess = running[ok], xs[ok], iters[ok], excess[ok]

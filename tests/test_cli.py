@@ -320,6 +320,28 @@ def test_dc_sweep_single_point(tmp_path):
     assert len(lines) == 2
 
 
+def test_dc_sweep_file_pins_nan_signed_zero_and_subnormal(tmp_path, monkeypatch):
+    """Each value is written as '{:.8e}' writes it, byte for byte: a
+    non-converged point's NaN, a -0.0 and subnormals included."""
+    def transfer(graphs, start, stop, step, options, source):
+        iin = np.array([-1e-5, 0.0, 1e-5])
+        return [(iin, np.array([np.nan, -0.0, 5e-324]),
+                 np.array([1.5, 2.2250738585072014e-308 / 3, -np.inf]))]
+
+    monkeypatch.setattr(amps.rectifier, "bench_dc_transfer", transfer)
+    argv = ["dc-sweep", "--from", "-10u", "--to", "10u", "--step", "10u", "-o", str(tmp_path)]
+    assert main(argv) == 0
+    text = (tmp_path / "dcsweep_t25.csv").read_text()
+    assert text == (
+        "iin,out_plus,out_minus\n"
+        "-1.00000000e-05,nan,1.50000000e+00\n"
+        "0.00000000e+00,-0.00000000e+00,7.41691286e-309\n"
+        "1.00000000e-05,4.94065646e-324,-inf\n"
+    )
+    rows = zip(*transfer(None, 0, 0, 0, None, None)[0])
+    assert text.splitlines()[1:] == [",".join(map("{:.8e}".format, row)) for row in rows]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -307,10 +307,10 @@ def test_table_evaluation_bit_identical_to_scalar():
         ev = eval_mosfet(params[k], float(vgs[r, k]), float(vds[r, k]), float(vbs[r, k]))
         ref[r, k] = (ev.id, ev.gm, ev.gds, ev.gmbs, ev.gm + ev.gds + ev.gmbs)
     table = device_table(params)
-    for tab in (table, np.broadcast_to(table[:, None, :], (11,) + shape)):
+    for tab in (table, np.broadcast_to(table[:, None, :], (10,) + shape)):
         out = np.empty((5,) + shape)
         with np.errstate(all="ignore"):
-            eval_mosfet_into(tab, vgs, vds, vbs, out)
+            eval_mosfet_into(tab, np.stack((vgs, vds, vbs)), out)
         out = np.moveaxis(out, 0, -1)
         assert np.array_equal(out, ref)
         assert np.array_equal(np.signbit(out), np.signbit(ref))

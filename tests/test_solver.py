@@ -148,10 +148,10 @@ def test_compiled_dc_assembly_matches_element_stamping(text):
         graphs = [build_graph(doc, temp) for temp in temps]
         batch = amps.solver._Batch(graphs, OPTS)
         x = np.random.default_rng(7).uniform(-1.5, 1.5, (len(graphs), graphs[0].size))
-        src = amps.solver._source_values(graphs, [0.0] * len(graphs))
+        src = amps.solver._source_values(graphs)
         fixed = batch.fixed_currents(src, np.zeros((len(graphs), graphs[0].cap_c.size)))
         xg = np.concatenate((np.zeros((len(graphs), 1)), x), axis=1)
-        got = batch.assemble(xg, batch.coef, batch.j_base, batch.devices, fixed)
+        got = batch.assemble(xg, fixed)
         for b, g in enumerate(graphs):
             for a, want in zip(got, reference_dc_assembly(g, x[b])):
                 assert np.array_equal(a[b], want)
@@ -263,7 +263,7 @@ def test_source_stepping_after_gmin_stepping_fails(monkeypatch):
 
     # the same stages one at a time: op counts each one's updates
     xg, total = np.zeros(g.size + 1), 0
-    src = amps.solver._source_values([g], [0.0])[0]
+    src = amps.solver._source_values([g])[0]
     for stage in source:
         xg, iters, excess, *_ = ladder(g, opts, xg, src, np.zeros(0), [stage])
         total += iters
@@ -320,7 +320,7 @@ def test_inverter_chain_dc_converges_alike_alone_and_in_a_batch():
     cap_ieq = np.zeros((len(graphs), g.cap_c.size))
     outlasted = False  # did another member iterate longer than the chain at 27 degC?
     chain_iters = 0  # the chain's updates over all stages
-    src = amps.solver._source_values(graphs, [0.0] * len(graphs))
+    src = amps.solver._source_values(graphs)
     for gmin in np.geomspace(1e-2, OPTS.gmin, amps.solver.GMIN_STEPS + 1):
         xs, iters, excess, _, _, errors = amps.solver._newton_batch(
             amps.solver._Batch(graphs, OPTS, gmin=float(gmin)), x, src, cap_ieq)
