@@ -11,7 +11,7 @@ from .netlist import parse_netlist, parse_model_card, validate, serialize_netlis
 from .device import derive_params, eval_mosfet, overlap_caps
 from .solver import build_graph, newton_solve, solve_dc, dc_sweep, solve_transient
 from .rectifier import BenchConfig, ideal_dual_phase, build_bench_netlist, compare
-from .analysis import Waveform, WaveformSet, rms, resample, write_csv, read_csv
+from .analysis import Waveform, WaveformSet, write_csv
 
 __all__ = [
     "parse_netlist",
@@ -32,8 +32,5 @@ __all__ = [
     "compare",
     "Waveform",
     "WaveformSet",
-    "rms",
-    "resample",
     "write_csv",
-    "read_csv",
 ]

@@ -161,13 +161,18 @@ class DcSweepDirective:
 
 
 def check_sweep_step(start: float, stop: float, step: float) -> None:
-    """Reject a sweep step that is zero or points away from ``stop``."""
+    """Reject a sweep step that is zero, points away from ``stop`` or takes
+    more than ``MAX_STEPS`` steps to reach it."""
     if step == 0 or (stop - start) * step < 0:
         raise ValueError(f"sweep step {step:g} is zero or sign inconsistent with stop - start")
+    if not (stop - start) / step <= MAX_STEPS:  # a non-finite count too
+        raise ValueError(f"sweep step {step:g} takes more than {MAX_STEPS} steps")
 
 
 # A transient covers at least this many steps: tstop >= TRAN_MIN_STEPS * tstep.
 TRAN_MIN_STEPS = 10
+# A sweep or a transient takes at most this many steps.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -417,6 +422,8 @@ def _parse_directive(card: str, lineno: int, doc: NetlistDocument) -> None:
             raise NetlistError(".TRAN requires tstop > tstep > 0", lineno)
         if tstop < TRAN_MIN_STEPS * tstep:
             raise NetlistError(f".TRAN requires tstop >= {TRAN_MIN_STEPS}*tstep", lineno)
+        if not tstop / tstep <= MAX_STEPS:
+            raise NetlistError(f".TRAN requires tstop <= {MAX_STEPS}*tstep", lineno)
         doc.directives.append(TranDirective(tstep, tstop))
     elif word == ".TEMP":
         if len(tokens) < 2:

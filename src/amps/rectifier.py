@@ -201,7 +201,7 @@ def run_bench(
 
 
 def _contract_waveforms(raw: WaveformSet) -> WaveformSet:
-    out = WaveformSet(shared_time=True, stats=dict(raw.stats))
+    out = WaveformSet(stats=dict(raw.stats))
     for raw_name, name in _BENCH_RENAMES.items():
         w = raw.get(raw_name)
         out.waveforms.append(Waveform(name, w.times, w.values))

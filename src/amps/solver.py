@@ -48,6 +48,7 @@ from .device import (  # noqa: F401  eval_mosfet: the benchmark tracer wraps it 
     overlap_caps,
 )
 from .netlist import (
+    MAX_STEPS,
     TRAN_MIN_STEPS,
     DcSpec,
     ElementKind,
@@ -86,6 +87,7 @@ class TransientNonConvergence(RuntimeError):
 GMIN_STEPS = 10  # gmin stepping: decades from 1e-2 S down to gmin
 SOURCE_STEPS = 10  # source stepping: equal increments up to full scale
 VSTEP_CLAMP = 0.3  # V, per-update damping on nonlinear-device nodes
+CYCLE_FROM = 8  # Newton iteration from which an iterate that repeats an earlier one fails
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,8 @@ class TransientOptions:
             raise ValueError("tstep must be positive")
         if self.tstop < TRAN_MIN_STEPS * self.tstep:
             raise ValueError(f"tstop must be at least {TRAN_MIN_STEPS}*tstep")
+        if not self.tstop / self.tstep <= MAX_STEPS:
+            raise ValueError(f"tstop must be at most {MAX_STEPS}*tstep")
         if self.ic not in ("from_op", "zero_start"):
             raise ValueError(f"unknown initial-condition mode {self.ic!r}")
 
@@ -489,7 +493,9 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
     evaluation there (as ``_Batch.assemble`` returns it), and the first
     assembly uses it.  A member has converged when both its KCL residual and
     its proposed (undamped) voltage step are within tolerance; it fails at
-    the iteration cap or on a non-finite or singular step.  Either way its
+    the iteration cap, on a non-finite or singular step, or, from iteration
+    ``CYCLE_FROM`` on, at an iterate that repeats one it took since then bit
+    for bit (Newton then cycles up to the cap).  Either way its
     result is recorded then, and its row stays in the batch, spent: nothing
     reads it again (it may go non-finite), and the others' iterates are the
     ones they get alone.
@@ -530,6 +536,13 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
             bad = ~np.isfinite(step)  # a non-finite step fails its member
             if np.count_nonzero(bad):
                 stop |= going & np.logical_or.reduce(bad, axis=1)
+            if iteration >= CYCLE_FROM:
+                if iteration == CYCLE_FROM:
+                    seen = [set() for _ in range(count)]  # each member's iterates from here
+                for j in (going & ~stop).nonzero()[0]:
+                    key = x[j].tobytes()
+                    stop[j] = key in seen[j]
+                    seen[j].add(key)
             if np.count_nonzero(stop):
                 np.copyto(out, x, where=conv[:, None])
                 np.copyto(excess, exc, where=conv)
@@ -844,21 +857,35 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     gets ``_rescue_step`` from its state at the start of the step, and
     stops with a TransientNonConvergence if that fails too.
     Records every unknown, or with ``voltages`` false only the branch
-    currents.
+    currents, and the current sources' values.
     """
     g = graphs[0]
-    n, count = g.n, len(graphs)
+    n, count, ni = g.n, len(graphs), len(g.isources)
     tsteps = [o.tstep for o in topts]
     nsteps = _steps(topts[0])
     first = 1 if voltages else n + 1  # the first recorded column of xg
+    width = g.size + 1 - first
     xg = np.zeros((count, g.size + 1))  # each member's unknowns, after a ground column
     xg[:, 1:] = [np.concatenate((op.voltages, op.branch_currents)) for op in starts]
     max_excess = np.array([op.residual_excess for op in starts])
     total_iters = np.array([op.iterations for op in starts])
     assemblies, evaluations, rescues = np.zeros((3, count), dtype=int)
     dev = np.empty((5, count, len(g.mosfets)))  # each member's device evaluation at xg
-    record = np.empty((nsteps + 1, count, g.size + 1 - first))
-    record[0] = xg[:, first:]
+    # DC source values are set once, and each distinct time-varying waveform
+    # (spec and step) is evaluated once per step for all the members it drives
+    src = _source_values(graphs)
+    waves: dict[tuple, int] = {}
+    at = [(b, j, waves.setdefault((s.spec, h), len(waves)))
+          for b, (gr, h) in enumerate(zip(graphs, tsteps))
+          for j, s in enumerate((*gr.isources, *gr.vsources)) if not isinstance(s.spec, DcSpec)]
+    rows, cols, which = np.array(at, dtype=int).reshape(-1, 3).T
+    record = np.empty((nsteps + 1, count, width + ni))
+
+    def keep(k: int) -> None:
+        record[k, :, :width] = xg[:, first:]
+        record[k, :, width:] = src[:, :ni]
+
+    keep(0)
 
     def cap_voltage(xg: np.ndarray) -> np.ndarray:
         va, vb = xg.take(g.cap_ends, axis=1).transpose(1, 0, 2)
@@ -873,18 +900,11 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     batches = {}  # (phase, members still running) -> their ``_Batch``
     running = np.arange(count)
     results: list = [None] * count
-    # time bases and source waveforms, built once for the members that share them
-    built: dict[tuple, np.ndarray] = {}
-
-    def shared(key: tuple, make) -> np.ndarray:
-        if key not in built:
-            built[key] = make()
-            built[key].flags.writeable = False
-        return built[key]
+    time_bases: dict[tuple, np.ndarray] = {}  # built once for the members that share them
 
     def waveforms(b: int, upto: int) -> WaveformSet:
         gr, h_b = graphs[b], tsteps[b]
-        ws = WaveformSet(shared_time=True)
+        ws = WaveformSet()
         ws.stats["max_kcl_excess"] = float(max_excess[b])
         ws.stats["newton_iterations"] = int(total_iters[b])
         ws.stats["assemblies"] = int(assemblies[b])
@@ -894,28 +914,14 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
         ws.stats["tstep"] = h_b
         if upto < 1:  # failed on the very first step: no valid waveforms yet
             return ws
-        times = shared((h_b, upto), lambda: np.arange(upto + 1) * h_b)
+        if (h_b, upto) not in time_bases:
+            time_bases[h_b, upto] = _readonly(np.arange(upto + 1) * h_b)
         columns = [(f"v({name})", "V") for name in gr.node_names[1:]]
-        columns += [(f"i({src.name})", "A") for src in gr.vsources]
+        columns += [(f"i({s.name})", "A") for s in (*gr.vsources, *gr.isources)]
         for (name, unit), values in zip(columns[first - 1:], record[: upto + 1, b].T):
-            ws.waveforms.append(Waveform(name, times, values))
+            ws.waveforms.append(Waveform(name, time_bases[h_b, upto], values))
             ws.units[name] = unit
-        for src in gr.isources:
-            name = f"i({src.name})"
-            vals = shared((src.spec, h_b, upto),
-                          lambda: np.array([src.spec.value_at(t) for t in times]))
-            ws.waveforms.append(Waveform(name, times, vals))
-            ws.units[name] = "A"
         return ws
-
-    # DC source values are set once, and each distinct time-varying waveform
-    # (spec and step) is evaluated once per step for all the members it drives
-    src = _source_values(graphs)
-    waves: dict[tuple, int] = {}
-    at = [(b, j, waves.setdefault((s.spec, h), len(waves)))
-          for b, (gr, h) in enumerate(zip(graphs, tsteps))
-          for j, s in enumerate((*gr.isources, *gr.vsources)) if not isinstance(s.spec, DcSpec)]
-    rows, cols, which = np.array(at, dtype=int).reshape(-1, 3).T
 
     for k in range(1, nsteps + 1):
         src[rows, cols] = np.array([spec.value_at(k * h) for spec, h in waves])[which]
@@ -953,7 +959,7 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
         xg[sel], dev[:, sel] = xs, devs
         total_iters[sel] += iters
         max_excess[sel] = np.maximum(max_excess[sel], excess)
-        record[k] = xg[:, first:]
+        keep(k)
         v_new = cap_voltage(xg)
         i_prev = cap_geq[phase] * v_new + cap_ieq
         v_prev = v_new

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import tempfile
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,24 @@ def test_run_bundled_bench_transient(tmp_path):
     header = out.read_text().splitlines()[1]
     assert header.startswith("time,")
     assert "i(VOUTP)" in header
+
+
+BUNDLED = sorted(p.name for p in files("amps").joinpath("data").iterdir() if p.name.endswith(".cir"))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_run_bundled_netlist(tmp_path, name):
+    # the bench's 20 periods at 1 kHz are acceptance c5's run; 4 periods of 20 steps here
+    text = files("amps").joinpath("data", name).read_text()
+    src = write(tmp_path, name, text.replace(".TRAN 1e-06 0.02", ".TRAN 5e-05 0.004"))
+    out = tmp_path / "out.csv"
+    assert main(["run", str(src), "-o", str(out)]) == 0
+    if name == "rc_lowpass.cir":  # driven at its corner: a gain of 1/sqrt(2) in the last period
+        names = out.read_text().splitlines()[1].split(",")
+        data = np.loadtxt(out, delimiter=",", skiprows=2)
+        last = data[data[:, 0] >= data[-1, 0] - 1.0 / 159.0]
+        v_in, v_out = (np.abs(last[:, names.index(col)]).max() for col in ("v(in)", "v(out)"))
+        assert 0.69 < v_out / v_in < 0.72
 
 
 def test_run_temp_override_multiple(tmp_path):
@@ -454,6 +473,7 @@ def test_missing_required_flag_exits_1(capsys):
 
 
 SHORT_TRAN = "too short a transient\nV1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.TRAN 1m 5m\n.END\n"
+TINY_STEP = "too fine a transient\nV1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.TRAN 1e-320 1e-9\n.END\n"
 
 
 @pytest.mark.parametrize(
@@ -467,10 +487,15 @@ SHORT_TRAN = "too short a transient\nV1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.TRAN 1m
         ["device-curves", "--model", "CMOSN", "--vds-step", "0"],
         ["run", "short_tran.cir"],
         ["dc-sweep", "--from", "0", "--to", "1u", "--step", "1u", "--temp", ","],
+        # step counts that do not fit in a float
+        ["dc-sweep", "--from", "-200u", "--to", "200u", "--step", "1e-320"],
+        ["device-curves", "--model", "CMOSN", "--vds-step", "1e-320"],
+        ["run", "tiny_step.cir"],
     ],
 )
 def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv):
     write(tmp_path, "short_tran.cir", SHORT_TRAN)
+    write(tmp_path, "tiny_step.cir", TINY_STEP)
     argv = [str(tmp_path / a) if a.endswith(".cir") else a for a in argv]
     assert main(argv + ["-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amps.netlist import (
+    MAX_STEPS,
     DcSpec,
     Diagnostic,
     ElementKind,
     NetlistError,
     SinSpec,
     TranDirective,
+    check_sweep_step,
     parse_model_card,
     parse_netlist,
     parse_number,
@@ -276,6 +278,25 @@ def test_validate_unused_model_warns():
 def test_tran_directive():
     doc = parse_netlist(wrap("V1 a 0 DC 1", "R1 a 0 1k", ".TRAN 1u 1m"))
     assert doc.directives == [TranDirective(1e-6, 1e-3)]
+
+
+def test_step_counts_are_bounded():
+    """A sweep or transient of more than MAX_STEPS steps, or of a count that
+    overflows a float, is rejected where the count is defined."""
+    from amps.solver import TransientOptions
+
+    check_sweep_step(0.0, 1.0, 1.0 / MAX_STEPS)
+    TransientOptions(tstep=1.0 / MAX_STEPS, tstop=1.0)
+    for start, stop, step in ((0.0, 1.0, 1e-8), (-200e-6, 200e-6, 1e-320), (-1e308, 1e308, 1.0)):
+        with pytest.raises(ValueError, match="more than 10000000 steps"):
+            check_sweep_step(start, stop, step)
+    with pytest.raises(NetlistError, match=r"\.DC sweep step"):
+        parse_netlist(wrap("V1 a 0 DC 1", "R1 a 0 1k", ".DC V1 0 1 1e-8"))
+    with pytest.raises(NetlistError, match=r"tstop <= 10000000\*tstep"):
+        parse_netlist(wrap("V1 a 0 DC 1", "R1 a 0 1k", ".TRAN 1n 1"))
+    for tstep in (1e-8, 1e-320):
+        with pytest.raises(ValueError, match="at most"):
+            TransientOptions(tstep=tstep, tstop=1.0)
 
 
 @pytest.mark.parametrize(

@@ -333,6 +333,52 @@ def test_inverter_chain_dc_converges_alike_alone_and_in_a_batch():
     assert chain_iters == op.iterations and excess[0] == op.residual_excess
 
 
+def test_plain_dc_solve_stops_at_an_exact_cycle(monkeypatch):
+    """On the bench at 38.6 degC with IIN = -200 uA, plain Newton's iterate 68
+    repeats iterate 60 bit for bit: the solve fails there, after 69
+    assemblies, not at the 100-iteration cap."""
+    import amps.solver
+    from amps.rectifier import BenchConfig, bench_graph
+
+    assembled = []
+    assemble = amps.solver._Batch.assemble
+
+    def counted(self, *args):
+        assembled.append(args)
+        return assemble(self, *args)
+
+    monkeypatch.setattr(amps.solver._Batch, "assemble", counted)
+    g = bench_graph(BenchConfig(temp=38.6)).with_source("IIN", -200e-6)
+    with pytest.raises(NonConvergenceError):
+        newton_solve(g, None, OPTS)
+    assert len(assembled) == 69
+
+
+def test_failed_member_returns_its_start_and_the_evaluation_there():
+    """A member that fails, at the iteration cap or on a cycle, returns its
+    start and the device evaluation there (where a transient rescue starts),
+    while the member beside it converges and returns its point and the
+    evaluation there."""
+    import amps.solver
+    from amps.rectifier import BenchConfig, bench_graph
+
+    g = bench_graph(BenchConfig(temp=38.6))
+    src = amps.solver._source_values([g, g])
+    src[:, 0] = (-50e-6, -200e-6)  # IIN: converges in 8 updates; cycles from update 60 on
+    start = np.zeros((2, g.size + 1))
+    cap_ieq = np.zeros((2, g.cap_c.size))
+    for cap, failed_at in ((20, 20), (100, 68)):
+        batch = amps.solver._Batch([g, g], SolverOptions(max_newton_iters=cap))
+        xs, iters, excess, dev, _, errors = amps.solver._newton_batch(batch, start, src, cap_ieq)
+        assert list(errors) == [1] and isinstance(errors[1], NonConvergenceError)
+        assert iters.tolist() == [8, failed_at] and excess[0] <= 0.0
+        assert xs[1].tobytes() == start[1].tobytes()
+        at_start = batch.assemble(start, batch.fixed_currents(src, cap_ieq))[3]
+        assert dev[:, 1].tobytes() == at_start[:, 1].tobytes()
+        at_end = batch.assemble(xs, batch.fixed_currents(src, cap_ieq))[3]
+        assert dev[:, 0].tobytes() == at_end[:, 0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # dc_sweep
 # ---------------------------------------------------------------------------
