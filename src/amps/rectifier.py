@@ -17,7 +17,7 @@ from importlib.resources import files
 import numpy as np
 
 from .analysis import PrecisionReport, Waveform, WaveformError, WaveformSet
-from .netlist import parse_netlist
+from .netlist import MAX_STEPS, parse_netlist
 from .solver import (
     CircuitGraph,
     NonConvergenceError,
@@ -74,6 +74,8 @@ class BenchConfig:
             raise ValueError(f"frequency {self.frequency:g} Hz must be > 0")
         if self.periods < 1 or self.steps_per_period < 10:
             raise ValueError("need at least 1 period and 10 steps per period")
+        if self.periods * self.steps_per_period > MAX_STEPS:
+            raise ValueError(f"periods * steps_per_period must be at most {MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,6 @@ _BENCH_RENAMES = {
     "i(VDD)": "i_vdd",
     "i(VSS)": "i_vss",
 }
-BENCH_COLUMNS = ("iin", "out_plus", "out_minus", "i_vdd", "i_vss")
 
 
 def run_bench(
@@ -169,9 +170,9 @@ def run_bench(
     ``stats``; a config whose DC operating point or transient fails gets
     that solver error in place of its waveforms.  Every netlist and graph is
     built first, so a bad config raises ValueError before any solve.  Each
-    config's operating point is a ``solve_dc`` call; configs with the same
-    step count then run their transients in lockstep, with the same results
-    as one at a time.
+    config's operating point is a ``solve_dc`` call; the configs whose
+    operating point converged then run their transients in one lockstep,
+    each with its own step count and the results it gets alone.
     """
     options = options or SolverOptions()
     graphs = [bench_graph(cfg) for cfg in configs]
@@ -182,21 +183,16 @@ def run_bench(
             starts[i] = solve_dc(graph, options)
         except (NonConvergenceError, SingularMatrixError) as exc:
             results[i] = exc
-    groups: dict[int, list[int]] = {}
-    for i in starts:
-        groups.setdefault(configs[i].periods * configs[i].steps_per_period, []).append(i)
-    for group in groups.values():
-        topts = [
-            TransientOptions(
-                tstep=1.0 / (configs[i].frequency * configs[i].steps_per_period),
-                tstop=configs[i].periods / configs[i].frequency,
-            )
-            for i in group
-        ]
-        runs = solve_lockstep([graphs[i] for i in group], topts, options,
-                              [starts[i] for i in group])
-        for i, raw in zip(group, runs):
-            results[i] = raw if isinstance(raw, Exception) else _contract_waveforms(raw)
+    topts = [
+        TransientOptions(
+            tstep=1.0 / (configs[i].frequency * configs[i].steps_per_period),
+            tstop=configs[i].periods / configs[i].frequency,
+        )
+        for i in starts
+    ]
+    runs = solve_lockstep([graphs[i] for i in starts], topts, options, list(starts.values()))
+    for i, raw in zip(starts, runs):
+        results[i] = raw if isinstance(raw, Exception) else _contract_waveforms(raw)
     return results
 
 

@@ -25,9 +25,11 @@ evaluates the devices, except a solve's first when it is given the
 evaluation at its start: a solve returns the evaluation at the point it
 returns, which is where the next time step, sweep point or homotopy stage
 starts.  So circuits can be solved in lockstep: transients
-(``solve_lockstep``) take each time step, and DC sweeps of one source
-(``dc_sweep_lockstep``) each sweep value, together, and each one's results
-are the ones it gets alone.
+(``solve_lockstep``, each with its own step count) take each time step,
+and DC sweeps of one source (``dc_sweep_lockstep``) each sweep value,
+together, and each one's results are the ones it gets alone.  A transient
+that fails or has taken its last step stays in its batch as a spent row,
+so a lockstep builds one ``_Batch`` per integration phase.
 """
 
 from __future__ import annotations
@@ -484,8 +486,9 @@ def _source_values(graphs: Sequence[CircuitGraph]) -> np.ndarray:
 
 
 def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray,
-                  dev: np.ndarray | None = None):
-    """Damped Newton solves of every member of ``batch`` at once.
+                  dev: np.ndarray | None = None, going: np.ndarray | None = None):
+    """Damped Newton solves of the members of ``batch`` that ``going`` marks
+    (all when None) at once; the others are spent rows from the start.
 
     Member b starts from ``xg[b]`` (its unknowns after a ground column),
     with its own row of source values (ordered as ``_source_values``) and
@@ -501,9 +504,10 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
     ones they get alone.
     Returns (xg, iterations, residual_excess, dev, evaluations, errors):
     each member's returned point and the device evaluation there (a failed
-    member returns its start), its applied updates (it assembled once more
-    than that), how many of its assemblies evaluated the devices, and
-    ``errors``, mapping each failed member to the error it fails with.
+    or spent member returns its start), its applied updates (it assembled
+    once more than that), how many of its assemblies evaluated the devices
+    (both meaningless for a spent member), and ``errors``, mapping each
+    failed member to the error it fails with.
     """
     g, opt = batch.g, batch.opt
     n, count = g.n, len(xg)
@@ -512,7 +516,7 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
     iters = np.zeros(count, dtype=int)
     excess = np.full(count, np.nan)
     errors: dict[int, Exception] = {}
-    going = np.ones(count, dtype=bool)  # the members still iterating
+    going = np.ones(count, dtype=bool) if going is None else going.copy()  # still iterating
     x = xg.copy()
     fixed = batch.fixed_currents(src, cap_ieq)
     with np.errstate(all="ignore"):  # the device model overflows in its unused branches
@@ -780,10 +784,6 @@ def dc_sweep_lockstep(
     return sweep
 
 
-def _steps(topts: TransientOptions) -> int:
-    return int(math.floor(topts.tstop / topts.tstep + 1e-9))
-
-
 def solve_transient(
     graph: CircuitGraph,
     topts: TransientOptions,
@@ -830,13 +830,13 @@ def solve_lockstep(
     """Fixed-step transients of circuits that share one topology, stepped together.
 
     Member b starts from ``starts[b]`` (its t=0 state, whose iterations and
-    residual count in its stats) and steps with ``topts[b]``; every member
-    takes the same number of steps.  Each member's waveforms and stats are
-    the ones ``solve_transient`` gives it alone, except that only the
-    voltage-source branch currents (and the current-source waveforms) are
-    recorded, not the node voltages.  A member whose step fails even after a
-    gmin-stepping rescue gets its TransientNonConvergence, with its partial
-    record, in place of its waveforms; the others go on.
+    residual count in its stats) and takes its own steps with ``topts[b]``.
+    Each member's waveforms and stats are the ones ``solve_transient`` gives
+    it alone, except that only the voltage-source branch currents (and the
+    current-source waveforms) are recorded, not the node voltages.  A member
+    whose step fails even after a gmin-stepping rescue gets its
+    TransientNonConvergence, with its partial record, in place of its
+    waveforms; the others go on.
     """
     if not len(graphs) == len(topts) == len(starts):
         raise ValueError("need one TransientOptions and one start per graph")
@@ -844,8 +844,6 @@ def solve_lockstep(
         return []
     if not all(_same_topology(graphs[0], g) for g in graphs[1:]):
         raise ValueError("lockstep members must share one topology")
-    if len({_steps(o) for o in topts}) > 1:
-        raise ValueError("lockstep members must take the same number of steps")
     return _march(graphs, topts, sopts, starts, voltages=False)
 
 
@@ -853,16 +851,18 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     """The time loop of ``solve_transient`` and ``solve_lockstep``.
 
     Each step evaluates each distinct source waveform once and makes one
-    batched Newton solve for every running member.  A member that fails
-    gets ``_rescue_step`` from its state at the start of the step, and
-    stops with a TransientNonConvergence if that fails too.
+    batched Newton solve, on one ``_Batch`` per integration phase, for every
+    running member.  A member that fails gets gmin stepping from its state
+    at the start of the step, and stops with a TransientNonConvergence if
+    that fails too; a member stops too after its own last step.  A stopped
+    member's result is taken then, and its row stays in the batch, spent.
     Records every unknown, or with ``voltages`` false only the branch
     currents, and the current sources' values.
     """
     g = graphs[0]
     n, count, ni = g.n, len(graphs), len(g.isources)
     tsteps = [o.tstep for o in topts]
-    nsteps = _steps(topts[0])
+    last = np.array([math.floor(o.tstop / o.tstep + 1e-9) for o in topts])  # its last step
     first = 1 if voltages else n + 1  # the first recorded column of xg
     width = g.size + 1 - first
     xg = np.zeros((count, g.size + 1))  # each member's unknowns, after a ground column
@@ -870,7 +870,7 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     max_excess = np.array([op.residual_excess for op in starts])
     total_iters = np.array([op.iterations for op in starts])
     assemblies, evaluations, rescues = np.zeros((3, count), dtype=int)
-    dev = np.empty((5, count, len(g.mosfets)))  # each member's device evaluation at xg
+    dev = None  # each member's device evaluation at xg, once a solve has made one
     # DC source values are set once, and each distinct time-varying waveform
     # (spec and step) is evaluated once per step for all the members it drives
     src = _source_values(graphs)
@@ -879,7 +879,7 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
           for b, (gr, h) in enumerate(zip(graphs, tsteps))
           for j, s in enumerate((*gr.isources, *gr.vsources)) if not isinstance(s.spec, DcSpec)]
     rows, cols, which = np.array(at, dtype=int).reshape(-1, 3).T
-    record = np.empty((nsteps + 1, count, width + ni))
+    record = np.empty((last.max() + 1, count, width + ni))
 
     def keep(k: int) -> None:
         record[k, :, :width] = xg[:, first:]
@@ -897,8 +897,8 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
     # backward Euler for the first step, trapezoidal after it
     alphas = [[a / h for h in tsteps] for a in (1.0, 2.0)]
     cap_geq = [np.array([al * gr.cap_c for al, gr in zip(alpha, graphs)]) for alpha in alphas]
-    batches = {}  # (phase, members still running) -> their ``_Batch``
-    running = np.arange(count)
+    batches = [_Batch(graphs, sopts, alpha=alpha) for alpha in alphas]
+    going = np.ones(count, dtype=bool)  # the members still stepping
     results: list = [None] * count
     time_bases: dict[tuple, np.ndarray] = {}  # built once for the members that share them
 
@@ -923,57 +923,36 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
             ws.units[name] = unit
         return ws
 
-    for k in range(1, nsteps + 1):
+    for k in range(1, last.max() + 1):
         src[rows, cols] = np.array([spec.value_at(k * h) for spec, h in waves])[which]
         phase = min(k, 2) - 1
-        alpha = alphas[phase]
         # the backward-Euler step starts from i_prev = 0
         cap_ieq = -cap_geq[phase] * v_prev - i_prev
-        key = (phase, running.size)  # running members only ever leave
-        if key not in batches:
-            batches[key] = _Batch([graphs[b] for b in running], sopts,
-                                  alpha=[alpha[b] for b in running])
-        sel = running if running.size < count else slice(None)
-        xs, iters, excess, devs, evals, errors = _newton_batch(
-            batches[key], xg[sel], src[sel], cap_ieq[sel], None if k == 1 else dev[:, sel])
-        assemblies[sel] += iters + 1
-        evaluations[sel] += evals
-        if errors:
-            for j in sorted(errors):
-                b = running[j]
-                rescues[b] += 1
-                try:
-                    xs[j], iters[j], excess[j], devs[:, j], used, evaluated = _rescue_step(
-                        graphs[b], sopts, xg[b], src[b], cap_ieq[b], alpha[b], devs[:, j])
-                    assemblies[b] += used
-                    evaluations[b] += evaluated
-                except (NonConvergenceError, SingularMatrixError) as exc:
-                    results[b] = TransientNonConvergence(k * tsteps[b], waveforms(b, k - 1), exc)
-                    results[b].__cause__ = exc
-            ok = np.array([results[b] is None for b in running])
-            running, xs, iters, excess = running[ok], xs[ok], iters[ok], excess[ok]
-            devs = devs[:, ok]
-            if not running.size:
-                break
-            sel = running
-        xg[sel], dev[:, sel] = xs, devs
-        total_iters[sel] += iters
-        max_excess[sel] = np.maximum(max_excess[sel], excess)
+        xg, iters, excess, dev, evals, errors = _newton_batch(
+            batches[phase], xg, src, cap_ieq, dev, going)
+        np.add(assemblies, iters + 1, out=assemblies, where=going)
+        np.add(evaluations, evals, out=evaluations, where=going)
+        for b in sorted(errors):
+            rescues[b] += 1
+            try:
+                xg[b], iters[b], excess[b], dev[:, b], used, evaluated = _ladder(
+                    graphs[b], sopts, xg[b], src[b], cap_ieq[b], _gmin_stages(sopts.gmin),
+                    alphas[phase][b], dev[:, b])
+                assemblies[b] += used
+                evaluations[b] += evaluated
+            except (NonConvergenceError, SingularMatrixError) as exc:
+                results[b] = TransientNonConvergence(k * tsteps[b], waveforms(b, k - 1), exc)
+                results[b].__cause__ = exc
+                going[b] = False
+        np.add(total_iters, iters, out=total_iters, where=going)
+        np.maximum(max_excess, excess, out=max_excess, where=going)
         keep(k)
         v_new = cap_voltage(xg)
         i_prev = cap_geq[phase] * v_new + cap_ieq
         v_prev = v_new
-    for b in running:
-        results[b] = waveforms(b, nsteps)
+        for b in (going & (last == k)).nonzero()[0]:
+            results[b] = waveforms(b, k)
+            going[b] = False
+        if not going.any():
+            break
     return results
-
-
-def _rescue_step(graph: CircuitGraph, options: SolverOptions, x0: np.ndarray, src: np.ndarray,
-                 cap_ieq: np.ndarray, alpha: float, dev: np.ndarray):
-    """gmin stepping for a stubborn transient step from ``x0`` (the unknowns
-    after a ground column) and its device evaluation ``dev``, with source
-    values ``src``, capacitor history ``cap_ieq`` and the step's companion
-    factor ``alpha``.  Returns (xg, iterations, residual_excess, dev,
-    assemblies, evaluations).
-    """
-    return _ladder(graph, options, x0, src, cap_ieq, _gmin_stages(options.gmin), alpha, dev)

@@ -491,6 +491,7 @@ TINY_STEP = "too fine a transient\nV1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.TRAN 1e-3
         ["dc-sweep", "--from", "-200u", "--to", "200u", "--step", "1e-320"],
         ["device-curves", "--model", "CMOSN", "--vds-step", "1e-320"],
         ["run", "tiny_step.cir"],
+        ["bench", "--freq", "1k", "--periods", "1000", "--steps-per-period", "100000"],
     ],
 )
 def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv):

@@ -228,13 +228,14 @@ def test_lockstep_rescue_and_abort_stay_with_their_member(monkeypatch):
     import amps.solver
 
     rescued = []
-    rescue = amps.solver._rescue_step
+    ladder = amps.solver._ladder
 
-    def counted_rescue(graph, *args):
-        rescued.append(graph.isources[0].spec.frequency)
-        return rescue(graph, *args)
+    def counted_rescue(graph, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None):
+        if alpha:  # a transient step's rescue; DC homotopies run at alpha = 0
+            rescued.append(graph.isources[0].spec.frequency)
+        return ladder(graph, options, xg, src, cap_ieq, stages, alpha, dev)
 
-    monkeypatch.setattr(amps.solver, "_rescue_step", counted_rescue)
+    monkeypatch.setattr(amps.solver, "_ladder", counted_rescue)
     opts = SolverOptions(max_newton_iters=6)
     cfgs = [BenchConfig(frequency=f, periods=3, steps_per_period=100) for f in (3e7, 1e7, 1e8)]
     batch = run_bench(cfgs, opts)
@@ -249,3 +250,46 @@ def test_lockstep_rescue_and_abort_stay_with_their_member(monkeypatch):
         assert got.stats == alone.stats
         for a, b in zip(got.waveforms, alone.waveforms):
             assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("cap", [100, 6])
+def test_lockstep_members_with_mixed_step_counts_match_single_runs(monkeypatch, cap):
+    """Members with their own step counts run in one lockstep on one
+    ``_Batch`` per integration phase, and each result is its solo run's bit
+    for bit.  At a cap of 6 Newton iterations the first two members abort
+    and the others need gmin-stepping rescues."""
+    import amps.solver
+
+    built = []
+    init = amps.solver._Batch.__init__
+
+    def counted(self, graphs, *args, **kwargs):
+        built.append(len(graphs))
+        init(self, graphs, *args, **kwargs)
+
+    monkeypatch.setattr(amps.solver._Batch, "__init__", counted)
+    opts = SolverOptions(max_newton_iters=cap)
+    cfgs = [
+        BenchConfig(frequency=1e3, periods=3, steps_per_period=100),
+        BenchConfig(frequency=1e7, periods=4, steps_per_period=50),
+        BenchConfig(frequency=1e8, periods=2, steps_per_period=120),
+        BenchConfig(frequency=3e7, temp=60.0, periods=5, steps_per_period=100),
+    ]
+    batch = run_bench(cfgs, opts)
+    assert built.count(len(cfgs)) == 2
+    aborted = [isinstance(got, TransientNonConvergence) for got in batch]
+    assert aborted == ([True, True, False, False] if cap == 6 else [False] * 4)
+    for cfg, got in zip(cfgs, batch):
+        (alone,) = run_bench([cfg], opts)
+        assert type(got) is type(alone)
+        if isinstance(got, TransientNonConvergence):
+            assert got.time == alone.time
+            got, alone = got.partial, alone.partial
+        else:
+            assert got.stats["steps"] == cfg.periods * cfg.steps_per_period
+            assert (got.stats["rescues"] > 0) == (cap == 6)
+        assert got.stats == alone.stats
+        assert got.names() == alone.names()
+        for a, b in zip(got.waveforms, alone.waveforms, strict=True):
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()

@@ -570,13 +570,14 @@ def test_rescued_transient_leaves_graph_unchanged(monkeypatch):
     from amps.rectifier import BenchConfig, build_bench_netlist
 
     rescues = []
-    rescue = amps.solver._rescue_step
+    ladder = amps.solver._ladder
 
-    def counted_rescue(*args):
-        rescues.append(args)
-        return rescue(*args)
+    def counted_rescue(graph, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None):
+        if alpha:  # a transient step's rescue; DC homotopies run at alpha = 0
+            rescues.append(xg)
+        return ladder(graph, options, xg, src, cap_ieq, stages, alpha, dev)
 
-    monkeypatch.setattr(amps.solver, "_rescue_step", counted_rescue)
+    monkeypatch.setattr(amps.solver, "_ladder", counted_rescue)
     cfg = BenchConfig(frequency=1e8, periods=3, steps_per_period=100)
     g = graph_of(build_bench_netlist(cfg), temp=cfg.temp)
     opts = SolverOptions(max_newton_iters=6)
@@ -618,8 +619,8 @@ def kernel_counted(monkeypatch, carry: bool) -> list[int]:
 
     kernel, counted = amps.solver._newton_batch, []
 
-    def wrapper(batch, xg, src, cap_ieq, dev=None):
-        result = kernel(batch, xg, src, cap_ieq, dev if carry else None)
+    def wrapper(batch, xg, src, cap_ieq, dev=None, going=None):
+        result = kernel(batch, xg, src, cap_ieq, dev if carry else None, going)
         counted.append(int(result[4].sum()))
         return result
 
