@@ -17,9 +17,11 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import rectifier
 from .analysis import write_csv
-from .device import derive_params, eval_mosfet
+from .device import derive_params, device_table, eval_mosfet_into
 from .netlist import (
     DcSweepDirective,
     NetlistDocument,
@@ -44,6 +46,11 @@ from .solver import (
 )
 
 _FMT = "{:.8e}"
+# device-curves rows per kernel call, which bounds its memory on fine vds grids
+_CURVE_ROWS = 4096
+# the PrecisionReport fields of a report.csv row, between freq, temp and status
+_REPORT = ("rms_error_plus", "rms_error_minus", "peak_error_plus", "peak_error_minus",
+           "zero_crossing_width", "dc_power")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -85,6 +92,14 @@ def _atomic_write(path: Path, writer) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _distinct(names: list[str]) -> list[str]:
+    """Output file names, one per point; a repeat would overwrite a point's file."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"two points would write {name}")
+    return names
 
 
 # solver flag -> SolverOptions field
@@ -294,14 +309,14 @@ def cmd_bench(args) -> int:
     ]
     for cfg in configs:
         retained_window(cfg)  # compare's rule, before any transient runs
+    names = _distinct([f"bench_f{cfg.frequency:.0f}_t{cfg.temp:g}.csv" for cfg in configs])
     started = time.perf_counter()
     # every solve before the directory, which a rejected config leaves uncreated
     runs = run_bench(configs, opts)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     results = []
-    for cfg, ws in zip(configs, runs):
-        name = f"bench_f{cfg.frequency:.0f}_t{cfg.temp:g}.csv"
+    for cfg, name, ws in zip(configs, names, runs):
         if isinstance(ws, Exception):
             results.append((cfg, name, None, f"failed: {type(ws).__name__}"))
             continue
@@ -310,24 +325,10 @@ def cmd_bench(args) -> int:
         results.append((cfg, name, report, "ok"))
 
     def write_report(fh):
-        fh.write(
-            "freq,temp,rms_error_plus,rms_error_minus,peak_error_plus,"
-            "peak_error_minus,zero_crossing_width,dc_power,status\n"
-        )
+        fh.write(",".join(("freq", "temp", *_REPORT, "status")) + "\n")
         for cfg, _, report, status in results:
-            head = f"{cfg.frequency!r},{cfg.temp!r},"
-            if report is None:
-                fh.write(head + "nan,nan,nan,nan,nan,nan," + status + "\n")
-            else:
-                vals = (
-                    report.rms_error_plus,
-                    report.rms_error_minus,
-                    report.peak_error_plus,
-                    report.peak_error_minus,
-                    report.zero_crossing_width,
-                    report.dc_power,
-                )
-                fh.write(head + ",".join(_FMT.format(v) for v in vals) + f",{status}\n")
+            vals = [_FMT.format(getattr(report, m) if report else float("nan")) for m in _REPORT]
+            fh.write(f"{cfg.frequency!r},{cfg.temp!r},{','.join(vals)},{status}\n")
 
     _atomic_write(outdir / "report.csv", write_report)
     elapsed = time.perf_counter() - started
@@ -346,6 +347,7 @@ def cmd_bench(args) -> int:
 
 def cmd_dc_sweep(args) -> int:
     opts = _solver_options(args)
+    names = _distinct([f"dcsweep_t{temp:g}.csv" for temp in args.temp])
     # every graph before the sweep, which rejects a bad step or source before
     # it solves, and the sweep before the directory
     graphs = [rectifier.bench_graph(BenchConfig(temp=temp)) for temp in args.temp]
@@ -354,9 +356,7 @@ def cmd_dc_sweep(args) -> int:
     )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for temp, (iin, out_plus, out_minus) in zip(args.temp, sweeps):
-        name = f"dcsweep_t{temp:g}.csv"
-
+    for temp, name, (iin, out_plus, out_minus) in zip(args.temp, names, sweeps):
         def write(fh):
             fh.write("iin,out_plus,out_minus\n")
             fh.writelines(map("%.8e,%.8e,%.8e\n".__mod__,
@@ -382,19 +382,19 @@ def cmd_device_curves(args) -> int:
         raise KeyError(f"unknown model {args.model}")
     if args.polarity and args.polarity != card.polarity:
         raise ValueError(f"model {card.name} is {card.polarity}, not {args.polarity}")
-    params = derive_params(card, args.w, args.l, args.temp)
-    vds = sweep_values(args.vds_from, args.vds_to, args.vds_step)
+    table = device_table([derive_params(card, args.w, args.l, args.temp)])
     sign = 1.0 if card.polarity == "NMOS" else -1.0
+    vds = sign * np.array(sweep_values(args.vds_from, args.vds_to, args.vds_step))
 
     def write(fh):
-        header = "vds," + ",".join(f"id_vgs{v:g}" for v in args.vgs)
-        fh.write(header + "\n")
-        for vd in vds:
-            row = [_FMT.format(sign * vd)]
-            for vg in args.vgs:
-                ev = eval_mosfet(params, sign * vg, sign * vd, 0.0)
-                row.append(_FMT.format(ev.id))
-            fh.write(",".join(row) + "\n")
+        fh.write("vds," + ",".join(f"id_vgs{v:g}" for v in args.vgs) + "\n")
+        for lo in range(0, len(vds), _CURVE_ROWS):  # one kernel call per block of rows
+            vg, vd = np.meshgrid(sign * np.array(args.vgs), vds[lo:lo + _CURVE_ROWS])
+            ids = np.empty((5,) + vg.shape)
+            with np.errstate(all="ignore"):
+                eval_mosfet_into(table, np.stack((vg, vd, np.zeros_like(vg))), ids)
+            for v, row in zip(vd[:, 0].tolist(), ids[0].tolist()):
+                fh.write(",".join(map(_FMT.format, [v, *row])) + "\n")
 
     out = Path(args.out)
     _atomic_write(out, write)

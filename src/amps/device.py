@@ -7,7 +7,9 @@ degradation, constant overlap capacitances and standard temperature laws
 outside this subset (NSUB, DELTA, ETA, VMAX, KAPPA, RSH, NFS, TPG, XJ, WD
 and the junction-capacitance group) are parsed and retained but not
 evaluated.  There is no channel-length-modulation term: saturation output
-conductance comes only from the solver's gmin.
+conductance comes only from the solver's gmin.  ``eval_mosfet_into``
+evaluates the model over arrays of bias points; ``eval_mosfet`` is its
+one-point form.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ def derive_params(card: ModelCard, w: float, l: float, temp: float) -> MosfetPar
     p = card.params
     if "VTO" not in p:
         raise MissingModelParameter(f"model {card.name}: VTO is required")
+    if not w > 0:
+        raise ValueError(f"W must be > 0 (got {w})")
     ld = p.get("LD", 0.0)
     leff = l - 2.0 * ld
     if leff <= 0:
@@ -116,85 +120,12 @@ def overlap_caps(p: MosfetParams) -> tuple[float, float, float]:
     return (p.cgdo_f, p.cgso_f, p.cgbo_f)
 
 
-def _eval_forward(
-    vth0: float,
-    gamma: float,
-    phi: float,
-    beta: float,
-    theta: float,
-    vgs: float,
-    vds: float,
-    vbs: float,
-) -> tuple[float, float, float, float]:
-    """Normalized NMOS evaluation, vds >= 0.
-
-    Returns (id, d/dvgs, d/dvds, d/dvbs).
-    """
-    vbs_c = vbs if vbs < phi - 1e-6 else phi - 1e-6
-    sq = math.sqrt(phi - vbs_c)
-    vth = vth0 + gamma * (sq - math.sqrt(phi))
-    # dvth/dvbs, zero past the clamp
-    dvth = -gamma / (2.0 * sq) if vbs < phi - 1e-6 else 0.0
-    vov = vgs - vth
-    if vov <= 0.0:
-        return (0.0, 0.0, 0.0, 0.0)
-    u = 1.0 / (1.0 + theta * vov)
-    du = -theta * u * u  # du/dvov
-    if vds < vov:
-        core = vov * vds - 0.5 * vds * vds
-        cur = beta * u * core
-        dvov = beta * (du * core + u * vds)
-        gds = beta * u * (vov - vds)
-    else:
-        cur = 0.5 * beta * u * vov * vov
-        dvov = 0.5 * beta * vov * (du * vov + 2.0 * u)
-        gds = 0.0
-    # vov = vgs - vth(vbs):  d/dvgs = dvov,  d/dvbs = -dvth * dvov
-    return (cur, dvov, gds, -dvth * dvov)
-
-
-def eval_mosfet(p: MosfetParams, vgs: float, vds: float, vbs: float) -> DeviceEval:
-    """Evaluate drain current and partials at a bias point.
-
-    PMOS devices are evaluated by negating all terminal voltages, running the
-    NMOS equations with the threshold magnitude, and negating the current;
-    the conductances come out positive either way.  A negative (effective)
-    vds is handled by the source/drain swap symmetry.
-    """
-    if not (math.isfinite(vgs) and math.isfinite(vds) and math.isfinite(vbs)):
-        raise ValueError(f"non-finite bias point ({vgs}, {vds}, {vbs})")
-    pmos = p.polarity == "PMOS"
-    if pmos:
-        vgs, vds, vbs = -vgs, -vds, -vbs
-        vth0 = -p.vth0
-    else:
-        vth0 = p.vth0
-    beta = p.kp_eff * (p.w / p.leff)
-    if vds >= 0.0:
-        cur, gm, gds, gmbs = _eval_forward(
-            vth0, p.gamma, p.phi, beta, p.theta, vgs, vds, vbs
-        )
-    else:
-        # swap source and drain: primed device sees the reversed branch
-        c, g_m, g_ds, g_mbs = _eval_forward(
-            vth0, p.gamma, p.phi, beta, p.theta, vgs - vds, -vds, vbs - vds
-        )
-        cur = -c
-        gm = -g_m
-        gds = g_m + g_ds + g_mbs
-        gmbs = -g_mbs
-    if pmos:
-        cur = -cur
-    return DeviceEval(id=cur, gm=gm, gds=gds, gmbs=gmbs)
-
-
 def device_table(params: Sequence[MosfetParams]) -> np.ndarray:
-    """The per-device constants of ``eval_mosfet`` as a (10, devices) table.
+    """The per-device constants of ``eval_mosfet_into`` as a (10, devices) table.
 
     Rows: polarity sign (-1 for PMOS), threshold with that sign folded in,
     gamma, phi, the vbs clamp phi - 1e-6, sqrt(phi), beta = kp_eff *
-    (w / leff), 0.5 * beta, theta and -theta, each computed as
-    ``eval_mosfet`` computes it.
+    (w / leff), 0.5 * beta, theta and -theta.
     """
     rows = []
     for p in params:
@@ -206,15 +137,18 @@ def device_table(params: Sequence[MosfetParams]) -> np.ndarray:
 
 
 def eval_mosfet_into(table, bias: np.ndarray, out: np.ndarray) -> None:
-    """``eval_mosfet`` over arrays of bias points, written into ``out``.
+    """Drain current and its exact partials over arrays of bias points, into ``out``.
 
     ``bias`` stacks vgs, vds and vbs, and each ``device_table`` row in
     ``table`` broadcasts against one of them.  ``out`` is (5,) + the bias
-    shape: id, gm, gds, gmbs and gm + gds + gmbs.  Every value is computed
-    with ``eval_mosfet``'s operations in its order (its only function is the
-    correctly rounded sqrt), so each result is bit-identical to the scalar
-    one.  Both branches of every condition are computed and the unused ones
-    may overflow, so the caller ignores floating-point errors.
+    shape: id, gm, gds, gmbs and gm + gds + gmbs.  A PMOS device runs the
+    NMOS equations on negated voltages and negates the current, and a
+    negative (effective) vds swaps source and drain; the conductances come
+    out positive either way.  Each value is elementwise in its own bias point
+    (the only function is the correctly rounded sqrt), so it does not depend
+    on the shape it is evaluated in.  Both branches of every condition are
+    computed and the unused ones may overflow, so the caller ignores
+    floating-point errors.
     """
     sign, vth0, gamma, phi, lim, sqrt_phi, beta, half_beta, theta, neg_theta = table
     b = sign * bias
@@ -245,3 +179,13 @@ def eval_mosfet_into(table, bias: np.ndarray, out: np.ndarray) -> None:
     np.add(fwd[1] + fwd[2], fwd[3], out=out[2], where=rev)  # and its gds
     out[0] *= sign
     np.add(out[1] + out[2], out[3], out=out[4])
+
+
+def eval_mosfet(p: MosfetParams, vgs: float, vds: float, vbs: float) -> DeviceEval:
+    """``eval_mosfet_into`` at one bias point."""
+    if not (math.isfinite(vgs) and math.isfinite(vds) and math.isfinite(vbs)):
+        raise ValueError(f"non-finite bias point ({vgs}, {vds}, {vbs})")
+    out = np.empty((5, 1))
+    with np.errstate(all="ignore"):
+        eval_mosfet_into(device_table([p]), np.array([[vgs], [vds], [vbs]], dtype=float), out)
+    return DeviceEval(*out[:4, 0].tolist())

@@ -169,6 +169,17 @@ def check_sweep_step(start: float, stop: float, step: float) -> None:
         raise ValueError(f"sweep step {step:g} takes more than {MAX_STEPS} steps")
 
 
+def check_tran(tstep: float, tstop: float) -> None:
+    """Reject a transient step that is not positive or that takes fewer than
+    ``TRAN_MIN_STEPS`` or more than ``MAX_STEPS`` steps to reach ``tstop``."""
+    if not tstop > tstep > 0:
+        raise ValueError("requires tstop > tstep > 0")
+    if tstop < TRAN_MIN_STEPS * tstep:
+        raise ValueError(f"requires tstop >= {TRAN_MIN_STEPS}*tstep")
+    if not tstop / tstep <= MAX_STEPS:
+        raise ValueError(f"requires tstop <= {MAX_STEPS}*tstep")
+
+
 # A transient covers at least this many steps: tstop >= TRAN_MIN_STEPS * tstep.
 TRAN_MIN_STEPS = 10
 # A sweep or a transient takes at most this many steps.
@@ -418,12 +429,10 @@ def _parse_directive(card: str, lineno: int, doc: NetlistDocument) -> None:
         if len(tokens) != 3:
             raise NetlistError(".TRAN needs: tstep tstop", lineno)
         tstep, tstop = _num(tokens[1], lineno), _num(tokens[2], lineno)
-        if not (tstop > tstep > 0):
-            raise NetlistError(".TRAN requires tstop > tstep > 0", lineno)
-        if tstop < TRAN_MIN_STEPS * tstep:
-            raise NetlistError(f".TRAN requires tstop >= {TRAN_MIN_STEPS}*tstep", lineno)
-        if not tstop / tstep <= MAX_STEPS:
-            raise NetlistError(f".TRAN requires tstop <= {MAX_STEPS}*tstep", lineno)
+        try:
+            check_tran(tstep, tstop)
+        except ValueError as exc:
+            raise NetlistError(f".TRAN {exc}", lineno) from None
         doc.directives.append(TranDirective(tstep, tstop))
     elif word == ".TEMP":
         if len(tokens) < 2:

@@ -50,13 +50,12 @@ from .device import (  # noqa: F401  eval_mosfet: the benchmark tracer wraps it 
     overlap_caps,
 )
 from .netlist import (
-    MAX_STEPS,
-    TRAN_MIN_STEPS,
     DcSpec,
     ElementKind,
     NetlistDocument,
     SourceSpec,
     check_sweep_step,
+    check_tran,
     validate,
 )
 
@@ -124,12 +123,7 @@ class TransientOptions:
     ic: str = "from_op"  # "from_op" | "zero_start"
 
     def __post_init__(self):
-        if self.tstep <= 0:
-            raise ValueError("tstep must be positive")
-        if self.tstop < TRAN_MIN_STEPS * self.tstep:
-            raise ValueError(f"tstop must be at least {TRAN_MIN_STEPS}*tstep")
-        if not self.tstop / self.tstep <= MAX_STEPS:
-            raise ValueError(f"tstop must be at most {MAX_STEPS}*tstep")
+        check_tran(self.tstep, self.tstop)
         if self.ic not in ("from_op", "zero_start"):
             raise ValueError(f"unknown initial-condition mode {self.ic!r}")
 

@@ -212,6 +212,33 @@ def test_bench_bad_temperature_leaves_no_output_directory(tmp_path, capsys):
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["bench", "--freq", "1000,1000.4", "--temp", "25", "--periods", "3",
+          "--steps-per-period", "10"], "bench_f1000_t25.csv"),
+        (["bench", "--freq", "1k", "--temp", "25,25", "--periods", "3",
+          "--steps-per-period", "10"], "bench_f1000_t25.csv"),
+        (["dc-sweep", "--from", "-10u", "--to", "10u", "--step", "10u",
+          "--temp", "25,25.0000001"], "dcsweep_t25.csv"),
+    ],
+    ids=["bench-freq", "bench-temp", "dc-sweep"],
+)
+def test_colliding_output_names_rejected_before_any_solve(tmp_path, capsys, monkeypatch, argv,
+                                                          name):
+    """Two points that would write one file are a usage error, not an overwrite."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(amps.cli, "run_bench", unreachable)
+    monkeypatch.setattr(amps.rectifier, "bench_dc_transfer", unreachable)
+    out = tmp_path / "new" / "dir"
+    assert main(argv + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert name in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "new").exists()
+
+
 def test_bench_short_window_rejected_before_any_solve(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a solver ran")
@@ -321,7 +348,8 @@ def test_dc_sweep_lockstep_writes_what_single_runs_write(tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--source", "IWRONG", "--step", "10u"], ["--step", "0"], ["--step", "-10u"]],
+    [["--source", "IWRONG", "--step", "10u"], ["--step", "0"], ["--step", "-10u"],
+     ["--step", "10u", "--temp", "25,25.0000001"], ["--step", "10u", "--temp", "25,25"]],
 )
 def test_dc_sweep_rejected_input_leaves_no_output_directory(tmp_path, capsys, flags):
     out = tmp_path / "new" / "dir"
@@ -442,6 +470,15 @@ def test_device_curves_grid_clamps_last_step_to_endpoint(tmp_path):
     assert data[-1, 0] == 1.5 and data[-2, 0] == pytest.approx(214 * 0.007)
 
 
+def test_device_curves_blocks_of_rows_write_one_grid(tmp_path, monkeypatch):
+    """The grid is evaluated a block of rows at a time; the blocks join seamlessly."""
+    argv = ["device-curves", "--model", "CMOSP", "--vgs", "-1.5,0.5,-1", "--vds-step", "0.007"]
+    assert main(argv + ["-o", str(tmp_path / "whole.csv")]) == 0
+    monkeypatch.setattr(amps.cli, "_CURVE_ROWS", 7)  # 216 rows: 30 full blocks and 6 rows
+    assert main(argv + ["-o", str(tmp_path / "blocks.csv")]) == 0
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 def test_device_curves_unknown_model(tmp_path, capsys):
     rc = main(["device-curves", "--model", "NOPE", "-o", str(tmp_path / "x.csv")])
     assert rc == 1
@@ -492,6 +529,11 @@ TINY_STEP = "too fine a transient\nV1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.TRAN 1e-3
         ["device-curves", "--model", "CMOSN", "--vds-step", "1e-320"],
         ["run", "tiny_step.cir"],
         ["bench", "--freq", "1k", "--periods", "1000", "--steps-per-period", "100000"],
+        # two points whose output files share a name
+        ["bench", "--freq", "1000,1000.4", "--periods", "3", "--steps-per-period", "10"],
+        ["dc-sweep", "--from", "-10u", "--to", "10u", "--step", "10u", "--temp", "25,25.0000001"],
+        ["device-curves", "--model", "CMOSN", "--w", "-1u"],
+        ["device-curves", "--model", "CMOSN", "--w", "0"],
     ],
 )
 def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv):
@@ -501,6 +543,7 @@ def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv):
     assert main(argv + ["-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # Each subcommand's flags with good and bad values.  Periods and steps per
@@ -523,6 +566,7 @@ CLI_GRAMMAR = {
         "--vgs": ["1", "0.5,1.5", "x"],
         "--vds-step": ["0.5", "0", "-0.5"],
         "--temp": ["27", "500"],
+        "--w": ["1.5u", "0", "-1u"],
         "--l": ["0.15u", "1e-14"],
     },
     "run": {"--temp": ["27", "25,100", "400"], "--reltol": ["1m", "0"]},

@@ -2,7 +2,9 @@
 
 Golden current values were frozen from an independent straight-line
 evaluation of the documented equations (see _reference_id below, which
-reimplements them without sharing code with the package).
+reimplements them without sharing code with the package).  _scalar_eval is
+a second transcription, branch by branch in Python floats, that the array
+kernel must match bit for bit.
 """
 
 import math
@@ -50,6 +52,52 @@ def _reference_id(card, w, l, temp, vgs, vds, vbs):
     if vds < vov:
         return kp * u * (w / leff) * (vov * vds - vds * vds / 2.0)
     return 0.5 * kp * u * (w / leff) * vov * vov
+
+
+def _scalar_forward(vth0, gamma, phi, beta, theta, vgs, vds, vbs):
+    """Normalized NMOS evaluation, vds >= 0: (id, d/dvgs, d/dvds, d/dvbs)."""
+    vbs_c = vbs if vbs < phi - 1e-6 else phi - 1e-6
+    sq = math.sqrt(phi - vbs_c)
+    vth = vth0 + gamma * (sq - math.sqrt(phi))
+    # dvth/dvbs, zero past the clamp
+    dvth = -gamma / (2.0 * sq) if vbs < phi - 1e-6 else 0.0
+    vov = vgs - vth
+    if vov <= 0.0:
+        return (0.0, 0.0, 0.0, 0.0)
+    u = 1.0 / (1.0 + theta * vov)
+    du = -theta * u * u  # du/dvov
+    if vds < vov:
+        core = vov * vds - 0.5 * vds * vds
+        cur = beta * u * core
+        dvov = beta * (du * core + u * vds)
+        gds = beta * u * (vov - vds)
+    else:
+        cur = 0.5 * beta * u * vov * vov
+        dvov = 0.5 * beta * vov * (du * vov + 2.0 * u)
+        gds = 0.0
+    # vov = vgs - vth(vbs):  d/dvgs = dvov,  d/dvbs = -dvth * dvov
+    return (cur, dvov, gds, -dvth * dvov)
+
+
+def _scalar_eval(p, vgs, vds, vbs):
+    """(id, gm, gds, gmbs) of one device at one bias point.
+
+    PMOS runs the NMOS equations on negated voltages and negates the
+    current; a negative (effective) vds swaps source and drain.
+    """
+    pmos = p.polarity == "PMOS"
+    if pmos:
+        vgs, vds, vbs = -vgs, -vds, -vbs
+    vth0 = -p.vth0 if pmos else p.vth0
+    beta = p.kp_eff * (p.w / p.leff)
+    if vds >= 0.0:
+        cur, gm, gds, gmbs = _scalar_forward(vth0, p.gamma, p.phi, beta, p.theta, vgs, vds, vbs)
+    else:
+        c, g_m, g_ds, g_mbs = _scalar_forward(
+            vth0, p.gamma, p.phi, beta, p.theta, vgs - vds, -vds, vbs - vds
+        )
+        cur, gm, gds, gmbs = -c, -g_m, g_m + g_ds + g_mbs, -g_mbs
+    return (-cur if pmos else cur, gm, gds, gmbs)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +149,12 @@ def test_nonpositive_leff():
         derive_params(card, W, 1e-6, 27.0)
 
 
+@pytest.mark.parametrize("w", [0.0, -1e-6, -0.0])
+def test_nonpositive_width(w):
+    with pytest.raises(ValueError, match="W must be > 0"):
+        derive_params(CMOSN, w, L, 27.0)
+
+
 def test_temperature_range():
     with pytest.raises(ValueError, match="temperature"):
         derive_params(CMOSN, W, L, 200.0)
@@ -124,9 +178,6 @@ def test_overlap_caps_cmosp():
     assert cgd == pytest.approx(2.34e-10 * 1.5e-6, rel=1e-15)
 
 
-def test_overlap_caps_zero_width():
-    cgd, cgs, _ = overlap_caps(derive_params(CMOSN, 0.0, L, 27.0))
-    assert cgd == 0.0 and cgs == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +342,11 @@ def test_dataclass_fields(nmos):
 
 
 def test_table_evaluation_bit_identical_to_scalar():
-    """Lockstep transients equal single runs only if this holds bit for bit."""
+    """The kernel matches the scalar transcription bit for bit, in any shape.
+
+    Lockstep transients equal single runs only if a point's bits do not
+    depend on the batch it is evaluated in.
+    """
     params = [derive_params(card, W, L, temp) for card in (CMOSN, CMOSP) for temp in (25.0, 100.0)]
     rng = np.random.default_rng(20101)
     shape = (3000, len(params))
@@ -304,8 +359,8 @@ def test_table_evaluation_bit_identical_to_scalar():
     vbs[:50] = lim
     ref = np.empty(shape + (5,))
     for (r, k), _ in np.ndenumerate(vgs):
-        ev = eval_mosfet(params[k], float(vgs[r, k]), float(vds[r, k]), float(vbs[r, k]))
-        ref[r, k] = (ev.id, ev.gm, ev.gds, ev.gmbs, ev.gm + ev.gds + ev.gmbs)
+        ev = _scalar_eval(params[k], float(vgs[r, k]), float(vds[r, k]), float(vbs[r, k]))
+        ref[r, k] = (*ev, ev[1] + ev[2] + ev[3])
     table = device_table(params)
     for tab in (table, np.broadcast_to(table[:, None, :], (10,) + shape)):
         out = np.empty((5,) + shape)
@@ -314,6 +369,10 @@ def test_table_evaluation_bit_identical_to_scalar():
         out = np.moveaxis(out, 0, -1)
         assert np.array_equal(out, ref)
         assert np.array_equal(np.signbit(out), np.signbit(ref))
+    for (r, k), _ in np.ndenumerate(vgs[:100]):  # and the one-point API
+        ev = eval_mosfet(params[k], float(vgs[r, k]), float(vds[r, k]), float(vbs[r, k]))
+        got, want = np.array([ev.id, ev.gm, ev.gds, ev.gmbs]), ref[r, k, :4]
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     # the draws reach every branch, for both polarities
     sign = np.where(table[0] < 0, -1.0, 1.0)
     reverse = sign * vds < 0

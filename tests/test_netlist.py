@@ -295,8 +295,23 @@ def test_step_counts_are_bounded():
     with pytest.raises(NetlistError, match=r"tstop <= 10000000\*tstep"):
         parse_netlist(wrap("V1 a 0 DC 1", "R1 a 0 1k", ".TRAN 1n 1"))
     for tstep in (1e-8, 1e-320):
-        with pytest.raises(ValueError, match="at most"):
+        with pytest.raises(ValueError, match=r"tstop <= 10000000\*tstep"):
             TransientOptions(tstep=tstep, tstop=1.0)
+
+
+@pytest.mark.parametrize(
+    "tstep,tstop",
+    [(2e-6, 1e-6), (0.0, 1.0), (-1e-6, 1e-3), (1e-3, 5e-3), (1e-9, 1.0), (1e-320, 1e-9)],
+)
+def test_tran_parser_and_options_share_one_rule(tstep, tstop):
+    """.TRAN and TransientOptions reject the same steps with the same words."""
+    from amps.solver import TransientOptions
+
+    with pytest.raises(ValueError) as rejected:
+        TransientOptions(tstep=tstep, tstop=tstop)
+    with pytest.raises(NetlistError) as parse_err:
+        parse_netlist(wrap("V1 a 0 DC 1", "R1 a 0 1k", f".TRAN {tstep!r} {tstop!r}"))
+    assert str(parse_err.value).endswith(f".TRAN {rejected.value}")
 
 
 @pytest.mark.parametrize(
