@@ -33,10 +33,8 @@ from .netlist import (
 )
 from .rectifier import BenchConfig, compare, retained_window, run_bench
 from .solver import (
-    NonConvergenceError,
-    SingularMatrixError,
+    SolverError,
     SolverOptions,
-    TransientNonConvergence,
     TransientOptions,
     build_graph,
     dc_sweep,
@@ -95,7 +93,7 @@ def _atomic_write(path: Path, writer) -> None:
 
 
 def _distinct(names: list[str]) -> list[str]:
-    """Output file names, one per point; a repeat would overwrite a point's file."""
+    """Labels of points' files or columns; a repeat would overwrite a file or repeat a column."""
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"two points would write {name}")
@@ -239,6 +237,7 @@ def cmd_run(args) -> int:
             if not forced:
                 current = list(d.temps)
             continue
+        _distinct([f"*_t{t:g}.csv" for t in current])  # each temperature's file suffix
         for t in current:
             jobs.append((d, t))
     if not jobs:
@@ -281,7 +280,7 @@ def cmd_run(args) -> int:
                 ws = solve_transient(graph, topts, opts)
                 _atomic_write(out_path, lambda fh: write_csv(ws, fh))
                 points = ws.stats["steps"] + 1
-        except (NonConvergenceError, SingularMatrixError, TransientNonConvergence) as exc:
+        except SolverError as exc:
             print(f"{path}: {kind} at {temp:g} degC failed: {exc}", file=sys.stderr)
             return 2
         elapsed = time.perf_counter() - started
@@ -385,9 +384,10 @@ def cmd_device_curves(args) -> int:
     table = device_table([derive_params(card, args.w, args.l, args.temp)])
     sign = 1.0 if card.polarity == "NMOS" else -1.0
     vds = sign * np.array(sweep_values(args.vds_from, args.vds_to, args.vds_step))
+    labels = _distinct([f"id_vgs{v:g}" for v in args.vgs])
 
     def write(fh):
-        fh.write("vds," + ",".join(f"id_vgs{v:g}" for v in args.vgs) + "\n")
+        fh.write("vds," + ",".join(labels) + "\n")
         for lo in range(0, len(vds), _CURVE_ROWS):  # one kernel call per block of rows
             vg, vd = np.meshgrid(sign * np.array(args.vgs), vds[lo:lo + _CURVE_ROWS])
             ids = np.empty((5,) + vg.shape)

@@ -20,10 +20,8 @@ from .analysis import PrecisionReport, Waveform, WaveformError, WaveformSet
 from .netlist import MAX_STEPS, parse_netlist
 from .solver import (
     CircuitGraph,
-    NonConvergenceError,
-    SingularMatrixError,
+    SolverError,
     SolverOptions,
-    TransientNonConvergence,
     TransientOptions,
     build_graph,
     dc_sweep_lockstep,
@@ -162,7 +160,7 @@ _BENCH_RENAMES = {
 
 def run_bench(
     configs: Sequence[BenchConfig], options: SolverOptions | None = None
-) -> list[WaveformSet | NonConvergenceError | SingularMatrixError | TransientNonConvergence]:
+) -> list[WaveformSet | SolverError]:
     """Transient-simulate bench configurations, one result per config, in order.
 
     A result holds the five contract waveforms (iin, out_plus, out_minus,
@@ -181,7 +179,7 @@ def run_bench(
     for i, graph in enumerate(graphs):
         try:
             starts[i] = solve_dc(graph, options)
-        except (NonConvergenceError, SingularMatrixError) as exc:
+        except SolverError as exc:
             results[i] = exc
     topts = [
         TransientOptions(
@@ -231,7 +229,7 @@ def bench_dc_transfer(
     for graph in graphs:
         try:
             firsts.append(solve_dc(graph.with_source(source, values[0]), options))
-        except (NonConvergenceError, SingularMatrixError):
+        except SolverError:
             firsts.append(None)
     sweep = dc_sweep_lockstep(graphs, source, values, options, firsts)
     iin = np.array(values)
@@ -242,13 +240,6 @@ def bench_dc_transfer(
                                for name in ("VOUTP", "VOUTM"))
         results.append((iin, out_plus, out_minus))
     return results
-
-
-def _windowed(w: Waveform, t0: float, t1: float):
-    """Views of the samples with t0 <= t <= t1, to 1e-15 s (times increase)."""
-    lo = np.searchsorted(w.times, t0 - 1e-15)
-    hi = np.searchsorted(w.times, t1 + 1e-15, side="right")
-    return w.times[lo:hi], w.values[lo:hi]
 
 
 def retained_window(cfg: BenchConfig, span: tuple[float, float] | None = None):
@@ -271,26 +262,26 @@ def compare(sim: WaveformSet, cfg: BenchConfig) -> PrecisionReport:
     peak-to-peak input amplitude; ``zero_crossing_width`` is the time per
     period the sourcing output strays more than 5% of half-amplitude from
     ideal; ``dc_power`` is the mean total supply power over the window.
+    Every waveform is on ``iin``'s time base, as ``run_bench`` gives them.
     """
     missing = [name for name in ("iin", "out_plus", "out_minus") if name not in sim]
     if missing:
         raise WaveformError(f"missing required waveforms: {', '.join(missing)}")
     w_iin = sim.get("iin")
-    t_hi = w_iin.span[1]
     t0, n_periods = retained_window(cfg, w_iin.span)
     half_amp = cfg.amplitude_pp / 2.0
 
-    t, iin = _windowed(w_iin, t0, t_hi)
-    ideal = ideal_dual_phase(iin)
+    # the samples from t0 (to 1e-15 s) up to the last one, the window's end
+    window = slice(int(np.searchsorted(w_iin.times, t0 - 1e-15)), None)
+    t = w_iin.times[window]
+    ideal = ideal_dual_phase(w_iin.values[window])
     span = t[-1] - t[0]
 
     def norm_rms(err: np.ndarray) -> float:
         return float(np.sqrt(np.trapezoid(err * err, t) / span)) / half_amp
 
-    _, sim_p = _windowed(sim.get("out_plus"), t0, t_hi)
-    _, sim_m = _windowed(sim.get("out_minus"), t0, t_hi)
-    err_p = sim_p - ideal.out_plus
-    err_m = sim_m - ideal.out_minus
+    err_p = sim.get("out_plus").values[window] - ideal.out_plus
+    err_m = sim.get("out_minus").values[window] - ideal.out_minus
 
     band = 0.05 * half_amp
     exceeded = (np.abs(err_p) > band).astype(float)
@@ -298,9 +289,8 @@ def compare(sim: WaveformSet, cfg: BenchConfig) -> PrecisionReport:
 
     dc_power = 0.0
     if "i_vdd" in sim and "i_vss" in sim:
-        _, i_vdd = _windowed(sim.get("i_vdd"), t0, t_hi)
-        _, i_vss = _windowed(sim.get("i_vss"), t0, t_hi)
-        inst = np.abs(VDD * i_vdd) + np.abs(VSS * i_vss)
+        inst = (np.abs(VDD * sim.get("i_vdd").values[window])
+                + np.abs(VSS * sim.get("i_vss").values[window]))
         dc_power = float(np.trapezoid(inst, t) / span)
 
     return PrecisionReport(
@@ -310,5 +300,5 @@ def compare(sim: WaveformSet, cfg: BenchConfig) -> PrecisionReport:
         peak_error_minus=float(np.max(np.abs(err_m))) / half_amp,
         zero_crossing_width=width_total / n_periods,
         dc_power=dc_power,
-        window=(float(t0), float(t_hi)),
+        window=(float(t0), float(t[-1])),
     )

@@ -30,6 +30,11 @@ and DC sweeps of one source (``dc_sweep_lockstep``) each sweep value,
 together, and each one's results are the ones it gets alone.  A transient
 that fails or has taken its last step stays in its batch as a spent row,
 so a lockstep builds one ``_Batch`` per integration phase.
+
+A solve that finds no point raises (a lockstep member returns) a
+``SolverError``: ``NonConvergenceError`` names the unknown (node or source
+branch) of the worst residual, ``SingularMatrixError`` the one that a singular
+Jacobian's null vector weighs most, ``TransientNonConvergence`` the time.
 """
 
 from __future__ import annotations
@@ -60,13 +65,18 @@ from .netlist import (
 )
 
 
-class SingularMatrixError(RuntimeError):
-    def __init__(self, pivot: int):
-        self.pivot = pivot
-        super().__init__(f"singular MNA matrix (zero pivot at index {pivot})")
+class SolverError(RuntimeError):
+    """A solve that found no point; the base of every solver failure."""
 
 
-class NonConvergenceError(RuntimeError):
+class SingularMatrixError(SolverError):
+    def __init__(self, where: str, pivot: int):
+        self.where = where
+        self.pivot = pivot  # the index of the unknown ``where`` names
+        super().__init__(f"singular MNA matrix at {where}")
+
+
+class NonConvergenceError(SolverError):
     def __init__(self, where: str, residual: float, strategy_log: list[str] | None = None):
         self.where = where
         self.residual = residual
@@ -77,11 +87,10 @@ class NonConvergenceError(RuntimeError):
         super().__init__(msg)
 
 
-class TransientNonConvergence(RuntimeError):
+class TransientNonConvergence(SolverError):
     def __init__(self, time: float, partial: WaveformSet, cause: Exception):
         self.time = time
         self.partial = partial
-        self.cause = cause
         super().__init__(f"transient aborted at t={time:.6e}s: {cause}")
 
 
@@ -101,8 +110,10 @@ class SolverOptions:
 
     def __post_init__(self):
         for name in ("reltol", "abstol_i", "vntol", "gmin"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
+        if not isinstance(self.max_newton_iters, int) or self.max_newton_iters < 0:
+            raise ValueError("max_newton_iters must be an integer >= 0")
 
 
 @dataclass
@@ -356,33 +367,25 @@ def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
 # ---------------------------------------------------------------------------
 
 
-def _find_zero_pivot(a: np.ndarray) -> int:
-    """Partial-pivoting elimination to locate the failing pivot column."""
-    u = a.astype(float).copy()
-    size = u.shape[0]
-    for k in range(size):
-        p = k + int(np.argmax(np.abs(u[k:, k])))
-        if abs(u[p, k]) < 1e-300:
-            return k
-        if p != k:
-            u[[k, p]] = u[[p, k]]
-        nz = u[k + 1:, k] / u[k, k]
-        u[k + 1:, k:] -= np.outer(nz, u[k, k:])
-    return size - 1
+def _unknown(g: CircuitGraph, k: int) -> str:
+    """The name of unknown ``k``: its node, or its voltage source's branch."""
+    return f"node {g.node_names[k + 1]}" if k < g.n else f"source {g.vsources[k - g.n].name}"
 
 
-def _failure(g: CircuitGraph, F: np.ndarray, J: np.ndarray, over: np.ndarray) -> Exception:
+def _failure(g: CircuitGraph, F: np.ndarray, J: np.ndarray, over: np.ndarray) -> SolverError:
     """The error of a Newton solve that failed at the assembly (F, J), with
-    each row's residual ``over`` its tolerance."""
+    each row's residual ``over`` its tolerance.  A singular J names the
+    unknown that its null vector weighs most (the last right singular
+    vector); a non-convergent solve, its worst row."""
     if not (np.isfinite(F).all() and np.isfinite(J).all()):
         return NonConvergenceError("non-finite assembly", float("inf"))
     try:
         np.linalg.solve(J, F)
     except np.linalg.LinAlgError:
-        return SingularMatrixError(_find_zero_pivot(J))
+        k = int(np.argmax(np.abs(np.linalg.svd(J)[2][-1])))
+        return SingularMatrixError(_unknown(g, k), k)
     idx = int(np.argmax(over))
-    where = f"node {g.node_names[idx + 1]}" if idx < g.n else f"source {g.vsources[idx - g.n].name}"
-    return NonConvergenceError(where, float(over[idx]))
+    return NonConvergenceError(_unknown(g, idx), float(over[idx]))
 
 
 class _Batch:
@@ -637,26 +640,26 @@ def solve_dc(
     """
     try:
         return newton_solve(graph, initial_guess, options)
-    except (NonConvergenceError, SingularMatrixError) as exc:
+    except SolverError as exc:
         plain = f"plain: {exc}"
-    return _point(graph, *_homotopies(graph, options, [plain])[:3])
+    return _point(graph, *_homotopies(graph, options, _source_values([graph])[0], [plain])[:3])
 
 
-def _homotopies(graph: CircuitGraph, options: SolverOptions, log: list[str]):
+def _homotopies(graph: CircuitGraph, options: SolverOptions, src: np.ndarray, log: list[str]):
     """``solve_dc`` after its plain Newton solve failed (as ``log`` says):
-    gmin stepping, then source stepping, each from zeros.  Returns (xg,
+    gmin stepping, then source stepping, each from zeros, with the source
+    values ``src`` (ordered as ``_source_values``).  Returns (xg,
     iterations, residual_excess, device evaluation at xg)."""
     homotopies = {
         "gmin stepping": _gmin_stages(options.gmin),
         "source stepping": [(options.gmin, float(scale))
                             for scale in np.linspace(1.0 / SOURCE_STEPS, 1.0, SOURCE_STEPS)],
     }
-    src = _source_values([graph])[0]
     for label, stages in homotopies.items():
         try:
             return _ladder(graph, options, np.zeros(graph.size + 1), src,
                            np.zeros(graph.cap_c.size), stages)[:4]
-        except (NonConvergenceError, SingularMatrixError) as exc:
+        except SolverError as exc:
             log.append(f"{label}: {exc}")
     raise NonConvergenceError("all homotopies exhausted", float("nan"), log)
 
@@ -693,7 +696,7 @@ def dc_sweep(
     values = sweep_values(start, stop, step)
     try:
         first = solve_dc(graph.with_source(name, values[0]), options)
-    except (NonConvergenceError, SingularMatrixError):
+    except SolverError:
         first = None
     sweep = dc_sweep_lockstep([graph], name, values, options, [first])
     n = graph.n
@@ -765,10 +768,9 @@ def dc_sweep_lockstep(
         xs, iters, excess, devs, _, errors = _newton_batch(batch, last, src, cap_ieq, dev)
         ok = np.ones(count, dtype=bool)
         for b in sorted(errors):
-            graph = graphs[b].with_source(source_name, values[k])
             try:
-                xs[b], iters[b], excess[b], devs[:, b] = _homotopies(graph, options, [])
-            except NonConvergenceError:
+                xs[b], iters[b], excess[b], devs[:, b] = _homotopies(graphs[b], options, src[b], [])
+            except SolverError:
                 ok[b] = False
         last, dev = xs, devs  # the kernel returned a failed member's start and its evaluation
         sweep.x[k, ok] = xs[ok, 1:]
@@ -934,7 +936,7 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
                     alphas[phase][b], dev[:, b])
                 assemblies[b] += used
                 evaluations[b] += evaluated
-            except (NonConvergenceError, SingularMatrixError) as exc:
+            except SolverError as exc:
                 results[b] = TransientNonConvergence(k * tsteps[b], waveforms(b, k - 1), exc)
                 results[b].__cause__ = exc
                 going[b] = False

@@ -83,7 +83,9 @@ def test_run_nonconvergent_exits_2(tmp_path, capsys):
     src = write(tmp_path, "bad.cir", PATHOLOGICAL)
     assert main(["run", str(src)]) == 2
     captured = capsys.readouterr()
-    assert "failed" in captured.err
+    assert "failed" in captured.err and len(captured.err.splitlines()) == 1
+    # the singular Jacobian names a node of the island
+    assert any(f"singular MNA matrix at node {n}" in captured.err for n in ("n1", "n2"))
 
 
 def test_run_missing_file(tmp_path, capsys):
@@ -534,11 +536,18 @@ TINY_STEP = "too fine a transient\nV1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.TRAN 1e-3
         ["dc-sweep", "--from", "-10u", "--to", "10u", "--step", "10u", "--temp", "25,25.0000001"],
         ["device-curves", "--model", "CMOSN", "--w", "-1u"],
         ["device-curves", "--model", "CMOSN", "--w", "0"],
+        # two columns, or two temperatures' files, that share a label
+        ["device-curves", "--model", "CMOSN", "--vgs", "1,1.0000001"],
+        ["run", "div.cir", "--temp", "25,25"],
+        ["run", "div.cir", "--temp", "25,25.0000001"],
+        ["run", "temp_twice.cir"],
     ],
 )
 def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv):
     write(tmp_path, "short_tran.cir", SHORT_TRAN)
     write(tmp_path, "tiny_step.cir", TINY_STEP)
+    write(tmp_path, "div.cir", DIVIDER)
+    write(tmp_path, "temp_twice.cir", DIVIDER.replace(".OP", ".TEMP 25 25\n.OP"))
     argv = [str(tmp_path / a) if a.endswith(".cir") else a for a in argv]
     assert main(argv + ["-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

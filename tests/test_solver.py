@@ -11,7 +11,9 @@ from amps.rectifier import MODEL_CARDS
 from amps.solver import (
     NonConvergenceError,
     SingularMatrixError,
+    SolverError,
     SolverOptions,
+    TransientNonConvergence,
     TransientOptions,
     build_graph,
     dc_sweep,
@@ -191,10 +193,22 @@ def test_diode_connected_nmos_self_consistent():
 
 
 def test_singular_matrix_reported():
+    """The island's Jacobian is singular: the error names one of its nodes,
+    and ``pivot`` is that node's unknown."""
     g = graph_of(SINGULAR)
     with pytest.raises(SingularMatrixError) as err:
         newton_solve(g, None, OPTS)
-    assert isinstance(err.value.pivot, int)
+    pivot = err.value.pivot
+    assert isinstance(pivot, int) and pivot < g.n
+    named = g.node_names[pivot + 1]
+    assert named in ("n1", "n2")
+    assert str(err.value) == f"singular MNA matrix at node {named}"
+    assert err.value.where == f"node {named}"
+
+
+def test_every_solver_failure_is_a_solver_error():
+    for cls in (SingularMatrixError, NonConvergenceError, TransientNonConvergence):
+        assert issubclass(cls, SolverError) and issubclass(cls, RuntimeError)
 
 
 def test_solve_dc_exhausts_homotopies_on_singular():
@@ -244,7 +258,7 @@ def test_source_stepping_after_gmin_stepping_fails(monkeypatch):
     def recorded(graph, options, xg, src, cap_ieq, stages, *args):
         try:
             result = ladder(graph, options, xg, src, cap_ieq, stages, *args)
-        except (NonConvergenceError, SingularMatrixError) as exc:
+        except SolverError as exc:
             ladders.append((stages, exc))
             raise
         ladders.append((stages, result))
@@ -424,7 +438,7 @@ def reference_sweep(graph, name, values, options):
         try:
             op = solve_dc(graph.with_source(name, value), options, x_prev)
             x_prev = np.concatenate((op.voltages, op.branch_currents))
-        except (NonConvergenceError, SingularMatrixError):
+        except SolverError:
             op = None
         curve.append(op)
     return curve
@@ -443,9 +457,9 @@ def test_lockstep_dc_sweeps_match_single_sweeps(monkeypatch):
     fallbacks = []
     homotopies = amps.solver._homotopies
 
-    def counted(graph, options, log):
-        fallbacks.append((graph.mosfets[0].temp, graph.find_source("IIN").spec.value))
-        return homotopies(graph, options, log)
+    def counted(graph, options, src, log):
+        fallbacks.append((graph.mosfets[0].temp, float(src[0])))  # IIN, the only current source
+        return homotopies(graph, options, src, log)
 
     monkeypatch.setattr(amps.solver, "_homotopies", counted)
     opts = SolverOptions(max_newton_iters=6, reltol=1.5e-5)
@@ -537,6 +551,16 @@ def test_transient_options_validated():
         TransientOptions(tstep=1e-3, tstop=5e-3)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("reltol", math.nan), ("abstol_i", math.nan), ("vntol", math.inf), ("gmin", -1e-12),
+     ("reltol", 0.0), ("max_newton_iters", -1), ("max_newton_iters", 2.5)],
+)
+def test_solver_options_reject_what_the_solver_cannot_run(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: value})
+
+
 def test_periodic_steady_state_on_bench():
     from amps.rectifier import BenchConfig, build_bench_netlist
 
@@ -556,13 +580,12 @@ def test_periodic_steady_state_on_bench():
 
 
 def test_transient_nonconvergence_carries_partial():
-    from amps.solver import TransientNonConvergence
-
     g = graph_of(SINGULAR)
     with pytest.raises(TransientNonConvergence) as err:
         solve_transient(g, TransientOptions(tstep=1e-6, tstop=1e-4, ic="zero_start"), OPTS)
     assert err.value.time == pytest.approx(1e-6)
     assert err.value.partial.stats["steps"] == 0
+    assert isinstance(err.value.__cause__, SingularMatrixError)  # the step's own failure
 
 
 def test_rescued_transient_leaves_graph_unchanged(monkeypatch):
@@ -669,9 +692,9 @@ def test_carried_evaluation_changes_no_lockstep_sweep(monkeypatch):
     fallbacks = []
     homotopies = amps.solver._homotopies
 
-    def counted(graph, options, log):
+    def counted(graph, options, src, log):
         fallbacks.append(graph.mosfets[0].temp)
-        return homotopies(graph, options, log)
+        return homotopies(graph, options, src, log)
 
     opts = SolverOptions(max_newton_iters=6, reltol=1.5e-5)
     graphs = [bench_graph(BenchConfig(temp=t)) for t in (25.0, 50.0, 75.0, 100.0)]
