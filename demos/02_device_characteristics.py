@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from amps.analysis import write_table
 from amps.device import derive_params, eval_mosfet, overlap_caps
 from amps.netlist import parse_netlist
 from amps.rectifier import MODEL_CARDS
@@ -37,10 +38,7 @@ for vd in vds:
     rows.append([vd] + [eval_mosfet(nmos, vg, vd, 0.0).id for vg in vgs_list])
 
 path = OUT / "id_vds_cmosn.csv"
-with open(path, "w") as fh:
-    fh.write("vds," + ",".join(f"id_vgs{v:g}" for v in vgs_list) + "\n")
-    for row in rows:
-        fh.write(",".join(f"{v:.8e}" for v in row) + "\n")
+write_table(path, ["vds"] + [f"id_vgs{v:g}" for v in vgs_list], np.array(rows).T)
 print(f"wrote {path}")
 
 print("\n  vds      " + "".join(f"vgs={v:<8g}" for v in vgs_list))

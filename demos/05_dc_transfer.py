@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from amps.analysis import write_table
 from amps.rectifier import BenchConfig, bench_dc_transfer, bench_graph, ideal_dual_phase
 
 OUT = Path(__file__).with_name("output")
@@ -20,10 +21,7 @@ graphs = [bench_graph(BenchConfig(temp=temp)) for temp in temps]
 curves = bench_dc_transfer(graphs, -200e-6, 200e-6, 5e-6)
 for temp, (iin, out_plus, out_minus) in zip(temps, curves):
     path = OUT / f"dc_transfer_t{temp:g}.csv"
-    with open(path, "w") as fh:
-        fh.write("iin,out_plus,out_minus\n")
-        for row in zip(iin, out_plus, out_minus):
-            fh.write(",".join(f"{v:.8e}" for v in row) + "\n")
+    write_table(path, ["iin", "out_plus", "out_minus"], [iin, out_plus, out_minus])
     ideal = ideal_dual_phase(iin)
     worst = np.max(np.abs(out_plus - ideal.out_plus)[np.abs(iin) > 10e-6])
     print(f"T={temp:5.1f} degC: {len(iin)} points -> {path.name}   "

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -80,36 +81,47 @@ class PrecisionReport:
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-_FMT = "%.8e"  # 9 significant digits
 _CHUNK = 16  # rows formatted at a time: Python floats take 4x the memory of an array
 
 
-def write_csv(ws: WaveformSet, sink) -> None:
+def write_table(path, header, columns, preamble=()) -> None:
+    """Write one CSV file: the ``preamble`` lines, the ``header`` names, then
+    one row per entry of the equal-length ``columns``.
+
+    A float column's values are written in scientific notation with 9
+    significant digits (``%.8e``), any other column's items as text.  The
+    file is written under a temporary name and renamed into place, so a
+    failed write leaves no file behind.
+    """
+    path = Path(path)
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%.8e" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.writelines(f"{line}\n" for line in preamble)
+            fh.write(",".join(header) + "\n")
+            for start in range(0, len(columns[0]), _CHUNK):
+                chunk = (c[start : start + _CHUNK].tolist() for c in columns)
+                fh.writelines(map(row.__mod__, zip(*chunk)))
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(ws: WaveformSet, path) -> None:
     """Write a WaveformSet whose waveforms share one time base as CSV.
 
     Layout: a ``# units:`` comment line, a ``time,<name1>,...`` header, one
-    row per sample in scientific notation with 9 significant digits.
-    ``sink`` is a path or a text file object.
+    row per sample (``write_table``).
     """
     if not ws.waveforms:
         raise WaveformError("empty waveform set")
     times = ws.waveforms[0].times
     if not all(np.array_equal(w.times, times) for w in ws.waveforms[1:]):
         raise WaveformError("write_csv requires every waveform on the first one's times")
-    close = False
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        sink = open(sink, "w", newline="")
-        close = True
-    try:
-        names = ws.names()
-        units = ",".join(f"{n}={ws.units.get(n, 'V')}" for n in names)
-        sink.write(f"# units: {units}\n")
-        sink.write("time," + ",".join(names) + "\n")
-        row = ",".join([_FMT] * (len(names) + 1)) + "\n"
-        columns = [times] + [w.values for w in ws.waveforms]
-        for start in range(0, columns[0].size, _CHUNK):
-            chunk = (c[start : start + _CHUNK].tolist() for c in columns)
-            sink.writelines(map(row.__mod__, zip(*chunk)))
-    finally:
-        if close:
-            sink.close()
+    names = ws.names()
+    units = ",".join(f"{n}={ws.units.get(n, 'V')}" for n in names)
+    write_table(path, ["time", *names], [times] + [w.values for w in ws.waveforms],
+                preamble=[f"# units: {units}"])

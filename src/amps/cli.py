@@ -10,7 +10,6 @@ non-convergence.  Diagnostics go to stderr, summaries to stdout.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 import time
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rectifier
-from .analysis import write_csv
+from .analysis import write_csv, write_table
 from .device import derive_params, device_table, eval_mosfet_into
 from .netlist import (
     DcSweepDirective,
@@ -41,9 +40,9 @@ from .solver import (
     solve_dc,
     solve_transient,
     sweep_values,
+    unknown_columns,
 )
 
-_FMT = "{:.8e}"
 # device-curves rows per kernel call, which bounds its memory on fine vds grids
 _CURVE_ROWS = 4096
 # the PrecisionReport fields of a report.csv row, between freq, temp and status
@@ -78,18 +77,6 @@ def _eng_list(text: str) -> list[float]:
     if not values:
         raise argparse.ArgumentTypeError(f"no values in {text!r}")
     return values
-
-
-def _atomic_write(path: Path, writer) -> None:
-    """Write through a temporary file; on failure remove it and re-raise."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            writer(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _distinct(names: list[str]) -> list[str]:
@@ -204,22 +191,6 @@ def main(argv: list[str] | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_op_csv(fh, graph, op) -> None:
-    fh.write("name,value,unit\n")
-    fh.writelines(map("v(%s),%.8e,V\n".__mod__, zip(graph.node_names[1:], op.voltages.tolist())))
-    fh.writelines(map("i(%s),%.8e,A\n".__mod__,
-                      zip([src.name for src in graph.vsources], op.branch_currents.tolist())))
-
-
-def _write_sweep_csv(fh, graph, source_name, curve) -> None:
-    cols = [f"v({graph.node_names[j]})" for j in range(1, graph.n + 1)]
-    cols += [f"i({src.name})" for src in graph.vsources]
-    fh.write(f"{source_name}," + ",".join(cols) + "\n")
-    row = ",".join(["%.8e"] * (1 + graph.size)) + "\n"
-    fh.writelines(row % (value, *op.voltages.tolist(), *op.branch_currents.tolist())
-                  for value, op in curve)
-
-
 def cmd_run(args) -> int:
     opts = _solver_options(args)
     path = Path(args.netlist)
@@ -250,6 +221,7 @@ def cmd_run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for idx, (directive, temp) in enumerate(jobs, start=1):
         graph = graphs[temp]
+        names, units = zip(*unknown_columns(graph))
         kind = type(directive).__name__.replace("Directive", "").lower()
         if single:
             out_path = Path(args.out)
@@ -260,7 +232,8 @@ def cmd_run(args) -> int:
         try:
             if isinstance(directive, OpDirective):
                 op = solve_dc(graph, opts)
-                _atomic_write(out_path, lambda fh: _write_op_csv(fh, graph, op))
+                write_table(out_path, ("name", "value", "unit"),
+                            [names, np.concatenate((op.voltages, op.branch_currents)), units])
                 points = 1
             elif isinstance(directive, DcSweepDirective):
                 curve = dc_sweep(
@@ -270,15 +243,13 @@ def cmd_run(args) -> int:
                 if not all(op.converged for _, op in curve):
                     bad = sum(1 for _, op in curve if not op.converged)
                     print(f"{out_path.name}: {bad} non-converged points", file=sys.stderr)
-                _atomic_write(
-                    out_path,
-                    lambda fh: _write_sweep_csv(fh, graph, directive.source, curve),
-                )
+                table = [[value, *op.voltages, *op.branch_currents] for value, op in curve]
+                write_table(out_path, (directive.source, *names), np.array(table).T)
                 points = len(curve)
             else:
                 topts = TransientOptions(tstep=directive.tstep, tstop=directive.tstop)
                 ws = solve_transient(graph, topts, opts)
-                _atomic_write(out_path, lambda fh: write_csv(ws, fh))
+                write_csv(ws, out_path)
                 points = ws.stats["steps"] + 1
         except SolverError as exc:
             print(f"{path}: {kind} at {temp:g} degC failed: {exc}", file=sys.stderr)
@@ -320,16 +291,14 @@ def cmd_bench(args) -> int:
             results.append((cfg, name, None, f"failed: {type(ws).__name__}"))
             continue
         report = compare(ws, cfg)
-        _atomic_write(outdir / name, lambda fh: write_csv(ws, fh))
+        write_csv(ws, outdir / name)
         results.append((cfg, name, report, "ok"))
-
-    def write_report(fh):
-        fh.write(",".join(("freq", "temp", *_REPORT, "status")) + "\n")
-        for cfg, _, report, status in results:
-            vals = [_FMT.format(getattr(report, m) if report else float("nan")) for m in _REPORT]
-            fh.write(f"{cfg.frequency!r},{cfg.temp!r},{','.join(vals)},{status}\n")
-
-    _atomic_write(outdir / "report.csv", write_report)
+    write_table(outdir / "report.csv", ("freq", "temp", *_REPORT, "status"), [
+        [repr(cfg.frequency) for cfg, *_ in results],
+        [repr(cfg.temp) for cfg, *_ in results],
+        *([getattr(r, m) if r else np.nan for _, _, r, _ in results] for m in _REPORT),
+        [status for *_, status in results],
+    ])
     elapsed = time.perf_counter() - started
     ok = sum(1 for r in results if r[3] == "ok")
     for cfg, name, report, status in results:
@@ -356,12 +325,7 @@ def cmd_dc_sweep(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for temp, name, (iin, out_plus, out_minus) in zip(args.temp, names, sweeps):
-        def write(fh):
-            fh.write("iin,out_plus,out_minus\n")
-            fh.writelines(map("%.8e,%.8e,%.8e\n".__mod__,
-                              zip(iin.tolist(), out_plus.tolist(), out_minus.tolist())))
-
-        _atomic_write(outdir / name, write)
+        write_table(outdir / name, ("iin", "out_plus", "out_minus"), [iin, out_plus, out_minus])
         print(f"dc-sweep T={temp:g}: {len(iin)} points -> {outdir / name}")
     return 0
 
@@ -385,19 +349,15 @@ def cmd_device_curves(args) -> int:
     sign = 1.0 if card.polarity == "NMOS" else -1.0
     vds = sign * np.array(sweep_values(args.vds_from, args.vds_to, args.vds_step))
     labels = _distinct([f"id_vgs{v:g}" for v in args.vgs])
-
-    def write(fh):
-        fh.write("vds," + ",".join(labels) + "\n")
-        for lo in range(0, len(vds), _CURVE_ROWS):  # one kernel call per block of rows
-            vg, vd = np.meshgrid(sign * np.array(args.vgs), vds[lo:lo + _CURVE_ROWS])
-            ids = np.empty((5,) + vg.shape)
-            with np.errstate(all="ignore"):
-                eval_mosfet_into(table, np.stack((vg, vd, np.zeros_like(vg))), ids)
-            for v, row in zip(vd[:, 0].tolist(), ids[0].tolist()):
-                fh.write(",".join(map(_FMT.format, [v, *row])) + "\n")
-
+    id_table = np.empty((len(vds), len(args.vgs)))
+    for lo in range(0, len(vds), _CURVE_ROWS):  # one kernel call per block of rows
+        vg, vd = np.meshgrid(sign * np.array(args.vgs), vds[lo:lo + _CURVE_ROWS])
+        ids = np.empty((5,) + vg.shape)
+        with np.errstate(all="ignore"):
+            eval_mosfet_into(table, np.stack((vg, vd, np.zeros_like(vg))), ids)
+        id_table[lo:lo + _CURVE_ROWS] = ids[0]
     out = Path(args.out)
-    _atomic_write(out, write)
+    write_table(out, ("vds", *labels), [vds, *id_table.T])
     print(f"device-curves {card.name}: {len(vds)} bias rows -> {out}")
     return 0
 

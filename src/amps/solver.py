@@ -77,13 +77,13 @@ class SingularMatrixError(SolverError):
 
 
 class NonConvergenceError(SolverError):
-    def __init__(self, where: str, residual: float, strategy_log: list[str] | None = None):
+    def __init__(self, where: str | None, residual: float, strategy_log: list[str] | None = None):
         self.where = where
         self.residual = residual
         self.strategy_log = strategy_log or []
         msg = f"Newton did not converge (worst residual {residual:.3e} at {where})"
-        if strategy_log:
-            msg += "; tried: " + " | ".join(strategy_log)
+        if strategy_log:  # every DC strategy failed (``where`` None): the log says where each did
+            msg = "no DC operating point; tried: " + " | ".join(strategy_log)
         super().__init__(msg)
 
 
@@ -370,6 +370,12 @@ def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
 def _unknown(g: CircuitGraph, k: int) -> str:
     """The name of unknown ``k``: its node, or its voltage source's branch."""
     return f"node {g.node_names[k + 1]}" if k < g.n else f"source {g.vsources[k - g.n].name}"
+
+
+def unknown_columns(g: CircuitGraph) -> list[tuple[str, str]]:
+    """Each unknown's output column name and unit: ``v(node)`` in V, then ``i(source)`` in A."""
+    return ([(f"v({name})", "V") for name in g.node_names[1:]]
+            + [(f"i({s.name})", "A") for s in g.vsources])
 
 
 def _failure(g: CircuitGraph, F: np.ndarray, J: np.ndarray, over: np.ndarray) -> SolverError:
@@ -661,7 +667,7 @@ def _homotopies(graph: CircuitGraph, options: SolverOptions, src: np.ndarray, lo
                            np.zeros(graph.cap_c.size), stages)[:4]
         except SolverError as exc:
             log.append(f"{label}: {exc}")
-    raise NonConvergenceError("all homotopies exhausted", float("nan"), log)
+    raise NonConvergenceError(None, float("nan"), log)
 
 
 def sweep_values(start: float, stop: float, step: float) -> list[float]:
@@ -912,8 +918,7 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
             return ws
         if (h_b, upto) not in time_bases:
             time_bases[h_b, upto] = _readonly(np.arange(upto + 1) * h_b)
-        columns = [(f"v({name})", "V") for name in gr.node_names[1:]]
-        columns += [(f"i({s.name})", "A") for s in (*gr.vsources, *gr.isources)]
+        columns = unknown_columns(gr) + [(f"i({s.name})", "A") for s in gr.isources]
         for (name, unit), values in zip(columns[first - 1:], record[: upto + 1, b].T):
             ws.waveforms.append(Waveform(name, time_bases[h_b, upto], values))
             ws.units[name] = unit

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from amps.analysis import Waveform, WaveformError, WaveformSet, write_csv
+from amps.analysis import Waveform, WaveformError, WaveformSet, write_csv, write_table
 
 
 def load(text):
@@ -40,47 +40,45 @@ def test_waveform_finite():
 # ---------------------------------------------------------------------------
 
 
-def test_csv_two_point_round_trip():
+def test_csv_two_point_round_trip(tmp_path):
     t = np.array([0.0, 1.0])
     ws = WaveformSet(
         waveforms=[Waveform("a", t, np.array([1.0, -2.0]))], units={"a": "A"}
     )
-    buf = io.StringIO()
-    write_csv(ws, buf)
-    names, (times, a) = load(buf.getvalue())
+    write_csv(ws, tmp_path / "out.csv")
+    text = (tmp_path / "out.csv").read_text()
+    names, (times, a) = load(text)
     assert names == ["time", "a"]
     assert np.array_equal(times, t)
     assert np.array_equal(a, ws.get("a").values)
-    assert buf.getvalue().startswith("# units: a=A\n")
+    assert text.startswith("# units: a=A\n")
 
 
-def test_csv_round_trip_precision():
+def test_csv_round_trip_precision(tmp_path):
     rng = np.random.default_rng(7)
     t = np.cumsum(rng.uniform(1e-6, 1e-3, 500))
     ws = WaveformSet()
     for name in ("x", "y"):
         ws.waveforms.append(Waveform(name, t, rng.normal(scale=1e-4, size=t.size)))
         ws.units[name] = "V"
-    buf = io.StringIO()
-    write_csv(ws, buf)
-    names, columns = load(buf.getvalue())
+    write_csv(ws, tmp_path / "out.csv")
+    names, columns = load((tmp_path / "out.csv").read_text())
     assert names == ["time", "x", "y"]
     for orig, got in zip([t] + [w.values for w in ws.waveforms], columns):
         assert np.max(np.abs(got - orig) / np.maximum(np.abs(orig), 1e-30)) < 1e-8
 
 
-def test_csv_header_format():
+def test_csv_header_format(tmp_path):
     t = np.array([0.0, 1.0])
     ws = WaveformSet(waveforms=[Waveform("sig", t, t)], units={"sig": "V"})
-    buf = io.StringIO()
-    write_csv(ws, buf)
-    lines = buf.getvalue().splitlines()
+    write_csv(ws, tmp_path / "out.csv")
+    lines = (tmp_path / "out.csv").read_text().splitlines()
     assert lines[0] == "# units: sig=V"
     assert lines[1] == "time,sig"
     assert lines[2] == "0.00000000e+00,0.00000000e+00"
 
 
-def test_csv_row_bytes_pinned():
+def test_csv_row_bytes_pinned(tmp_path):
     """Nine significant digits, signed zeros kept, subnormals and extremes
     in full; non-finite values (which a Waveform rejects) are set after
     construction to pin their spelling too."""
@@ -89,9 +87,8 @@ def test_csv_row_bytes_pinned():
     b = Waveform("b", t, np.zeros(3))
     object.__setattr__(b, "values", np.array([np.nan, np.inf, -np.inf]))
     ws = WaveformSet(waveforms=[a, b], units={"a": "A"})
-    buf = io.StringIO()
-    write_csv(ws, buf)
-    assert buf.getvalue() == (
+    write_csv(ws, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_text() == (
         "# units: a=A,b=V\n"
         "time,a,b\n"
         "0.00000000e+00,-0.00000000e+00,nan\n"
@@ -100,12 +97,14 @@ def test_csv_row_bytes_pinned():
     )
 
 
-def test_csv_requires_shared_time():
+def test_csv_requires_shared_time(tmp_path):
     a = Waveform("a", [0.0, 1.0], [0.0, 1.0])
     b = Waveform("b", [0.0, 2.0], [0.0, 1.0])
     with pytest.raises(WaveformError, match="first one's times"):
-        write_csv(WaveformSet(waveforms=[a, b]), io.StringIO())
-    write_csv(WaveformSet(waveforms=[a, Waveform("c", [0.0, 1.0], [1.0, 2.0])]), io.StringIO())
+        write_csv(WaveformSet(waveforms=[a, b]), tmp_path / "bad.csv")
+    assert list(tmp_path.iterdir()) == []
+    write_csv(WaveformSet(waveforms=[a, Waveform("c", [0.0, 1.0], [1.0, 2.0])]),
+              tmp_path / "ok.csv")
 
 
 def test_csv_file_path_round_trip(tmp_path):
@@ -116,3 +115,26 @@ def test_csv_file_path_round_trip(tmp_path):
     names, (_, v) = load(path.read_text())
     assert names == ["time", "v"]
     assert np.allclose(v, np.cos(t), rtol=1e-8)
+
+
+def test_table_columns_as_numbers_or_text(tmp_path):
+    """Float columns in ``%.8e``, text columns as they are, 16-row chunks joined seamlessly."""
+    rows = 40
+    values = np.arange(rows) * 0.25
+    write_table(tmp_path / "t.csv", ("name", "value", "status"),
+                [[f"p{k}" for k in range(rows)], values, ["ok"] * rows], preamble=["# a", "# b"])
+    assert (tmp_path / "t.csv").read_text() == "# a\n# b\nname,value,status\n" + "".join(
+        f"p{k},{v:.8e},ok\n" for k, v in enumerate(values.tolist()))
+
+
+def test_write_table_leaves_no_file_when_a_write_fails(tmp_path):
+    class Unwritable:
+        """A text column whose 17th item cannot be formatted: the failure comes mid-file."""
+
+        def __str__(self):
+            raise RuntimeError("writer failed")
+
+    column = np.array(["ok"] * 16 + [Unwritable()], dtype=object)
+    with pytest.raises(RuntimeError, match="writer failed"):
+        write_table(tmp_path / "out.csv", ("status",), [column])
+    assert list(tmp_path.iterdir()) == []

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amps.cli
-from amps.cli import _atomic_write, main
+from amps.cli import main
 from amps.rectifier import bench_netlist_path
 from amps.solver import SolverOptions
 
@@ -67,8 +67,12 @@ def test_run_divider(tmp_path, capsys):
     assert main(["run", str(src), "-o", str(out)]) == 0
     captured = capsys.readouterr()
     assert "op:" in captured.out
-    text = out.read_text()
-    assert "v(mid),1.50000000e+00,V" in text
+    assert out.read_text() == (
+        "name,value,unit\n"
+        "v(top),3.00000000e+00,V\n"
+        "v(mid),1.50000000e+00,V\n"
+        "i(V1),-1.50000000e-03,A\n"
+    )
 
 
 def test_run_syntax_error_has_line_number(tmp_path, capsys):
@@ -86,6 +90,9 @@ def test_run_nonconvergent_exits_2(tmp_path, capsys):
     assert "failed" in captured.err and len(captured.err.splitlines()) == 1
     # the singular Jacobian names a node of the island
     assert any(f"singular MNA matrix at node {n}" in captured.err for n in ("n1", "n2"))
+    # every DC strategy failed: no residual, and no location but the log's
+    assert "no DC operating point; tried: plain: " in captured.err
+    assert "nan" not in captured.err and "exhausted" not in captured.err
 
 
 def test_run_missing_file(tmp_path, capsys):
@@ -146,10 +153,14 @@ def test_run_dc_sweep_directive(tmp_path):
     )
     out = tmp_path / "sweep.csv"
     assert main(["run", str(src), "-o", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "V1,v(top),v(mid),i(V1)"
-    assert len(lines) == 6
-    assert lines[1].startswith("0.00000000e+00,")
+    assert out.read_text() == (
+        "V1,v(top),v(mid),i(V1)\n"
+        "0.00000000e+00,0.00000000e+00,0.00000000e+00,0.00000000e+00\n"
+        "5.00000000e-01,5.00000000e-01,2.50000000e-01,-2.50000000e-04\n"
+        "1.00000000e+00,1.00000000e+00,5.00000000e-01,-5.00000000e-04\n"
+        "1.50000000e+00,1.50000000e+00,7.50000000e-01,-7.50000000e-04\n"
+        "2.00000000e+00,2.00000000e+00,1.00000000e+00,-1.00000000e-03\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +285,8 @@ def test_bench_failed_member_reported_others_written(tmp_path, monkeypatch):
     assert main(bench_args(tmp_path, freq="30meg,10meg,100meg", periods="3")) == 0
     report = (tmp_path / "report.csv").read_text().splitlines()[1:]
     assert [row.split(",")[-1] for row in report] == ["ok", "failed: TransientNonConvergence", "ok"]
+    # the repr of the point's frequency and temperature, and no metrics
+    assert report[1] == "10000000.0,25.0,nan,nan,nan,nan,nan,nan,failed: TransientNonConvergence"
     assert (tmp_path / "bench_f30000000_t25.csv").exists()
     assert (tmp_path / "bench_f100000000_t25.csv").exists()
     assert not (tmp_path / "bench_f10000000_t25.csv").exists()
@@ -481,6 +494,20 @@ def test_device_curves_blocks_of_rows_write_one_grid(tmp_path, monkeypatch):
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
+def test_device_curves_pmos_file_bytes_pinned(tmp_path):
+    """A PMOS grid is written mirrored: negative vds and currents, signed zeros kept."""
+    out = tmp_path / "p.csv"
+    argv = ["device-curves", "--model", "CMOSP", "--vgs", "0.5,1.5", "--vds-step", "0.5"]
+    assert main(argv + ["-o", str(out)]) == 0
+    assert out.read_text() == (
+        "vds,id_vgs0.5,id_vgs1.5\n"
+        "-0.00000000e+00,-0.00000000e+00,-0.00000000e+00\n"
+        "-5.00000000e-01,-0.00000000e+00,-5.49622351e-05\n"
+        "-1.00000000e+00,-0.00000000e+00,-5.55165618e-05\n"
+        "-1.50000000e+00,-0.00000000e+00,-5.55165618e-05\n"
+    )
+
+
 def test_device_curves_unknown_model(tmp_path, capsys):
     rc = main(["device-curves", "--model", "NOPE", "-o", str(tmp_path / "x.csv")])
     assert rc == 1
@@ -624,17 +651,3 @@ def test_cli_contract_holds_for_drawn_argv(argv):
     assert rc in (0, 1, 2)
     assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
 
-
-# ---------------------------------------------------------------------------
-# output files
-# ---------------------------------------------------------------------------
-
-
-def test_atomic_write_removes_tmp_when_writer_raises(tmp_path):
-    def failing(fh):
-        fh.write("partial row\n")
-        raise RuntimeError("writer failed")
-
-    with pytest.raises(RuntimeError, match="writer failed"):
-        _atomic_write(tmp_path / "out.csv", failing)
-    assert list(tmp_path.iterdir()) == []
