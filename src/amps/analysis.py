@@ -91,7 +91,7 @@ def write_table(path, header, columns, preamble=()) -> None:
     A float column's values are written in scientific notation with 9
     significant digits (``%.8e``), any other column's items as text.  The
     file is written under a temporary name and renamed into place, so a
-    failed write leaves no file behind.
+    failed write leaves no file behind; an OSError names ``path``.
     """
     path = Path(path)
     columns = [np.asarray(c) for c in columns]
@@ -105,8 +105,11 @@ def write_table(path, header, columns, preamble=()) -> None:
                 chunk = (c[start : start + _CHUNK].tolist() for c in columns)
                 fh.writelines(map(row.__mod__, zip(*chunk)))
         tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        if tmp.exists():
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 

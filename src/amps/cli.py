@@ -13,7 +13,7 @@ import argparse
 import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,18 +87,12 @@ def _distinct(names: list[str]) -> list[str]:
     return names
 
 
-# solver flag -> SolverOptions field
-_SOLVER_FLAGS = {"reltol": "reltol", "abstol": "abstol_i", "vntol": "vntol", "gmin": "gmin"}
-
-
 def _solver_options(args) -> SolverOptions:
-    """Solver options from the tolerance flags; SolverOptions rejects a bad value."""
-    given = {
-        attr: getattr(args, flag)
-        for flag, attr in _SOLVER_FLAGS.items()
-        if getattr(args, flag) is not None
-    }
-    return replace(SolverOptions(), **given)
+    """Solver options from the tolerance flags, each stored under its field's
+    name; SolverOptions rejects a bad value."""
+    opts = SolverOptions()
+    given = {f.name: getattr(args, f.name, None) for f in fields(opts)}
+    return replace(opts, **{name: v for name, v in given.items() if v is not None})
 
 
 def _read_netlist(path: Path) -> NetlistDocument:
@@ -110,9 +104,30 @@ def _read_netlist(path: Path) -> NetlistDocument:
     return parse_netlist(text)
 
 
+def _output_target(out: str, directory: bool) -> Path:
+    """The ``-o`` path, checked before any solve: its nearest existing ancestor
+    is a directory, and it is not an existing file where a ``directory`` is
+    needed, nor an existing directory where a file is."""
+    path = Path(out)
+    if path.exists() and path.is_dir() != directory:
+        raise OSError(f"cannot write {path}: {'Not' if directory else 'Is'} a directory")
+    ancestor = next((p for p in path.parents if p.exists()), path.parent)
+    if not ancestor.is_dir():
+        raise OSError(f"cannot write {path}: {ancestor} is not a directory")
+    return path
+
+
+def _made_parent(path: Path) -> Path:
+    """``path``, with its missing parent directories created; called after the
+    solves, so that a rejected input or a failed solve leaves none behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reltol", type=_eng, help="relative tolerance (default 1e-3)")
-    p.add_argument("--abstol", type=_eng, help="absolute current tolerance (default 1p)")
+    p.add_argument("--abstol", dest="abstol_i", metavar="ABSTOL", type=_eng,
+                   help="absolute current tolerance (default 1p)")
     p.add_argument("--vntol", type=_eng, help="voltage tolerance (default 1u)")
     p.add_argument("--gmin", type=_eng, help="minimum conductance (default 1p)")
 
@@ -122,12 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="parse a netlist and execute its directives")
+    p_run.set_defaults(handler=cmd_run)
     p_run.add_argument("netlist", help="netlist file")
     p_run.add_argument("-o", "--out", help="output CSV path (single analysis) or directory")
     p_run.add_argument("--temp", type=_eng_list, help="temperature override list, degC")
     _add_solver_flags(p_run)
 
     p_bench = sub.add_parser("bench", help="rectifier bench frequency/temperature sweep")
+    p_bench.set_defaults(handler=cmd_bench)
     p_bench.add_argument("--freq", type=_eng_list, default=[1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
     p_bench.add_argument("--temp", type=_eng_list, default=[25.0])
     p_bench.add_argument("--amp", type=_eng, default=400e-6, help="input p-p amplitude (A)")
@@ -137,6 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p_bench)
 
     p_dc = sub.add_parser("dc-sweep", help="bench DC transfer curve per temperature")
+    p_dc.set_defaults(handler=cmd_dc_sweep)
     p_dc.add_argument("--source", default="IIN")
     p_dc.add_argument("--from", dest="start", type=_eng, required=True)
     p_dc.add_argument("--to", dest="stop", type=_eng, required=True)
@@ -146,6 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p_dc)
 
     p_dev = sub.add_parser("device-curves", help="Id-Vds CSV from a model card")
+    p_dev.set_defaults(handler=cmd_device_curves)
     p_dev.add_argument("--model", required=True)
     p_dev.add_argument("--cards", help="netlist file holding .MODEL cards (default: bundled)")
     p_dev.add_argument("--polarity", choices=["NMOS", "PMOS"], help="sanity check only")
@@ -172,14 +191,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "run": cmd_run,
-        "bench": cmd_bench,
-        "dc-sweep": cmd_dc_sweep,
-        "device-curves": cmd_device_curves,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (KeyError, OSError, ValueError) as exc:  # an unknown name, a file, a rejected value
         text = exc.args[0] if isinstance(exc, KeyError) else exc  # str() quotes a KeyError
         print(f"amps {args.command}: error: {text}", file=sys.stderr)
@@ -213,26 +226,21 @@ def cmd_run(args) -> int:
             jobs.append((d, t))
     if not jobs:
         raise ValueError(f"{path}: no analysis directives")
+    single = len(jobs) == 1 and args.out and not Path(args.out).is_dir()
+    out = _output_target(args.out, directory=not single) if args.out else path.parent
     # every temperature's graph before the first solve or write
     graphs = {temp: build_graph(doc, temp) for temp in dict.fromkeys(t for _, t in jobs)}
-
-    single = len(jobs) == 1 and args.out and not Path(args.out).is_dir()
-    outdir = Path(args.out) if (args.out and not single) else path.parent
-    outdir.mkdir(parents=True, exist_ok=True)
     for idx, (directive, temp) in enumerate(jobs, start=1):
         graph = graphs[temp]
         names, units = zip(*unknown_columns(graph))
         kind = type(directive).__name__.replace("Directive", "").lower()
-        if single:
-            out_path = Path(args.out)
-        else:
-            suffix = f"_t{temp:g}" if len(graphs) > 1 else ""
-            out_path = outdir / f"{path.stem}_{idx}_{kind}{suffix}.csv"
+        suffix = f"_t{temp:g}" if len(graphs) > 1 else ""
+        out_path = out if single else out / f"{path.stem}_{idx}_{kind}{suffix}.csv"
         started = time.perf_counter()
         try:
             if isinstance(directive, OpDirective):
                 op = solve_dc(graph, opts)
-                write_table(out_path, ("name", "value", "unit"),
+                write_table(_made_parent(out_path), ("name", "value", "unit"),
                             [names, np.concatenate((op.voltages, op.branch_currents)), units])
                 points = 1
             elif isinstance(directive, DcSweepDirective):
@@ -244,12 +252,12 @@ def cmd_run(args) -> int:
                     bad = sum(1 for _, op in curve if not op.converged)
                     print(f"{out_path.name}: {bad} non-converged points", file=sys.stderr)
                 table = [[value, *op.voltages, *op.branch_currents] for value, op in curve]
-                write_table(out_path, (directive.source, *names), np.array(table).T)
+                write_table(_made_parent(out_path), (directive.source, *names), np.array(table).T)
                 points = len(curve)
             else:
                 topts = TransientOptions(tstep=directive.tstep, tstop=directive.tstop)
                 ws = solve_transient(graph, topts, opts)
-                write_csv(ws, out_path)
+                write_csv(ws, _made_parent(out_path))
                 points = ws.stats["steps"] + 1
         except SolverError as exc:
             print(f"{path}: {kind} at {temp:g} degC failed: {exc}", file=sys.stderr)
@@ -265,6 +273,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    outdir = _output_target(args.out, directory=True)
     opts = _solver_options(args)
     configs = [
         BenchConfig(
@@ -283,7 +292,6 @@ def cmd_bench(args) -> int:
     started = time.perf_counter()
     # every solve before the directory, which a rejected config leaves uncreated
     runs = run_bench(configs, opts)
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     results = []
     for cfg, name, ws in zip(configs, names, runs):
@@ -314,6 +322,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dc_sweep(args) -> int:
+    outdir = _output_target(args.out, directory=True)
     opts = _solver_options(args)
     names = _distinct([f"dcsweep_t{temp:g}.csv" for temp in args.temp])
     # every graph before the sweep, which rejects a bad step or source before
@@ -322,7 +331,6 @@ def cmd_dc_sweep(args) -> int:
     sweeps = rectifier.bench_dc_transfer(
         graphs, args.start, args.stop, args.step, opts, source=args.source
     )
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for temp, name, (iin, out_plus, out_minus) in zip(args.temp, names, sweeps):
         write_table(outdir / name, ("iin", "out_plus", "out_minus"), [iin, out_plus, out_minus])
@@ -336,6 +344,7 @@ def cmd_dc_sweep(args) -> int:
 
 
 def cmd_device_curves(args) -> int:
+    out = _output_target(args.out, directory=False)
     if args.cards:
         doc = _read_netlist(Path(args.cards))
     else:
@@ -356,8 +365,7 @@ def cmd_device_curves(args) -> int:
         with np.errstate(all="ignore"):
             eval_mosfet_into(table, np.stack((vg, vd, np.zeros_like(vg))), ids)
         id_table[lo:lo + _CURVE_ROWS] = ids[0]
-    out = Path(args.out)
-    write_table(out, ("vds", *labels), [vds, *id_table.T])
+    write_table(_made_parent(out), ("vds", *labels), [vds, *id_table.T])
     print(f"device-curves {card.name}: {len(vds)} bias rows -> {out}")
     return 0
 

@@ -255,22 +255,44 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
 _EQ_SPACING = re.compile(r"\s*=\s*")
 
 
-def _num(token: str, lineno: int) -> float:
+def _at(lineno: int | None, prefix: str, check, *args):
+    """``check(*args)``, its ValueError re-raised as a NetlistError at ``lineno``."""
     try:
-        return parse_number(token)
+        return check(*args)
     except ValueError as exc:
-        raise NetlistError(str(exc), lineno) from None
+        raise NetlistError(f"{prefix}{exc}", lineno) from None
 
 
-def parse_model_card(line: str, lineno: int | None = None) -> ModelCard:
-    """Parse a joined ``.MODEL`` line into a :class:`ModelCard`.
+def _num(token: str, lineno: int) -> float:
+    return _at(lineno, "", parse_number, token)
+
+
+def _key_values(owner: str, tokens: list[str], lineno: int | None) -> dict[str, float]:
+    """Read ``KEY=value`` tokens into a dict in source order, keys uppercased;
+    a repeated key keeps its last value."""
+    pairs: dict[str, float] = {}
+    for tok in tokens:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise NetlistError(f"{owner}: expected key=value, got {tok!r}", lineno)
+        key = key.upper()
+        try:
+            pairs[key] = parse_number(val)
+        except ValueError:
+            raise NetlistError(
+                f"{owner}: value of {key} is not a number: {val!r}", lineno
+            ) from None
+    return pairs
+
+
+def parse_model_card(line: str | list[str], lineno: int | None = None) -> ModelCard:
+    """Parse a joined ``.MODEL`` line, or its tokens, into a :class:`ModelCard`.
 
     ``key = value`` pairs tolerate spaces around ``=``.  LEVEL is pulled into
     its own field (default 3); everything else lands in ``params`` in source
     order, keys uppercased.
     """
-    flat = _EQ_SPACING.sub("=", line.strip())
-    tokens = flat.split()
+    tokens = _EQ_SPACING.sub("=", line).split() if isinstance(line, str) else line
     if not tokens or tokens[0].upper() != ".MODEL":
         raise NetlistError("not a .MODEL card", lineno)
     if len(tokens) < 3:
@@ -281,27 +303,11 @@ def parse_model_card(line: str, lineno: int | None = None) -> ModelCard:
         raise NetlistError(
             f"model {name}: missing polarity keyword (got {tokens[2]!r})", lineno
         )
-    level = 3
-    params: dict[str, float] = {}
-    for tok in tokens[3:]:
-        if "=" not in tok:
-            raise NetlistError(f"model {name}: expected key=value, got {tok!r}", lineno)
-        key, _, val = tok.partition("=")
-        key = key.upper()
-        try:
-            num = parse_number(val)
-        except ValueError:
-            raise NetlistError(
-                f"model {name}: value of {key} is not a number: {val!r}", lineno
-            ) from None
-        if key == "LEVEL":
-            level = int(num)
-        else:
-            params[key] = num
-    if "TOX" in params and params["TOX"] <= 0:
-        raise NetlistError(f"model {name}: TOX must be > 0", lineno)
-    if "PHI" in params and params["PHI"] <= 0:
-        raise NetlistError(f"model {name}: PHI must be > 0", lineno)
+    params = _key_values(f"model {name}", tokens[3:], lineno)
+    level = int(params.pop("LEVEL", 3))
+    for key in ("TOX", "PHI"):
+        if params.get(key, 1.0) <= 0:
+            raise NetlistError(f"model {name}: {key} must be > 0", lineno)
     return ModelCard(name=name, polarity=polarity, level=level, params=params)
 
 
@@ -342,14 +348,13 @@ def parse_netlist(text: str) -> NetlistDocument:
             doc.nodes[name] = len(doc.nodes)
 
     for lineno, card in _logical_lines(text):
+        tokens = _EQ_SPACING.sub("=", card).split()  # key = value becomes one key=value
         first = card[0].upper()
         if first == ".":
-            _parse_directive(card, lineno, doc)
+            _parse_directive(tokens, lineno, doc)
             continue
         if first not in "MRCVI":
             raise NetlistError(f"unknown card leading letter {card[0]!r}", lineno)
-        flat = _EQ_SPACING.sub("=", card)
-        tokens = flat.split()
         name = tokens[0].upper()
         if name in seen_names:
             raise NetlistError(f"duplicate element name {name}", lineno)
@@ -373,27 +378,16 @@ def parse_netlist(text: str) -> NetlistDocument:
 def _parse_mosfet(name: str, tokens: list[str], lineno: int) -> ElementCard:
     if len(tokens) < 6:
         raise NetlistError(f"{name}: expected d g s b model W=.. L=..", lineno)
-    nodes = tuple(tokens[1:5])
-    model = tokens[5].upper()
-    w = l = None
-    for tok in tokens[6:]:
-        if "=" not in tok:
-            raise NetlistError(f"{name}: expected key=value, got {tok!r}", lineno)
-        key, _, val = tok.partition("=")
-        key = key.upper()
-        if key == "W":
-            w = _num(val, lineno)
-        elif key == "L":
-            l = _num(val, lineno)
-        else:
+    pairs = _key_values(name, tokens[6:], lineno)
+    for key in pairs:
+        if key not in ("W", "L"):
             raise NetlistError(f"{name}: unknown MOSFET parameter {key}", lineno)
-    if w is None or l is None:
+    if "W" not in pairs or "L" not in pairs:
         raise NetlistError(f"{name}: both W and L are required", lineno)
-    if w <= 0 or l <= 0:
+    if pairs["W"] <= 0 or pairs["L"] <= 0:
         raise NetlistError(f"{name}: W and L must be > 0", lineno)
-    return ElementCard(
-        kind=ElementKind.MOSFET, name=name, nodes=nodes, model=model, w=w, l=l
-    )
+    return ElementCard(kind=ElementKind.MOSFET, name=name, nodes=tuple(tokens[1:5]),
+                       model=tokens[5].upper(), w=pairs["W"], l=pairs["L"])
 
 
 def _parse_rc(kind: ElementKind, name: str, tokens: list[str], lineno: int) -> ElementCard:
@@ -407,12 +401,10 @@ def _parse_rc(kind: ElementKind, name: str, tokens: list[str], lineno: int) -> E
     return ElementCard(kind=kind, name=name, nodes=(tokens[1], tokens[2]), value=value)
 
 
-def _parse_directive(card: str, lineno: int, doc: NetlistDocument) -> None:
-    flat = _EQ_SPACING.sub("=", card)
-    tokens = flat.split()
+def _parse_directive(tokens: list[str], lineno: int, doc: NetlistDocument) -> None:
     word = tokens[0].upper()
     if word == ".MODEL":
-        model = parse_model_card(card, lineno)
+        model = parse_model_card(tokens, lineno)
         doc.models[model.name] = model
     elif word == ".OP":
         doc.directives.append(OpDirective())
@@ -420,19 +412,13 @@ def _parse_directive(card: str, lineno: int, doc: NetlistDocument) -> None:
         if len(tokens) != 5:
             raise NetlistError(".DC needs: source start stop step", lineno)
         start, stop, step = (_num(t, lineno) for t in tokens[2:5])
-        try:
-            check_sweep_step(start, stop, step)
-        except ValueError as exc:
-            raise NetlistError(f".DC {exc}", lineno) from None
+        _at(lineno, ".DC ", check_sweep_step, start, stop, step)
         doc.directives.append(DcSweepDirective(tokens[1].upper(), start, stop, step))
     elif word == ".TRAN":
         if len(tokens) != 3:
             raise NetlistError(".TRAN needs: tstep tstop", lineno)
         tstep, tstop = _num(tokens[1], lineno), _num(tokens[2], lineno)
-        try:
-            check_tran(tstep, tstop)
-        except ValueError as exc:
-            raise NetlistError(f".TRAN {exc}", lineno) from None
+        _at(lineno, ".TRAN ", check_tran, tstep, tstop)
         doc.directives.append(TranDirective(tstep, tstop))
     elif word == ".TEMP":
         if len(tokens) < 2:
@@ -452,9 +438,9 @@ def _parse_directive(card: str, lineno: int, doc: NetlistDocument) -> None:
 def validate(doc: NetlistDocument) -> list[Diagnostic]:
     """Semantic checks on a parsed netlist.
 
-    Errors: dangling node (single terminal reference), no ground node,
-    MOSFET with unresolved model, no sources, ``.DC`` sweep of a source the
-    circuit lacks.  Warnings: unused models.
+    Errors: dangling node (single terminal reference), no ground node, no
+    node other than ground, MOSFET with unresolved model, no sources, ``.DC``
+    sweep of a source the circuit lacks.  Warnings: unused models.
     """
     diags: list[Diagnostic] = []
     refcount: dict[str, int] = {}
@@ -473,6 +459,8 @@ def validate(doc: NetlistDocument) -> list[Diagnostic]:
             sources.add(elem.name)
     if "0" not in refcount:
         diags.append(Diagnostic("error", "no ground node", "0"))
+    elif len(refcount) == 1:
+        diags.append(Diagnostic("error", "circuit has no node other than ground", doc.title))
     for node, count in refcount.items():
         if count == 1:
             diags.append(Diagnostic("error", f"dangling node {node}", node))

@@ -1,6 +1,7 @@
 """Waveform container and CSV tests."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -138,3 +139,13 @@ def test_write_table_leaves_no_file_when_a_write_fails(tmp_path):
     with pytest.raises(RuntimeError, match="writer failed"):
         write_table(tmp_path / "out.csv", ("status",), [column])
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("parent", ["nodir", "afile"])
+def test_write_table_error_names_the_path_and_leaves_no_file(tmp_path, parent):
+    (tmp_path / "afile").write_text("keep\n")
+    path = tmp_path / parent / "x.csv"
+    with pytest.raises(OSError, match=f"^{re.escape(f'cannot write {path}: ')}(No such file|Not a dir)"):
+        write_table(path, ("a",), [np.array([1.0])])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+    assert (tmp_path / "afile").read_text() == "keep\n"

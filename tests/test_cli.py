@@ -5,13 +5,15 @@ import io
 import tempfile
 from importlib.resources import files
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amps.cli
+import amps.solver
 from amps.cli import main
 from amps.rectifier import bench_netlist_path
 from amps.solver import SolverOptions
@@ -104,6 +106,17 @@ def test_run_validation_error(tmp_path, capsys):
     src = write(tmp_path, "noground.cir", "no ground\nV1 a b DC 1\nR1 a b 1k\n.OP\n.END\n")
     assert main(["run", str(src)]) == 1
     assert "no ground node" in capsys.readouterr().err
+
+
+GROUND_ONLY = "ground only\nI1 0 0 DC 1u\nR1 0 0 1k\n.OP\n.END\n"
+
+
+def test_run_circuit_without_a_node_is_a_validation_error(tmp_path, capsys):
+    src = write(tmp_path, "ground.cir", GROUND_ONLY)
+    assert main(["run", str(src), "-o", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{src}: error: circuit has no node other than ground [ground only]\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ground.cir"]
 
 
 def test_run_bundled_bench_transient(tmp_path):
@@ -522,6 +535,63 @@ def test_device_curves_polarity_check(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# output targets
+# ---------------------------------------------------------------------------
+
+
+def no_newton(*args):
+    raise AssertionError("a Newton step ran")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "div.cir", "-o", "nodir/sub/x.csv"],
+        ["device-curves", "--model", "CMOSN", "--vds-step", "0.5", "-o", "nodir/sub/x.csv"],
+    ],
+    ids=["run", "device-curves"],
+)
+def test_run_and_device_curves_create_a_missing_parent(tmp_path, capsys, argv):
+    write(tmp_path, "div.cir", DIVIDER)
+    argv = [str(tmp_path / a) if a.endswith((".cir", ".csv")) else a for a in argv]
+    assert main(argv) == 0
+    assert (tmp_path / "nodir" / "sub" / "x.csv").read_text().count("\n") > 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv,target,rule",
+    [
+        (["bench", "--freq", "1k", "--periods", "3", "--steps-per-period", "10"], "afile",
+         "Not a directory"),
+        (["dc-sweep", "--from", "-10u", "--to", "10u", "--step", "10u"], "afile",
+         "Not a directory"),
+        (["run", "div.cir", "--temp", "25,50"], "afile", "Not a directory"),
+        (["run", "div.cir"], "afile/x.csv", "{afile} is not a directory"),
+        (["bench", "--freq", "1k", "--periods", "3", "--steps-per-period", "10"], "afile/sub/x",
+         "{afile} is not a directory"),
+        (["device-curves", "--model", "CMOSN"], "adir", "Is a directory"),
+        (["device-curves", "--model", "CMOSN"], "afile/x.csv", "{afile} is not a directory"),
+    ],
+)
+def test_unwritable_output_target_rejected_before_any_solve(tmp_path, capsys, monkeypatch, argv,
+                                                             target, rule):
+    write(tmp_path, "div.cir", DIVIDER)
+    write(tmp_path, "afile", "keep\n")
+    (tmp_path / "adir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(amps.solver, "_newton_batch", no_newton)
+    monkeypatch.setattr(amps.cli, "eval_mosfet_into", no_newton)
+    argv = [str(tmp_path / a) if a.endswith(".cir") else a for a in argv]
+    assert main(argv + ["-o", str(tmp_path / target)]) == 1
+    err = capsys.readouterr().err
+    rule = rule.format(afile=tmp_path / "afile")
+    assert err == f"amps {argv[0]}: error: cannot write {tmp_path / target}: {rule}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "afile").read_text() == "keep\n"
+
+
+# ---------------------------------------------------------------------------
 # usage errors exit 1
 # ---------------------------------------------------------------------------
 
@@ -619,7 +689,11 @@ NETLISTS = {
     "broken.cir": BROKEN,
     "short.cir": SHORT_TRAN,
     "missing.cir": None,
+    "ground.cir": GROUND_ONLY,
 }
+# where -o points: a new name, a name under a missing directory, an existing
+# regular file or an existing directory
+TARGETS = ("new", "missing parent", "file", "directory")
 
 
 @st.composite
@@ -635,19 +709,47 @@ def cli_argv(draw):
     return argv
 
 
+def target_rejected(argv, target):
+    """Whether ``-o`` names a directory where a file is needed, or a file
+    where a directory is: ``bench`` and ``dc-sweep`` write a directory,
+    ``device-curves`` a file, and ``run`` a file for one analysis at one
+    temperature (each netlist here holds at most one analysis)."""
+    if argv[0] == "device-curves":
+        return target == "directory"
+    several = argv[0] != "run" or "," in dict(zip(argv, argv[1:])).get("--temp", "")
+    return target == "file" and several
+
+
 @settings(max_examples=40, deadline=None)
-@given(cli_argv())
-def test_cli_contract_holds_for_drawn_argv(argv):
+@given(cli_argv(), st.sampled_from(TARGETS))
+@example(["bench", "--periods", "3", "--steps-per-period", "10"], "file")
+@example(["dc-sweep", "--from", "-20u", "--to", "20u", "--step", "10u"], "file")
+@example(["run", "divider.cir", "--temp", "25,100"], "file")
+@example(["device-curves"], "directory")
+@example(["run", "rc.cir"], "missing parent")
+def test_cli_contract_holds_for_drawn_argv(argv, target):
+    rejected = target_rejected(argv, target)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, text in NETLISTS.items():
             if text is not None:
                 (tmp / name).write_text(text)
+        (tmp / "afile").write_text("keep\n")
+        (tmp / "adir").mkdir()
         argv = [str(tmp / a) if a.endswith(".cir") else a for a in argv]
-        out = tmp / ("curves.csv" if argv[0] == "device-curves" else "out")
+        name = "curves.csv" if argv[0] == "device-curves" else "out"
+        out = {"new": tmp / name, "missing parent": tmp / "new" / name, "file": tmp / "afile",
+               "directory": tmp / "adir"}[target]
+        before = sorted(tmp.rglob("*"))
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        no_solve = (mock.patch.object(amps.solver, "_newton_batch", no_newton) if rejected
+                    else contextlib.nullcontext())
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), no_solve:
             rc = main(argv + ["-o", str(out)])
+        if rejected:
+            assert rc == 1 and len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert sorted(tmp.rglob("*")) == before
+            assert (tmp / "afile").read_text() == "keep\n"
     assert rc in (0, 1, 2)
     assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
 

@@ -159,6 +159,11 @@ def test_ground_is_index_zero():
         (".DC V1 0 1 0", "sign inconsistent"),
         ("R1 a 0 1e999", "out of range"),
         (".MODEL NX NMOS LEVEL=1e999", "value of LEVEL"),
+        # the key=value reader that .MODEL and MOSFET cards share
+        ("M1 d g s b CMOSN W=abc L=1u", "M1: value of W is not a number: 'abc'"),
+        ("M1 d g s b CMOSN W=1u L=1e999", "M1: value of L is not a number: '1e999'"),
+        ("M1 d g s b CMOSN X=1u W=1u L=1u", "M1: unknown MOSFET parameter X"),
+        ("M1 d g s b CMOSN W L=1u", "M1: expected key=value, got 'W'"),
     ],
 )
 def test_syntax_errors_carry_line_numbers(card, fragment):
@@ -229,6 +234,14 @@ def test_unknown_model_keys_retained():
     assert card.params["FROB"] == 42.0
 
 
+def test_repeated_key_keeps_last_value():
+    doc = parse_netlist(wrap(".MODEL X NMOS VTO=0.5 KP=1e-4 VTO = 0.7 LEVEL=1 LEVEL=3",
+                             "M1 d g 0 0 X W=1u L=1u w=2u"))
+    assert doc.models["X"].params == {"VTO": 0.7, "KP": 1e-4}
+    assert doc.models["X"].level == 3
+    assert (doc.elements[0].w, doc.elements[0].l) == (2e-6, 1e-6)
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -246,6 +259,11 @@ def test_validate_bench_clean():
 def test_validate_no_ground():
     doc = parse_netlist(wrap("R1 a b 1k", "V1 a b DC 1"))
     assert any("no ground node" in e for e in errors(validate(doc)))
+
+
+def test_validate_no_node_other_than_ground():
+    doc = parse_netlist(wrap("I1 0 0 DC 1u", "R1 0 0 1k", ".OP"))
+    assert errors(validate(doc)) == ["circuit has no node other than ground"]
 
 
 def test_validate_unresolved_model():
