@@ -439,8 +439,9 @@ def validate(doc: NetlistDocument) -> list[Diagnostic]:
     """Semantic checks on a parsed netlist.
 
     Errors: dangling node (single terminal reference), no ground node, no
-    node other than ground, MOSFET with unresolved model, no sources, ``.DC``
-    sweep of a source the circuit lacks.  Warnings: unused models.
+    node other than ground, MOSFET with unresolved model, voltage source with
+    both terminals on one node, no sources, ``.DC`` sweep of a source the
+    circuit lacks.  Warnings: unused models.
     """
     diags: list[Diagnostic] = []
     refcount: dict[str, int] = {}
@@ -457,6 +458,9 @@ def validate(doc: NetlistDocument) -> list[Diagnostic]:
                 )
         if elem.kind in (ElementKind.VSOURCE, ElementKind.ISOURCE):
             sources.add(elem.name)
+        if elem.kind is ElementKind.VSOURCE and elem.nodes[0] == elem.nodes[1]:
+            message = f"voltage source with both terminals on node {elem.nodes[0]}"
+            diags.append(Diagnostic("error", message, elem.name))
     if "0" not in refcount:
         diags.append(Diagnostic("error", "no ground node", "0"))
     elif len(refcount) == 1:

@@ -24,12 +24,13 @@ LU solve for every circuit of the batch, spent ones too.  Each assembly
 evaluates the devices, except a solve's first when it is given the
 evaluation at its start: a solve returns the evaluation at the point it
 returns, which is where the next time step, sweep point or homotopy stage
-starts.  So circuits can be solved in lockstep: transients
-(``solve_lockstep``, each with its own step count) take each time step,
-and DC sweeps of one source (``dc_sweep_lockstep``) each sweep value,
-together, and each one's results are the ones it gets alone.  A transient
-that fails or has taken its last step stays in its batch as a spent row,
-so a lockstep builds one ``_Batch`` per integration phase.
+starts.  So circuits that share one topology (``_Batch`` checks it) can be
+solved in lockstep: transients (``solve_lockstep``, each with its own step
+count; ``solve_transient`` is its one-member form, with ``voltages``) take
+each time step, and DC sweeps of one source (``dc_sweep_lockstep``) each
+sweep value, together, and each one's results are the ones it gets alone.
+A transient that fails or has taken its last step stays in its batch as a
+spent row, so a lockstep builds one ``_Batch`` per integration phase.
 
 A solve that finds no point raises (a lockstep member returns) a
 ``SolverError``: ``NonConvergenceError`` names the unknown (node or source
@@ -185,12 +186,12 @@ class CircuitGraph:
     cap_ends: np.ndarray  # (2, capacitors): nodes a and b, current flowing from a to b
     # The Newton kernel's current columns.  Each is a factor
     # (``_Batch.coef``) times the difference of two entries of the
-    # unknowns after a ground column, plus a term fixed for the solve: a
-    # zero current, the resistors, the voltage sources' currents (their
-    # unknowns), the MOSFET channels (their id is the fixed term) and the
-    # gmin loads; then the columns whose terms are fixed for a solve: the
-    # capacitors (companion history), the current sources, and for each
-    # voltage source its equation's residual V(p) - V(m) - e and its value e.
+    # unknowns after a ground column, plus a term fixed for the solve
+    # (``_Batch.fixed_currents``): a zero current; the branch table's
+    # currents in its order, the resistors, the capacitors (companion
+    # history), the current sources, the voltage sources (their unknowns) and
+    # the MOSFET channels (their id); the gmin loads; and for each voltage
+    # source its equation's residual V(p) - V(m) - e and its value e.
     col_a: np.ndarray
     col_b: np.ndarray
     # The residual of each row sums its entries (column, sign, row) in list
@@ -296,23 +297,21 @@ def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
         + [(src.p, src.m) for src in isources + vsources]
         + [(d, s) for d, _, s, _ in terms]
     )
-    m, mosfet_count = len(vsources), len(terms)
+    m = len(vsources)
     gmin_rows = sorted({t - 1 for term in terms for t in term if t})
+    # branch j of the table is column 1 + j; a voltage source's column is its current
     columns = (
-        [(0, 0)] + [(a, b) for a, b, _ in res] + [(n + 1 + k, 0) for k in range(m)]
-        + [(d, s) for d, _, s, _ in terms] + [(row + 1, 0) for row in gmin_rows]
-        + [(a, b) for a, b, _ in caps] + [(src.p, src.m) for src in isources + vsources]
+        [(0, 0)] + [(a, b) for a, b, _ in res + caps] + [(src.p, src.m) for src in isources]
+        + [(n + 1 + k, 0) for k in range(m)] + [(d, s) for d, _, s, _ in terms]
+        + [(row + 1, 0) for row in gmin_rows] + [(src.p, src.m) for src in vsources]
         + [(0, 0)] * m
     )
-    # the column of each branch of the table, and where the fixed columns start
-    fixed = 1 + len(res) + m + mosfet_count + len(gmin_rows)
-    column = [*range(1, 1 + len(res)), *range(fixed, fixed + len(caps) + len(isources)),
-              *range(1 + len(res), 1 + len(res) + m + mosfet_count)]
-    residual = fixed + len(caps) + len(isources)  # the first source equation's column
+    gmin_col = 1 + len(ends)
+    residual = gmin_col + len(gmin_rows)  # the first source equation's column
     node_ends: list[list[tuple[int, float]]] = [[(0, 1.0)] for _ in range(n + 1)]
-    for j, (a, b) in enumerate(ends):
-        node_ends[a].append((column[j], 1.0))
-        node_ends[b].append((column[j], -1.0))
+    for j, (a, b) in enumerate(ends, start=1):
+        node_ends[a].append((j, 1.0))
+        node_ends[b].append((j, -1.0))
     sums = [(residual + k, 1.0, n + k) for k in range(m)]  # outside every segment
     starts = []
     for node in range(1, n + 1):
@@ -323,7 +322,7 @@ def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
         sums.append((residual + m + k, 1.0, size))
     if gmin_rows:
         starts.append(len(sums))  # a last segment, of no row
-        sums += [(fixed - len(gmin_rows) + q, 1.0, row) for q, row in enumerate(gmin_rows)]
+        sums += [(gmin_col + q, 1.0, row) for q, row in enumerate(gmin_rows)]
 
     entries = [
         ((t[r] - 1) * size + t[c] - 1, k, value, sign)
@@ -394,6 +393,16 @@ def _failure(g: CircuitGraph, F: np.ndarray, J: np.ndarray, over: np.ndarray) ->
     return NonConvergenceError(_unknown(g, idx), float(over[idx]))
 
 
+def _same_topology(a: CircuitGraph, b: CircuitGraph) -> bool:
+    tables = ("col_a", "col_b", "sum_col", "sum_sign", "sum_row", "gmin_rows", "mos_terms",
+              "mos_jac", "mos_device", "mos_value", "mos_sign")
+    return (
+        (a.n, a.size, a.res_g.size, a.cap_c.size, len(a.isources))
+        == (b.n, b.size, b.res_g.size, b.cap_c.size, len(b.isources))
+        and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in tables)
+    )
+
+
 class _Batch:
     """Solve contexts of circuits that share one topology, stacked for
     batched Newton solves.
@@ -404,26 +413,31 @@ class _Batch:
     ``devices`` are stacked along the member axis.  The members are fixed:
     gathers, row sums and the Jacobian scatter use index tables offset per
     member, built once, so each member's sums keep their element order and
-    its values are the ones it gets alone, whatever the batch size.
+    its values are the ones it gets alone, whatever the batch size.  Members
+    whose topologies differ raise ValueError.
     """
 
-    __slots__ = ("g", "opt", "coef", "j_base", "devices", "tol", "clamp", "neg_clamp", "mos",
+    __slots__ = ("g", "opt", "groups", "coef", "j_base", "devices", "tol", "clamp", "neg_clamp",
                  "at_terms", "at_ends", "at_sum", "at_row", "at_jac", "at_value", "jac_sign")
 
     def __init__(self, graphs: Sequence[CircuitGraph], options: SolverOptions, *,
                  gmin: float | None = None, alpha: float | Sequence[float] = 0.0):
         g = self.g = graphs[0]
+        if not all(_same_topology(g, gr) for gr in graphs[1:]):
+            raise ValueError("lockstep members must share one topology")
         self.opt = options
         gmin = options.gmin if gmin is None else gmin
         rows = len(graphs)
         alphas = np.broadcast_to(alpha, rows)
-        m = g.m
-        # the factor of each of the Newton kernel's current columns (``col_a``)
-        self.coef = np.array([np.concatenate((
-            [0.0], gr.res_g, np.ones(m), np.zeros(len(gr.mosfets)),
-            np.full(gr.gmin_rows.size, gmin), a * gr.cap_c,
-            np.zeros(len(gr.isources)), np.ones(m), np.zeros(m),
-        )) for gr, a in zip(graphs, alphas)])
+        # the groups of current columns, in ``build_graph``'s order: the zero,
+        # resistors, capacitors, current sources, voltage-source currents,
+        # MOSFET channels, gmin loads, source equations and source values
+        ends = np.cumsum((0, 1, g.res_g.size, g.cap_c.size, len(g.isources), g.m,
+                          len(g.mosfets), g.gmin_rows.size, g.m, g.m)).tolist()
+        self.groups = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        cap_g = alphas[:, None] * np.array([gr.cap_c for gr in graphs])
+        self.coef = self.columns(rows, None, np.array([gr.res_g for gr in graphs]), cap_g,
+                                 None, 1.0, None, gmin, 1.0, None)
         j_base = np.array([gr.G + a * gr.C for gr, a in zip(graphs, alphas)])
         j_base[:, g.gmin_rows, g.gmin_rows] += gmin
         self.j_base = j_base.reshape(rows, -1)
@@ -432,8 +446,6 @@ class _Batch:
         self.clamp = np.full(g.size, np.inf)  # update damping on nonlinear-device nodes
         self.clamp[g.gmin_rows] = VSTEP_CLAMP
         self.neg_clamp = -self.clamp
-        first_mos = 1 + g.res_g.size + g.m
-        self.mos = slice(first_mos, first_mos + len(g.mosfets))  # current columns
         # index tables offset per member: gathers of the MOSFET terminals (g,
         # d, b, s) and the current columns' ends, row sums, Jacobian scatter
         r = np.arange(rows)[:, None]
@@ -446,16 +458,22 @@ class _Batch:
         self.at_value = (g.mos_value * rows * devices + devices * r + g.mos_device).ravel()
         self.jac_sign = np.tile(g.mos_sign, rows)
 
+    def columns(self, rows: int, *values) -> np.ndarray:
+        """Rows of current columns from each group's value or member rows (None: zeros)."""
+        out = np.zeros((rows, self.groups[-1].stop))
+        for value, group in zip(values, self.groups, strict=True):
+            if value is not None:
+                out[:, group] = value
+        return out
+
     def fixed_currents(self, src: np.ndarray, cap_ieq: np.ndarray) -> np.ndarray:
         """The terms of the current columns fixed for a solve, one row per
-        member: zeros (``assemble`` fills in the MOSFET channels), the
-        capacitor companion history ``cap_ieq`` and the sources ``src``
-        (current sources, then voltage sources)."""
-        g = self.g
-        ni = len(g.isources)
+        member: the capacitor companion history ``cap_ieq``, the sources
+        ``src`` (current sources, then voltage sources) and zeros elsewhere
+        (``assemble`` fills in the MOSFET channels)."""
+        ni = len(self.g.isources)
         e = src[:, ni:]
-        first = g.col_a.size - cap_ieq.shape[1] - ni - 2 * g.m
-        return np.concatenate((np.zeros((len(src), first)), cap_ieq, src[:, :ni], -e, e), axis=1)
+        return self.columns(len(src), None, None, cap_ieq, src[:, :ni], None, None, None, -e, e)
 
     def assemble(self, xg, fixed, dev=None):
         """Residual F, Jacobian J, per-row current/voltage scales and device
@@ -471,7 +489,7 @@ class _Batch:
             dev = np.empty((5, rows, len(g.mosfets)))
             v = xg.take(self.at_terms)
             eval_mosfet_into(self.devices, v[:3] - v[3], dev)  # vgs, vds, vbs
-        fixed[:, self.mos] = dev[0]
+        fixed[:, self.groups[5]] = dev[0]  # the MOSFET channels' columns
         flow = (self.coef * np.subtract(*xg.take(self.at_ends)) + fixed).take(self.at_sum)
         flow *= g.sum_sign
         F = np.bincount(self.at_row, flow.ravel(), rows * (size + 1)).reshape(rows, -1)[:, :size]
@@ -746,8 +764,7 @@ def dc_sweep_lockstep(
     """
     if not graphs or len(firsts) != len(graphs):
         raise ValueError("need one first point per graph, and at least one graph")
-    if not all(_same_topology(graphs[0], g) for g in graphs[1:]):
-        raise ValueError("lockstep members must share one topology")
+    batch = _Batch(graphs, options)  # ValueError unless the members share one topology
     count, points, size = len(graphs), len(values), graphs[0].size
     src = _source_values(graphs)
     members = np.arange(count)
@@ -766,7 +783,6 @@ def dc_sweep_lockstep(
             sweep.x[0, b] = last[b, 1:]
             sweep.converged[0, b] = True
             sweep.iterations[0, b], sweep.residual_excess[0, b] = op.iterations, op.residual_excess
-    batch = _Batch(graphs, options)
     cap_ieq = np.zeros((count, graphs[0].cap_c.size))
     dev = None  # the device evaluation at ``last``, once a solve has made one
     for k in range(1, points):
@@ -802,25 +818,16 @@ def solve_transient(
     ones of those that evaluated the devices (each step's first assembly
     takes the evaluation at the point the step before converged to), the
     steps that needed a gmin-stepping rescue, the step count and the step.
+    It is the one-member ``solve_lockstep`` with ``voltages``.
     """
     if topts.ic == "from_op":
         start = solve_dc(graph, sopts)
     else:
         start = _point(graph, np.zeros(graph.size + 1), 0, float("-inf"))
-    (ws,) = _march([graph], [topts], sopts, [start], voltages=True)
+    (ws,) = solve_lockstep([graph], [topts], sopts, [start], voltages=True)
     if isinstance(ws, TransientNonConvergence):
         raise ws
     return ws
-
-
-def _same_topology(a: CircuitGraph, b: CircuitGraph) -> bool:
-    tables = ("col_a", "col_b", "sum_col", "sum_sign", "sum_row", "gmin_rows", "mos_terms",
-              "mos_jac", "mos_device", "mos_value", "mos_sign")
-    return (
-        (a.n, a.size, a.res_g.size, a.cap_c.size, len(a.isources))
-        == (b.n, b.size, b.res_g.size, b.cap_c.size, len(b.isources))
-        and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in tables)
-    )
 
 
 def solve_lockstep(
@@ -828,42 +835,33 @@ def solve_lockstep(
     topts: Sequence[TransientOptions],
     sopts: SolverOptions,
     starts: Sequence[OperatingPoint],
+    voltages: bool = False,
 ) -> list[WaveformSet | TransientNonConvergence]:
     """Fixed-step transients of circuits that share one topology, stepped together.
 
     Member b starts from ``starts[b]`` (its t=0 state, whose iterations and
-    residual count in its stats) and takes its own steps with ``topts[b]``.
-    Each member's waveforms and stats are the ones ``solve_transient`` gives
-    it alone, except that only the voltage-source branch currents (and the
-    current-source waveforms) are recorded, not the node voltages.  A member
-    whose step fails even after a gmin-stepping rescue gets its
+    residual count in its stats) and takes its own steps with ``topts[b]``:
+    each step evaluates each distinct source waveform once and makes one
+    batched Newton solve for every running member, on one ``_Batch`` per
+    integration phase (ValueError unless the members share one topology).
+    A member whose step fails even after a gmin-stepping rescue gets its
     TransientNonConvergence, with its partial record, in place of its
-    waveforms; the others go on.
+    waveforms; the others go on.  A stopped member's row stays, spent.
+    Each member's waveforms and stats are the ones it gets alone: the
+    current sources' values and every unknown, or with ``voltages`` false
+    only the voltage-source branch currents.  ``solve_transient`` is the
+    one-member form with ``voltages``.
     """
     if not len(graphs) == len(topts) == len(starts):
         raise ValueError("need one TransientOptions and one start per graph")
     if not graphs:
         return []
-    if not all(_same_topology(graphs[0], g) for g in graphs[1:]):
-        raise ValueError("lockstep members must share one topology")
-    return _march(graphs, topts, sopts, starts, voltages=False)
-
-
-def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
-    """The time loop of ``solve_transient`` and ``solve_lockstep``.
-
-    Each step evaluates each distinct source waveform once and makes one
-    batched Newton solve, on one ``_Batch`` per integration phase, for every
-    running member.  A member that fails gets gmin stepping from its state
-    at the start of the step, and stops with a TransientNonConvergence if
-    that fails too; a member stops too after its own last step.  A stopped
-    member's result is taken then, and its row stays in the batch, spent.
-    Records every unknown, or with ``voltages`` false only the branch
-    currents, and the current sources' values.
-    """
+    tsteps = [o.tstep for o in topts]
+    # backward Euler for the first step, trapezoidal after it
+    alphas = [[a / h for h in tsteps] for a in (1.0, 2.0)]
+    batches = [_Batch(graphs, sopts, alpha=alpha) for alpha in alphas]
     g = graphs[0]
     n, count, ni = g.n, len(graphs), len(g.isources)
-    tsteps = [o.tstep for o in topts]
     last = np.array([math.floor(o.tstop / o.tstep + 1e-9) for o in topts])  # its last step
     first = 1 if voltages else n + 1  # the first recorded column of xg
     width = g.size + 1 - first
@@ -895,11 +893,7 @@ def _march(graphs, topts, sopts, starts, voltages: bool) -> list:
 
     v_prev = cap_voltage(xg)
     i_prev = np.zeros_like(v_prev)
-
-    # backward Euler for the first step, trapezoidal after it
-    alphas = [[a / h for h in tsteps] for a in (1.0, 2.0)]
     cap_geq = [np.array([al * gr.cap_c for al, gr in zip(alpha, graphs)]) for alpha in alphas]
-    batches = [_Batch(graphs, sopts, alpha=alpha) for alpha in alphas]
     going = np.ones(count, dtype=bool)  # the members still stepping
     results: list = [None] * count
     time_bases: dict[tuple, np.ndarray] = {}  # built once for the members that share them

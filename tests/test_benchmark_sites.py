@@ -53,18 +53,26 @@ def test_solver_entries_resolve_for_the_setup_probe():
     assert Identity().install() == []
 
 
+# the bench netlist's analysis, and the one each ``run`` netlist has instead
+DIRECTIVES = {"bench.cir": ".TRAN 1e-06 0.02", "op.cir": ".OP", "dc.cir": ".DC IIN -20u 20u 10u"}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "entry"),
     [
-        ["bench", "--freq", "1k,1meg", "--temp", "25,75", "--periods", "3",
-         "--steps-per-period", "10"],
-        ["dc-sweep", "--from", "-20u", "--to", "20u", "--step", "10u", "--temp", "25,75"],
-        ["run", "bench.cir"],
+        pytest.param(["bench", "--freq", "1k,1meg", "--temp", "25,75", "--periods", "3",
+                      "--steps-per-period", "10"], "solve_dc", id="bench"),
+        pytest.param(["dc-sweep", "--from", "-20u", "--to", "20u", "--step", "10u",
+                      "--temp", "25,75"], "solve_dc", id="dc-sweep"),
+        pytest.param(["run", "bench.cir"], "solve_transient", id="run"),
+        pytest.param(["run", "op.cir"], "solve_dc", id="run-op"),
+        pytest.param(["run", "dc.cir"], "dc_sweep", id="run-dc"),
     ],
-    ids=lambda argv: argv[0],
 )
-def test_setup_probe_stops_before_any_lockstep_solve_or_output(argv, tmp_path, monkeypatch):
-    """The benchmark's set-up probe ends every command at its first solver call.
+def test_setup_probe_stops_before_any_lockstep_solve_or_output(argv, entry, tmp_path,
+                                                                monkeypatch):
+    """The benchmark's set-up probe ends every command at its first solver
+    call, which is ``entry``.
 
     A batched path that reached the solver some other way would run to the
     end here instead of raising SetupDone.
@@ -78,13 +86,27 @@ def test_setup_probe_stops_before_any_lockstep_solve_or_output(argv, tmp_path, m
     def newton(*args):
         raise AssertionError("a Newton step ran before set-up ended")
 
+    reached = []
+
+    class Probe(spans.FirstSolverCall):
+        def _wrap(self, name, fn):
+            stop = super()._wrap(name, fn)
+
+            def first(*args, **kwargs):
+                reached.append(name)
+                return stop(*args, **kwargs)
+
+            return first
+
     monkeypatch.setattr(amps.solver, "_newton_batch", newton)
-    assert spans.FirstSolverCall(stop=True).install() == []
-    netlist = tmp_path / "bench.cir"
-    netlist.write_text(bench_netlist_path().read_text())
+    assert Probe(stop=True).install() == []
+    bench = bench_netlist_path().read_text()
+    for name, directive in DIRECTIVES.items():
+        (tmp_path / name).write_text(bench.replace(DIRECTIVES["bench.cir"], directive))
     out = tmp_path / "out"
     out.mkdir()
-    argv = [str(netlist) if a == "bench.cir" else a for a in argv]
+    argv = [str(tmp_path / a) if a.endswith(".cir") else a for a in argv]
     with pytest.raises(spans.SetupDone):
         amps.cli.main(argv + ["-o", str(out)])
+    assert reached == [entry]
     assert list(out.iterdir()) == []

@@ -119,6 +119,18 @@ def test_run_circuit_without_a_node_is_a_validation_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ground.cir"]
 
 
+SHORTED = "shorted source\nV1 c c DC 1\nR1 c 0 1k\nR2 c 0 2k\n.OP\n.END\n"
+
+
+def test_run_voltage_source_on_one_node_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(amps.solver, "_newton_batch", no_newton)
+    src = write(tmp_path, "shorted.cir", SHORTED)
+    assert main(["run", str(src), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{src}: error: voltage source with both terminals on node c [V1]\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shorted.cir"]
+
+
 def test_run_bundled_bench_transient(tmp_path):
     out = tmp_path / "bench.csv"
     bench = write(
@@ -652,35 +664,36 @@ def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-# Each subcommand's flags with good and bad values.  Periods and steps per
-# period are always given and tiny, so every draw runs in well under a second.
+# Each subcommand's flags, each with its good values and then its bad ones.
+# Periods and steps per period are always given and tiny, so every draw runs
+# in well under a second.
 CLI_GRAMMAR = {
     "bench": {
-        "--freq": ["1k", "1meg,100meg", "0", "-1k", ",", "1x2"],
-        "--temp": ["25", "25,100", "400", "-60"],
-        "--amp": ["400u", "0", "-1m"],
-        "--reltol": ["1m", "-1"],
+        "--freq": (["1k", "1meg,100meg"], ["0", "-1k", ",", "1x2"]),
+        "--temp": (["25", "25,100"], ["400", "-60"]),
+        "--amp": (["400u"], ["0", "-1m"]),
+        "--reltol": (["1m"], ["-1"]),
     },
     "dc-sweep": {
-        "--source": ["IIN", "NOPE"],
-        "--temp": ["25", "25,100", "400"],
-        "--gmin": ["1p", "0"],
+        "--source": (["IIN"], ["NOPE"]),
+        "--temp": (["25", "25,100"], ["400"]),
+        "--gmin": (["1p"], ["0"]),
     },
     "device-curves": {
-        "--model": ["CMOSN", "CMOSP", "NOPE"],
-        "--polarity": ["NMOS", "PMOS", "BJT"],
-        "--vgs": ["1", "0.5,1.5", "x"],
-        "--vds-step": ["0.5", "0", "-0.5"],
-        "--temp": ["27", "500"],
-        "--w": ["1.5u", "0", "-1u"],
-        "--l": ["0.15u", "1e-14"],
+        "--polarity": (["NMOS", "PMOS"], ["BJT"]),
+        "--vgs": (["1", "0.5,1.5"], ["x"]),
+        "--vds-step": (["0.5"], ["0", "-0.5"]),
+        "--temp": (["27"], ["500"]),
+        "--w": (["1.5u"], ["0", "-1u"]),
+        "--l": (["0.15u"], ["1e-14"]),
     },
-    "run": {"--temp": ["27", "25,100", "400"], "--reltol": ["1m", "0"]},
+    "run": {"--temp": (["27", "25,100"], ["400"]), "--reltol": (["1m"], ["0"])},
 }
 REQUIRED = {
-    "bench": {"--periods": ["3", "0", "1", "x"], "--steps-per-period": ["10", "12", "5"]},
-    "dc-sweep": {"--from": ["-20u", "20u", "abc"], "--to": ["20u"], "--step": ["10u", "0", "-10u"]},
-    "device-curves": {},
+    "bench": {"--periods": (["3"], ["0", "1", "x"]), "--steps-per-period": (["10", "12"], ["5"])},
+    "dc-sweep": {"--from": (["-20u", "20u"], ["abc"]), "--to": (["20u"], []),
+                 "--step": (["10u"], ["0", "-10u"])},
+    "device-curves": {"--model": (["CMOSN", "CMOSP"], ["NOPE"])},
     "run": {},
 }
 NETLISTS = {
@@ -690,7 +703,11 @@ NETLISTS = {
     "short.cir": SHORT_TRAN,
     "missing.cir": None,
     "ground.cir": GROUND_ONLY,
+    "shorted.cir": SHORTED,
 }
+GOOD_NETLISTS = ["rc.cir", "divider.cir"]
+RUN_NETLISTS = (GOOD_NETLISTS, sorted(NETLISTS.keys() - set(GOOD_NETLISTS)))
+BAD_ODDS = 20  # a draw takes one of a flag's bad values about once in this many
 # where -o points: a new name, a name under a missing directory, an existing
 # regular file or an existing directory
 TARGETS = ("new", "missing parent", "file", "directory")
@@ -698,14 +715,22 @@ TARGETS = ("new", "missing parent", "file", "directory")
 
 @st.composite
 def cli_argv(draw):
+    """Mostly good values, so that most draws of ``bench``, ``dc-sweep`` and
+    ``run`` reach a solve; each flag's bad values now and then."""
+
+    def value(choices):
+        good, bad = choices
+        rare = bad and draw(st.integers(1, BAD_ODDS)) == 1
+        return draw(st.sampled_from(bad if rare else good))
+
     command = draw(st.sampled_from(sorted(CLI_GRAMMAR)))
     argv = [command]
     if command == "run":
-        argv.append(draw(st.sampled_from(sorted(NETLISTS))))
-    for flag, values in REQUIRED[command].items():
-        argv += [flag, draw(st.sampled_from(values))]
+        argv.append(value(RUN_NETLISTS))
+    for flag, choices in REQUIRED[command].items():
+        argv += [flag, value(choices)]
     for flag in draw(st.sets(st.sampled_from(sorted(CLI_GRAMMAR[command])), max_size=3)):
-        argv += [flag, draw(st.sampled_from(CLI_GRAMMAR[command][flag]))]
+        argv += [flag, value(CLI_GRAMMAR[command][flag])]
     return argv
 
 

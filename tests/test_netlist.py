@@ -277,6 +277,13 @@ def test_validate_dangling_node():
     assert any("dangling node b" in e for e in errors(validate(doc)))
 
 
+@pytest.mark.parametrize("node", ["c", "0"])
+def test_validate_voltage_source_on_one_node(node):
+    """Its branch equation reads 0 = e: every DC strategy would meet a singular matrix."""
+    doc = parse_netlist(wrap(f"V1 {node} {node} DC 1", "R1 c 0 1k", "R2 c 0 2k", ".OP"))
+    assert errors(validate(doc)) == [f"voltage source with both terminals on node {node}"]
+
+
 def test_validate_no_sources():
     doc = parse_netlist(wrap("R1 a 0 1k", "R2 a 0 1k"))
     assert any("no sources" in e for e in errors(validate(doc)))

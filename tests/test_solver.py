@@ -20,6 +20,7 @@ from amps.solver import (
     dc_sweep_lockstep,
     newton_solve,
     solve_dc,
+    solve_lockstep,
     solve_transient,
     sweep_values,
 )
@@ -279,7 +280,7 @@ def test_source_stepping_after_gmin_stepping_fails(monkeypatch):
     xg, total = np.zeros(g.size + 1), 0
     src = amps.solver._source_values([g])[0]
     for stage in source:
-        xg, iters, excess, *_ = ladder(g, opts, xg, src, np.zeros(0), [stage])
+        xg, iters, excess, *_ = ladder(g, opts, xg, src, np.zeros(g.cap_c.size), [stage])
         total += iters
     assert op.iterations == total == stepped[1] > iters
     assert xg[1:].tobytes() == np.concatenate((op.voltages, op.branch_currents)).tobytes()
@@ -718,3 +719,77 @@ def test_carried_evaluation_changes_no_lockstep_sweep(monkeypatch):
     for field in ("x", "converged", "iterations", "residual_excess"):
         assert getattr(got, field).tobytes() == getattr(dropped, field).tobytes(), field
     assert evaluations < dropped_evaluations
+
+
+# ---------------------------------------------------------------------------
+# Lockstep arguments
+# ---------------------------------------------------------------------------
+
+# two circuits with the divider's unknowns, sources and branch counts, wired
+# apart: a resistor from mid either to top or to ground
+PARALLEL_TOP = "parallel\nV1 top 0 DC 3\nR1 top mid 1k\nR2 top mid 1k\nR3 mid 0 1k\n.END\n"
+PARALLEL_LOW = PARALLEL_TOP.replace("R2 top mid", "R2 mid 0")
+
+
+def no_newton(*args):
+    raise AssertionError("a Newton solve ran")
+
+
+@pytest.mark.parametrize(("first", "other"), [(DIVIDER, RC), (PARALLEL_TOP, PARALLEL_LOW)],
+                         ids=["counts", "tables"])
+def test_lockstep_members_must_share_one_topology(monkeypatch, first, other):
+    import amps.solver
+
+    graphs = [graph_of(first), graph_of(other)]
+    assert [g.size for g in graphs] == [3, 3]
+    starts = [solve_dc(g, OPTS) for g in graphs]
+    monkeypatch.setattr(amps.solver, "_newton_batch", no_newton)
+    topts = [TransientOptions(tstep=1e-6, tstop=1e-5)] * 2
+    with pytest.raises(ValueError, match="share one topology"):
+        solve_lockstep(graphs, topts, OPTS, starts)
+    with pytest.raises(ValueError, match="share one topology"):
+        dc_sweep_lockstep(graphs, "V1", [0.0, 1.0], OPTS, starts)
+
+
+def test_lockstep_arguments_need_one_entry_per_member(monkeypatch):
+    import amps.solver
+
+    g = graph_of(DIVIDER)
+    start, topt = solve_dc(g, OPTS), TransientOptions(tstep=1e-6, tstop=1e-5)
+    monkeypatch.setattr(amps.solver, "_newton_batch", no_newton)
+    for graphs, topts, starts in (([g, g], [topt], [start, start]),
+                                  ([g], [topt], [start, start]), ([], [topt], [])):
+        with pytest.raises(ValueError, match="one TransientOptions and one start per graph"):
+            solve_lockstep(graphs, topts, OPTS, starts)
+    for graphs, firsts in (([g, g], [start]), ([g], [start, start]), ([], [])):
+        with pytest.raises(ValueError, match="one first point per graph"):
+            dc_sweep_lockstep(graphs, "V1", [0.0, 1.0], OPTS, firsts)
+    assert solve_lockstep([], [], OPTS, []) == []
+
+
+def test_lockstep_with_voltages_gives_each_member_its_solve_transient():
+    """With ``voltages`` each member records what ``solve_transient`` records
+    alone, bit for bit; without, the same branch currents and no node
+    voltages."""
+    from amps.rectifier import BenchConfig, bench_graph
+
+    cfgs = [BenchConfig(frequency=1e3, periods=3, steps_per_period=40),
+            BenchConfig(frequency=1e7, temp=60.0, periods=2, steps_per_period=75)]
+    graphs = [bench_graph(cfg) for cfg in cfgs]
+    topts = [TransientOptions(tstep=1.0 / (cfg.frequency * cfg.steps_per_period),
+                              tstop=cfg.periods / cfg.frequency) for cfg in cfgs]
+    starts = [solve_dc(g, OPTS) for g in graphs]
+    together = solve_lockstep(graphs, topts, OPTS, starts, voltages=True)
+    currents = solve_lockstep(graphs, topts, OPTS, starts)
+    for g, topt, got, branches in zip(graphs, topts, together, currents, strict=True):
+        alone = solve_transient(g, topt, OPTS)
+        assert got.stats == alone.stats == branches.stats
+        assert got.names() == alone.names()
+        assert got.units == alone.units
+        assert len(got.waveforms) == g.size + len(g.isources)
+        for a, b in zip(got.waveforms, alone.waveforms, strict=True):
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()
+        assert branches.names() == [name for name in got.names() if name.startswith("i(")]
+        for w in branches.waveforms:
+            assert w.values.tobytes() == got.get(w.name).values.tobytes()
