@@ -405,6 +405,8 @@ def _parse_directive(tokens: list[str], lineno: int, doc: NetlistDocument) -> No
     word = tokens[0].upper()
     if word == ".MODEL":
         model = parse_model_card(tokens, lineno)
+        if model.name in doc.models:
+            raise NetlistError(f"duplicate model name {model.name}", lineno)
         doc.models[model.name] = model
     elif word == ".OP":
         doc.directives.append(OpDirective())
@@ -439,14 +441,16 @@ def validate(doc: NetlistDocument) -> list[Diagnostic]:
     """Semantic checks on a parsed netlist.
 
     Errors: dangling node (single terminal reference), no ground node, no
-    node other than ground, MOSFET with unresolved model, voltage source with
-    both terminals on one node, no sources, ``.DC`` sweep of a source the
-    circuit lacks.  Warnings: unused models.
+    node other than ground, MOSFET with unresolved model, voltage source that
+    closes a loop of voltage sources (the shortest: both terminals on one
+    node), no sources, ``.DC`` sweep of a source the circuit lacks.
+    Warnings: unused models.
     """
     diags: list[Diagnostic] = []
     refcount: dict[str, int] = {}
     used_models: set[str] = set()
     sources: set[str] = set()
+    group: dict[str, int] = {}  # nodes joined by voltage sources share a group
     for elem in doc.elements:
         for n in elem.nodes:
             refcount[n] = refcount.get(n, 0) + 1
@@ -458,9 +462,14 @@ def validate(doc: NetlistDocument) -> list[Diagnostic]:
                 )
         if elem.kind in (ElementKind.VSOURCE, ElementKind.ISOURCE):
             sources.add(elem.name)
-        if elem.kind is ElementKind.VSOURCE and elem.nodes[0] == elem.nodes[1]:
-            message = f"voltage source with both terminals on node {elem.nodes[0]}"
-            diags.append(Diagnostic("error", message, elem.name))
+        if elem.kind is ElementKind.VSOURCE:
+            a, b = (group.setdefault(n, len(group)) for n in elem.nodes)
+            if a == b:  # its nodes are joined already: it closes a loop
+                message = ("voltage source closes a loop of voltage sources"
+                           if elem.nodes[0] != elem.nodes[1] else
+                           f"voltage source with both terminals on node {elem.nodes[0]}")
+                diags.append(Diagnostic("error", message, elem.name))
+            group = {n: a if g == b else g for n, g in group.items()}
     if "0" not in refcount:
         diags.append(Diagnostic("error", "no ground node", "0"))
     elif len(refcount) == 1:

@@ -20,6 +20,7 @@ from .analysis import PrecisionReport, Waveform, WaveformError, WaveformSet
 from .netlist import MAX_STEPS, parse_netlist
 from .solver import (
     CircuitGraph,
+    OperatingPoint,
     SolverError,
     SolverOptions,
     TransientOptions,
@@ -168,30 +169,28 @@ def run_bench(
     ``stats``; a config whose DC operating point or transient fails gets
     that solver error in place of its waveforms.  Every netlist and graph is
     built first, so a bad config raises ValueError before any solve.  Each
-    config's operating point is a ``solve_dc`` call; the configs whose
-    operating point converged then run their transients in one lockstep,
-    each with its own step count and the results it gets alone.
+    config's operating point is a ``solve_dc`` call (``_starts``); then the
+    configs run their transients in one lockstep, each with its own step
+    count and the results it gets alone (a failed start takes no step).
     """
     options = options or SolverOptions()
     graphs = [bench_graph(cfg) for cfg in configs]
-    results: list = [None] * len(configs)
-    starts = {}
-    for i, graph in enumerate(graphs):
+    topts = [TransientOptions(tstep=1.0 / (cfg.frequency * cfg.steps_per_period),
+                              tstop=cfg.periods / cfg.frequency) for cfg in configs]
+    runs = solve_lockstep(graphs, topts, options, _starts(graphs, options))
+    return [raw if isinstance(raw, SolverError) else _contract_waveforms(raw) for raw in runs]
+
+
+def _starts(graphs: Sequence[CircuitGraph],
+            options: SolverOptions) -> list[OperatingPoint | SolverError]:
+    """Each graph's ``solve_dc`` operating point, or the SolverError it raised."""
+    starts = []
+    for graph in graphs:
         try:
-            starts[i] = solve_dc(graph, options)
+            starts.append(solve_dc(graph, options))
         except SolverError as exc:
-            results[i] = exc
-    topts = [
-        TransientOptions(
-            tstep=1.0 / (configs[i].frequency * configs[i].steps_per_period),
-            tstop=configs[i].periods / configs[i].frequency,
-        )
-        for i in starts
-    ]
-    runs = solve_lockstep([graphs[i] for i in starts], topts, options, list(starts.values()))
-    for i, raw in zip(starts, runs):
-        results[i] = raw if isinstance(raw, Exception) else _contract_waveforms(raw)
-    return results
+            starts.append(exc)
+    return starts
 
 
 def _contract_waveforms(raw: WaveformSet) -> WaveformSet:
@@ -219,18 +218,13 @@ def bench_dc_transfer(
     """DC-sweep one source of ``bench_graph``s (by default the input current).
 
     Returns one (swept values, out_plus, out_minus) per graph, in order;
-    non-converged points are NaN.  Each graph's first point is a
-    ``solve_dc`` call; the graphs then sweep the other values in lockstep,
+    non-converged points are NaN.  Each graph's first point is a ``solve_dc``
+    call (``_starts``); the graphs then sweep the other values in lockstep,
     with the same results as one at a time.
     """
     options = options or SolverOptions()
     values = sweep_values(start, stop, step)
-    firsts = []
-    for graph in graphs:
-        try:
-            firsts.append(solve_dc(graph.with_source(source, values[0]), options))
-        except SolverError:
-            firsts.append(None)
+    firsts = _starts([graph.with_source(source, values[0]) for graph in graphs], options)
     sweep = dc_sweep_lockstep(graphs, source, values, options, firsts)
     iin = np.array(values)
     results = []

@@ -29,8 +29,8 @@ solved in lockstep: transients (``solve_lockstep``, each with its own step
 count; ``solve_transient`` is its one-member form, with ``voltages``) take
 each time step, and DC sweeps of one source (``dc_sweep_lockstep``) each
 sweep value, together, and each one's results are the ones it gets alone.
-A transient that fails or has taken its last step stays in its batch as a
-spent row, so a lockstep builds one ``_Batch`` per integration phase.
+A transient whose start or step fails, or that is done, stays in its batch
+as a spent row, so a lockstep builds one ``_Batch`` per integration phase.
 
 A solve that finds no point raises (a lockstep member returns) a
 ``SolverError``: ``NonConvergenceError`` names the unknown (node or source
@@ -720,8 +720,8 @@ def dc_sweep(
     values = sweep_values(start, stop, step)
     try:
         first = solve_dc(graph.with_source(name, values[0]), options)
-    except SolverError:
-        first = None
+    except SolverError as exc:
+        first = exc
     sweep = dc_sweep_lockstep([graph], name, values, options, [first])
     n = graph.n
     return [
@@ -751,16 +751,16 @@ def dc_sweep_lockstep(
     source_name: str,
     values: Sequence[float],
     options: SolverOptions,
-    firsts: Sequence[OperatingPoint | None],
+    firsts: Sequence[OperatingPoint | SolverError],
 ) -> SweepRecord:
     """DC sweeps of one source through circuits that share one topology, solved together.
 
-    Member b's point at ``values[0]`` is ``firsts[b]`` (None if it did not
-    converge).  Each later value is one batched Newton solve for every
-    member, from the member's own last converged point (zeros before it has
-    one).  A member that fails there gets ``solve_dc``'s homotopies; if they
-    fail too, its point is not converged.  Each member's points are the ones
-    ``dc_sweep`` gives it alone.
+    Member b's point at ``values[0]`` is ``firsts[b]``, or not converged if
+    that is a SolverError.  Each later value is one batched Newton solve for
+    every member, from the member's own last converged point (zeros before
+    it has one).  A member that fails there gets ``solve_dc``'s homotopies;
+    if they fail too, its point is not converged.  Each member's points are
+    the ones ``dc_sweep`` gives it alone.
     """
     if not graphs or len(firsts) != len(graphs):
         raise ValueError("need one first point per graph, and at least one graph")
@@ -778,7 +778,7 @@ def dc_sweep_lockstep(
     )
     last = np.zeros((count, size + 1))  # each member's last converged point, after ground
     for b, op in enumerate(firsts):
-        if op is not None:
+        if isinstance(op, OperatingPoint):
             last[b, 1:] = np.concatenate((op.voltages, op.branch_currents))
             sweep.x[0, b] = last[b, 1:]
             sweep.converged[0, b] = True
@@ -834,9 +834,9 @@ def solve_lockstep(
     graphs: Sequence[CircuitGraph],
     topts: Sequence[TransientOptions],
     sopts: SolverOptions,
-    starts: Sequence[OperatingPoint],
+    starts: Sequence[OperatingPoint | SolverError],
     voltages: bool = False,
-) -> list[WaveformSet | TransientNonConvergence]:
+) -> list[WaveformSet | SolverError]:
     """Fixed-step transients of circuits that share one topology, stepped together.
 
     Member b starts from ``starts[b]`` (its t=0 state, whose iterations and
@@ -844,9 +844,10 @@ def solve_lockstep(
     each step evaluates each distinct source waveform once and makes one
     batched Newton solve for every running member, on one ``_Batch`` per
     integration phase (ValueError unless the members share one topology).
-    A member whose step fails even after a gmin-stepping rescue gets its
-    TransientNonConvergence, with its partial record, in place of its
-    waveforms; the others go on.  A stopped member's row stays, spent.
+    A member whose start is a SolverError (its DC operating point failed)
+    gets it as its result and takes no step; one whose step fails even after
+    a gmin-stepping rescue gets its TransientNonConvergence, with its
+    partial record; the others go on.  A stopped member's row stays, spent.
     Each member's waveforms and stats are the ones it gets alone: the
     current sources' values and every unknown, or with ``voltages`` false
     only the voltage-source branch currents.  ``solve_transient`` is the
@@ -866,9 +867,11 @@ def solve_lockstep(
     first = 1 if voltages else n + 1  # the first recorded column of xg
     width = g.size + 1 - first
     xg = np.zeros((count, g.size + 1))  # each member's unknowns, after a ground column
-    xg[:, 1:] = [np.concatenate((op.voltages, op.branch_currents)) for op in starts]
-    max_excess = np.array([op.residual_excess for op in starts])
-    total_iters = np.array([op.iterations for op in starts])
+    max_excess, total_iters = np.zeros(count), np.zeros(count, dtype=int)
+    going = np.array([isinstance(op, OperatingPoint) for op in starts])  # the members stepping
+    for b in going.nonzero()[0]:  # a member whose start failed is a spent row from step 1
+        xg[b, 1:] = np.concatenate((starts[b].voltages, starts[b].branch_currents))
+        max_excess[b], total_iters[b] = starts[b].residual_excess, starts[b].iterations
     assemblies, evaluations, rescues = np.zeros((3, count), dtype=int)
     dev = None  # each member's device evaluation at xg, once a solve has made one
     # DC source values are set once, and each distinct time-varying waveform
@@ -894,8 +897,7 @@ def solve_lockstep(
     v_prev = cap_voltage(xg)
     i_prev = np.zeros_like(v_prev)
     cap_geq = [np.array([al * gr.cap_c for al, gr in zip(alpha, graphs)]) for alpha in alphas]
-    going = np.ones(count, dtype=bool)  # the members still stepping
-    results: list = [None] * count
+    results: list = list(starts)  # a failed start is its member's result
     time_bases: dict[tuple, np.ndarray] = {}  # built once for the members that share them
 
     def waveforms(b: int, upto: int) -> WaveformSet:
@@ -919,6 +921,8 @@ def solve_lockstep(
         return ws
 
     for k in range(1, last.max() + 1):
+        if not going.any():
+            break
         src[rows, cols] = np.array([spec.value_at(k * h) for spec, h in waves])[which]
         phase = min(k, 2) - 1
         # the backward-Euler step starts from i_prev = 0
@@ -948,6 +952,4 @@ def solve_lockstep(
         for b in (going & (last == k)).nonzero()[0]:
             results[b] = waveforms(b, k)
             going[b] = False
-        if not going.any():
-            break
     return results

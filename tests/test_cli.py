@@ -131,6 +131,19 @@ def test_run_voltage_source_on_one_node_is_a_validation_error(tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shorted.cir"]
 
 
+LOOP = "source loop\nV1 a 0 DC 1\nV2 b a DC 1\nV3 b 0 DC 2\nR1 a b 1k\n.OP\n.END\n"
+
+
+def test_run_voltage_source_loop_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    """Without the check every DC strategy met a singular matrix (exit 2)."""
+    monkeypatch.setattr(amps.solver, "_newton_batch", no_newton)
+    src = write(tmp_path, "loop.cir", LOOP)
+    assert main(["run", str(src), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{src}: error: voltage source closes a loop of voltage sources [V3]\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loop.cir"]
+
+
 def test_run_bundled_bench_transient(tmp_path):
     out = tmp_path / "bench.csv"
     bench = write(
@@ -704,6 +717,7 @@ NETLISTS = {
     "missing.cir": None,
     "ground.cir": GROUND_ONLY,
     "shorted.cir": SHORTED,
+    "loop.cir": LOOP,
 }
 GOOD_NETLISTS = ["rc.cir", "divider.cir"]
 RUN_NETLISTS = (GOOD_NETLISTS, sorted(NETLISTS.keys() - set(GOOD_NETLISTS)))

@@ -179,6 +179,15 @@ def test_duplicate_element_name():
         parse_netlist(wrap("R1 a 0 1k", "r1 a 0 2k"))
 
 
+def test_duplicate_model_name():
+    """The second card is rejected at its line, instead of replacing the first."""
+    text = wrap(".MODEL NX NMOS VTO=0.5 KP=1e-4", "V1 d 0 DC 1.5",
+                ".model nx NMOS VTO=5", "+ KP=1e-4", "M1 d d 0 0 NX W=1u L=1u", ".OP")
+    with pytest.raises(NetlistError, match="duplicate model name NX") as err:
+        parse_netlist(text)
+    assert err.value.line == 4
+
+
 def test_empty_netlist_rejected():
     with pytest.raises(NetlistError, match="empty"):
         parse_netlist("   \n  ")
@@ -282,6 +291,30 @@ def test_validate_voltage_source_on_one_node(node):
     """Its branch equation reads 0 = e: every DC strategy would meet a singular matrix."""
     doc = parse_netlist(wrap(f"V1 {node} {node} DC 1", "R1 c 0 1k", "R2 c 0 2k", ".OP"))
     assert errors(validate(doc)) == [f"voltage source with both terminals on node {node}"]
+
+
+@pytest.mark.parametrize(
+    ("cards", "closing"),
+    [
+        pytest.param(("V1 a 0 DC 1", "V2 a 0 DC 2"), "V2", id="parallel"),
+        pytest.param(("V1 a 0 DC 1", "V2 b a DC 1", "V3 b 0 DC 2"), "V3", id="three"),
+        pytest.param(("V1 a b DC 1", "V2 c 0 DC 1", "V3 a c DC 1", "V4 0 b DC 1"), "V4",
+                     id="joined-groups"),
+    ],
+)
+def test_validate_voltage_source_loop(cards, closing):
+    """Around a loop of voltage sources KVL fixes a sum of source values, so
+    the MNA matrix is singular: the source that closes the loop is named."""
+    diags = validate(parse_netlist(wrap(*cards, "R1 a 0 1k", "R2 a 0 2k", ".OP")))
+    assert [(d.message, d.location) for d in diags if d.severity == "error"] == [
+        ("voltage source closes a loop of voltage sources", closing)
+    ]
+
+
+def test_validate_voltage_source_tree_is_clean():
+    doc = parse_netlist(wrap("V1 a 0 DC 1", "V2 b a DC 1", "V3 c a DC 1", "V4 d 0 DC 1",
+                             "R1 b c 1k", "R2 c d 1k", "R3 d b 1k", ".OP"))
+    assert errors(validate(doc)) == []
 
 
 def test_validate_no_sources():

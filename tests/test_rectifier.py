@@ -18,7 +18,14 @@ from amps.rectifier import (
     ideal_dual_phase,
     run_bench,
 )
-from amps.solver import SolverOptions, TransientNonConvergence
+from amps.solver import (
+    NonConvergenceError,
+    SolverError,
+    SolverOptions,
+    TransientNonConvergence,
+    solve_dc,
+    sweep_values,
+)
 
 HALF_AMP = 200e-6
 
@@ -293,3 +300,101 @@ def test_lockstep_members_with_mixed_step_counts_match_single_runs(monkeypatch, 
         for a, b in zip(got.waveforms, alone.waveforms, strict=True):
             assert a.times.tobytes() == b.times.tobytes()
             assert a.values.tobytes() == b.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a config or sweep member whose DC start fails
+# ---------------------------------------------------------------------------
+
+
+def failing_starts(monkeypatch, fails) -> list[NonConvergenceError]:
+    """Patch the ``solve_dc`` that ``amps.rectifier`` calls to raise for the
+    graphs ``fails`` picks; the returned list collects the errors raised."""
+    import amps.rectifier
+
+    solve_dc, raised = amps.rectifier.solve_dc, []
+
+    def patched(graph, options, *args):
+        if fails(graph):
+            raised.append(NonConvergenceError(None, float("nan"), ["patched: no start"]))
+            raise raised[-1]
+        return solve_dc(graph, options, *args)
+
+    monkeypatch.setattr(amps.rectifier, "solve_dc", patched)
+    return raised
+
+
+def lockstep_going(monkeypatch, size: int) -> list[np.ndarray]:
+    """Patch the Newton kernel to record the ``going`` mask of each call on
+    ``size`` members."""
+    import amps.solver
+
+    kernel, masks = amps.solver._newton_batch, []
+
+    def wrapper(batch, xg, src, cap_ieq, dev=None, going=None):
+        if len(xg) == size:
+            masks.append(np.ones(size, dtype=bool) if going is None else going.copy())
+        return kernel(batch, xg, src, cap_ieq, dev, going)
+
+    monkeypatch.setattr(amps.solver, "_newton_batch", wrapper)
+    return masks
+
+
+def test_run_bench_config_whose_start_fails_takes_no_step(monkeypatch):
+    """The config gets the error its ``solve_dc`` raised and is a spent row
+    of the lockstep from step 1; the others get their solo runs bit for bit."""
+    cfgs = [BenchConfig(frequency=f, periods=3, steps_per_period=100) for f in (1e3, 1e6, 1e8)]
+    alone = [run_bench([cfg])[0] for cfg in cfgs]
+    raised = failing_starts(monkeypatch, lambda g: g.isources[0].spec.frequency == 1e6)
+    masks = lockstep_going(monkeypatch, len(cfgs))
+    got = run_bench(cfgs)
+    assert len(raised) == 1 and got[1] is raised[0]
+    assert masks and not any(going[1] for going in masks)
+    for b in (0, 2):
+        assert got[b].stats == alone[b].stats
+        assert got[b].names() == alone[b].names()
+        for x, y in zip(got[b].waveforms, alone[b].waveforms, strict=True):
+            assert x.times.tobytes() == y.times.tobytes()
+            assert x.values.tobytes() == y.values.tobytes()
+
+
+def test_run_bench_whose_starts_all_fail_makes_no_newton_solve(monkeypatch):
+    import amps.solver
+
+    def newton(*args):
+        raise AssertionError("a Newton step ran")
+
+    cfgs = [BenchConfig(frequency=f, periods=3, steps_per_period=100) for f in (1e3, 1e6, 1e8)]
+    raised = failing_starts(monkeypatch, lambda g: True)
+    monkeypatch.setattr(amps.solver, "_newton_batch", newton)
+    got = run_bench(cfgs)
+    assert len(raised) == 3 and all(r is e for r, e in zip(got, raised, strict=True))
+
+
+def test_dc_transfer_member_whose_first_point_fails(monkeypatch):
+    """Its first point is not converged (NaN) and its sweep goes on from
+    zeros, as one ``solve_dc`` per point from the last converged one; the
+    other members get their solo sweeps bit for bit."""
+    temps = (25.0, 75.0, 100.0)
+    graphs = [bench_graph(BenchConfig(temp=t)) for t in temps]
+    values = sweep_values(-20e-6, 20e-6, 10e-6)
+    alone = [bench_dc_transfer([g], -20e-6, 20e-6, 10e-6)[0] for g in graphs]
+    failing_starts(monkeypatch, lambda g: g.doc is graphs[1].doc)
+    got = bench_dc_transfer(graphs, -20e-6, 20e-6, 10e-6)
+    for b in (0, 2):
+        for x, y in zip(got[b], alone[b], strict=True):
+            assert x.tobytes() == y.tobytes()
+    iin, out_plus, out_minus = got[1]
+    assert iin.tolist() == values
+    assert np.isnan(out_plus[0]) and np.isnan(out_minus[0])
+    g, x_prev = graphs[1], None
+    names = [src.name for src in g.vsources]
+    for k, value in enumerate(values[1:], start=1):
+        try:
+            op = solve_dc(g.with_source("IIN", value), SolverOptions(), x_prev)
+        except SolverError:
+            assert np.isnan(out_plus[k]) and np.isnan(out_minus[k])
+            continue
+        x_prev = np.concatenate((op.voltages, op.branch_currents))
+        assert out_plus[k] == op.branch_currents[names.index("VOUTP")]
+        assert out_minus[k] == op.branch_currents[names.index("VOUTM")]

@@ -471,8 +471,8 @@ def test_lockstep_dc_sweeps_match_single_sweeps(monkeypatch):
     for g in graphs:
         try:
             firsts.append(solve_dc(g.with_source("IIN", values[0]), opts))
-        except NonConvergenceError:
-            firsts.append(None)
+        except NonConvergenceError as exc:
+            firsts.append(exc)
     fallbacks.clear()
     sweep = dc_sweep_lockstep(graphs, "IIN", values, opts, firsts)
     in_lockstep = list(fallbacks)
