@@ -244,16 +244,14 @@ def cmd_run(args) -> int:
                             [names, np.concatenate((op.voltages, op.branch_currents)), units])
                 points = 1
             elif isinstance(directive, DcSweepDirective):
-                curve = dc_sweep(
-                    graph, directive.source, directive.start, directive.stop,
-                    directive.step, opts,
-                )
-                if not all(op.converged for _, op in curve):
-                    bad = sum(1 for _, op in curve if not op.converged)
+                sweep = dc_sweep(graph, directive.source, directive.start, directive.stop,
+                                 directive.step, opts)
+                bad = np.count_nonzero(~sweep.converged)
+                if bad:
                     print(f"{out_path.name}: {bad} non-converged points", file=sys.stderr)
-                table = [[value, *op.voltages, *op.branch_currents] for value, op in curve]
-                write_table(_made_parent(out_path), (directive.source, *names), np.array(table).T)
-                points = len(curve)
+                write_table(_made_parent(out_path), (directive.source, *names),
+                            [sweep.values, *sweep.x[:, 0].T])
+                points = len(sweep.values)
             else:
                 topts = TransientOptions(tstep=directive.tstep, tstop=directive.tstop)
                 ws = solve_transient(graph, topts, opts)
@@ -332,9 +330,10 @@ def cmd_dc_sweep(args) -> int:
         graphs, args.start, args.stop, args.step, opts, source=args.source
     )
     outdir.mkdir(parents=True, exist_ok=True)
-    for temp, name, (iin, out_plus, out_minus) in zip(args.temp, names, sweeps):
-        write_table(outdir / name, ("iin", "out_plus", "out_minus"), [iin, out_plus, out_minus])
-        print(f"dc-sweep T={temp:g}: {len(iin)} points -> {outdir / name}")
+    for temp, name, (values, out_plus, out_minus) in zip(args.temp, names, sweeps):
+        write_table(outdir / name, (args.source.lower(), "out_plus", "out_minus"),
+                    [values, out_plus, out_minus])
+        print(f"dc-sweep T={temp:g}: {len(values)} points -> {outdir / name}")
     return 0
 
 

@@ -437,20 +437,39 @@ def _parse_directive(tokens: list[str], lineno: int, doc: NetlistDocument) -> No
 # ---------------------------------------------------------------------------
 
 
+def _root(parent: dict[str, str], node: str) -> str:
+    """The root of ``node``'s tree in the union-find ``parent`` (a new node is its own)."""
+    while parent.setdefault(node, node) != node:
+        node = parent[node]
+    return node
+
+
+def _join(parent: dict[str, str], a: str, b: str) -> bool:
+    """Join the trees of nodes ``a`` and ``b``; False if they were one already."""
+    ra, rb = _root(parent, a), _root(parent, b)
+    parent[rb] = ra
+    return ra != rb
+
+
 def validate(doc: NetlistDocument) -> list[Diagnostic]:
     """Semantic checks on a parsed netlist.
 
     Errors: dangling node (single terminal reference), no ground node, no
     node other than ground, MOSFET with unresolved model, voltage source that
     closes a loop of voltage sources (the shortest: both terminals on one
-    node), no sources, ``.DC`` sweep of a source the circuit lacks.
+    node), no sources, ``.DC`` sweep of a source the circuit lacks, and, when
+    an analysis (``.OP``, ``.DC``, ``.TRAN``) needs a DC operating point,
+    each island of nodes with no DC path to ground.  Resistors and voltage
+    sources make DC paths, and every MOSFET terminal has one (gmin loads
+    it); capacitors and current sources make none.
     Warnings: unused models.
     """
     diags: list[Diagnostic] = []
     refcount: dict[str, int] = {}
     used_models: set[str] = set()
     sources: set[str] = set()
-    group: dict[str, int] = {}  # nodes joined by voltage sources share a group
+    by_sources: dict[str, str] = {}  # union-find of the nodes joined by voltage sources
+    by_paths: dict[str, str] = {}  # union-find of the nodes joined by DC paths
     for elem in doc.elements:
         for n in elem.nodes:
             refcount[n] = refcount.get(n, 0) + 1
@@ -462,18 +481,30 @@ def validate(doc: NetlistDocument) -> list[Diagnostic]:
                 )
         if elem.kind in (ElementKind.VSOURCE, ElementKind.ISOURCE):
             sources.add(elem.name)
-        if elem.kind is ElementKind.VSOURCE:
-            a, b = (group.setdefault(n, len(group)) for n in elem.nodes)
-            if a == b:  # its nodes are joined already: it closes a loop
-                message = ("voltage source closes a loop of voltage sources"
-                           if elem.nodes[0] != elem.nodes[1] else
-                           f"voltage source with both terminals on node {elem.nodes[0]}")
-                diags.append(Diagnostic("error", message, elem.name))
-            group = {n: a if g == b else g for n, g in group.items()}
+        if elem.kind is ElementKind.VSOURCE and not _join(by_sources, *elem.nodes):
+            message = ("voltage source closes a loop of voltage sources"
+                       if elem.nodes[0] != elem.nodes[1] else
+                       f"voltage source with both terminals on node {elem.nodes[0]}")
+            diags.append(Diagnostic("error", message, elem.name))
+        if elem.kind in (ElementKind.RESISTOR, ElementKind.VSOURCE):
+            _join(by_paths, *elem.nodes)
+        elif elem.kind is ElementKind.MOSFET:
+            for n in elem.nodes:
+                _join(by_paths, "0", n)
     if "0" not in refcount:
         diags.append(Diagnostic("error", "no ground node", "0"))
     elif len(refcount) == 1:
         diags.append(Diagnostic("error", "circuit has no node other than ground", doc.title))
+    elif any(isinstance(d, (OpDirective, DcSweepDirective, TranDirective))
+             for d in doc.directives):
+        islands: dict[str, list[str]] = {}  # by root, in order of first appearance
+        for node in refcount:
+            islands.setdefault(_root(by_paths, node), []).append(node)
+        del islands[_root(by_paths, "0")]
+        for nodes in islands.values():
+            label = "node" + "s" * (len(nodes) > 1)
+            diags.append(Diagnostic(
+                "error", f"no DC path to ground from {label} {', '.join(nodes)}", nodes[0]))
     for node, count in refcount.items():
         if count == 1:
             diags.append(Diagnostic("error", f"dangling node {node}", node))

@@ -226,13 +226,12 @@ def bench_dc_transfer(
     values = sweep_values(start, stop, step)
     firsts = _starts([graph.with_source(source, values[0]) for graph in graphs], options)
     sweep = dc_sweep_lockstep(graphs, source, values, options, firsts)
-    iin = np.array(values)
     results = []
     for b, graph in enumerate(graphs):
         names = [src.name for src in graph.vsources]
         out_plus, out_minus = (sweep.x[:, b, graph.n + names.index(name)]
                                for name in ("VOUTP", "VOUTM"))
-        results.append((iin, out_plus, out_minus))
+        results.append((sweep.values, out_plus, out_minus))
     return results
 
 

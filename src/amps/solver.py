@@ -27,8 +27,9 @@ returns, which is where the next time step, sweep point or homotopy stage
 starts.  So circuits that share one topology (``_Batch`` checks it) can be
 solved in lockstep: transients (``solve_lockstep``, each with its own step
 count; ``solve_transient`` is its one-member form, with ``voltages``) take
-each time step, and DC sweeps of one source (``dc_sweep_lockstep``) each
-sweep value, together, and each one's results are the ones it gets alone.
+each time step, and DC sweeps of one source (``dc_sweep_lockstep``;
+``dc_sweep`` is its one-member form) each sweep value, together, and each
+one's results are the ones it gets alone.
 A transient whose start or step fails, or that is done, stays in its batch
 as a spent row, so a lockstep builds one ``_Batch`` per integration phase.
 
@@ -119,11 +120,10 @@ class SolverOptions:
 
 @dataclass
 class OperatingPoint:
-    """Converged node voltages and voltage-source branch currents."""
+    """The node voltages and voltage-source branch currents a DC solve converged to."""
 
     voltages: np.ndarray  # length n
     branch_currents: np.ndarray  # length m
-    converged: bool
     iterations: int
     residual_excess: float = float("nan")  # max KCL residual minus its tolerance
 
@@ -138,9 +138,6 @@ class TransientOptions:
         check_tran(self.tstep, self.tstop)
         if self.ic not in ("from_op", "zero_start"):
             raise ValueError(f"unknown initial-condition mode {self.ic!r}")
-
-
-TransferCurve = list[tuple[float, OperatingPoint]]
 
 
 @dataclass(frozen=True)
@@ -621,7 +618,6 @@ def _point(graph: CircuitGraph, xg: np.ndarray, iterations: int, excess: float) 
     return OperatingPoint(
         voltages=xg[1 : graph.n + 1],
         branch_currents=xg[graph.n + 1:],
-        converged=True,
         iterations=iterations,
         residual_excess=excess,
     )
@@ -709,37 +705,27 @@ def dc_sweep(
     stop: float,
     step: float,
     options: SolverOptions,
-) -> TransferCurve:
+) -> SweepRecord:
     """Sweep one source's DC value, warm-starting each point from the last.
 
-    Each point is ``solve_dc`` of the circuit with the source held at that
-    value.  Non-convergent points are recorded (``converged=False``, NaN
-    vectors) and the sweep continues from the last converged point.
+    The one-member ``dc_sweep_lockstep``, whose first point is ``solve_dc``
+    of the circuit with the source held at the first value.  Non-convergent
+    points are recorded (not converged, NaN unknowns) and the sweep
+    continues from the last converged point.
     """
-    name = graph.find_source(source_name).name  # KeyError if unknown
     values = sweep_values(start, stop, step)
     try:
-        first = solve_dc(graph.with_source(name, values[0]), options)
+        first = solve_dc(graph.with_source(source_name, values[0]), options)
     except SolverError as exc:
         first = exc
-    sweep = dc_sweep_lockstep([graph], name, values, options, [first])
-    n = graph.n
-    return [
-        (value, OperatingPoint(
-            voltages=sweep.x[k, 0, :n],
-            branch_currents=sweep.x[k, 0, n:],
-            converged=bool(sweep.converged[k, 0]),
-            iterations=int(sweep.iterations[k, 0]),
-            residual_excess=float(sweep.residual_excess[k, 0]),
-        ))
-        for k, value in enumerate(values)
-    ]
+    return dc_sweep_lockstep([graph], source_name, values, options, [first])
 
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """DC sweeps of several circuits, indexed [point, member]."""
+    """DC sweeps of several circuits through the swept ``values``, indexed [point, member]."""
 
+    values: np.ndarray  # (points,) the swept source's values
     x: np.ndarray  # (points, members, size) unknowns; NaN where not converged
     converged: np.ndarray
     iterations: np.ndarray
@@ -759,8 +745,8 @@ def dc_sweep_lockstep(
     that is a SolverError.  Each later value is one batched Newton solve for
     every member, from the member's own last converged point (zeros before
     it has one).  A member that fails there gets ``solve_dc``'s homotopies;
-    if they fail too, its point is not converged.  Each member's points are
-    the ones ``dc_sweep`` gives it alone.
+    if they fail too, its point is not converged (NaN unknowns).  Each
+    member's column of the returned record is the one ``dc_sweep`` gives it.
     """
     if not graphs or len(firsts) != len(graphs):
         raise ValueError("need one first point per graph, and at least one graph")
@@ -771,6 +757,7 @@ def dc_sweep_lockstep(
     # each member's column of the swept source in ``src``
     held = [(*gr.isources, *gr.vsources).index(gr.find_source(source_name)) for gr in graphs]
     sweep = SweepRecord(
+        values=np.array(values, dtype=float),
         x=np.full((points, count, size), np.nan),
         converged=np.zeros((points, count), dtype=bool),
         iterations=np.zeros((points, count), dtype=int),

@@ -40,7 +40,8 @@ M1 d d 0 0 NX W=1u L=1u
 .END
 """
 
-# validates cleanly but is exactly singular: current source into an island
+# a current source into an island of nodes with no DC path to ground: its
+# matrix is exactly singular, so validation rejects it before any solve
 PATHOLOGICAL = """non-convergent
 Vb b 0 DC 1
 Rb b 0 1k
@@ -85,13 +86,13 @@ def test_run_syntax_error_has_line_number(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_run_nonconvergent_exits_2(tmp_path, capsys):
-    src = write(tmp_path, "bad.cir", PATHOLOGICAL)
+def test_run_nonconvergent_exits_2(tmp_path, capsys, monkeypatch):
+    # no Newton update: every DC strategy fails at its first assembly
+    monkeypatch.setattr(amps.cli, "SolverOptions", lambda: SolverOptions(max_newton_iters=0))
+    src = write(tmp_path, "div.cir", DIVIDER)
     assert main(["run", str(src)]) == 2
     captured = capsys.readouterr()
     assert "failed" in captured.err and len(captured.err.splitlines()) == 1
-    # the singular Jacobian names a node of the island
-    assert any(f"singular MNA matrix at node {n}" in captured.err for n in ("n1", "n2"))
     # every DC strategy failed: no residual, and no location but the log's
     assert "no DC operating point; tried: plain: " in captured.err
     assert "nan" not in captured.err and "exhausted" not in captured.err
@@ -132,6 +133,16 @@ def test_run_voltage_source_on_one_node_is_a_validation_error(tmp_path, capsys, 
 
 
 LOOP = "source loop\nV1 a 0 DC 1\nV2 b a DC 1\nV3 b 0 DC 2\nR1 a b 1k\n.OP\n.END\n"
+
+
+def test_run_node_without_dc_path_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    """Without the check every DC strategy met a singular matrix (exit 2)."""
+    monkeypatch.setattr(amps.solver, "_newton_batch", no_newton)
+    src = write(tmp_path, "island.cir", PATHOLOGICAL)
+    assert main(["run", str(src), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{src}: error: no DC path to ground from nodes n1, n2 [n1]\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["island.cir"]
 
 
 def test_run_voltage_source_loop_is_a_validation_error(tmp_path, capsys, monkeypatch):
@@ -199,6 +210,18 @@ def test_run_dc_sweep_directive(tmp_path):
         "1.50000000e+00,1.50000000e+00,7.50000000e-01,-7.50000000e-04\n"
         "2.00000000e+00,2.00000000e+00,1.00000000e+00,-1.00000000e-03\n"
     )
+
+
+def test_run_dc_sweep_of_failing_points_writes_nan_rows(tmp_path, capsys, monkeypatch):
+    # no Newton update: no point of the sweep converges, yet the sweep is written
+    monkeypatch.setattr(amps.cli, "SolverOptions", lambda: SolverOptions(max_newton_iters=0))
+    src = write(tmp_path, "sweep.cir", DIVIDER.replace(".OP", ".DC V1 1 2 0.5"))
+    out = tmp_path / "sweep.csv"
+    assert main(["run", str(src), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == "sweep.csv: 3 non-converged points\n"
+    assert out.read_text().splitlines() == ["V1,v(top),v(mid),i(V1)"] + [
+        f"{v:.8e},nan,nan,nan" for v in (1.0, 1.5, 2.0)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +406,16 @@ def test_dc_sweep_four_temps(tmp_path):
         lines = path.read_text().splitlines()
         assert lines[0] == "iin,out_plus,out_minus"
         assert len(lines) == 22  # header + 21 points
+
+
+def test_dc_sweep_names_its_first_column_after_the_source(tmp_path):
+    rc = main(["dc-sweep", "--source", "VDD", "--from", "1.4", "--to", "1.6", "--step", "0.1",
+               "-o", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "dcsweep_t25.csv").read_text().splitlines()
+    assert lines[0] == "vdd,out_plus,out_minus"
+    assert [row.split(",")[0] for row in lines[1:]] == [f"{v:.8e}" for v in (1.4, 1.5, 1.6)]
+    assert "nan" not in "".join(lines)
 
 
 def test_dc_sweep_lockstep_writes_what_single_runs_write(tmp_path):
@@ -663,9 +696,11 @@ TINY_STEP = "too fine a transient\nV1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.TRAN 1e-3
         ["run", "div.cir", "--temp", "25,25"],
         ["run", "div.cir", "--temp", "25,25.0000001"],
         ["run", "temp_twice.cir"],
+        ["run", "no_analysis.cir"],
     ],
 )
 def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv):
+    write(tmp_path, "no_analysis.cir", DIVIDER.replace(".OP\n", ".TEMP 25\n"))
     write(tmp_path, "short_tran.cir", SHORT_TRAN)
     write(tmp_path, "tiny_step.cir", TINY_STEP)
     write(tmp_path, "div.cir", DIVIDER)
@@ -718,6 +753,7 @@ NETLISTS = {
     "ground.cir": GROUND_ONLY,
     "shorted.cir": SHORTED,
     "loop.cir": LOOP,
+    "island.cir": PATHOLOGICAL,
 }
 GOOD_NETLISTS = ["rc.cir", "divider.cir"]
 RUN_NETLISTS = (GOOD_NETLISTS, sorted(NETLISTS.keys() - set(GOOD_NETLISTS)))

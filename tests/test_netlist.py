@@ -164,6 +164,11 @@ def test_ground_is_index_zero():
         ("M1 d g s b CMOSN W=1u L=1e999", "M1: value of L is not a number: '1e999'"),
         ("M1 d g s b CMOSN X=1u W=1u L=1u", "M1: unknown MOSFET parameter X"),
         ("M1 d g s b CMOSN W L=1u", "M1: expected key=value, got 'W'"),
+        ("M1 d g s b CMOSN W=0 L=1u", "M1: W and L must be > 0"),
+        (".MODEL NX NMOS TOX=0", "model NX: TOX must be > 0"),
+        (".MODEL NX NMOS PHI=-0.7", "model NX: PHI must be > 0"),
+        (".TRAN 1u", ".TRAN needs: tstep tstop"),
+        (".TEMP", ".TEMP needs at least one temperature"),
     ],
 )
 def test_syntax_errors_carry_line_numbers(card, fragment):
@@ -315,6 +320,36 @@ def test_validate_voltage_source_tree_is_clean():
     doc = parse_netlist(wrap("V1 a 0 DC 1", "V2 b a DC 1", "V3 c a DC 1", "V4 d 0 DC 1",
                              "R1 b c 1k", "R2 c d 1k", "R3 d b 1k", ".OP"))
     assert errors(validate(doc)) == []
+
+
+@pytest.mark.parametrize(
+    ("cards", "want"),
+    [
+        pytest.param(("I1 0 a DC 1u", "I2 a 0 DC 2u", ".OP"), [("node a", "a")], id="sources"),
+        pytest.param(("I1 b a DC 1u", "C1 a 0 1n", "R1 b 0 1k", ".OP"), [("node a", "a")],
+                     id="capacitor"),
+        pytest.param(("V1 a 0 DC 1", "C1 a b 1n", "R1 b c 1k", "C2 c 0 1n", ".TRAN 1u 1m"),
+                     [("nodes b, c", "b")], id="between-capacitors"),
+        pytest.param(("V1 a 0 DC 1", "R0 a 0 1k", "I1 0 n1 DC 1u", "R1 n1 n2 1k",
+                      "R2 n2 n1 1k", "I2 0 x DC 1u", "C1 x 0 1p", ".DC V1 0 1 0.5"),
+                     [("nodes n1, n2", "n1"), ("node x", "x")], id="two-islands"),
+        pytest.param(("V1 d 0 DC 1", "M1 d g 0 0 NX W=1u L=1u", "C1 g 0 1p",
+                      ".MODEL NX NMOS VTO=0.7 KP=1e-4", ".OP"), [], id="gate-through-gmin"),
+        pytest.param(("I1 0 a DC 1u", "I2 a 0 DC 2u", ".TEMP 25"), [], id="no-analysis"),
+    ],
+)
+def test_validate_node_without_dc_path(cards, want):
+    """Such an island makes the DC matrix singular; an analysis that needs a
+    DC operating point rejects it, naming its nodes in order of appearance."""
+    diags = validate(parse_netlist(wrap(*cards)))
+    assert [(d.message, d.location) for d in diags if d.severity == "error"] == [
+        (f"no DC path to ground from {nodes}", at) for nodes, at in want
+    ]
+
+
+def test_validate_no_ground_skips_the_dc_path_check():
+    doc = parse_netlist(wrap("R1 a b 1k", "V1 a b DC 1", "I1 c a DC 1u", "C1 c b 1n", ".OP"))
+    assert errors(validate(doc)) == ["no ground node"]
 
 
 def test_validate_no_sources():
