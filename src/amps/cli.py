@@ -34,7 +34,6 @@ from .rectifier import BenchConfig, compare, retained_window, run_bench
 from .solver import (
     SolverError,
     SolverOptions,
-    TransientOptions,
     build_graph,
     dc_sweep,
     solve_dc,
@@ -244,8 +243,7 @@ def cmd_run(args) -> int:
                             [names, np.concatenate((op.voltages, op.branch_currents)), units])
                 points = 1
             elif isinstance(directive, DcSweepDirective):
-                sweep = dc_sweep(graph, directive.source, directive.start, directive.stop,
-                                 directive.step, opts)
+                sweep = dc_sweep(graph, directive, opts)
                 bad = np.count_nonzero(~sweep.converged)
                 if bad:
                     print(f"{out_path.name}: {bad} non-converged points", file=sys.stderr)
@@ -253,8 +251,7 @@ def cmd_run(args) -> int:
                             [sweep.values, *sweep.x[:, 0].T])
                 points = len(sweep.values)
             else:
-                topts = TransientOptions(tstep=directive.tstep, tstop=directive.tstop)
-                ws = solve_transient(graph, topts, opts)
+                ws = solve_transient(graph, directive, opts)
                 write_csv(ws, _made_parent(out_path))
                 points = ws.stats["steps"] + 1
         except SolverError as exc:
@@ -323,12 +320,11 @@ def cmd_dc_sweep(args) -> int:
     outdir = _output_target(args.out, directory=True)
     opts = _solver_options(args)
     names = _distinct([f"dcsweep_t{temp:g}.csv" for temp in args.temp])
-    # every graph before the sweep, which rejects a bad step or source before
-    # it solves, and the sweep before the directory
+    sweep = DcSweepDirective(args.source, args.start, args.stop, args.step)
+    # every graph before the sweep, which rejects an unknown source before it
+    # solves, and the sweep before the directory
     graphs = [rectifier.bench_graph(BenchConfig(temp=temp)) for temp in args.temp]
-    sweeps = rectifier.bench_dc_transfer(
-        graphs, args.start, args.stop, args.step, opts, source=args.source
-    )
+    sweeps = rectifier.bench_dc_transfer(graphs, sweep, opts)
     outdir.mkdir(parents=True, exist_ok=True)
     for temp, name, (values, out_plus, out_minus) in zip(args.temp, names, sweeps):
         write_table(outdir / name, (args.source.lower(), "out_plus", "out_minus"),

@@ -152,12 +152,10 @@ class OpDirective:
     pass
 
 
-@dataclass(frozen=True)
-class DcSweepDirective:
-    source: str
-    start: float
-    stop: float
-    step: float
+# A transient covers at least this many steps: tstop >= TRAN_MIN_STEPS * tstep.
+TRAN_MIN_STEPS = 10
+# A sweep or a transient takes at most this many steps.
+MAX_STEPS = 10**7
 
 
 def check_sweep_step(start: float, stop: float, step: float) -> None:
@@ -169,27 +167,34 @@ def check_sweep_step(start: float, stop: float, step: float) -> None:
         raise ValueError(f"sweep step {step:g} takes more than {MAX_STEPS} steps")
 
 
-def check_tran(tstep: float, tstop: float) -> None:
-    """Reject a transient step that is not positive or that takes fewer than
-    ``TRAN_MIN_STEPS`` or more than ``MAX_STEPS`` steps to reach ``tstop``."""
-    if not tstop > tstep > 0:
-        raise ValueError("requires tstop > tstep > 0")
-    if tstop < TRAN_MIN_STEPS * tstep:
-        raise ValueError(f"requires tstop >= {TRAN_MIN_STEPS}*tstep")
-    if not tstop / tstep <= MAX_STEPS:
-        raise ValueError(f"requires tstop <= {MAX_STEPS}*tstep")
+@dataclass(frozen=True)
+class DcSweepDirective:
+    """A ``.DC`` card; a step that ``check_sweep_step`` rejects raises ValueError."""
 
+    source: str
+    start: float
+    stop: float
+    step: float
 
-# A transient covers at least this many steps: tstop >= TRAN_MIN_STEPS * tstep.
-TRAN_MIN_STEPS = 10
-# A sweep or a transient takes at most this many steps.
-MAX_STEPS = 10**7
+    def __post_init__(self):
+        check_sweep_step(self.start, self.stop, self.step)
 
 
 @dataclass(frozen=True)
 class TranDirective:
+    """A ``.TRAN`` card; a step that is not positive, or that takes fewer than
+    ``TRAN_MIN_STEPS`` or more than ``MAX_STEPS`` steps, raises ValueError."""
+
     tstep: float
     tstop: float
+
+    def __post_init__(self):
+        if not self.tstop > self.tstep > 0:
+            raise ValueError("requires tstop > tstep > 0")
+        if self.tstop < TRAN_MIN_STEPS * self.tstep:
+            raise ValueError(f"requires tstop >= {TRAN_MIN_STEPS}*tstep")
+        if not self.tstop / self.tstep <= MAX_STEPS:
+            raise ValueError(f"requires tstop <= {MAX_STEPS}*tstep")
 
 
 @dataclass(frozen=True)
@@ -414,14 +419,13 @@ def _parse_directive(tokens: list[str], lineno: int, doc: NetlistDocument) -> No
         if len(tokens) != 5:
             raise NetlistError(".DC needs: source start stop step", lineno)
         start, stop, step = (_num(t, lineno) for t in tokens[2:5])
-        _at(lineno, ".DC ", check_sweep_step, start, stop, step)
-        doc.directives.append(DcSweepDirective(tokens[1].upper(), start, stop, step))
+        doc.directives.append(_at(lineno, ".DC ", DcSweepDirective, tokens[1].upper(),
+                                  start, stop, step))
     elif word == ".TRAN":
         if len(tokens) != 3:
             raise NetlistError(".TRAN needs: tstep tstop", lineno)
         tstep, tstop = _num(tokens[1], lineno), _num(tokens[2], lineno)
-        _at(lineno, ".TRAN ", check_tran, tstep, tstop)
-        doc.directives.append(TranDirective(tstep, tstop))
+        doc.directives.append(_at(lineno, ".TRAN ", TranDirective, tstep, tstop))
     elif word == ".TEMP":
         if len(tokens) < 2:
             raise NetlistError(".TEMP needs at least one temperature", lineno)

@@ -17,13 +17,12 @@ from importlib.resources import files
 import numpy as np
 
 from .analysis import PrecisionReport, Waveform, WaveformError, WaveformSet
-from .netlist import MAX_STEPS, parse_netlist
+from .netlist import MAX_STEPS, DcSweepDirective, TranDirective, parse_netlist
 from .solver import (
     CircuitGraph,
     OperatingPoint,
     SolverError,
     SolverOptions,
-    TransientOptions,
     build_graph,
     dc_sweep_lockstep,
     solve_dc,
@@ -170,14 +169,13 @@ def run_bench(
     that solver error in place of its waveforms.  Every netlist and graph is
     built first, so a bad config raises ValueError before any solve.  Each
     config's operating point is a ``solve_dc`` call (``_starts``); then the
-    configs run their transients in one lockstep, each with its own step
-    count and the results it gets alone (a failed start takes no step).
+    configs run their transients in one lockstep, each the ``.TRAN`` of its
+    netlist with the results it gets alone (a failed start takes no step).
     """
     options = options or SolverOptions()
     graphs = [bench_graph(cfg) for cfg in configs]
-    topts = [TransientOptions(tstep=1.0 / (cfg.frequency * cfg.steps_per_period),
-                              tstop=cfg.periods / cfg.frequency) for cfg in configs]
-    runs = solve_lockstep(graphs, topts, options, _starts(graphs, options))
+    trans = [d for g in graphs for d in g.doc.directives if isinstance(d, TranDirective)]
+    runs = solve_lockstep(graphs, trans, options, _starts(graphs, options))
     return [raw if isinstance(raw, SolverError) else _contract_waveforms(raw) for raw in runs]
 
 
@@ -208,14 +206,9 @@ def bench_graph(cfg: BenchConfig) -> CircuitGraph:
 
 
 def bench_dc_transfer(
-    graphs: Sequence[CircuitGraph],
-    start: float,
-    stop: float,
-    step: float,
-    options: SolverOptions | None = None,
-    source: str = "IIN",
+    graphs: Sequence[CircuitGraph], sweep: DcSweepDirective, options: SolverOptions | None = None
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """DC-sweep one source of ``bench_graph``s (by default the input current).
+    """The ``.DC`` analysis ``sweep`` (of the input current IIN, say) on each ``bench_graph``.
 
     Returns one (swept values, out_plus, out_minus) per graph, in order;
     non-converged points are NaN.  Each graph's first point is a ``solve_dc``
@@ -223,15 +216,15 @@ def bench_dc_transfer(
     with the same results as one at a time.
     """
     options = options or SolverOptions()
-    values = sweep_values(start, stop, step)
-    firsts = _starts([graph.with_source(source, values[0]) for graph in graphs], options)
-    sweep = dc_sweep_lockstep(graphs, source, values, options, firsts)
+    values = sweep_values(sweep.start, sweep.stop, sweep.step)
+    firsts = _starts([graph.with_source(sweep.source, values[0]) for graph in graphs], options)
+    record = dc_sweep_lockstep(graphs, sweep.source, values, options, firsts)
     results = []
     for b, graph in enumerate(graphs):
         names = [src.name for src in graph.vsources]
-        out_plus, out_minus = (sweep.x[:, b, graph.n + names.index(name)]
+        out_plus, out_minus = (record.x[:, b, graph.n + names.index(name)]
                                for name in ("VOUTP", "VOUTM"))
-        results.append((sweep.values, out_plus, out_minus))
+        results.append((record.values, out_plus, out_minus))
     return results
 
 

@@ -25,11 +25,12 @@ evaluates the devices, except a solve's first when it is given the
 evaluation at its start: a solve returns the evaluation at the point it
 returns, which is where the next time step, sweep point or homotopy stage
 starts.  So circuits that share one topology (``_Batch`` checks it) can be
-solved in lockstep: transients (``solve_lockstep``, each with its own step
-count; ``solve_transient`` is its one-member form, with ``voltages``) take
-each time step, and DC sweeps of one source (``dc_sweep_lockstep``;
-``dc_sweep`` is its one-member form) each sweep value, together, and each
-one's results are the ones it gets alone.
+solved in lockstep: transients (``solve_lockstep``, each with its own
+``TranDirective`` and start; ``solve_transient`` is its one-member form from
+the DC point, with ``voltages``) take each time step, and DC sweeps of one
+source (``dc_sweep_lockstep``; ``dc_sweep`` is its one-member form, of a
+``DcSweepDirective``) each sweep value, together, and each one's results
+are the ones it gets alone.
 A transient whose start or step fails, or that is done, stays in its batch
 as a spent row, so a lockstep builds one ``_Batch`` per integration phase.
 
@@ -58,11 +59,12 @@ from .device import (  # noqa: F401  eval_mosfet: the benchmark tracer wraps it 
 )
 from .netlist import (
     DcSpec,
+    DcSweepDirective,
     ElementKind,
     NetlistDocument,
     SourceSpec,
+    TranDirective,
     check_sweep_step,
-    check_tran,
     validate,
 )
 
@@ -94,6 +96,7 @@ class TransientNonConvergence(SolverError):
         self.time = time
         self.partial = partial
         super().__init__(f"transient aborted at t={time:.6e}s: {cause}")
+        self.__cause__ = cause
 
 
 GMIN_STEPS = 10  # gmin stepping: decades from 1e-2 S down to gmin
@@ -120,24 +123,14 @@ class SolverOptions:
 
 @dataclass
 class OperatingPoint:
-    """The node voltages and voltage-source branch currents a DC solve converged to."""
+    """The node voltages and voltage-source branch currents a DC solve converged
+    to, or a transient start that a caller builds (all zeros, say)."""
 
     voltages: np.ndarray  # length n
     branch_currents: np.ndarray  # length m
     iterations: int
-    residual_excess: float = float("nan")  # max KCL residual minus its tolerance
-
-
-@dataclass(frozen=True)
-class TransientOptions:
-    tstep: float
-    tstop: float
-    ic: str = "from_op"  # "from_op" | "zero_start"
-
-    def __post_init__(self):
-        check_tran(self.tstep, self.tstop)
-        if self.ic not in ("from_op", "zero_start"):
-            raise ValueError(f"unknown initial-condition mode {self.ic!r}")
+    # max KCL residual minus its tolerance; -inf for a start that no solve checked
+    residual_excess: float = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -698,27 +691,20 @@ def sweep_values(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def dc_sweep(
-    graph: CircuitGraph,
-    source_name: str,
-    start: float,
-    stop: float,
-    step: float,
-    options: SolverOptions,
-) -> SweepRecord:
-    """Sweep one source's DC value, warm-starting each point from the last.
+def dc_sweep(graph: CircuitGraph, sweep: DcSweepDirective, options: SolverOptions) -> SweepRecord:
+    """The ``.DC`` analysis ``sweep``, warm-starting each point from the last.
 
     The one-member ``dc_sweep_lockstep``, whose first point is ``solve_dc``
     of the circuit with the source held at the first value.  Non-convergent
     points are recorded (not converged, NaN unknowns) and the sweep
     continues from the last converged point.
     """
-    values = sweep_values(start, stop, step)
+    values = sweep_values(sweep.start, sweep.stop, sweep.step)
     try:
-        first = solve_dc(graph.with_source(source_name, values[0]), options)
+        first = solve_dc(graph.with_source(sweep.source, values[0]), options)
     except SolverError as exc:
         first = exc
-    return dc_sweep_lockstep([graph], source_name, values, options, [first])
+    return dc_sweep_lockstep([graph], sweep.source, values, options, [first])
 
 
 @dataclass(frozen=True)
@@ -789,12 +775,9 @@ def dc_sweep_lockstep(
     return sweep
 
 
-def solve_transient(
-    graph: CircuitGraph,
-    topts: TransientOptions,
-    sopts: SolverOptions,
-) -> WaveformSet:
-    """Fixed-step transient analysis.
+def solve_transient(graph: CircuitGraph, tran: TranDirective, sopts: SolverOptions) -> WaveformSet:
+    """The ``.TRAN`` analysis ``tran``: a fixed-step transient from the DC
+    operating point (``solve_dc``, which raises its SolverError).
 
     Capacitors use the trapezoidal companion (conductance 2C/h plus history
     current); the first accepted step is backward Euler.  The result holds
@@ -805,13 +788,10 @@ def solve_transient(
     ones of those that evaluated the devices (each step's first assembly
     takes the evaluation at the point the step before converged to), the
     steps that needed a gmin-stepping rescue, the step count and the step.
-    It is the one-member ``solve_lockstep`` with ``voltages``.
+    It is the one-member ``solve_lockstep`` with ``voltages``; a transient
+    from another start (all zeros, say) is that call with the start.
     """
-    if topts.ic == "from_op":
-        start = solve_dc(graph, sopts)
-    else:
-        start = _point(graph, np.zeros(graph.size + 1), 0, float("-inf"))
-    (ws,) = solve_lockstep([graph], [topts], sopts, [start], voltages=True)
+    (ws,) = solve_lockstep([graph], [tran], sopts, [solve_dc(graph, sopts)], voltages=True)
     if isinstance(ws, TransientNonConvergence):
         raise ws
     return ws
@@ -819,7 +799,7 @@ def solve_transient(
 
 def solve_lockstep(
     graphs: Sequence[CircuitGraph],
-    topts: Sequence[TransientOptions],
+    trans: Sequence[TranDirective],
     sopts: SolverOptions,
     starts: Sequence[OperatingPoint | SolverError],
     voltages: bool = False,
@@ -827,7 +807,8 @@ def solve_lockstep(
     """Fixed-step transients of circuits that share one topology, stepped together.
 
     Member b starts from ``starts[b]`` (its t=0 state, whose iterations and
-    residual count in its stats) and takes its own steps with ``topts[b]``:
+    residual count in its stats; a DC operating point or one the caller
+    builds) and takes the steps of its own ``.TRAN`` analysis ``trans[b]``:
     each step evaluates each distinct source waveform once and makes one
     batched Newton solve for every running member, on one ``_Batch`` per
     integration phase (ValueError unless the members share one topology).
@@ -840,17 +821,17 @@ def solve_lockstep(
     only the voltage-source branch currents.  ``solve_transient`` is the
     one-member form with ``voltages``.
     """
-    if not len(graphs) == len(topts) == len(starts):
-        raise ValueError("need one TransientOptions and one start per graph")
+    if not len(graphs) == len(trans) == len(starts):
+        raise ValueError("need one TranDirective and one start per graph")
     if not graphs:
         return []
-    tsteps = [o.tstep for o in topts]
+    tsteps = [t.tstep for t in trans]
     # backward Euler for the first step, trapezoidal after it
     alphas = [[a / h for h in tsteps] for a in (1.0, 2.0)]
     batches = [_Batch(graphs, sopts, alpha=alpha) for alpha in alphas]
     g = graphs[0]
     n, count, ni = g.n, len(graphs), len(g.isources)
-    last = np.array([math.floor(o.tstop / o.tstep + 1e-9) for o in topts])  # its last step
+    last = np.array([math.floor(t.tstop / t.tstep + 1e-9) for t in trans])  # its last step
     first = 1 if voltages else n + 1  # the first recorded column of xg
     width = g.size + 1 - first
     xg = np.zeros((count, g.size + 1))  # each member's unknowns, after a ground column
@@ -928,7 +909,6 @@ def solve_lockstep(
                 evaluations[b] += evaluated
             except SolverError as exc:
                 results[b] = TransientNonConvergence(k * tsteps[b], waveforms(b, k - 1), exc)
-                results[b].__cause__ = exc
                 going[b] = False
         np.add(total_iters, iters, out=total_iters, where=going)
         np.maximum(max_excess, excess, out=max_excess, where=going)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from amps.cli import main as cli_main
-from amps.netlist import parse_netlist
+from amps.netlist import DcSweepDirective, TranDirective, parse_netlist
 from amps.rectifier import (
     MODEL_CARDS,
     BenchConfig,
@@ -23,7 +23,7 @@ from amps.rectifier import (
     ideal_dual_phase,
     run_bench,
 )
-from amps.solver import SolverOptions, TransientOptions, build_graph, newton_solve, solve_transient
+from amps.solver import OperatingPoint, SolverOptions, build_graph, newton_solve, solve_lockstep
 
 HALF_AMP = 200e-6
 
@@ -135,10 +135,10 @@ def test_c3ab_solver_verification():
     rc_doc = parse_netlist("rc\nV1 in 0 DC 1\nR1 in out 1k\nC1 out 0 1u\n.END\n")
     rc_graph = build_graph(rc_doc, 27.0)
 
+    zero = OperatingPoint(np.zeros(rc_graph.n), np.zeros(rc_graph.m), 0)
+
     def max_err(h):
-        ws = solve_transient(
-            rc_graph, TransientOptions(tstep=h, tstop=5e-3, ic="zero_start"), opts
-        )
+        (ws,) = solve_lockstep([rc_graph], [TranDirective(h, 5e-3)], opts, [zero], voltages=True)
         w = ws.get("v(out)")
         return float(np.max(np.abs(w.values - (1.0 - np.exp(-w.times / 1e-3)))))
 
@@ -157,7 +157,7 @@ def test_c3ab_solver_verification():
 def test_c4_dc_transfer_fig10():
     started = time.perf_counter()
     ((iin, out_plus, out_minus),) = bench_dc_transfer(
-        [bench_graph(BenchConfig(temp=25.0))], -200e-6, 200e-6, 2e-6
+        [bench_graph(BenchConfig(temp=25.0))], DcSweepDirective("IIN", -200e-6, 200e-6, 2e-6)
     )
     assert len(iin) == 201
     assert not np.isnan(out_plus).any()

@@ -456,7 +456,7 @@ def test_dc_sweep_single_point(tmp_path):
 def test_dc_sweep_file_pins_nan_signed_zero_and_subnormal(tmp_path, monkeypatch):
     """Each value is written as '{:.8e}' writes it, byte for byte: a
     non-converged point's NaN, a -0.0 and subnormals included."""
-    def transfer(graphs, start, stop, step, options, source):
+    def transfer(graphs, sweep, options):
         iin = np.array([-1e-5, 0.0, 1e-5])
         return [(iin, np.array([np.nan, -0.0, 5e-324]),
                  np.array([1.5, 2.2250738585072014e-308 / 3, -np.inf]))]
@@ -471,7 +471,7 @@ def test_dc_sweep_file_pins_nan_signed_zero_and_subnormal(tmp_path, monkeypatch)
         "0.00000000e+00,-0.00000000e+00,7.41691286e-309\n"
         "1.00000000e-05,4.94065646e-324,-inf\n"
     )
-    rows = zip(*transfer(None, 0, 0, 0, None, None)[0])
+    rows = zip(*transfer(None, None, None)[0])
     assert text.splitlines()[1:] == [",".join(map("{:.8e}".format, row)) for row in rows]
 
 

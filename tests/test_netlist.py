@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from amps.netlist import (
     MAX_STEPS,
     DcSpec,
+    DcSweepDirective,
     Diagnostic,
     ElementKind,
     NetlistError,
@@ -376,10 +377,8 @@ def test_tran_directive():
 def test_step_counts_are_bounded():
     """A sweep or transient of more than MAX_STEPS steps, or of a count that
     overflows a float, is rejected where the count is defined."""
-    from amps.solver import TransientOptions
-
     check_sweep_step(0.0, 1.0, 1.0 / MAX_STEPS)
-    TransientOptions(tstep=1.0 / MAX_STEPS, tstop=1.0)
+    TranDirective(tstep=1.0 / MAX_STEPS, tstop=1.0)
     for start, stop, step in ((0.0, 1.0, 1e-8), (-200e-6, 200e-6, 1e-320), (-1e308, 1e308, 1.0)):
         with pytest.raises(ValueError, match="more than 10000000 steps"):
             check_sweep_step(start, stop, step)
@@ -389,22 +388,30 @@ def test_step_counts_are_bounded():
         parse_netlist(wrap("V1 a 0 DC 1", "R1 a 0 1k", ".TRAN 1n 1"))
     for tstep in (1e-8, 1e-320):
         with pytest.raises(ValueError, match=r"tstop <= 10000000\*tstep"):
-            TransientOptions(tstep=tstep, tstop=1.0)
+            TranDirective(tstep=tstep, tstop=1.0)
 
 
-@pytest.mark.parametrize(
-    "tstep,tstop",
-    [(2e-6, 1e-6), (0.0, 1.0), (-1e-6, 1e-3), (1e-3, 5e-3), (1e-9, 1.0), (1e-320, 1e-9)],
+# arguments that each card, and the record it builds, rejects
+REJECTED = (
+    [pytest.param(".TRAN", TranDirective, args, id="-".join(map(repr, args)))
+     for args in [(2e-6, 1e-6), (0.0, 1.0), (-1e-6, 1e-3), (1e-3, 5e-3), (1e-9, 1.0),
+                  (1e-320, 1e-9)]]
+    + [pytest.param(".DC", DcSweepDirective, ("V1", *args), id="dc_" + "-".join(map(repr, args)))
+       for args in [(0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (1.0, 0.0, 0.1), (0.0, 1.0, 1e-8),
+                    (-1e308, 1e308, 1.0)]]
 )
-def test_tran_parser_and_options_share_one_rule(tstep, tstop):
-    """.TRAN and TransientOptions reject the same steps with the same words."""
-    from amps.solver import TransientOptions
 
+
+@pytest.mark.parametrize(("card", "record", "args"), REJECTED)
+def test_tran_parser_and_options_share_one_rule(card, record, args):
+    """A .TRAN or .DC card and the record a library caller builds with its
+    values (``TranDirective``, ``DcSweepDirective``) are refused with the
+    same words."""
     with pytest.raises(ValueError) as rejected:
-        TransientOptions(tstep=tstep, tstop=tstop)
+        record(*args)
     with pytest.raises(NetlistError) as parse_err:
-        parse_netlist(wrap("V1 a 0 DC 1", "R1 a 0 1k", f".TRAN {tstep!r} {tstop!r}"))
-    assert str(parse_err.value).endswith(f".TRAN {rejected.value}")
+        parse_netlist(wrap("V1 a 0 DC 1", "R1 a 0 1k", f"{card} {' '.join(map(str, args))}"))
+    assert str(parse_err.value).endswith(f"{card} {rejected.value}")
 
 
 @pytest.mark.parametrize(

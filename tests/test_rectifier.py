@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amps.analysis import Waveform, WaveformError, WaveformSet
-from amps.netlist import parse_netlist, validate
+from amps.netlist import DcSweepDirective, parse_netlist, validate
 from amps.rectifier import (
     BenchConfig,
     IdealOutputs,
@@ -190,7 +190,8 @@ def test_compare_window_is_last_75_percent():
 
 def test_dc_transfer_monotone_in_conduction():
     cfg = BenchConfig()
-    ((iin, out_plus, _),) = bench_dc_transfer([bench_graph(cfg)], -200e-6, 0.0, 10e-6)
+    sweep = DcSweepDirective("IIN", -200e-6, 0.0, 10e-6)
+    ((iin, out_plus, _),) = bench_dc_transfer([bench_graph(cfg)], sweep)
     sel = iin < -10e-6
     diffs = np.diff(out_plus[sel])
     assert np.all(diffs <= 1e-12)  # non-increasing as iin rises toward zero
@@ -378,9 +379,10 @@ def test_dc_transfer_member_whose_first_point_fails(monkeypatch):
     temps = (25.0, 75.0, 100.0)
     graphs = [bench_graph(BenchConfig(temp=t)) for t in temps]
     values = sweep_values(-20e-6, 20e-6, 10e-6)
-    alone = [bench_dc_transfer([g], -20e-6, 20e-6, 10e-6)[0] for g in graphs]
+    sweep = DcSweepDirective("IIN", -20e-6, 20e-6, 10e-6)
+    alone = [bench_dc_transfer([g], sweep)[0] for g in graphs]
     failing_starts(monkeypatch, lambda g: g.doc is graphs[1].doc)
-    got = bench_dc_transfer(graphs, -20e-6, 20e-6, 10e-6)
+    got = bench_dc_transfer(graphs, sweep)
     for b in (0, 2):
         for x, y in zip(got[b], alone[b], strict=True):
             assert x.tobytes() == y.tobytes()

@@ -6,15 +6,15 @@ import random
 import numpy as np
 import pytest
 
-from amps.netlist import parse_netlist
+from amps.netlist import DcSweepDirective, TranDirective, parse_netlist
 from amps.rectifier import MODEL_CARDS
 from amps.solver import (
     NonConvergenceError,
+    OperatingPoint,
     SingularMatrixError,
     SolverError,
     SolverOptions,
     TransientNonConvergence,
-    TransientOptions,
     build_graph,
     dc_sweep,
     dc_sweep_lockstep,
@@ -68,6 +68,17 @@ def graph_of(text, temp=27.0):
 
 def node(graph, name):
     return graph.doc.nodes[name] - 1
+
+
+def zero_start(graph):
+    """A transient start with every unknown at zero."""
+    return OperatingPoint(np.zeros(graph.n), np.zeros(graph.m), 0)
+
+
+def tran_of(graph):
+    """The ``.TRAN`` analysis of the graph's netlist."""
+    (tran,) = [d for d in graph.doc.directives if isinstance(d, TranDirective)]
+    return tran
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +412,7 @@ def test_failed_member_returns_its_start_and_the_evaluation_there():
 
 def test_sweep_single_point_matches_solve_dc():
     g = graph_of(DIVIDER)
-    sweep = dc_sweep(g, "V1", 3.0, 3.0, 1.0, OPTS)
+    sweep = dc_sweep(g, DcSweepDirective("V1", 3.0, 3.0, 1.0), OPTS)
     assert sweep.values.tolist() == [3.0]
     assert sweep.converged.tolist() == [[True]]
     ref = solve_dc(g, OPTS)
@@ -410,15 +421,15 @@ def test_sweep_single_point_matches_solve_dc():
 
 def test_sweep_reversed_same_points():
     g = graph_of(DIVIDER)
-    fwd = dc_sweep(g, "V1", 0.0, 2.0, 0.5, OPTS)
-    rev = dc_sweep(g, "V1", 2.0, 0.0, -0.5, OPTS)
+    fwd = dc_sweep(g, DcSweepDirective("V1", 0.0, 2.0, 0.5), OPTS)
+    rev = dc_sweep(g, DcSweepDirective("V1", 2.0, 0.0, -0.5), OPTS)
     assert rev.values.tolist() == fwd.values.tolist()[::-1]
     assert np.allclose(fwd.x[:, 0, : g.n], rev.x[::-1, 0, : g.n], atol=1e-12)
 
 
 def test_sweep_endpoint_clamped():
     g = graph_of(DIVIDER)
-    values = dc_sweep(g, "V1", -200e-6, 200e-6, 2e-6, OPTS).values
+    values = dc_sweep(g, DcSweepDirective("V1", -200e-6, 200e-6, 2e-6), OPTS).values
     assert len(values) == 201
     assert values[0] == -200e-6 and values[-1] == 200e-6
 
@@ -426,7 +437,7 @@ def test_sweep_endpoint_clamped():
 def test_sweep_unknown_source():
     g = graph_of(DIVIDER)
     with pytest.raises(KeyError, match="VX"):
-        dc_sweep(g, "VX", 0.0, 1.0, 0.1, OPTS)
+        dc_sweep(g, DcSweepDirective("VX", 0.0, 1.0, 0.1), OPTS)
 
 
 def reference_sweep(graph, name, values, options):
@@ -478,7 +489,7 @@ def test_lockstep_dc_sweeps_match_single_sweeps(monkeypatch):
 
     nan = np.full(graphs[0].size, np.nan)
     for b, g in enumerate(graphs):
-        alone = dc_sweep(g, "IIN", -100e-6, 100e-6, 20e-6, opts)
+        alone = dc_sweep(g, DcSweepDirective("IIN", -100e-6, 100e-6, 20e-6), opts)
         assert alone.values.tolist() == values
         for k, ref in enumerate(reference_sweep(g, "IIN", values, opts)):
             got = sweep.x[k, b]
@@ -501,8 +512,7 @@ def test_lockstep_dc_sweeps_match_single_sweeps(monkeypatch):
 
 def rc_error(h):
     g = graph_of(RC)
-    topts = TransientOptions(tstep=h, tstop=5e-3, ic="zero_start")
-    ws = solve_transient(g, topts, OPTS)
+    (ws,) = solve_lockstep([g], [TranDirective(h, 5e-3)], OPTS, [zero_start(g)], voltages=True)
     w = ws.get("v(out)")
     exact = 1.0 - np.exp(-w.times / 1e-3)
     return float(np.max(np.abs(w.values - exact)))
@@ -521,7 +531,7 @@ def test_rc_trapezoidal_convergence_order():
 def test_constant_sources_hold_dc_point():
     g = graph_of(RC)
     op = solve_dc(g, OPTS)
-    ws = solve_transient(g, TransientOptions(tstep=1e-5, tstop=1e-3), OPTS)
+    ws = solve_transient(g, TranDirective(tstep=1e-5, tstop=1e-3), OPTS)
     for j, name in enumerate(g.node_names[1:]):
         w = ws.get(f"v({name})")
         assert np.max(np.abs(w.values - op.voltages[j])) < 1e-9
@@ -529,7 +539,7 @@ def test_constant_sources_hold_dc_point():
 
 def test_transient_stats_report_kcl():
     g = graph_of(RC)
-    ws = solve_transient(g, TransientOptions(tstep=1e-5, tstop=1e-3), OPTS)
+    ws = solve_transient(g, TranDirective(tstep=1e-5, tstop=1e-3), OPTS)
     assert ws.stats["max_kcl_excess"] <= 0.0
     assert ws.stats["steps"] == 100
     # held at its DC point, every step converges on its first assembly
@@ -539,14 +549,14 @@ def test_transient_stats_report_kcl():
 
 def test_transient_records_all_nodes_and_branches():
     g = graph_of(RC)
-    ws = solve_transient(g, TransientOptions(tstep=1e-5, tstop=1e-3), OPTS)
+    ws = solve_transient(g, TranDirective(tstep=1e-5, tstop=1e-3), OPTS)
     assert sorted(ws.names()) == ["i(V1)", "v(in)", "v(out)"]
     assert ws.units["i(V1)"] == "A"
 
 
 def test_transient_options_validated():
     with pytest.raises(ValueError, match="10\\*tstep"):
-        TransientOptions(tstep=1e-3, tstop=5e-3)
+        TranDirective(tstep=1e-3, tstop=5e-3)
 
 
 @pytest.mark.parametrize(
@@ -564,11 +574,7 @@ def test_periodic_steady_state_on_bench():
 
     cfg = BenchConfig(periods=8, steps_per_period=200)
     g = graph_of(build_bench_netlist(cfg), temp=25.0)
-    topts = TransientOptions(
-        tstep=1.0 / (cfg.frequency * cfg.steps_per_period),
-        tstop=cfg.periods / cfg.frequency,
-    )
-    ws = solve_transient(g, topts, OPTS)
+    ws = solve_transient(g, tran_of(g), OPTS)
     out = ws.get("i(VOUTP)")
     spp = cfg.steps_per_period
     second = out.values[4 * spp : 5 * spp]
@@ -579,11 +585,20 @@ def test_periodic_steady_state_on_bench():
 
 def test_transient_nonconvergence_carries_partial():
     g = graph_of(SINGULAR)
-    with pytest.raises(TransientNonConvergence) as err:
-        solve_transient(g, TransientOptions(tstep=1e-6, tstop=1e-4, ic="zero_start"), OPTS)
-    assert err.value.time == pytest.approx(1e-6)
-    assert err.value.partial.stats["steps"] == 0
-    assert isinstance(err.value.__cause__, SingularMatrixError)  # the step's own failure
+    (err,) = solve_lockstep([g], [TranDirective(1e-6, 1e-4)], OPTS, [zero_start(g)], voltages=True)
+    assert isinstance(err, TransientNonConvergence)
+    assert err.time == pytest.approx(1e-6)
+    assert err.partial.stats["steps"] == 0
+    assert isinstance(err.__cause__, SingularMatrixError)  # the step's own failure
+
+
+def test_zero_start_reports_a_finite_kcl_excess():
+    """A start the caller builds checked no residual, so the transient's
+    largest KCL excess is its steps' alone: finite and within tolerance."""
+    g = graph_of(RC)
+    (ws,) = solve_lockstep([g], [TranDirective(1e-5, 1e-3)], OPTS, [zero_start(g)],
+                           voltages=True)
+    assert math.isfinite(ws.stats["max_kcl_excess"]) and ws.stats["max_kcl_excess"] <= 0.0
 
 
 def test_rescued_transient_leaves_graph_unchanged(monkeypatch):
@@ -602,13 +617,12 @@ def test_rescued_transient_leaves_graph_unchanged(monkeypatch):
     cfg = BenchConfig(frequency=1e8, periods=3, steps_per_period=100)
     g = graph_of(build_bench_netlist(cfg), temp=cfg.temp)
     opts = SolverOptions(max_newton_iters=6)
-    topts = TransientOptions(tstep=1.0 / (cfg.frequency * cfg.steps_per_period),
-                             tstop=cfg.periods / cfg.frequency)
+    trans = tran_of(g)
     before = solve_dc(g, opts)
-    first = solve_transient(g, topts, opts)
+    first = solve_transient(g, trans, opts)
     assert rescues, "the transient should need gmin-stepping rescues"
     assert first.stats["rescues"] == len(rescues)
-    second = solve_transient(g, topts, opts)
+    second = solve_transient(g, trans, opts)
     after = solve_dc(g, opts)
     for a, b in zip(first.waveforms, second.waveforms):
         assert np.array_equal(a.values, b.values)
@@ -622,7 +636,7 @@ def test_sinusoid_source_waveform_recorded():
         "sine into rc\nI1 0 a SIN(0 1m 1k)\nR1 a 0 1k\nC1 a 0 1n\n.END\n"
     )
     g = graph_of(text)
-    ws = solve_transient(g, TransientOptions(tstep=1e-5, tstop=2e-3), OPTS)
+    ws = solve_transient(g, TranDirective(tstep=1e-5, tstop=2e-3), OPTS)
     w = ws.get("i(I1)")
     expected = 1e-3 * np.sin(2 * np.pi * 1e3 * w.times)
     assert np.allclose(w.values, expected, atol=1e-12)
@@ -741,9 +755,9 @@ def test_lockstep_members_must_share_one_topology(monkeypatch, first, other):
     assert [g.size for g in graphs] == [3, 3]
     starts = [solve_dc(g, OPTS) for g in graphs]
     monkeypatch.setattr(amps.solver, "_newton_batch", no_newton)
-    topts = [TransientOptions(tstep=1e-6, tstop=1e-5)] * 2
+    trans = [TranDirective(tstep=1e-6, tstop=1e-5)] * 2
     with pytest.raises(ValueError, match="share one topology"):
-        solve_lockstep(graphs, topts, OPTS, starts)
+        solve_lockstep(graphs, trans, OPTS, starts)
     with pytest.raises(ValueError, match="share one topology"):
         dc_sweep_lockstep(graphs, "V1", [0.0, 1.0], OPTS, starts)
 
@@ -752,12 +766,12 @@ def test_lockstep_arguments_need_one_entry_per_member(monkeypatch):
     import amps.solver
 
     g = graph_of(DIVIDER)
-    start, topt = solve_dc(g, OPTS), TransientOptions(tstep=1e-6, tstop=1e-5)
+    start, tran = solve_dc(g, OPTS), TranDirective(tstep=1e-6, tstop=1e-5)
     monkeypatch.setattr(amps.solver, "_newton_batch", no_newton)
-    for graphs, topts, starts in (([g, g], [topt], [start, start]),
-                                  ([g], [topt], [start, start]), ([], [topt], [])):
-        with pytest.raises(ValueError, match="one TransientOptions and one start per graph"):
-            solve_lockstep(graphs, topts, OPTS, starts)
+    for graphs, trans, starts in (([g, g], [tran], [start, start]),
+                                  ([g], [tran], [start, start]), ([], [tran], [])):
+        with pytest.raises(ValueError, match="one TranDirective and one start per graph"):
+            solve_lockstep(graphs, trans, OPTS, starts)
     for graphs, firsts in (([g, g], [start]), ([g], [start, start]), ([], [])):
         with pytest.raises(ValueError, match="one first point per graph"):
             dc_sweep_lockstep(graphs, "V1", [0.0, 1.0], OPTS, firsts)
@@ -773,13 +787,12 @@ def test_lockstep_with_voltages_gives_each_member_its_solve_transient():
     cfgs = [BenchConfig(frequency=1e3, periods=3, steps_per_period=40),
             BenchConfig(frequency=1e7, temp=60.0, periods=2, steps_per_period=75)]
     graphs = [bench_graph(cfg) for cfg in cfgs]
-    topts = [TransientOptions(tstep=1.0 / (cfg.frequency * cfg.steps_per_period),
-                              tstop=cfg.periods / cfg.frequency) for cfg in cfgs]
+    trans = [tran_of(g) for g in graphs]
     starts = [solve_dc(g, OPTS) for g in graphs]
-    together = solve_lockstep(graphs, topts, OPTS, starts, voltages=True)
-    currents = solve_lockstep(graphs, topts, OPTS, starts)
-    for g, topt, got, branches in zip(graphs, topts, together, currents, strict=True):
-        alone = solve_transient(g, topt, OPTS)
+    together = solve_lockstep(graphs, trans, OPTS, starts, voltages=True)
+    currents = solve_lockstep(graphs, trans, OPTS, starts)
+    for g, tran, got, branches in zip(graphs, trans, together, currents, strict=True):
+        alone = solve_transient(g, tran, OPTS)
         assert got.stats == alone.stats == branches.stats
         assert got.names() == alone.names()
         assert got.units == alone.units
