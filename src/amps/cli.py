@@ -192,8 +192,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (KeyError, OSError, ValueError) as exc:  # an unknown name, a file, a rejected value
-        text = exc.args[0] if isinstance(exc, KeyError) else exc  # str() quotes a KeyError
+    except (KeyError, OSError, ValueError, MemoryError) as exc:  # str() quotes a KeyError
+        text = exc.args[0] if isinstance(exc, KeyError) else str(exc) or "out of memory"
         print(f"amps {args.command}: error: {text}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from importlib.resources import files
 import numpy as np
 
 from .analysis import PrecisionReport, Waveform, WaveformError, WaveformSet
-from .netlist import MAX_STEPS, DcSweepDirective, TranDirective, parse_netlist
+from .netlist import DcSweepDirective, TranDirective, parse_netlist
 from .solver import (
     CircuitGraph,
     OperatingPoint,
@@ -72,8 +72,16 @@ class BenchConfig:
             raise ValueError(f"frequency {self.frequency:g} Hz must be > 0")
         if self.periods < 1 or self.steps_per_period < 10:
             raise ValueError("need at least 1 period and 10 steps per period")
-        if self.periods * self.steps_per_period > MAX_STEPS:
-            raise ValueError(f"periods * steps_per_period must be at most {MAX_STEPS}")
+        try:
+            self.tran()
+        except ValueError as exc:  # the step rule is the .TRAN's, named by these values
+            raise ValueError(f"{self.periods} periods of {self.steps_per_period} steps: "
+                             f".TRAN {exc}") from None
+
+    def tran(self) -> TranDirective:
+        """The ``.TRAN`` that ``build_bench_netlist`` writes."""
+        f = self.frequency
+        return TranDirective(1.0 / (f * self.steps_per_period), self.periods / f)
 
 
 @dataclass(frozen=True)
@@ -114,8 +122,7 @@ def build_bench_netlist(cfg: BenchConfig) -> str:
     outputs terminate in 0 V ammeter branches.
     """
     amp = cfg.amplitude_pp / 2.0
-    h = 1.0 / (cfg.frequency * cfg.steps_per_period)
-    tstop = cfg.periods / cfg.frequency
+    tran = cfg.tran()
     temp, freq = float(cfg.temp), float(cfg.frequency)
     wl = f"W={W!r} L={L!r}"
     return f"""dual-phase half-wave current rectifier bench
@@ -139,7 +146,7 @@ VOUTP outp 0 DC 0
 VOUTM outm 0 DC 0
 {MODEL_CARDS}
 .TEMP {temp!r}
-.TRAN {h!r} {tstop!r}
+.TRAN {tran.tstep!r} {tran.tstop!r}
 .END
 """
 

@@ -14,9 +14,9 @@ alpha (0 for DC, 1/h backward Euler, 2/h trapezoidal) once: its Jacobian is
 ``G + alpha*C + gmin*D`` plus the device scatter, and the source values and
 the capacitor history currents are arguments of each Newton solve.
 
-Nonlinear solves are damped Newton-Raphson over dense LU; DC convergence
-falls back to gmin stepping and then source stepping (a failed transient
-step to gmin stepping; both through ``_ladder``).  Transient integration
+Nonlinear solves are damped Newton-Raphson over dense LU; every failed solve
+(a DC start, sweep point or transient step) falls back to gmin stepping
+through ``_ladder``, the one homotopy.  Transient integration
 is fixed-step trapezoidal with a backward-Euler first step.  Every Newton
 solve, of one circuit or of several that share one topology, runs on one
 batched kernel (``_newton_batch``): each iteration is one assembly and one
@@ -100,7 +100,6 @@ class TransientNonConvergence(SolverError):
 
 
 GMIN_STEPS = 10  # gmin stepping: decades from 1e-2 S down to gmin
-SOURCE_STEPS = 10  # source stepping: equal increments up to full scale
 VSTEP_CLAMP = 0.3  # V, per-update damping on nonlinear-device nodes
 CYCLE_FROM = 8  # Newton iteration from which an iterate that repeats an earlier one fails
 
@@ -574,13 +573,13 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
 
 
 def _ladder(graph: CircuitGraph, options: SolverOptions, xg: np.ndarray, src: np.ndarray,
-            cap_ieq: np.ndarray, stages: Sequence[tuple[float, float]], alpha: float = 0.0,
+            cap_ieq: np.ndarray, stages: Sequence[float], alpha: float = 0.0,
             dev: np.ndarray | None = None):
-    """Newton solves of one circuit through ``stages`` of (gmin, source
-    scale) at companion factor ``alpha``, the first from ``xg`` (the unknowns
-    after a ground column; ``dev``, if given, its device evaluation), each
-    later one from the one before.  ``src`` holds the full-scale source
-    values, ``cap_ieq`` the capacitor history.
+    """Newton solves of one circuit through ``stages`` of gmin at companion
+    factor ``alpha``, the first from ``xg`` (the unknowns after a ground
+    column; ``dev``, if given, its device evaluation), each later one from
+    the one before.  ``src`` holds the source values, ``cap_ieq`` the
+    capacitor history.
 
     Returns (xg, iterations, residual_excess, dev, assemblies, evaluations):
     the last stage's point, excess and device evaluation, the updates,
@@ -589,10 +588,10 @@ def _ladder(graph: CircuitGraph, options: SolverOptions, xg: np.ndarray, src: np
     """
     iterations = assemblies = evaluations = 0
     dev = None if dev is None else dev[:, None]
-    for gmin, scale in stages:
+    for gmin in stages:
         batch = _Batch([graph], options, gmin=gmin, alpha=alpha)
         out, iters, excess, dev, evals, errors = _newton_batch(
-            batch, xg[None], scale * src[None], cap_ieq[None], dev)
+            batch, xg[None], src[None], cap_ieq[None], dev)
         if errors:  # popped, so that the error's traceback does not keep it alive
             raise errors.pop(0)
         xg = out[0]
@@ -602,9 +601,9 @@ def _ladder(graph: CircuitGraph, options: SolverOptions, xg: np.ndarray, src: np
     return xg, iterations, float(excess[0]), dev[:, 0], assemblies, evaluations
 
 
-def _gmin_stages(gmin: float) -> list[tuple[float, float]]:
-    """gmin stepping: one decade per stage from 1e-2 S down to ``gmin``, at full source scale."""
-    return [(float(g), 1.0) for g in np.geomspace(1e-2, gmin, GMIN_STEPS + 1)]
+def _gmin_stages(gmin: float) -> list[float]:
+    """gmin stepping: one decade per stage from 1e-2 S down to ``gmin``."""
+    return [float(g) for g in np.geomspace(1e-2, gmin, GMIN_STEPS + 1)]
 
 
 def _point(graph: CircuitGraph, xg: np.ndarray, iterations: int, excess: float) -> OperatingPoint:
@@ -634,7 +633,7 @@ def newton_solve(
     if not np.all(np.isfinite(x0)):
         raise ValueError("non-finite initial guess")
     xg, iters, excess = _ladder(graph, options, x0, _source_values([graph])[0],
-                                np.zeros(graph.cap_c.size), [(options.gmin, 1.0)])[:3]
+                                np.zeros(graph.cap_c.size), [options.gmin])[:3]
     return _point(graph, xg, iters, excess)
 
 
@@ -643,13 +642,12 @@ def solve_dc(
     options: SolverOptions,
     initial_guess: np.ndarray | None = None,
 ) -> OperatingPoint:
-    """DC operating point with homotopy fallbacks.
+    """DC operating point with a gmin-stepping fallback.
 
     Tries a plain Newton solve from ``initial_guess`` (zeros when None),
-    then gmin stepping (one decade per step from 1e-2 S down to gmin), then
-    source stepping; the homotopies start from zeros and each stage
-    warm-starts from the previous one.  A point found by a homotopy counts
-    the updates of all its stages.
+    then gmin stepping (one decade per stage from 1e-2 S down to gmin) from
+    zeros, each stage warm-starting from the previous one.  A point found
+    by gmin stepping counts the updates of all its stages.
     """
     try:
         return newton_solve(graph, initial_guess, options)
@@ -660,20 +658,14 @@ def solve_dc(
 
 def _homotopies(graph: CircuitGraph, options: SolverOptions, src: np.ndarray, log: list[str]):
     """``solve_dc`` after its plain Newton solve failed (as ``log`` says):
-    gmin stepping, then source stepping, each from zeros, with the source
-    values ``src`` (ordered as ``_source_values``).  Returns (xg,
-    iterations, residual_excess, device evaluation at xg)."""
-    homotopies = {
-        "gmin stepping": _gmin_stages(options.gmin),
-        "source stepping": [(options.gmin, float(scale))
-                            for scale in np.linspace(1.0 / SOURCE_STEPS, 1.0, SOURCE_STEPS)],
-    }
-    for label, stages in homotopies.items():
-        try:
-            return _ladder(graph, options, np.zeros(graph.size + 1), src,
-                           np.zeros(graph.cap_c.size), stages)[:4]
-        except SolverError as exc:
-            log.append(f"{label}: {exc}")
+    gmin stepping from zeros, with the source values ``src`` (ordered as
+    ``_source_values``).  Returns (xg, iterations, residual_excess, device
+    evaluation at xg), or raises NonConvergenceError with ``log`` extended."""
+    try:
+        return _ladder(graph, options, np.zeros(graph.size + 1), src,
+                       np.zeros(graph.cap_c.size), _gmin_stages(options.gmin))[:4]
+    except SolverError as exc:
+        log.append(f"gmin stepping: {exc}")
     raise NonConvergenceError(None, float("nan"), log)
 
 
@@ -730,8 +722,8 @@ def dc_sweep_lockstep(
     Member b's point at ``values[0]`` is ``firsts[b]``, or not converged if
     that is a SolverError.  Each later value is one batched Newton solve for
     every member, from the member's own last converged point (zeros before
-    it has one).  A member that fails there gets ``solve_dc``'s homotopies;
-    if they fail too, its point is not converged (NaN unknowns).  Each
+    it has one).  A member that fails there falls back to gmin stepping; if
+    that fails too, its point is not converged (NaN unknowns).  Each
     member's column of the returned record is the one ``dc_sweep`` gives it.
     """
     if not graphs or len(firsts) != len(graphs):

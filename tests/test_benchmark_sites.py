@@ -1,11 +1,13 @@
-"""The benchmark's patch sites still resolve in amps.
+"""The benchmark's patch sites still resolve in amps, and its tracer still
+reads what they return.
 
 ``benchmarks/spans.py`` wraps amps functions by name in the modules that
 look them up: the tracer (``run.py --trace 1``) and the set-up probe that
 stops at the first solver call.  A refactor that renames or moves one of
 them would leave that wrapper out silently.  Here both install with
 identity wrappers, which resolve every name exactly as a benchmark run does
-and leave the modules unchanged.
+and leave the modules unchanged.  The tracer's readers (``spans._INFO``)
+count what a traced call returns or takes; they get the real values here.
 """
 
 import importlib.util
@@ -16,7 +18,10 @@ import pytest
 import amps.cli
 import amps.rectifier
 import amps.solver
-from amps.rectifier import bench_netlist_path
+from amps.analysis import write_csv
+from amps.netlist import DcSweepDirective
+from amps.rectifier import BenchConfig, bench_graph, bench_netlist_path
+from amps.solver import SolverOptions, dc_sweep, solve_transient
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
@@ -110,3 +115,34 @@ def test_setup_probe_stops_before_any_lockstep_solve_or_output(argv, entry, tmp_
         amps.cli.main(argv + ["-o", str(out)])
     assert reached == [entry]
     assert list(out.iterdir()) == []
+
+
+def test_span_readers_count_a_bench_transient(tmp_path):
+    """Each reader of ``spans._INFO`` counts what its function returns or
+    takes: the graph's MOSFETs, the transient's steps, and the rows and
+    columns of the CSV that ``write_csv`` writes.  ``--trace 1`` calls them
+    on every traced call, so a change to these values breaks the tracer."""
+    info = load_spans()._INFO
+    cfg = BenchConfig(frequency=1e6, periods=3, steps_per_period=10)
+    graph = bench_graph(cfg)
+    assert info["build_graph"](graph, (graph.doc, cfg.temp)) == {"mosfets": 9}
+    tran = cfg.tran()
+    ws = solve_transient(graph, tran, SolverOptions())
+    assert info["solve_transient"](ws, (graph, tran)) == {"steps": 30}
+    path = tmp_path / "bench.csv"
+    write_csv(ws, path)
+    header, *rows = path.read_text().splitlines()[1:]  # after the units line
+    assert info["write_csv"](None, (ws, path)) == {"rows": len(rows),
+                                                   "cols": header.count(",") + 1}
+
+
+@pytest.mark.xfail(raises=TypeError, strict=True,
+                   reason="the dc_sweep reader takes len() of the SweepRecord that "
+                          "dc_sweep returns, as if it were a list of points")
+def test_span_reader_counts_a_dc_sweep():
+    graph = bench_graph(BenchConfig())
+    sweep = DcSweepDirective("IIN", -20e-6, 20e-6, 10e-6)
+    record = dc_sweep(graph, sweep, SolverOptions())
+    assert record.converged.all()
+    info = load_spans()._INFO["dc_sweep"](record, (graph, sweep))
+    assert info == {"points": 5, "nonconverged": 0}

@@ -697,6 +697,8 @@ TINY_STEP = "too fine a transient\nV1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.TRAN 1e-3
         ["run", "div.cir", "--temp", "25,25.0000001"],
         ["run", "temp_twice.cir"],
         ["run", "no_analysis.cir"],
+        # at MAX_STEPS in integers, past it in the generated .TRAN's floats
+        ["bench", "--freq", "100meg", "--periods", "10000", "--steps-per-period", "1000"],
     ],
 )
 def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv):
@@ -710,6 +712,35 @@ def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_bench_step_rule_names_the_flags(capsys):
+    """The bench's step rule is its generated ``.TRAN``'s, reported against
+    the two flags that set it, not a line of a netlist that the user never
+    wrote."""
+    assert main(["bench", "--freq", "100meg", "--periods", "10000",
+                 "--steps-per-period", "1000"]) == 1
+    assert capsys.readouterr().err == (
+        "amps bench: error: 10000 periods of 1000 steps: "
+        ".TRAN requires tstop <= 10000000*tstep\n")
+
+
+def test_memory_error_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
+    """A record too large to allocate is one stderr line and exit 1, and
+    leaves no output behind; the allocation is patched, so nothing is
+    allocated."""
+    import amps.rectifier
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(amps.rectifier, "solve_lockstep", no_memory)
+    out = tmp_path / "out"
+    argv = ["bench", "--freq", "1k,1meg", "--periods", "3", "--steps-per-period", "10"]
+    assert main(argv + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "amps bench: error: out of memory\n"
+    assert not out.exists()
 
 
 # Each subcommand's flags, each with its good values and then its bad ones.

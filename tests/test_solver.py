@@ -227,7 +227,7 @@ def test_solve_dc_exhausts_homotopies_on_singular():
     g = graph_of(SINGULAR)
     with pytest.raises(NonConvergenceError) as err:
         solve_dc(g, OPTS)
-    assert len(err.value.strategy_log) == 3
+    assert [entry.split(":")[0] for entry in err.value.strategy_log] == ["plain", "gmin stepping"]
 
 
 def test_solve_dc_succeeds_wherever_newton_does():
@@ -254,17 +254,17 @@ def test_wrong_length_guess_rejected(solve, length):
         solve(g, np.zeros(length))
 
 
-def test_source_stepping_after_gmin_stepping_fails(monkeypatch):
-    """Plain Newton from a 1 kV guess fails, and so does gmin stepping once
-    its first stage has a NaN gmin: ``solve_dc`` ends in source stepping,
-    whose point counts the updates of all ten stages.  Tight tolerances
+def test_gmin_stepping_after_plain_newton_fails(monkeypatch):
+    """Plain Newton from a 1 kV guess fails: ``solve_dc`` falls back to gmin
+    stepping, whose eleven stages run in order, each from the one before,
+    and whose point counts the updates of all of them.  Tight tolerances
     make two converged points agree to 1e-9 V."""
     import amps.solver
 
     opts = SolverOptions(reltol=1e-9, vntol=1e-12)
     g = graph_of(DIODE_NMOS)
     unforced = solve_dc(g, opts)
-    gmin_stages, ladder = amps.solver._gmin_stages, amps.solver._ladder
+    ladder = amps.solver._ladder
     ladders = []  # (stages, result or error) of each stage loop run
 
     def recorded(graph, options, xg, src, cap_ieq, stages, *args):
@@ -276,21 +276,18 @@ def test_source_stepping_after_gmin_stepping_fails(monkeypatch):
         ladders.append((stages, result))
         return result
 
-    monkeypatch.setattr(amps.solver, "_gmin_stages",
-                        lambda gmin: [(math.nan, 1.0), *gmin_stages(gmin)])
     monkeypatch.setattr(amps.solver, "_ladder", recorded)
     op = solve_dc(g, opts, np.full(g.size, 1e3))
-    (_, plain), (gmin, forced), (source, stepped) = ladders
+    (_, plain), (stages, stepped) = ladders
     assert isinstance(plain, NonConvergenceError)
-    assert math.isnan(gmin[0][0]) and isinstance(forced, NonConvergenceError)
-    assert len(source) == amps.solver.SOURCE_STEPS
-    assert [s for _, s in source] == pytest.approx(np.linspace(0.1, 1.0, 10))
+    assert len(stages) == amps.solver.GMIN_STEPS + 1
+    assert stages == pytest.approx(np.geomspace(1e-2, opts.gmin, len(stages)), rel=1e-12)
     assert np.allclose(op.voltages, unforced.voltages, rtol=0.0, atol=1e-9)
 
     # the same stages one at a time: op counts each one's updates
     xg, total = np.zeros(g.size + 1), 0
     src = amps.solver._source_values([g])[0]
-    for stage in source:
+    for stage in stages:
         xg, iters, excess, *_ = ladder(g, opts, xg, src, np.zeros(g.cap_c.size), [stage])
         total += iters
     assert op.iterations == total == stepped[1] > iters
