@@ -28,6 +28,7 @@ from .netlist import (
     TempDirective,
     parse_netlist,
     parse_number,
+    sweep_values,
     validate,
 )
 from .rectifier import BenchConfig, compare, retained_window, run_bench
@@ -38,7 +39,6 @@ from .solver import (
     dc_sweep,
     solve_dc,
     solve_transient,
-    sweep_values,
     unknown_columns,
 )
 

@@ -160,11 +160,29 @@ MAX_STEPS = 10**7
 
 def check_sweep_step(start: float, stop: float, step: float) -> None:
     """Reject a sweep step that is zero, points away from ``stop`` or takes
-    more than ``MAX_STEPS`` steps to reach it."""
+    more than ``MAX_STEPS`` steps to reach it: ``sweep_values``' grid takes
+    floor(count) steps, and one more unless the last lands on stop."""
     if step == 0 or (stop - start) * step < 0:
         raise ValueError(f"sweep step {step:g} is zero or sign inconsistent with stop - start")
-    if not (stop - start) / step <= MAX_STEPS:  # a non-finite count too
+    count = (stop - start) / step + 1e-9  # compared unfloored: it may be infinite
+    lands = abs(start + MAX_STEPS * step - stop) <= abs(step) * 1e-9 * MAX_STEPS  # end rule
+    if not count < MAX_STEPS + 1 or (count >= MAX_STEPS and not lands):
         raise ValueError(f"sweep step {step:g} takes more than {MAX_STEPS} steps")
+
+
+def sweep_values(start: float, stop: float, step: float) -> list[float]:
+    """``start``, ``start + step``, ... up to ``stop``: the last whole step is stop
+    if it lands within 1e-9 of the steps' span of it; if not, stop follows it."""
+    check_sweep_step(start, stop, step)
+    if start == stop:
+        return [start]
+    count = int(math.floor((stop - start) / step + 1e-9))
+    values = [start + i * step for i in range(count + 1)]
+    if abs(values[-1] - stop) <= abs(step) * 1e-9 * max(count, 1):
+        values[-1] = stop
+    else:
+        values.append(stop)
+    return values
 
 
 @dataclass(frozen=True)
@@ -191,9 +209,10 @@ class TranDirective:
     def __post_init__(self):
         if not self.tstop > self.tstep > 0:
             raise ValueError("requires tstop > tstep > 0")
-        if self.tstop < TRAN_MIN_STEPS * self.tstep:
+        steps = self.tstop / self.tstep + 1e-9  # the run takes floor(steps); this may be inf
+        if steps < TRAN_MIN_STEPS:
             raise ValueError(f"requires tstop >= {TRAN_MIN_STEPS}*tstep")
-        if not self.tstop / self.tstep <= MAX_STEPS:
+        if not steps < MAX_STEPS + 1:
             raise ValueError(f"requires tstop <= {MAX_STEPS}*tstep")
 
 

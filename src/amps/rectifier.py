@@ -17,7 +17,7 @@ from importlib.resources import files
 import numpy as np
 
 from .analysis import PrecisionReport, Waveform, WaveformError, WaveformSet
-from .netlist import DcSweepDirective, TranDirective, parse_netlist
+from .netlist import DcSweepDirective, TranDirective, parse_netlist, sweep_values
 from .solver import (
     CircuitGraph,
     OperatingPoint,
@@ -27,7 +27,6 @@ from .solver import (
     dc_sweep_lockstep,
     solve_dc,
     solve_lockstep,
-    sweep_values,
 )
 
 # The 0.5 um CMOS model cards used by every bench variant.
@@ -223,9 +222,9 @@ def bench_dc_transfer(
     with the same results as one at a time.
     """
     options = options or SolverOptions()
-    values = sweep_values(sweep.start, sweep.stop, sweep.step)
-    firsts = _starts([graph.with_source(sweep.source, values[0]) for graph in graphs], options)
-    record = dc_sweep_lockstep(graphs, sweep.source, values, options, firsts)
+    first = sweep_values(sweep.start, sweep.stop, sweep.step)[0]
+    starts = _starts([graph.with_source(sweep.source, first) for graph in graphs], options)
+    record = dc_sweep_lockstep(graphs, sweep, options, starts)
     results = []
     for b, graph in enumerate(graphs):
         names = [src.name for src in graph.vsources]

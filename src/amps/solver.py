@@ -15,22 +15,22 @@ alpha (0 for DC, 1/h backward Euler, 2/h trapezoidal) once: its Jacobian is
 the capacitor history currents are arguments of each Newton solve.
 
 Nonlinear solves are damped Newton-Raphson over dense LU; every failed solve
-(a DC start, sweep point or transient step) falls back to gmin stepping
-through ``_ladder``, the one homotopy.  Transient integration
+(a DC start, sweep point or transient step) falls back to gmin stepping,
+one ``_ladder`` call (from zeros at DC).  Transient integration
 is fixed-step trapezoidal with a backward-Euler first step.  Every Newton
 solve, of one circuit or of several that share one topology, runs on one
 batched kernel (``_newton_batch``): each iteration is one assembly and one
 LU solve for every circuit of the batch, spent ones too.  Each assembly
 evaluates the devices, except a solve's first when it is given the
 evaluation at its start: a solve returns the evaluation at the point it
-returns, which is where the next time step, sweep point or homotopy stage
+returns, which is where the next time step, sweep point or gmin stage
 starts.  So circuits that share one topology (``_Batch`` checks it) can be
-solved in lockstep: transients (``solve_lockstep``, each with its own
-``TranDirective`` and start; ``solve_transient`` is its one-member form from
-the DC point, with ``voltages``) take each time step, and DC sweeps of one
-source (``dc_sweep_lockstep``; ``dc_sweep`` is its one-member form, of a
-``DcSweepDirective``) each sweep value, together, and each one's results
-are the ones it gets alone.
+solved in lockstep, each from its own start (``_start_rows``): transients
+(``solve_lockstep``, each with its own ``TranDirective``; ``solve_transient``
+is its one-member form from the DC point, with ``voltages``) take each time
+step, and the ``.DC`` sweeps of one ``DcSweepDirective``
+(``dc_sweep_lockstep``; ``dc_sweep`` is its one-member form) each sweep
+value, together, and each one's results are the ones it gets alone.
 A transient whose start or step fails, or that is done, stays in its batch
 as a spent row, so a lockstep builds one ``_Batch`` per integration phase.
 
@@ -64,7 +64,7 @@ from .netlist import (
     NetlistDocument,
     SourceSpec,
     TranDirective,
-    check_sweep_step,
+    sweep_values,
     validate,
 )
 
@@ -606,13 +606,24 @@ def _gmin_stages(gmin: float) -> list[float]:
     return [float(g) for g in np.geomspace(1e-2, gmin, GMIN_STEPS + 1)]
 
 
-def _point(graph: CircuitGraph, xg: np.ndarray, iterations: int, excess: float) -> OperatingPoint:
-    return OperatingPoint(
-        voltages=xg[1 : graph.n + 1],
-        branch_currents=xg[graph.n + 1:],
-        iterations=iterations,
-        residual_excess=excess,
-    )
+def _start_rows(graphs: Sequence[CircuitGraph], starts: Sequence[OperatingPoint | SolverError]):
+    """Kernel rows of lockstep starts: (unknowns after a ground column, is an
+    OperatingPoint, iterations, residual_excess); zeros, 0 and NaN for an error."""
+    xg = np.zeros((len(starts), graphs[0].size + 1))
+    ok = np.array([isinstance(op, OperatingPoint) for op in starts], dtype=bool)
+    iters, excess = np.zeros(len(starts), dtype=int), np.full(len(starts), np.nan)
+    for b in ok.nonzero()[0]:
+        xg[b, 1:] = np.concatenate((starts[b].voltages, starts[b].branch_currents))
+        iters[b], excess[b] = starts[b].iterations, starts[b].residual_excess
+    return xg, ok, iters, excess
+
+
+def _dc_ladder(graph: CircuitGraph, options: SolverOptions, xg: np.ndarray,
+               stages: Sequence[float]) -> OperatingPoint:
+    """``_ladder`` of one circuit at DC, from ``xg`` (after a ground column)."""
+    xg, iterations, excess = _ladder(graph, options, xg, _source_values([graph])[0],
+                                     np.zeros(graph.cap_c.size), stages)[:3]
+    return OperatingPoint(xg[1 : graph.n + 1], xg[graph.n + 1:], iterations, excess)
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +643,7 @@ def newton_solve(
     x0 = np.concatenate(([0.0], x0))
     if not np.all(np.isfinite(x0)):
         raise ValueError("non-finite initial guess")
-    xg, iters, excess = _ladder(graph, options, x0, _source_values([graph])[0],
-                                np.zeros(graph.cap_c.size), [options.gmin])[:3]
-    return _point(graph, xg, iters, excess)
+    return _dc_ladder(graph, options, x0, [options.gmin])
 
 
 def solve_dc(
@@ -652,51 +661,28 @@ def solve_dc(
     try:
         return newton_solve(graph, initial_guess, options)
     except SolverError as exc:
-        plain = f"plain: {exc}"
-    return _point(graph, *_homotopies(graph, options, _source_values([graph])[0], [plain])[:3])
-
-
-def _homotopies(graph: CircuitGraph, options: SolverOptions, src: np.ndarray, log: list[str]):
-    """``solve_dc`` after its plain Newton solve failed (as ``log`` says):
-    gmin stepping from zeros, with the source values ``src`` (ordered as
-    ``_source_values``).  Returns (xg, iterations, residual_excess, device
-    evaluation at xg), or raises NonConvergenceError with ``log`` extended."""
+        log = [f"plain: {exc}"]
     try:
-        return _ladder(graph, options, np.zeros(graph.size + 1), src,
-                       np.zeros(graph.cap_c.size), _gmin_stages(options.gmin))[:4]
+        return _dc_ladder(graph, options, np.zeros(graph.size + 1), _gmin_stages(options.gmin))
     except SolverError as exc:
         log.append(f"gmin stepping: {exc}")
     raise NonConvergenceError(None, float("nan"), log)
 
 
-def sweep_values(start: float, stop: float, step: float) -> list[float]:
-    """``start``, ``start + step``, ... up to ``stop``, the last step clamped to it."""
-    check_sweep_step(start, stop, step)
-    if start == stop:
-        return [start]
-    count = int(math.floor((stop - start) / step + 1e-9))
-    values = [start + i * step for i in range(count + 1)]
-    if abs(values[-1] - stop) <= abs(step) * 1e-9:
-        values[-1] = stop
-    else:
-        values.append(stop)  # clamp the last step to the endpoint
-    return values
-
-
 def dc_sweep(graph: CircuitGraph, sweep: DcSweepDirective, options: SolverOptions) -> SweepRecord:
     """The ``.DC`` analysis ``sweep``, warm-starting each point from the last.
 
-    The one-member ``dc_sweep_lockstep``, whose first point is ``solve_dc``
-    of the circuit with the source held at the first value.  Non-convergent
+    The one-member ``dc_sweep_lockstep``, whose start is ``solve_dc`` of the
+    circuit with the source held at the grid's first value.  Non-convergent
     points are recorded (not converged, NaN unknowns) and the sweep
     continues from the last converged point.
     """
-    values = sweep_values(sweep.start, sweep.stop, sweep.step)
+    first = graph.with_source(sweep.source, sweep_values(sweep.start, sweep.stop, sweep.step)[0])
     try:
-        first = solve_dc(graph.with_source(sweep.source, values[0]), options)
+        start = solve_dc(first, options)
     except SolverError as exc:
-        first = exc
-    return dc_sweep_lockstep([graph], sweep.source, values, options, [first])
+        start = exc
+    return dc_sweep_lockstep([graph], sweep, options, [start])
 
 
 @dataclass(frozen=True)
@@ -712,59 +698,57 @@ class SweepRecord:
 
 def dc_sweep_lockstep(
     graphs: Sequence[CircuitGraph],
-    source_name: str,
-    values: Sequence[float],
+    sweep: DcSweepDirective,
     options: SolverOptions,
-    firsts: Sequence[OperatingPoint | SolverError],
+    starts: Sequence[OperatingPoint | SolverError],
 ) -> SweepRecord:
-    """DC sweeps of one source through circuits that share one topology, solved together.
+    """The ``.DC`` analysis ``sweep`` of circuits that share one topology, solved together.
 
-    Member b's point at ``values[0]`` is ``firsts[b]``, or not converged if
-    that is a SolverError.  Each later value is one batched Newton solve for
-    every member, from the member's own last converged point (zeros before
-    it has one).  A member that fails there falls back to gmin stepping; if
-    that fails too, its point is not converged (NaN unknowns).  Each
-    member's column of the returned record is the one ``dc_sweep`` gives it.
+    Member b's point at the first value of ``sweep_values``' grid is
+    ``starts[b]``, or not converged if that is a SolverError.  Each later
+    value is one batched Newton solve for every member, from its last
+    converged point (zeros before it has one); a member that fails there
+    falls back to gmin stepping from zeros, and if that fails too, its point
+    is not converged (NaN unknowns).  Each member's column of the returned
+    record is the one ``dc_sweep`` gives it.
     """
-    if not graphs or len(firsts) != len(graphs):
+    if not graphs or len(starts) != len(graphs):
         raise ValueError("need one first point per graph, and at least one graph")
     batch = _Batch(graphs, options)  # ValueError unless the members share one topology
+    values = sweep_values(sweep.start, sweep.stop, sweep.step)
     count, points, size = len(graphs), len(values), graphs[0].size
     src = _source_values(graphs)
-    members = np.arange(count)
-    # each member's column of the swept source in ``src``
-    held = [(*gr.isources, *gr.vsources).index(gr.find_source(source_name)) for gr in graphs]
-    sweep = SweepRecord(
+    # each member's (row, column) of the swept source in ``src``
+    held = (np.arange(count), [(*gr.isources, *gr.vsources).index(gr.find_source(sweep.source))
+                               for gr in graphs])
+    record = SweepRecord(
         values=np.array(values, dtype=float),
         x=np.full((points, count, size), np.nan),
         converged=np.zeros((points, count), dtype=bool),
         iterations=np.zeros((points, count), dtype=int),
         residual_excess=np.full((points, count), np.nan),
     )
-    last = np.zeros((count, size + 1))  # each member's last converged point, after ground
-    for b, op in enumerate(firsts):
-        if isinstance(op, OperatingPoint):
-            last[b, 1:] = np.concatenate((op.voltages, op.branch_currents))
-            sweep.x[0, b] = last[b, 1:]
-            sweep.converged[0, b] = True
-            sweep.iterations[0, b], sweep.residual_excess[0, b] = op.iterations, op.residual_excess
     cap_ieq = np.zeros((count, graphs[0].cap_c.size))
+    # each member's last converged point (after ground) and point 0's fields
+    last, ok, iters, excess = _start_rows(graphs, starts)
     dev = None  # the device evaluation at ``last``, once a solve has made one
-    for k in range(1, points):
-        src[members, held] = values[k]
-        xs, iters, excess, devs, _, errors = _newton_batch(batch, last, src, cap_ieq, dev)
-        ok = np.ones(count, dtype=bool)
-        for b in sorted(errors):
-            try:
-                xs[b], iters[b], excess[b], devs[:, b] = _homotopies(graphs[b], options, src[b], [])
-            except SolverError:
-                ok[b] = False
-        last, dev = xs, devs  # the kernel returned a failed member's start and its evaluation
-        sweep.x[k, ok] = xs[ok, 1:]
-        sweep.converged[k] = ok
-        sweep.iterations[k, ok] = iters[ok]
-        sweep.residual_excess[k, ok] = excess[ok]
-    return sweep
+    for k in range(points):
+        if k:  # the kernel returns a failed member's start and its evaluation
+            src[held] = values[k]
+            last, iters, excess, dev, _, errors = _newton_batch(batch, last, src, cap_ieq, dev)
+            ok = np.ones(count, dtype=bool)
+            for b in sorted(errors):
+                try:
+                    last[b], iters[b], excess[b], dev[:, b] = _ladder(
+                        graphs[b], options, np.zeros(size + 1), src[b], cap_ieq[b],
+                        _gmin_stages(options.gmin))[:4]
+                except SolverError:
+                    ok[b] = False
+        record.x[k, ok] = last[ok, 1:]
+        record.converged[k] = ok
+        record.iterations[k, ok] = iters[ok]
+        record.residual_excess[k, ok] = excess[ok]
+    return record
 
 
 def solve_transient(graph: CircuitGraph, tran: TranDirective, sopts: SolverOptions) -> WaveformSet:
@@ -826,12 +810,9 @@ def solve_lockstep(
     last = np.array([math.floor(t.tstop / t.tstep + 1e-9) for t in trans])  # its last step
     first = 1 if voltages else n + 1  # the first recorded column of xg
     width = g.size + 1 - first
-    xg = np.zeros((count, g.size + 1))  # each member's unknowns, after a ground column
-    max_excess, total_iters = np.zeros(count), np.zeros(count, dtype=int)
-    going = np.array([isinstance(op, OperatingPoint) for op in starts])  # the members stepping
-    for b in going.nonzero()[0]:  # a member whose start failed is a spent row from step 1
-        xg[b, 1:] = np.concatenate((starts[b].voltages, starts[b].branch_currents))
-        max_excess[b], total_iters[b] = starts[b].residual_excess, starts[b].iterations
+    # each member's unknowns after a ground column, and the members stepping:
+    # a member whose start failed is a spent row from step 1
+    xg, going, total_iters, max_excess = _start_rows(graphs, starts)
     assemblies, evaluations, rescues = np.zeros((3, count), dtype=int)
     dev = None  # each member's device evaluation at xg, once a solve has made one
     # DC source values are set once, and each distinct time-varying waveform

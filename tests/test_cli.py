@@ -697,8 +697,8 @@ TINY_STEP = "too fine a transient\nV1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1n\n.TRAN 1e-3
         ["run", "div.cir", "--temp", "25,25.0000001"],
         ["run", "temp_twice.cir"],
         ["run", "no_analysis.cir"],
-        # at MAX_STEPS in integers, past it in the generated .TRAN's floats
-        ["bench", "--freq", "100meg", "--periods", "10000", "--steps-per-period", "1000"],
+        # one step past MAX_STEPS
+        ["bench", "--freq", "100meg", "--periods", "10001", "--steps-per-period", "1000"],
     ],
 )
 def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv):
@@ -718,10 +718,10 @@ def test_bench_step_rule_names_the_flags(capsys):
     """The bench's step rule is its generated ``.TRAN``'s, reported against
     the two flags that set it, not a line of a netlist that the user never
     wrote."""
-    assert main(["bench", "--freq", "100meg", "--periods", "10000",
+    assert main(["bench", "--freq", "100meg", "--periods", "10001",
                  "--steps-per-period", "1000"]) == 1
     assert capsys.readouterr().err == (
-        "amps bench: error: 10000 periods of 1000 steps: "
+        "amps bench: error: 10001 periods of 1000 steps: "
         ".TRAN requires tstop <= 10000000*tstep\n")
 
 

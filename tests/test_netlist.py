@@ -20,6 +20,7 @@ from amps.netlist import (
     parse_netlist,
     parse_number,
     serialize_netlist,
+    sweep_values,
     validate,
 )
 from amps.rectifier import MODEL_CARDS, bench_netlist_path
@@ -389,6 +390,37 @@ def test_step_counts_are_bounded():
     for tstep in (1e-8, 1e-320):
         with pytest.raises(ValueError, match=r"tstop <= 10000000\*tstep"):
             TranDirective(tstep=tstep, tstop=1.0)
+
+
+def test_step_bounds_are_the_steps_the_solver_takes():
+    """The bounds count the steps a run takes, floor(tstop/tstep + 1e-9) for
+    ``.TRAN`` and the intervals of ``sweep_values``' grid for a sweep, so a
+    card of exactly 10 or 10^7 steps passes whatever the rounding of its
+    ratio, and one step past a bound fails."""
+    for m in range(1, 1000):
+        tstep = parse_number(f"{m / 100}u")
+        TranDirective(tstep, parse_number(f"{m / 10}u"))
+        with pytest.raises(ValueError, match=r"tstop >= 10\*tstep"):
+            TranDirective(tstep, 9 * tstep)
+        tstep = parse_number(f"{m / 100}n")
+        TranDirective(tstep, parse_number(f"{m * 100}u"))
+        with pytest.raises(ValueError, match=r"tstop <= 10000000\*tstep"):
+            TranDirective(tstep, (MAX_STEPS + 1) * tstep)
+        DcSweepDirective("V1", 0.0, m * 1e-2, m * 1e-9)
+        with pytest.raises(ValueError, match="more than 10000000 steps"):
+            DcSweepDirective("V1", 0.0, m * 1e-2 + m * 1e-9, m * 1e-9)
+    # 10^7 whole steps and a half one to stop: the grid appends stop
+    with pytest.raises(ValueError, match="more than 10000000 steps"):
+        DcSweepDirective("V1", 0.0, MAX_STEPS + 0.5, 1.0)
+
+
+def test_sweep_grid_ends_on_stop_within_its_rounding():
+    """The last whole step is replaced by stop when it lands within 1e-9 of
+    the steps' span, so a stop that is a whole number of steps away, up to
+    rounding, leaves no sliver of a step at the end; one half a step further
+    is appended."""
+    assert sweep_values(0.0, 100 + 2e-8, 1.0) == [*map(float, range(100)), 100 + 2e-8]
+    assert sweep_values(0.0, 100.5, 1.0) == [*map(float, range(101)), 100.5]
 
 
 # arguments that each card, and the record it builds, rejects

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amps.analysis import Waveform, WaveformError, WaveformSet
-from amps.netlist import DcSweepDirective, parse_netlist, validate
+from amps.netlist import DcSweepDirective, parse_netlist, sweep_values, validate
 from amps.rectifier import (
     BenchConfig,
     IdealOutputs,
@@ -24,7 +24,6 @@ from amps.solver import (
     SolverOptions,
     TransientNonConvergence,
     solve_dc,
-    sweep_values,
 )
 
 HALF_AMP = 200e-6

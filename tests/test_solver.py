@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from amps.netlist import DcSweepDirective, TranDirective, parse_netlist
+from amps.netlist import DcSweepDirective, TranDirective, parse_netlist, sweep_values
 from amps.rectifier import MODEL_CARDS
 from amps.solver import (
     NonConvergenceError,
@@ -22,7 +22,6 @@ from amps.solver import (
     solve_dc,
     solve_lockstep,
     solve_transient,
-    sweep_values,
 )
 
 OPTS = SolverOptions()
@@ -453,24 +452,26 @@ def reference_sweep(graph, name, values, options):
 def test_lockstep_dc_sweeps_match_single_sweeps(monkeypatch):
     """Each member's points are the ones it gets alone, bit for bit.
 
-    Six Newton updates and reltol 1.5e-5 make every member fall back to the
-    homotopies mid-sweep; the 25 and 50 degC members also fail their first
+    Six Newton updates and reltol 1.5e-5 make every member fall back to
+    gmin stepping mid-sweep; the 25 and 50 degC members also fail their first
     points (non-converged, NaN), the 75 and 100 degC members none.
     """
     import amps.solver
     from amps.rectifier import BenchConfig, bench_graph
 
     fallbacks = []
-    homotopies = amps.solver._homotopies
+    ladder = amps.solver._ladder
 
-    def counted(graph, options, src, log):
-        fallbacks.append((graph.mosfets[0].temp, float(src[0])))  # IIN, the only current source
-        return homotopies(graph, options, src, log)
+    def counted(graph, options, xg, src, cap_ieq, stages, *args):
+        if len(stages) > 1:  # gmin stepping; a plain Newton solve is one stage
+            fallbacks.append((graph.mosfets[0].temp, float(src[0])))  # IIN, the only current source
+        return ladder(graph, options, xg, src, cap_ieq, stages, *args)
 
-    monkeypatch.setattr(amps.solver, "_homotopies", counted)
+    monkeypatch.setattr(amps.solver, "_ladder", counted)
     opts = SolverOptions(max_newton_iters=6, reltol=1.5e-5)
     temps = (25.0, 50.0, 75.0, 100.0)
     graphs = [bench_graph(BenchConfig(temp=t)) for t in temps]
+    directive = DcSweepDirective("IIN", -100e-6, 100e-6, 20e-6)
     values = sweep_values(-100e-6, 100e-6, 20e-6)
     firsts = []
     for g in graphs:
@@ -479,14 +480,14 @@ def test_lockstep_dc_sweeps_match_single_sweeps(monkeypatch):
         except NonConvergenceError as exc:
             firsts.append(exc)
     fallbacks.clear()
-    sweep = dc_sweep_lockstep(graphs, "IIN", values, opts, firsts)
+    sweep = dc_sweep_lockstep(graphs, directive, opts, firsts)
     in_lockstep = list(fallbacks)
     for temp in temps:
         assert any(t == temp and v != values[0] for t, v in in_lockstep), temp
 
     nan = np.full(graphs[0].size, np.nan)
     for b, g in enumerate(graphs):
-        alone = dc_sweep(g, DcSweepDirective("IIN", -100e-6, 100e-6, 20e-6), opts)
+        alone = dc_sweep(g, directive, opts)
         assert alone.values.tolist() == values
         for k, ref in enumerate(reference_sweep(g, "IIN", values, opts)):
             got = sweep.x[k, b]
@@ -692,33 +693,35 @@ def test_carried_evaluation_changes_no_rescued_or_aborted_transient(monkeypatch)
 
 
 def test_carried_evaluation_changes_no_lockstep_sweep(monkeypatch):
-    """The same for the 4-temperature sweep whose members fall back to the
-    homotopies: every field of the record is the same bits, and the carry
+    """The same for the 4-temperature sweep whose members fall back to gmin
+    stepping: every field of the record is the same bits, and the carry
     saves device evaluations."""
     import amps.solver
     from amps.rectifier import BenchConfig, bench_graph
 
     fallbacks = []
-    homotopies = amps.solver._homotopies
+    ladder = amps.solver._ladder
 
-    def counted(graph, options, src, log):
-        fallbacks.append(graph.mosfets[0].temp)
-        return homotopies(graph, options, src, log)
+    def counted(graph, options, xg, src, cap_ieq, stages, *args):
+        if len(stages) > 1:  # gmin stepping; a plain Newton solve is one stage
+            fallbacks.append(graph.mosfets[0].temp)
+        return ladder(graph, options, xg, src, cap_ieq, stages, *args)
 
     opts = SolverOptions(max_newton_iters=6, reltol=1.5e-5)
     graphs = [bench_graph(BenchConfig(temp=t)) for t in (25.0, 50.0, 75.0, 100.0)]
-    values = sweep_values(-100e-6, 100e-6, 20e-6)
+    directive = DcSweepDirective("IIN", -100e-6, 100e-6, 20e-6)
+    first = sweep_values(-100e-6, 100e-6, 20e-6)[0]
 
     def sweep(carry: bool):
         counts = kernel_counted(monkeypatch, carry)
-        monkeypatch.setattr(amps.solver, "_homotopies", counted)
-        firsts = []
+        starts = []
         for g in graphs:
             try:
-                firsts.append(solve_dc(g.with_source("IIN", values[0]), opts))
-            except NonConvergenceError:
-                firsts.append(None)
-        record = dc_sweep_lockstep(graphs, "IIN", values, opts, firsts)
+                starts.append(solve_dc(g.with_source("IIN", first), opts))
+            except NonConvergenceError as exc:
+                starts.append(exc)
+        monkeypatch.setattr(amps.solver, "_ladder", counted)  # the sweep's fallbacks only
+        record = dc_sweep_lockstep(graphs, directive, opts, starts)
         monkeypatch.undo()
         return record, sum(counts)
 
@@ -756,7 +759,7 @@ def test_lockstep_members_must_share_one_topology(monkeypatch, first, other):
     with pytest.raises(ValueError, match="share one topology"):
         solve_lockstep(graphs, trans, OPTS, starts)
     with pytest.raises(ValueError, match="share one topology"):
-        dc_sweep_lockstep(graphs, "V1", [0.0, 1.0], OPTS, starts)
+        dc_sweep_lockstep(graphs, DcSweepDirective("V1", 0.0, 1.0, 1.0), OPTS, starts)
 
 
 def test_lockstep_arguments_need_one_entry_per_member(monkeypatch):
@@ -769,9 +772,10 @@ def test_lockstep_arguments_need_one_entry_per_member(monkeypatch):
                                   ([g], [tran], [start, start]), ([], [tran], [])):
         with pytest.raises(ValueError, match="one TranDirective and one start per graph"):
             solve_lockstep(graphs, trans, OPTS, starts)
-    for graphs, firsts in (([g, g], [start]), ([g], [start, start]), ([], [])):
+    sweep = DcSweepDirective("V1", 0.0, 1.0, 1.0)
+    for graphs, starts in (([g, g], [start]), ([g], [start, start]), ([], [])):
         with pytest.raises(ValueError, match="one first point per graph"):
-            dc_sweep_lockstep(graphs, "V1", [0.0, 1.0], OPTS, firsts)
+            dc_sweep_lockstep(graphs, sweep, OPTS, starts)
     assert solve_lockstep([], [], OPTS, []) == []
 
 

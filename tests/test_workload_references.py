@@ -1,10 +1,10 @@
-"""The benchmark's workloads, run in-process at their default seed, match its references.
+"""The benchmark's workloads, run in-process at each shipped seed, match its references.
 
 ``benchmarks/run.py`` counts an operation as failed when its outputs leave
 ``benchmarks/reference/`` by more than ``REF_RTOL`` of a column's peak, so a
 change that moves the Newton iterates is refused there.  This runs the same
-check on each workload's default seed, with the workload's own argv and
-checker, so such a change fails here first.
+check on each workload at the default and the held-out seed, with the
+workload's own argv and checker, so such a change fails here first.
 """
 
 import importlib.util
@@ -29,12 +29,13 @@ def load_workloads():
 workloads = load_workloads()
 
 
+@pytest.mark.parametrize("seed", workloads.SHIPPED_SEEDS, ids=lambda seed: f"seed{seed}")
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_default_seed_outputs_match_reference(name, tmp_path):
+def test_shipped_seed_outputs_match_reference(name, seed, tmp_path):
     inputs, out = tmp_path / "inputs", tmp_path / "out"
     inputs.mkdir()
     out.mkdir()
-    case = workloads.WORKLOADS[name](workloads.DEFAULT_SEED, inputs)
+    case = workloads.WORKLOADS[name](seed, inputs)
     assert main(case.argv(out)) == 0
     with np.load(BENCHMARKS / "reference" / f"{name}-seed{case.seed}.npz") as npz:
         ref = {k: npz[k].astype(float) for k in npz.files}
