@@ -22,7 +22,7 @@ diode = parse_netlist(
     "M1 d d 0 0 CMOSN W=1.5u L=0.15u\n" + MODEL_CARDS + "\n.END\n"
 )
 graph = build_graph(diode, 27.0)
-op = solve_dc(graph, opts)
+(op,) = solve_dc([graph], opts)
 v = op.voltages[diode.nodes["d"] - 1]
 print(f"diode-connected NMOS: v(d) = {v:.4f} V, id = {(1.5 - v) / 10e3 * 1e6:.2f} uA, "
       f"{op.iterations} iterations")
@@ -31,7 +31,7 @@ print(f"diode-connected NMOS: v(d) = {v:.4f} V, id = {(1.5 - v) / 10e3 * 1e6:.2f
 # both outputs carry only leakage-scale current.
 bench = parse_netlist(bench_netlist_path().read_text())
 graph = build_graph(bench, 25.0)
-op = solve_dc(graph, opts)
+(op,) = solve_dc([graph], opts)
 print("\nbench DC operating point (iin = 0):")
 for name in ("in", "cmp", "mir", "cpy"):
     print(f"  v({name})  = {op.voltages[bench.nodes[name] - 1]:+.4f} V")

@@ -238,7 +238,9 @@ def cmd_run(args) -> int:
         started = time.perf_counter()
         try:
             if isinstance(directive, OpDirective):
-                op = solve_dc(graph, opts)
+                (op,) = solve_dc([graph], opts)
+                if isinstance(op, SolverError):
+                    raise op
                 write_table(_made_parent(out_path), ("name", "value", "unit"),
                             [names, np.concatenate((op.voltages, op.branch_currents)), units])
                 points = 1
@@ -291,6 +293,7 @@ def cmd_bench(args) -> int:
     results = []
     for cfg, name, ws in zip(configs, names, runs):
         if isinstance(ws, Exception):
+            print(f"bench f={cfg.frequency:g} T={cfg.temp:g} failed: {ws}", file=sys.stderr)
             results.append((cfg, name, None, f"failed: {type(ws).__name__}"))
             continue
         report = compare(ws, cfg)
@@ -305,8 +308,8 @@ def cmd_bench(args) -> int:
     elapsed = time.perf_counter() - started
     ok = sum(1 for r in results if r[3] == "ok")
     for cfg, name, report, status in results:
-        detail = f"rms+={report.rms_error_plus:.4f}" if report else status
-        print(f"bench f={cfg.frequency:g} T={cfg.temp:g}: {detail} -> {name}")
+        detail = f"rms+={report.rms_error_plus:.4f} -> {name}" if report else status
+        print(f"bench f={cfg.frequency:g} T={cfg.temp:g}: {detail}")
     print(f"bench: {ok}/{len(results)} points, {elapsed:.1f} s -> {outdir / 'report.csv'}")
     return 0 if ok else 2
 
@@ -327,6 +330,9 @@ def cmd_dc_sweep(args) -> int:
     sweeps = rectifier.bench_dc_transfer(graphs, sweep, opts)
     outdir.mkdir(parents=True, exist_ok=True)
     for temp, name, (values, out_plus, out_minus) in zip(args.temp, names, sweeps):
+        bad = np.count_nonzero(np.isnan(out_plus) | np.isnan(out_minus))
+        if bad:
+            print(f"{name}: {bad} non-converged points", file=sys.stderr)
         write_table(outdir / name, (args.source.lower(), "out_plus", "out_minus"),
                     [values, out_plus, out_minus])
         print(f"dc-sweep T={temp:g}: {len(values)} points -> {outdir / name}")

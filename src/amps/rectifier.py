@@ -20,7 +20,6 @@ from .analysis import PrecisionReport, Waveform, WaveformError, WaveformSet
 from .netlist import DcSweepDirective, TranDirective, parse_netlist, sweep_values
 from .solver import (
     CircuitGraph,
-    OperatingPoint,
     SolverError,
     SolverOptions,
     build_graph,
@@ -173,28 +172,16 @@ def run_bench(
     i_vdd, i_vss) on a shared time base, with solver statistics in
     ``stats``; a config whose DC operating point or transient fails gets
     that solver error in place of its waveforms.  Every netlist and graph is
-    built first, so a bad config raises ValueError before any solve.  Each
-    config's operating point is a ``solve_dc`` call (``_starts``); then the
-    configs run their transients in one lockstep, each the ``.TRAN`` of its
-    netlist with the results it gets alone (a failed start takes no step).
+    built first, so a bad config raises ValueError before any solve.  One
+    ``solve_dc`` call finds every config's operating point; then the configs
+    run their transients in one lockstep, each the ``.TRAN`` of its netlist
+    with the results it gets alone (a failed start takes no step).
     """
     options = options or SolverOptions()
     graphs = [bench_graph(cfg) for cfg in configs]
     trans = [d for g in graphs for d in g.doc.directives if isinstance(d, TranDirective)]
-    runs = solve_lockstep(graphs, trans, options, _starts(graphs, options))
+    runs = solve_lockstep(graphs, trans, options, solve_dc(graphs, options))
     return [raw if isinstance(raw, SolverError) else _contract_waveforms(raw) for raw in runs]
-
-
-def _starts(graphs: Sequence[CircuitGraph],
-            options: SolverOptions) -> list[OperatingPoint | SolverError]:
-    """Each graph's ``solve_dc`` operating point, or the SolverError it raised."""
-    starts = []
-    for graph in graphs:
-        try:
-            starts.append(solve_dc(graph, options))
-        except SolverError as exc:
-            starts.append(exc)
-    return starts
 
 
 def _contract_waveforms(raw: WaveformSet) -> WaveformSet:
@@ -217,13 +204,13 @@ def bench_dc_transfer(
     """The ``.DC`` analysis ``sweep`` (of the input current IIN, say) on each ``bench_graph``.
 
     Returns one (swept values, out_plus, out_minus) per graph, in order;
-    non-converged points are NaN.  Each graph's first point is a ``solve_dc``
-    call (``_starts``); the graphs then sweep the other values in lockstep,
-    with the same results as one at a time.
+    non-converged points are NaN.  One ``solve_dc`` call finds every graph's
+    first point; the graphs then sweep the other values in lockstep, with
+    the same results as one at a time.
     """
     options = options or SolverOptions()
     first = sweep_values(sweep.start, sweep.stop, sweep.step)[0]
-    starts = _starts([graph.with_source(sweep.source, first) for graph in graphs], options)
+    starts = solve_dc([graph.with_source(sweep.source, first) for graph in graphs], options)
     record = dc_sweep_lockstep(graphs, sweep, options, starts)
     results = []
     for b, graph in enumerate(graphs):

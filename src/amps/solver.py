@@ -14,10 +14,10 @@ alpha (0 for DC, 1/h backward Euler, 2/h trapezoidal) once: its Jacobian is
 ``G + alpha*C + gmin*D`` plus the device scatter, and the source values and
 the capacitor history currents are arguments of each Newton solve.
 
-Nonlinear solves are damped Newton-Raphson over dense LU; every failed solve
-(a DC start, sweep point or transient step) falls back to gmin stepping,
-one ``_ladder`` call (from zeros at DC).  Transient integration
-is fixed-step trapezoidal with a backward-Euler first step.  Every Newton
+Nonlinear solves are damped Newton-Raphson over dense LU; the members whose
+solve fails (a DC point, sweep point or transient step) fall back to gmin
+stepping together, one ``_ladder`` call (from zeros at DC).  Transient
+integration is fixed-step trapezoidal with a backward-Euler first step.  Every Newton
 solve, of one circuit or of several that share one topology, runs on one
 batched kernel (``_newton_batch``): each iteration is one assembly and one
 LU solve for every circuit of the batch, spent ones too.  Each assembly
@@ -25,16 +25,17 @@ evaluates the devices, except a solve's first when it is given the
 evaluation at its start: a solve returns the evaluation at the point it
 returns, which is where the next time step, sweep point or gmin stage
 starts.  So circuits that share one topology (``_Batch`` checks it) can be
-solved in lockstep, each from its own start (``_start_rows``): transients
-(``solve_lockstep``, each with its own ``TranDirective``; ``solve_transient``
-is its one-member form from the DC point, with ``voltages``) take each time
-step, and the ``.DC`` sweeps of one ``DcSweepDirective``
-(``dc_sweep_lockstep``; ``dc_sweep`` is its one-member form) each sweep
-value, together, and each one's results are the ones it gets alone.
+solved in lockstep, each with the results it gets alone: DC operating
+points (``solve_dc``), and from each one's own start (``_start_rows``)
+transients (``solve_lockstep``, each with its own ``TranDirective``;
+``solve_transient`` is its one-member form from the DC point, with
+``voltages``), which take each time step together, and the ``.DC`` sweeps of
+one ``DcSweepDirective`` (``dc_sweep_lockstep``; ``dc_sweep`` is its
+one-member form), which take each sweep value together.
 A transient whose start or step fails, or that is done, stays in its batch
 as a spent row, so a lockstep builds one ``_Batch`` per integration phase.
 
-A solve that finds no point raises (a lockstep member returns) a
+A solve that finds no point raises (a member of a batched solve returns) a
 ``SolverError``: ``NonConvergenceError`` names the unknown (node or source
 branch) of the worst residual, ``SingularMatrixError`` the one that a singular
 Jacobian's null vector weighs most, ``TransientNonConvergence`` the time.
@@ -572,33 +573,30 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
     return out, iters, excess, out_dev, iters + evaluated, errors
 
 
-def _ladder(graph: CircuitGraph, options: SolverOptions, xg: np.ndarray, src: np.ndarray,
-            cap_ieq: np.ndarray, stages: Sequence[float], alpha: float = 0.0,
-            dev: np.ndarray | None = None):
-    """Newton solves of one circuit through ``stages`` of gmin at companion
-    factor ``alpha``, the first from ``xg`` (the unknowns after a ground
-    column; ``dev``, if given, its device evaluation), each later one from
-    the one before.  ``src`` holds the source values, ``cap_ieq`` the
-    capacitor history.
-
-    Returns (xg, iterations, residual_excess, dev, assemblies, evaluations):
-    the last stage's point, excess and device evaluation, the updates,
-    assemblies and device evaluations of all stages; raises the first
-    failing stage's error.
+def _ladder(graphs: Sequence[CircuitGraph], options: SolverOptions, xg: np.ndarray,
+            src: np.ndarray, cap_ieq: np.ndarray, stages: Sequence[float],
+            alpha: float | Sequence[float] = 0.0, dev: np.ndarray | None = None,
+            going: np.ndarray | None = None):
+    """Newton solves of the members of ``graphs`` that ``going`` marks (all
+    when None) through ``stages`` of gmin at companion factor ``alpha`` (one,
+    or one per member), each from the one before, the first from ``xg`` (as
+    ``_newton_batch``, whose other arguments these are).  A member stops at
+    the first stage it fails.  Returns (xg, iterations, residual_excess, dev,
+    assemblies, evaluations, errors) as ``_newton_batch`` does, each count
+    summed over a member's stages, and ``errors`` its failing stage's error.
     """
-    iterations = assemblies = evaluations = 0
-    dev = None if dev is None else dev[:, None]
+    going = np.ones(len(xg), dtype=bool) if going is None else going.copy()
+    iterations, assemblies, evaluations = totals = np.zeros((3, len(xg)), dtype=int)
+    errors: dict[int, Exception] = {}
     for gmin in stages:
-        batch = _Batch([graph], options, gmin=gmin, alpha=alpha)
-        out, iters, excess, dev, evals, errors = _newton_batch(
-            batch, xg[None], src[None], cap_ieq[None], dev)
-        if errors:  # popped, so that the error's traceback does not keep it alive
-            raise errors.pop(0)
-        xg = out[0]
-        iterations += int(iters[0])
-        assemblies += int(iters[0]) + 1
-        evaluations += int(evals[0])
-    return xg, iterations, float(excess[0]), dev[:, 0], assemblies, evaluations
+        batch = _Batch(graphs, options, gmin=gmin, alpha=alpha)
+        xg, iters, excess, dev, evals, failed = _newton_batch(batch, xg, src, cap_ieq, dev, going)
+        np.add(totals, (iters, iters + 1, evals), out=totals, where=going)
+        errors.update(failed)
+        going[list(failed)] = False
+        if not going.any():
+            break
+    return xg, iterations, excess, dev, assemblies, evaluations, errors
 
 
 def _gmin_stages(gmin: float) -> list[float]:
@@ -618,12 +616,32 @@ def _start_rows(graphs: Sequence[CircuitGraph], starts: Sequence[OperatingPoint 
     return xg, ok, iters, excess
 
 
-def _dc_ladder(graph: CircuitGraph, options: SolverOptions, xg: np.ndarray,
-               stages: Sequence[float]) -> OperatingPoint:
-    """``_ladder`` of one circuit at DC, from ``xg`` (after a ground column)."""
-    xg, iterations, excess = _ladder(graph, options, xg, _source_values([graph])[0],
-                                     np.zeros(graph.cap_c.size), stages)[:3]
-    return OperatingPoint(xg[1 : graph.n + 1], xg[graph.n + 1:], iterations, excess)
+def _operating_point(graph: CircuitGraph, xg: np.ndarray, iterations, excess) -> OperatingPoint:
+    """The OperatingPoint of a kernel row ``xg`` (unknowns after a ground column)."""
+    return OperatingPoint(xg[1 : graph.n + 1], xg[graph.n + 1:], int(iterations), float(excess))
+
+
+def _dc_points(batch: _Batch, graphs: Sequence[CircuitGraph], xg: np.ndarray, src: np.ndarray,
+               dev: np.ndarray | None = None):
+    """SPICE2's operating-point procedure (Nagel, UCB/ERL M520, 1975) for the
+    members ``graphs`` of ``batch``: a plain Newton solve from ``xg`` (as
+    ``_newton_batch``), then gmin stepping from zeros for those that fail it.
+    Returns (xg, iterations, residual_excess, dev, errors), ``errors``
+    mapping a member that fails both to a NonConvergenceError logging both.
+    """
+    cap_ieq = np.zeros((len(xg), batch.g.cap_c.size))
+    xg, iters, excess, dev, _, plain = _newton_batch(batch, xg, src, cap_ieq, dev)
+    if not plain:
+        return xg, iters, excess, dev, {}
+    failed = np.array([b in plain for b in range(len(xg))])
+    sx, si, se, sd, *_, lost = _ladder(graphs, batch.opt, np.zeros_like(xg), src, cap_ieq,
+                                       _gmin_stages(batch.opt.gmin), going=failed)
+    solved = np.array([b in plain and b not in lost for b in range(len(xg))])
+    xg[solved], iters[solved], excess[solved], dev[:, solved] = (
+        sx[solved], si[solved], se[solved], sd[:, solved])
+    return xg, iters, excess, dev, {
+        b: NonConvergenceError(None, float("nan"), [f"plain: {plain[b]}", f"gmin stepping: {exc}"])
+        for b, exc in lost.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -643,46 +661,41 @@ def newton_solve(
     x0 = np.concatenate(([0.0], x0))
     if not np.all(np.isfinite(x0)):
         raise ValueError("non-finite initial guess")
-    return _dc_ladder(graph, options, x0, [options.gmin])
+    xg, iters, excess, _, _, errors = _newton_batch(
+        _Batch([graph], options), x0[None], _source_values([graph]),
+        np.zeros((1, graph.cap_c.size)))
+    if errors:  # popped, so that the error's traceback does not keep it alive
+        raise errors.pop(0)
+    return _operating_point(graph, xg[0], iters[0], excess[0])
 
 
-def solve_dc(
-    graph: CircuitGraph,
-    options: SolverOptions,
-    initial_guess: np.ndarray | None = None,
-) -> OperatingPoint:
-    """DC operating point with a gmin-stepping fallback.
+def solve_dc(graphs: Sequence[CircuitGraph],
+             options: SolverOptions) -> list[OperatingPoint | SolverError]:
+    """DC operating points of circuits that share one topology (ValueError
+    unless they do), solved together: one per graph, the one it gets alone.
 
-    Tries a plain Newton solve from ``initial_guess`` (zeros when None),
-    then gmin stepping (one decade per stage from 1e-2 S down to gmin) from
-    zeros, each stage warm-starting from the previous one.  A point found
-    by gmin stepping counts the updates of all its stages.
+    Each tries a plain Newton solve from zeros, then gmin stepping (one
+    decade per stage from 1e-2 S down to gmin) from zeros, each stage from
+    the one before; a point found by gmin stepping counts the updates of all
+    its stages.  A graph for which both fail gets a NonConvergenceError.
     """
-    try:
-        return newton_solve(graph, initial_guess, options)
-    except SolverError as exc:
-        log = [f"plain: {exc}"]
-    try:
-        return _dc_ladder(graph, options, np.zeros(graph.size + 1), _gmin_stages(options.gmin))
-    except SolverError as exc:
-        log.append(f"gmin stepping: {exc}")
-    raise NonConvergenceError(None, float("nan"), log)
+    if not graphs:
+        return []
+    xg, iters, excess, _, errors = _dc_points(
+        _Batch(graphs, options), graphs, np.zeros((len(graphs), graphs[0].size + 1)),
+        _source_values(graphs))
+    return [errors[b] if b in errors else _operating_point(g, xg[b], iters[b], excess[b])
+            for b, g in enumerate(graphs)]
 
 
 def dc_sweep(graph: CircuitGraph, sweep: DcSweepDirective, options: SolverOptions) -> SweepRecord:
-    """The ``.DC`` analysis ``sweep``, warm-starting each point from the last.
-
-    The one-member ``dc_sweep_lockstep``, whose start is ``solve_dc`` of the
-    circuit with the source held at the grid's first value.  Non-convergent
-    points are recorded (not converged, NaN unknowns) and the sweep
-    continues from the last converged point.
+    """The ``.DC`` analysis ``sweep``: the one-member ``dc_sweep_lockstep``
+    from ``solve_dc`` of the circuit with the source held at the grid's first
+    value.  Each point starts from the last converged one; a point that does
+    not converge is recorded (not converged, NaN unknowns).
     """
     first = graph.with_source(sweep.source, sweep_values(sweep.start, sweep.stop, sweep.step)[0])
-    try:
-        start = solve_dc(first, options)
-    except SolverError as exc:
-        start = exc
-    return dc_sweep_lockstep([graph], sweep, options, [start])
+    return dc_sweep_lockstep([graph], sweep, options, solve_dc([first], options))
 
 
 @dataclass(frozen=True)
@@ -707,10 +720,10 @@ def dc_sweep_lockstep(
     Member b's point at the first value of ``sweep_values``' grid is
     ``starts[b]``, or not converged if that is a SolverError.  Each later
     value is one batched Newton solve for every member, from its last
-    converged point (zeros before it has one); a member that fails there
-    falls back to gmin stepping from zeros, and if that fails too, its point
-    is not converged (NaN unknowns).  Each member's column of the returned
-    record is the one ``dc_sweep`` gives it.
+    converged point (zeros before it has one); the members that fail there
+    fall back to gmin stepping from zeros together, and a member that fails
+    that too is not converged there (NaN unknowns).  Each member's column of
+    the returned record is the one ``dc_sweep`` gives it.
     """
     if not graphs or len(starts) != len(graphs):
         raise ValueError("need one first point per graph, and at least one graph")
@@ -728,22 +741,14 @@ def dc_sweep_lockstep(
         iterations=np.zeros((points, count), dtype=int),
         residual_excess=np.full((points, count), np.nan),
     )
-    cap_ieq = np.zeros((count, graphs[0].cap_c.size))
     # each member's last converged point (after ground) and point 0's fields
     last, ok, iters, excess = _start_rows(graphs, starts)
     dev = None  # the device evaluation at ``last``, once a solve has made one
     for k in range(points):
         if k:  # the kernel returns a failed member's start and its evaluation
             src[held] = values[k]
-            last, iters, excess, dev, _, errors = _newton_batch(batch, last, src, cap_ieq, dev)
-            ok = np.ones(count, dtype=bool)
-            for b in sorted(errors):
-                try:
-                    last[b], iters[b], excess[b], dev[:, b] = _ladder(
-                        graphs[b], options, np.zeros(size + 1), src[b], cap_ieq[b],
-                        _gmin_stages(options.gmin))[:4]
-                except SolverError:
-                    ok[b] = False
+            last, iters, excess, dev, errors = _dc_points(batch, graphs, last, src, dev)
+            ok = np.array([b not in errors for b in range(count)])
         record.x[k, ok] = last[ok, 1:]
         record.converged[k] = ok
         record.iterations[k, ok] = iters[ok]
@@ -753,7 +758,7 @@ def dc_sweep_lockstep(
 
 def solve_transient(graph: CircuitGraph, tran: TranDirective, sopts: SolverOptions) -> WaveformSet:
     """The ``.TRAN`` analysis ``tran``: a fixed-step transient from the DC
-    operating point (``solve_dc``, which raises its SolverError).
+    operating point (``solve_dc``); raises the SolverError of either.
 
     Capacitors use the trapezoidal companion (conductance 2C/h plus history
     current); the first accepted step is backward Euler.  The result holds
@@ -767,8 +772,8 @@ def solve_transient(graph: CircuitGraph, tran: TranDirective, sopts: SolverOptio
     It is the one-member ``solve_lockstep`` with ``voltages``; a transient
     from another start (all zeros, say) is that call with the start.
     """
-    (ws,) = solve_lockstep([graph], [tran], sopts, [solve_dc(graph, sopts)], voltages=True)
-    if isinstance(ws, TransientNonConvergence):
+    (ws,) = solve_lockstep([graph], [tran], sopts, solve_dc([graph], sopts), voltages=True)
+    if isinstance(ws, SolverError):
         raise ws
     return ws
 
@@ -872,17 +877,18 @@ def solve_lockstep(
             batches[phase], xg, src, cap_ieq, dev, going)
         np.add(assemblies, iters + 1, out=assemblies, where=going)
         np.add(evaluations, evals, out=evaluations, where=going)
-        for b in sorted(errors):
-            rescues[b] += 1
-            try:
-                xg[b], iters[b], excess[b], dev[:, b], used, evaluated = _ladder(
-                    graphs[b], sopts, xg[b], src[b], cap_ieq[b], _gmin_stages(sopts.gmin),
-                    alphas[phase][b], dev[:, b])
-                assemblies[b] += used
-                evaluations[b] += evaluated
-            except SolverError as exc:
+        if errors:  # a gmin-stepping rescue of the members whose step failed
+            failed = np.array([b in errors for b in range(count)])
+            rescues += failed
+            xg, rescue_iters, rescue_excess, dev, used, evaluated, lost = _ladder(
+                graphs, sopts, xg, src, cap_ieq, _gmin_stages(sopts.gmin), alphas[phase], dev,
+                failed)
+            for b, exc in lost.items():  # a spent row from here
                 results[b] = TransientNonConvergence(k * tsteps[b], waveforms(b, k - 1), exc)
                 going[b] = False
+            iters[failed], excess[failed] = rescue_iters[failed], rescue_excess[failed]
+            assemblies += used  # zero where no rescue ran
+            evaluations += evaluated
         np.add(total_iters, iters, out=total_iters, where=going)
         np.maximum(max_excess, excess, out=max_excess, where=going)
         keep(k)

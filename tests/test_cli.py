@@ -353,6 +353,27 @@ def test_bench_failed_member_reported_others_written(tmp_path, monkeypatch):
     assert not (tmp_path / "bench_f10000000_t25.csv").exists()
 
 
+# tolerances that no bench DC start and few bench sweep points meet
+UNMET = {"reltol": "1e-15", "abstol": "1e-30", "vntol": "1e-30"}
+
+
+def test_bench_failed_points_reach_stderr(tmp_path, capsys):
+    """Each failed point is one stderr line carrying its solver's message, and
+    its stdout line names no file, since it writes none."""
+    assert main(bench_args(tmp_path, freq="1k,1meg", temp="25,75", periods="3", spp="10",
+                           **UNMET)) == 2
+    captured = capsys.readouterr()
+    points = [f"bench f={f} T={t}" for f in ("1000", "1e+06") for t in (25, 75)]
+    err = captured.err.splitlines()
+    assert [line.split(" failed: ")[0] for line in err] == points
+    assert all("failed: no DC operating point; tried: plain: " in line for line in err)
+    assert captured.out.splitlines()[:4] == [f"{p}: failed: NonConvergenceError"
+                                             for p in points]
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+    report = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    assert report[0] == "1000.0,25.0,nan,nan,nan,nan,nan,nan,failed: NonConvergenceError"
+
+
 def read_report(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -443,6 +464,19 @@ def test_dc_sweep_rejected_input_leaves_no_output_directory(tmp_path, capsys, fl
     assert main(argv) == 1
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert not (tmp_path / "new").exists()
+
+
+def test_dc_sweep_names_its_non_converged_points(tmp_path, capsys):
+    """As ``run`` does for a ``.DC``: one stderr line per temperature that
+    has non-converged (NaN) points, and exit 0."""
+    argv = ["dc-sweep", "--from", "-200u", "--to", "200u", "--step", "100u", "--temp", "25,75"]
+    for flag, value in UNMET.items():
+        argv += [f"--{flag}", value]
+    assert main(argv + ["-o", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == (
+        "dcsweep_t25.csv: 4 non-converged points\ndcsweep_t75.csv: 4 non-converged points\n")
+    rows = (tmp_path / "dcsweep_t25.csv").read_text().splitlines()[1:]
+    assert [",nan," in row for row in rows] == [True, False, True, True, True]
 
 
 def test_dc_sweep_single_point(tmp_path):

@@ -20,10 +20,8 @@ from amps.rectifier import (
 )
 from amps.solver import (
     NonConvergenceError,
-    SolverError,
     SolverOptions,
     TransientNonConvergence,
-    solve_dc,
 )
 
 HALF_AMP = 200e-6
@@ -237,10 +235,11 @@ def test_lockstep_rescue_and_abort_stay_with_their_member(monkeypatch):
     rescued = []
     ladder = amps.solver._ladder
 
-    def counted_rescue(graph, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None):
-        if alpha:  # a transient step's rescue; DC homotopies run at alpha = 0
-            rescued.append(graph.isources[0].spec.frequency)
-        return ladder(graph, options, xg, src, cap_ieq, stages, alpha, dev)
+    def counted_rescue(graphs, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None,
+                       going=None):
+        if np.any(alpha):  # a transient step's rescue; DC gmin stepping runs at alpha = 0
+            rescued.extend(graphs[b].isources[0].spec.frequency for b in going.nonzero()[0])
+        return ladder(graphs, options, xg, src, cap_ieq, stages, alpha, dev, going)
 
     monkeypatch.setattr(amps.solver, "_ladder", counted_rescue)
     opts = SolverOptions(max_newton_iters=6)
@@ -267,12 +266,13 @@ def test_lockstep_members_with_mixed_step_counts_match_single_runs(monkeypatch, 
     and the others need gmin-stepping rescues."""
     import amps.solver
 
-    built = []
+    built = []  # the phase batches: alpha per member at the options' gmin
     init = amps.solver._Batch.__init__
 
-    def counted(self, graphs, *args, **kwargs):
-        built.append(len(graphs))
-        init(self, graphs, *args, **kwargs)
+    def counted(self, graphs, options, *, gmin=None, alpha=0.0):
+        if gmin is None and np.any(alpha):
+            built.append(len(graphs))
+        init(self, graphs, options, gmin=gmin, alpha=alpha)
 
     monkeypatch.setattr(amps.solver._Batch, "__init__", counted)
     opts = SolverOptions(max_newton_iters=cap)
@@ -308,17 +308,23 @@ def test_lockstep_members_with_mixed_step_counts_match_single_runs(monkeypatch, 
 
 
 def failing_starts(monkeypatch, fails) -> list[NonConvergenceError]:
-    """Patch the ``solve_dc`` that ``amps.rectifier`` calls to raise for the
-    graphs ``fails`` picks; the returned list collects the errors raised."""
+    """Patch the ``solve_dc`` that ``amps.rectifier`` calls to return an
+    error for the graphs ``fails`` picks and to solve the others together;
+    the returned list collects the errors returned."""
     import amps.rectifier
 
     solve_dc, raised = amps.rectifier.solve_dc, []
 
-    def patched(graph, options, *args):
-        if fails(graph):
-            raised.append(NonConvergenceError(None, float("nan"), ["patched: no start"]))
-            raise raised[-1]
-        return solve_dc(graph, options, *args)
+    def patched(graphs, options):
+        solved = iter(solve_dc([g for g in graphs if not fails(g)], options))
+        starts = []
+        for graph in graphs:
+            if fails(graph):
+                raised.append(NonConvergenceError(None, float("nan"), ["patched: no start"]))
+                starts.append(raised[-1])
+            else:
+                starts.append(next(solved))
+        return starts
 
     monkeypatch.setattr(amps.rectifier, "solve_dc", patched)
     return raised
@@ -341,7 +347,7 @@ def lockstep_going(monkeypatch, size: int) -> list[np.ndarray]:
 
 
 def test_run_bench_config_whose_start_fails_takes_no_step(monkeypatch):
-    """The config gets the error its ``solve_dc`` raised and is a spent row
+    """The config gets the error its ``solve_dc`` returned and is a spent row
     of the lockstep from step 1; the others get their solo runs bit for bit."""
     cfgs = [BenchConfig(frequency=f, periods=3, steps_per_period=100) for f in (1e3, 1e6, 1e8)]
     alone = [run_bench([cfg])[0] for cfg in cfgs]
@@ -373,8 +379,11 @@ def test_run_bench_whose_starts_all_fail_makes_no_newton_solve(monkeypatch):
 
 def test_dc_transfer_member_whose_first_point_fails(monkeypatch):
     """Its first point is not converged (NaN) and its sweep goes on from
-    zeros, as one ``solve_dc`` per point from the last converged one; the
-    other members get their solo sweeps bit for bit."""
+    zeros, as one independent solve per point from the last converged one
+    (``reference_sweep``); the other members get their solo sweeps bit for
+    bit."""
+    from tests.test_solver import reference_sweep
+
     temps = (25.0, 75.0, 100.0)
     graphs = [bench_graph(BenchConfig(temp=t)) for t in temps]
     values = sweep_values(-20e-6, 20e-6, 10e-6)
@@ -388,14 +397,11 @@ def test_dc_transfer_member_whose_first_point_fails(monkeypatch):
     iin, out_plus, out_minus = got[1]
     assert iin.tolist() == values
     assert np.isnan(out_plus[0]) and np.isnan(out_minus[0])
-    g, x_prev = graphs[1], None
+    g = graphs[1]
     names = [src.name for src in g.vsources]
-    for k, value in enumerate(values[1:], start=1):
-        try:
-            op = solve_dc(g.with_source("IIN", value), SolverOptions(), x_prev)
-        except SolverError:
+    for k, op in enumerate(reference_sweep(g, "IIN", values[1:], SolverOptions()), start=1):
+        if op is None:
             assert np.isnan(out_plus[k]) and np.isnan(out_minus[k])
             continue
-        x_prev = np.concatenate((op.voltages, op.branch_currents))
         assert out_plus[k] == op.branch_currents[names.index("VOUTP")]
         assert out_minus[k] == op.branch_currents[names.index("VOUTM")]

@@ -191,7 +191,7 @@ def test_linear_circuits_converge_in_one_iteration():
 
 def test_diode_connected_nmos_self_consistent():
     g = graph_of(DIODE_NMOS)
-    op = solve_dc(g, OPTS)
+    (op,) = solve_dc([g], OPTS)
     v = op.voltages[node(g, "d")]
     i_resistor = (1.5 - v) / 10e3
     # independent evaluation of the documented closed form at the solved bias
@@ -224,16 +224,16 @@ def test_every_solver_failure_is_a_solver_error():
 
 def test_solve_dc_exhausts_homotopies_on_singular():
     g = graph_of(SINGULAR)
-    with pytest.raises(NonConvergenceError) as err:
-        solve_dc(g, OPTS)
-    assert [entry.split(":")[0] for entry in err.value.strategy_log] == ["plain", "gmin stepping"]
+    (err,) = solve_dc([g], OPTS)
+    assert isinstance(err, NonConvergenceError)
+    assert [entry.split(":")[0] for entry in err.strategy_log] == ["plain", "gmin stepping"]
 
 
 def test_solve_dc_succeeds_wherever_newton_does():
     for text in (DIVIDER, DIODE_NMOS):
         g = graph_of(text)
-        a = newton_solve(g, None, OPTS) if text is DIVIDER else solve_dc(g, OPTS)
-        b = solve_dc(g, OPTS)
+        (b,) = solve_dc([g], OPTS)
+        a = newton_solve(g, None, OPTS) if text is DIVIDER else b
         assert np.allclose(a.voltages, b.voltages, atol=1e-9)
 
 
@@ -243,9 +243,8 @@ def test_nonfinite_guess_rejected():
         newton_solve(g, np.array([np.nan, np.nan, 0.0]), OPTS)
 
 
-@pytest.mark.parametrize("solve", [lambda g, x: newton_solve(g, x, OPTS),
-                                   lambda g, x: solve_dc(g, OPTS, x)],
-                         ids=["newton_solve", "solve_dc"])
+@pytest.mark.parametrize("solve", [lambda g, x: newton_solve(g, x, OPTS)],
+                         ids=["newton_solve"])
 @pytest.mark.parametrize("length", [1, 5])
 def test_wrong_length_guess_rejected(solve, length):
     g = graph_of(DIVIDER)
@@ -254,49 +253,54 @@ def test_wrong_length_guess_rejected(solve, length):
 
 
 def test_gmin_stepping_after_plain_newton_fails(monkeypatch):
-    """Plain Newton from a 1 kV guess fails: ``solve_dc`` falls back to gmin
-    stepping, whose eleven stages run in order, each from the one before,
-    and whose point counts the updates of all of them.  Tight tolerances
-    make two converged points agree to 1e-9 V."""
+    """Plain Newton, forced to report a failure, gives way to gmin stepping,
+    whose eleven stages run in order, each from the one before, and whose
+    point counts the updates of all of them.  Tight tolerances make two
+    converged points agree to 1e-9 V."""
     import amps.solver
 
     opts = SolverOptions(reltol=1e-9, vntol=1e-12)
     g = graph_of(DIODE_NMOS)
-    unforced = solve_dc(g, opts)
-    ladder = amps.solver._ladder
-    ladders = []  # (stages, result or error) of each stage loop run
+    (unforced,) = solve_dc([g], opts)
+    kernel, ladder = amps.solver._newton_batch, amps.solver._ladder
+    forced, ladders = [], []  # the forced error; (stages, going, result) of each stage loop run
 
-    def recorded(graph, options, xg, src, cap_ieq, stages, *args):
-        try:
-            result = ladder(graph, options, xg, src, cap_ieq, stages, *args)
-        except SolverError as exc:
-            ladders.append((stages, exc))
-            raise
-        ladders.append((stages, result))
+    def plain_fails(*args):
+        result = kernel(*args)
+        if not forced:  # the first call, the plain solve
+            forced.append(NonConvergenceError("node d", 1.0))
+            result[5][0] = forced[0]
         return result
 
+    def recorded(graphs, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None, going=None):
+        result = ladder(graphs, options, xg, src, cap_ieq, stages, alpha, dev, going)
+        ladders.append((stages, going, result))
+        return result
+
+    monkeypatch.setattr(amps.solver, "_newton_batch", plain_fails)
     monkeypatch.setattr(amps.solver, "_ladder", recorded)
-    op = solve_dc(g, opts, np.full(g.size, 1e3))
-    (_, plain), (stages, stepped) = ladders
-    assert isinstance(plain, NonConvergenceError)
+    (op,) = solve_dc([g], opts)
+    ((stages, going, stepped),) = ladders
+    assert len(forced) == 1 and going.tolist() == [True]  # the forced member, alone
+    assert not stepped[-1]  # gmin stepping found the point
     assert len(stages) == amps.solver.GMIN_STEPS + 1
     assert stages == pytest.approx(np.geomspace(1e-2, opts.gmin, len(stages)), rel=1e-12)
     assert np.allclose(op.voltages, unforced.voltages, rtol=0.0, atol=1e-9)
 
     # the same stages one at a time: op counts each one's updates
-    xg, total = np.zeros(g.size + 1), 0
-    src = amps.solver._source_values([g])[0]
+    xg, total = np.zeros((1, g.size + 1)), 0
+    src = amps.solver._source_values([g])
     for stage in stages:
-        xg, iters, excess, *_ = ladder(g, opts, xg, src, np.zeros(g.cap_c.size), [stage])
-        total += iters
-    assert op.iterations == total == stepped[1] > iters
-    assert xg[1:].tobytes() == np.concatenate((op.voltages, op.branch_currents)).tobytes()
-    assert excess == op.residual_excess
+        xg, iters, excess, *_ = ladder([g], opts, xg, src, np.zeros((1, g.cap_c.size)), [stage])
+        total += iters[0]
+    assert op.iterations == total == stepped[1][0] > iters[0]
+    assert xg[0, 1:].tobytes() == np.concatenate((op.voltages, op.branch_currents)).tobytes()
+    assert excess[0] == op.residual_excess
 
 
 def test_kcl_residual_within_tolerance():
     g = graph_of(DIODE_NMOS)
-    op = solve_dc(g, OPTS)
+    (op,) = solve_dc([g], OPTS)
     assert op.residual_excess <= 0.0
 
 
@@ -321,7 +325,7 @@ def inverter_chain(seed: int = 1, stages: int = 20) -> str:
     return "\n".join(lines) + "\n" + MODEL_CARDS + "\n.END\n"
 
 
-def test_inverter_chain_dc_converges_alike_alone_and_in_a_batch():
+def test_inverter_chain_dc_converges_alike_alone_and_in_a_batch(monkeypatch):
     """The chain's DC Jacobian is nearly singular (condition number about
     1e19 at the 1e-4 S gmin stage): plain Newton diverges, gmin stepping
     converges, and the result must not depend on how many circuits share
@@ -333,26 +337,29 @@ def test_inverter_chain_dc_converges_alike_alone_and_in_a_batch():
     g = graphs[0]
     with pytest.raises(NonConvergenceError):
         newton_solve(g, None, OPTS)
-    op = solve_dc(g, OPTS)
+    (op,) = solve_dc([g], OPTS)
     assert op.residual_excess <= 0.0
     alone = np.concatenate((op.voltages, op.branch_currents))
 
-    # solve_dc's gmin stepping, with the chain as the first of three members
-    x = np.zeros((len(graphs), g.size + 1))
-    cap_ieq = np.zeros((len(graphs), g.cap_c.size))
-    outlasted = False  # did another member iterate longer than the chain at 27 degC?
-    chain_iters = 0  # the chain's updates over all stages
-    src = amps.solver._source_values(graphs)
-    for gmin in np.geomspace(1e-2, OPTS.gmin, amps.solver.GMIN_STEPS + 1):
-        xs, iters, excess, _, _, errors = amps.solver._newton_batch(
-            amps.solver._Batch(graphs, OPTS, gmin=float(gmin)), x, src, cap_ieq)
-        assert not errors
-        outlasted |= bool((iters[1:] > iters[0]).any())
-        chain_iters += iters[0]
-        x = xs
-    assert outlasted
-    assert x[0, 1:].tobytes() == alone.tobytes()
-    assert chain_iters == op.iterations and excess[0] == op.residual_excess
+    # solve_dc of the chain as the first of three members
+    kernel, updates = amps.solver._newton_batch, []  # each kernel call's updates per member
+
+    def recorded(*args):
+        result = kernel(*args)
+        updates.append(result[1])
+        return result
+
+    monkeypatch.setattr(amps.solver, "_newton_batch", recorded)
+    together = solve_dc(graphs, OPTS)
+    _, *stages = updates  # the plain solve, then the gmin stages
+    assert len(stages) == amps.solver.GMIN_STEPS + 1
+    # did another member iterate longer than the chain at 27 degC?
+    assert any((iters[1:] > iters[0]).any() for iters in stages)
+    assert all(isinstance(other, OperatingPoint) for other in together)
+    ours = together[0]
+    assert np.concatenate((ours.voltages, ours.branch_currents)).tobytes() == alone.tobytes()
+    assert sum(iters[0] for iters in stages) == op.iterations == ours.iterations
+    assert ours.residual_excess == op.residual_excess
 
 
 def test_plain_dc_solve_stops_at_an_exact_cycle(monkeypatch):
@@ -411,7 +418,7 @@ def test_sweep_single_point_matches_solve_dc():
     sweep = dc_sweep(g, DcSweepDirective("V1", 3.0, 3.0, 1.0), OPTS)
     assert sweep.values.tolist() == [3.0]
     assert sweep.converged.tolist() == [[True]]
-    ref = solve_dc(g, OPTS)
+    (ref,) = solve_dc([g], OPTS)
     assert np.allclose(sweep.x[0, 0, : g.n], ref.voltages, atol=1e-12)
 
 
@@ -437,14 +444,24 @@ def test_sweep_unknown_source():
 
 
 def reference_sweep(graph, name, values, options):
-    """A DC sweep as one ``solve_dc`` per point, each from the last converged one."""
+    """A DC sweep as one independent solve per point: plain Newton from the
+    last converged point (zeros before there is one), then gmin stepping from
+    zeros.  A non-converged point is None."""
+    import amps.solver
+
     curve, x_prev = [], None
     for value in values:
+        held = graph.with_source(name, value)
         try:
-            op = solve_dc(graph.with_source(name, value), options, x_prev)
-            x_prev = np.concatenate((op.voltages, op.branch_currents))
+            op = newton_solve(held, x_prev, options)
         except SolverError:
-            op = None
+            xg, iters, excess, *_, errors = amps.solver._ladder(
+                [held], options, np.zeros((1, held.size + 1)), amps.solver._source_values([held]),
+                np.zeros((1, held.cap_c.size)), amps.solver._gmin_stages(options.gmin))
+            op = None if errors else OperatingPoint(xg[0, 1 : held.n + 1], xg[0, held.n + 1:],
+                                                    int(iters[0]), float(excess[0]))
+        if op is not None:
+            x_prev = np.concatenate((op.voltages, op.branch_currents))
         curve.append(op)
     return curve
 
@@ -462,10 +479,11 @@ def test_lockstep_dc_sweeps_match_single_sweeps(monkeypatch):
     fallbacks = []
     ladder = amps.solver._ladder
 
-    def counted(graph, options, xg, src, cap_ieq, stages, *args):
-        if len(stages) > 1:  # gmin stepping; a plain Newton solve is one stage
-            fallbacks.append((graph.mosfets[0].temp, float(src[0])))  # IIN, the only current source
-        return ladder(graph, options, xg, src, cap_ieq, stages, *args)
+    def counted(graphs, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None, going=None):
+        # each member's temperature and IIN, the only current source
+        for b in range(len(graphs)) if going is None else going.nonzero()[0]:
+            fallbacks.append((graphs[b].mosfets[0].temp, float(src[b, 0])))
+        return ladder(graphs, options, xg, src, cap_ieq, stages, alpha, dev, going)
 
     monkeypatch.setattr(amps.solver, "_ladder", counted)
     opts = SolverOptions(max_newton_iters=6, reltol=1.5e-5)
@@ -473,12 +491,7 @@ def test_lockstep_dc_sweeps_match_single_sweeps(monkeypatch):
     graphs = [bench_graph(BenchConfig(temp=t)) for t in temps]
     directive = DcSweepDirective("IIN", -100e-6, 100e-6, 20e-6)
     values = sweep_values(-100e-6, 100e-6, 20e-6)
-    firsts = []
-    for g in graphs:
-        try:
-            firsts.append(solve_dc(g.with_source("IIN", values[0]), opts))
-        except NonConvergenceError as exc:
-            firsts.append(exc)
+    firsts = solve_dc([g.with_source("IIN", values[0]) for g in graphs], opts)
     fallbacks.clear()
     sweep = dc_sweep_lockstep(graphs, directive, opts, firsts)
     in_lockstep = list(fallbacks)
@@ -528,7 +541,7 @@ def test_rc_trapezoidal_convergence_order():
 
 def test_constant_sources_hold_dc_point():
     g = graph_of(RC)
-    op = solve_dc(g, OPTS)
+    (op,) = solve_dc([g], OPTS)
     ws = solve_transient(g, TranDirective(tstep=1e-5, tstop=1e-3), OPTS)
     for j, name in enumerate(g.node_names[1:]):
         w = ws.get(f"v({name})")
@@ -606,22 +619,23 @@ def test_rescued_transient_leaves_graph_unchanged(monkeypatch):
     rescues = []
     ladder = amps.solver._ladder
 
-    def counted_rescue(graph, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None):
-        if alpha:  # a transient step's rescue; DC homotopies run at alpha = 0
+    def counted_rescue(graphs, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None,
+                       going=None):
+        if np.any(alpha):  # a transient step's rescue; DC gmin stepping runs at alpha = 0
             rescues.append(xg)
-        return ladder(graph, options, xg, src, cap_ieq, stages, alpha, dev)
+        return ladder(graphs, options, xg, src, cap_ieq, stages, alpha, dev, going)
 
     monkeypatch.setattr(amps.solver, "_ladder", counted_rescue)
     cfg = BenchConfig(frequency=1e8, periods=3, steps_per_period=100)
     g = graph_of(build_bench_netlist(cfg), temp=cfg.temp)
     opts = SolverOptions(max_newton_iters=6)
     trans = tran_of(g)
-    before = solve_dc(g, opts)
+    (before,) = solve_dc([g], opts)
     first = solve_transient(g, trans, opts)
     assert rescues, "the transient should need gmin-stepping rescues"
     assert first.stats["rescues"] == len(rescues)
     second = solve_transient(g, trans, opts)
-    after = solve_dc(g, opts)
+    (after,) = solve_dc([g], opts)
     for a, b in zip(first.waveforms, second.waveforms):
         assert np.array_equal(a.values, b.values)
     assert first.stats == second.stats
@@ -659,6 +673,30 @@ def kernel_counted(monkeypatch, carry: bool) -> list[int]:
 
     monkeypatch.setattr(amps.solver, "_newton_batch", wrapper)
     return counted
+
+
+def test_dc_points_of_one_topology_share_each_newton_solve(monkeypatch):
+    """The bench held at IIN = -200 uA fails plain Newton at each of five
+    temperatures and needs gmin stepping: one ``solve_dc`` call makes one
+    plain solve and one per gmin stage for all five (12 kernel calls, where
+    one call per graph makes 60), and each member's point is its one-graph
+    call's bit for bit."""
+    import amps.solver
+    from amps.rectifier import BenchConfig, bench_graph
+
+    graphs = [bench_graph(BenchConfig(temp=t)).with_source("IIN", -200e-6)
+              for t in (25.0, 38.6, 55.7, 71.7, 82.1)]
+    counts = kernel_counted(monkeypatch, carry=True)
+    together = solve_dc(graphs, OPTS)
+    assert len(counts) == 1 + amps.solver.GMIN_STEPS + 1 == 12
+    counts.clear()
+    alone = [op for g in graphs for op in solve_dc([g], OPTS)]
+    assert len(counts) == 5 * 12
+    for got, want in zip(together, alone, strict=True):
+        assert got.voltages.tobytes() == want.voltages.tobytes()
+        assert got.branch_currents.tobytes() == want.branch_currents.tobytes()
+        assert (got.iterations, got.residual_excess) == (want.iterations, want.residual_excess)
+        assert want.iterations > 0 and want.residual_excess <= 0.0
 
 
 def test_carried_evaluation_changes_no_rescued_or_aborted_transient(monkeypatch):
@@ -702,10 +740,9 @@ def test_carried_evaluation_changes_no_lockstep_sweep(monkeypatch):
     fallbacks = []
     ladder = amps.solver._ladder
 
-    def counted(graph, options, xg, src, cap_ieq, stages, *args):
-        if len(stages) > 1:  # gmin stepping; a plain Newton solve is one stage
-            fallbacks.append(graph.mosfets[0].temp)
-        return ladder(graph, options, xg, src, cap_ieq, stages, *args)
+    def counted(graphs, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None, going=None):
+        fallbacks.extend(graphs[b].mosfets[0].temp for b in going.nonzero()[0])
+        return ladder(graphs, options, xg, src, cap_ieq, stages, alpha, dev, going)
 
     opts = SolverOptions(max_newton_iters=6, reltol=1.5e-5)
     graphs = [bench_graph(BenchConfig(temp=t)) for t in (25.0, 50.0, 75.0, 100.0)]
@@ -714,12 +751,7 @@ def test_carried_evaluation_changes_no_lockstep_sweep(monkeypatch):
 
     def sweep(carry: bool):
         counts = kernel_counted(monkeypatch, carry)
-        starts = []
-        for g in graphs:
-            try:
-                starts.append(solve_dc(g.with_source("IIN", first), opts))
-            except NonConvergenceError as exc:
-                starts.append(exc)
+        starts = solve_dc([g.with_source("IIN", first) for g in graphs], opts)
         monkeypatch.setattr(amps.solver, "_ladder", counted)  # the sweep's fallbacks only
         record = dc_sweep_lockstep(graphs, directive, opts, starts)
         monkeypatch.undo()
@@ -753,8 +785,10 @@ def test_lockstep_members_must_share_one_topology(monkeypatch, first, other):
 
     graphs = [graph_of(first), graph_of(other)]
     assert [g.size for g in graphs] == [3, 3]
-    starts = [solve_dc(g, OPTS) for g in graphs]
+    starts = [op for g in graphs for op in solve_dc([g], OPTS)]
     monkeypatch.setattr(amps.solver, "_newton_batch", no_newton)
+    with pytest.raises(ValueError, match="share one topology"):
+        solve_dc(graphs, OPTS)
     trans = [TranDirective(tstep=1e-6, tstop=1e-5)] * 2
     with pytest.raises(ValueError, match="share one topology"):
         solve_lockstep(graphs, trans, OPTS, starts)
@@ -766,7 +800,7 @@ def test_lockstep_arguments_need_one_entry_per_member(monkeypatch):
     import amps.solver
 
     g = graph_of(DIVIDER)
-    start, tran = solve_dc(g, OPTS), TranDirective(tstep=1e-6, tstop=1e-5)
+    (start,), tran = solve_dc([g], OPTS), TranDirective(tstep=1e-6, tstop=1e-5)
     monkeypatch.setattr(amps.solver, "_newton_batch", no_newton)
     for graphs, trans, starts in (([g, g], [tran], [start, start]),
                                   ([g], [tran], [start, start]), ([], [tran], [])):
@@ -776,7 +810,7 @@ def test_lockstep_arguments_need_one_entry_per_member(monkeypatch):
     for graphs, starts in (([g, g], [start]), ([g], [start, start]), ([], [])):
         with pytest.raises(ValueError, match="one first point per graph"):
             dc_sweep_lockstep(graphs, sweep, OPTS, starts)
-    assert solve_lockstep([], [], OPTS, []) == []
+    assert solve_lockstep([], [], OPTS, []) == [] == solve_dc([], OPTS)
 
 
 def test_lockstep_with_voltages_gives_each_member_its_solve_transient():
@@ -789,7 +823,7 @@ def test_lockstep_with_voltages_gives_each_member_its_solve_transient():
             BenchConfig(frequency=1e7, temp=60.0, periods=2, steps_per_period=75)]
     graphs = [bench_graph(cfg) for cfg in cfgs]
     trans = [tran_of(g) for g in graphs]
-    starts = [solve_dc(g, OPTS) for g in graphs]
+    starts = solve_dc(graphs, OPTS)
     together = solve_lockstep(graphs, trans, OPTS, starts, voltages=True)
     currents = solve_lockstep(graphs, trans, OPTS, starts)
     for g, tran, got, branches in zip(graphs, trans, together, currents, strict=True):
