@@ -1,4 +1,4 @@
-"""Waveform containers, the rectifier precision report and CSV serialization."""
+"""Transient waveform records, the rectifier precision report and CSV serialization."""
 
 from __future__ import annotations
 
@@ -14,29 +14,12 @@ class WaveformError(ValueError):
 
 @dataclass(frozen=True)
 class Waveform:
-    """A named time series; times strictly increasing, everything finite."""
+    """One recorded column of a transient: ``solve_lockstep`` records its times as
+    ``np.arange(steps + 1) * tstep``, and only values it accepted as finite."""
 
     name: str
     times: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-        if t.size < 2:
-            raise WaveformError(f"waveform {self.name}: need at least 2 samples")
-        if t.size != v.size:
-            raise WaveformError(f"waveform {self.name}: times/values length mismatch")
-        if not np.all(np.diff(t) > 0):
-            raise WaveformError(f"waveform {self.name}: times not strictly increasing")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise WaveformError(f"waveform {self.name}: non-finite data")
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return (float(self.times[0]), float(self.times[-1]))
 
 
 @dataclass
@@ -114,17 +97,13 @@ def write_table(path, header, columns, preamble=()) -> None:
 
 
 def write_csv(ws: WaveformSet, path) -> None:
-    """Write a WaveformSet whose waveforms share one time base as CSV.
+    """Write a WaveformSet as CSV, every column on the first waveform's times
+    (a ``solve_lockstep`` result shares one time base).
 
     Layout: a ``# units:`` comment line, a ``time,<name1>,...`` header, one
     row per sample (``write_table``).
     """
-    if not ws.waveforms:
-        raise WaveformError("empty waveform set")
-    times = ws.waveforms[0].times
-    if not all(np.array_equal(w.times, times) for w in ws.waveforms[1:]):
-        raise WaveformError("write_csv requires every waveform on the first one's times")
     names = ws.names()
     units = ",".join(f"{n}={ws.units.get(n, 'V')}" for n in names)
-    write_table(path, ["time", *names], [times] + [w.values for w in ws.waveforms],
-                preamble=[f"# units: {units}"])
+    columns = [ws.waveforms[0].times] + [w.values for w in ws.waveforms]
+    write_table(path, ["time", *names], columns, preamble=[f"# units: {units}"])

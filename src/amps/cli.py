@@ -26,6 +26,8 @@ from .netlist import (
     NetlistDocument,
     OpDirective,
     TempDirective,
+    TranDirective,
+    check_record,
     parse_netlist,
     parse_number,
     sweep_values,
@@ -229,6 +231,12 @@ def cmd_run(args) -> int:
     out = _output_target(args.out, directory=not single) if args.out else path.parent
     # every temperature's graph before the first solve or write
     graphs = {temp: build_graph(doc, temp) for temp in dict.fromkeys(t for _, t in jobs)}
+    for d, temp in jobs:  # every job's record within its bound before the first solve
+        g = graphs[temp]
+        if isinstance(d, TranDirective):  # every unknown and current source, each step
+            check_record(d.steps + 1, g.size + len(g.isources))
+        elif isinstance(d, DcSweepDirective):
+            check_record(len(sweep_values(d.start, d.stop, d.step)), g.size)
     for idx, (directive, temp) in enumerate(jobs, start=1):
         graph = graphs[temp]
         names, units = zip(*unknown_columns(graph))
@@ -359,6 +367,7 @@ def cmd_device_curves(args) -> int:
     sign = 1.0 if card.polarity == "NMOS" else -1.0
     vds = sign * np.array(sweep_values(args.vds_from, args.vds_to, args.vds_step))
     labels = _distinct([f"id_vgs{v:g}" for v in args.vgs])
+    check_record(len(vds), len(labels))
     id_table = np.empty((len(vds), len(args.vgs)))
     for lo in range(0, len(vds), _CURVE_ROWS):  # one kernel call per block of rows
         vg, vd = np.meshgrid(sign * np.array(args.vgs), vds[lo:lo + _CURVE_ROWS])

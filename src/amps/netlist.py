@@ -156,6 +156,16 @@ class OpDirective:
 TRAN_MIN_STEPS = 10
 # A sweep or a transient takes at most this many steps.
 MAX_STEPS = 10**7
+# An analysis's result record holds at most this many bytes, 8 per value.
+MAX_RECORD_BYTES = 2**32
+
+
+def check_record(rows: int, columns: int) -> None:
+    """Reject an analysis whose record of ``rows`` x ``columns`` values is over
+    ``MAX_RECORD_BYTES``; checked before the analysis's first solve."""
+    if rows * columns * 8 > MAX_RECORD_BYTES:
+        raise ValueError(f"a record of {rows} x {columns} values takes {rows * columns * 8} "
+                         f"bytes, over the limit of {MAX_RECORD_BYTES}")
 
 
 def check_sweep_step(start: float, stop: float, step: float) -> None:
@@ -209,11 +219,16 @@ class TranDirective:
     def __post_init__(self):
         if not self.tstop > self.tstep > 0:
             raise ValueError("requires tstop > tstep > 0")
-        steps = self.tstop / self.tstep + 1e-9  # the run takes floor(steps); this may be inf
-        if steps < TRAN_MIN_STEPS:
-            raise ValueError(f"requires tstop >= {TRAN_MIN_STEPS}*tstep")
-        if not steps < MAX_STEPS + 1:
+        # the ratio first: ``steps`` floors it, so it must be finite
+        if not self.tstop / self.tstep < 2 * MAX_STEPS or self.steps > MAX_STEPS:
             raise ValueError(f"requires tstop <= {MAX_STEPS}*tstep")
+        if self.steps < TRAN_MIN_STEPS:
+            raise ValueError(f"requires tstop >= {TRAN_MIN_STEPS}*tstep")
+
+    @property
+    def steps(self) -> int:
+        """The steps the run takes: floor(tstop/tstep), forgiving the ratio's rounding."""
+        return math.floor(self.tstop / self.tstep + 1e-9)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,14 @@ blocked.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib.resources import files
 
 import numpy as np
 
-from .analysis import PrecisionReport, Waveform, WaveformError, WaveformSet
-from .netlist import DcSweepDirective, TranDirective, parse_netlist, sweep_values
+from .analysis import PrecisionReport, WaveformError, WaveformSet
+from .netlist import (DcSweepDirective, TranDirective, check_record, parse_netlist,
+                      sweep_values)
 from .solver import (
     CircuitGraph,
     SolverError,
@@ -180,17 +181,16 @@ def run_bench(
     options = options or SolverOptions()
     graphs = [bench_graph(cfg) for cfg in configs]
     trans = [d for g in graphs for d in g.doc.directives if isinstance(d, TranDirective)]
+    # the lockstep record: each step's branch and source currents of every config
+    check_record(max((t.steps for t in trans), default=0) + 1,
+                 sum(g.m + len(g.isources) for g in graphs))
     runs = solve_lockstep(graphs, trans, options, solve_dc(graphs, options))
     return [raw if isinstance(raw, SolverError) else _contract_waveforms(raw) for raw in runs]
 
 
 def _contract_waveforms(raw: WaveformSet) -> WaveformSet:
-    out = WaveformSet(stats=dict(raw.stats))
-    for raw_name, name in _BENCH_RENAMES.items():
-        w = raw.get(raw_name)
-        out.waveforms.append(Waveform(name, w.times, w.values))
-        out.units[name] = "A"
-    return out
+    picked = [replace(raw.get(raw_name), name=name) for raw_name, name in _BENCH_RENAMES.items()]
+    return WaveformSet(picked, dict.fromkeys(_BENCH_RENAMES.values(), "A"), dict(raw.stats))
 
 
 def bench_graph(cfg: BenchConfig) -> CircuitGraph:
@@ -209,8 +209,9 @@ def bench_dc_transfer(
     the same results as one at a time.
     """
     options = options or SolverOptions()
-    first = sweep_values(sweep.start, sweep.stop, sweep.step)[0]
-    starts = solve_dc([graph.with_source(sweep.source, first) for graph in graphs], options)
+    values = sweep_values(sweep.start, sweep.stop, sweep.step)
+    check_record(len(values), sum(graph.size for graph in graphs))  # the sweep's unknowns
+    starts = solve_dc([graph.with_source(sweep.source, values[0]) for graph in graphs], options)
     record = dc_sweep_lockstep(graphs, sweep, options, starts)
     results = []
     for b, graph in enumerate(graphs):
@@ -247,7 +248,7 @@ def compare(sim: WaveformSet, cfg: BenchConfig) -> PrecisionReport:
     if missing:
         raise WaveformError(f"missing required waveforms: {', '.join(missing)}")
     w_iin = sim.get("iin")
-    t0, n_periods = retained_window(cfg, w_iin.span)
+    t0, n_periods = retained_window(cfg, (float(w_iin.times[0]), float(w_iin.times[-1])))
     half_amp = cfg.amplitude_pp / 2.0
 
     # the samples from t0 (to 1e-15 s) up to the last one, the window's end

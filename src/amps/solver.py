@@ -796,11 +796,12 @@ def solve_lockstep(
     A member whose start is a SolverError (its DC operating point failed)
     gets it as its result and takes no step; one whose step fails even after
     a gmin-stepping rescue gets its TransientNonConvergence, with its
-    partial record; the others go on.  A stopped member's row stays, spent.
-    Each member's waveforms and stats are the ones it gets alone: the
-    current sources' values and every unknown, or with ``voltages`` false
-    only the voltage-source branch currents.  ``solve_transient`` is the
-    one-member form with ``voltages``.
+    partial record (t=0 to its last accepted step); the others go on.  A
+    stopped member's row stays, spent.  Each member's waveforms and stats
+    are the ones it gets alone: the current sources' values and every
+    unknown, or with ``voltages`` false only the voltage-source branch
+    currents, all on one time base ``np.arange(steps + 1) * tstep``.
+    ``solve_transient`` is the one-member form with ``voltages``.
     """
     if not len(graphs) == len(trans) == len(starts):
         raise ValueError("need one TranDirective and one start per graph")
@@ -812,7 +813,7 @@ def solve_lockstep(
     batches = [_Batch(graphs, sopts, alpha=alpha) for alpha in alphas]
     g = graphs[0]
     n, count, ni = g.n, len(graphs), len(g.isources)
-    last = np.array([math.floor(t.tstop / t.tstep + 1e-9) for t in trans])  # its last step
+    last = np.array([t.steps for t in trans])  # each member's last step
     first = 1 if voltages else n + 1  # the first recorded column of xg
     width = g.size + 1 - first
     # each member's unknowns after a ground column, and the members stepping:
@@ -848,23 +849,16 @@ def solve_lockstep(
 
     def waveforms(b: int, upto: int) -> WaveformSet:
         gr, h_b = graphs[b], tsteps[b]
-        ws = WaveformSet()
-        ws.stats["max_kcl_excess"] = float(max_excess[b])
-        ws.stats["newton_iterations"] = int(total_iters[b])
-        ws.stats["assemblies"] = int(assemblies[b])
-        ws.stats["evaluations"] = int(evaluations[b])
-        ws.stats["rescues"] = int(rescues[b])
-        ws.stats["steps"] = upto
-        ws.stats["tstep"] = h_b
-        if upto < 1:  # failed on the very first step: no valid waveforms yet
-            return ws
         if (h_b, upto) not in time_bases:
             time_bases[h_b, upto] = _readonly(np.arange(upto + 1) * h_b)
-        columns = unknown_columns(gr) + [(f"i({s.name})", "A") for s in gr.isources]
-        for (name, unit), values in zip(columns[first - 1:], record[: upto + 1, b].T):
-            ws.waveforms.append(Waveform(name, time_bases[h_b, upto], values))
-            ws.units[name] = unit
-        return ws
+        columns = (unknown_columns(gr) + [(f"i({s.name})", "A") for s in gr.isources])[first - 1:]
+        return WaveformSet(
+            [Waveform(name, time_bases[h_b, upto], values)
+             for (name, _), values in zip(columns, record[: upto + 1, b].T)],
+            dict(columns),
+            {"max_kcl_excess": float(max_excess[b]), "newton_iterations": int(total_iters[b]),
+             "assemblies": int(assemblies[b]), "evaluations": int(evaluations[b]),
+             "rescues": int(rescues[b]), "steps": upto, "tstep": h_b})
 
     for k in range(1, last.max() + 1):
         if not going.any():

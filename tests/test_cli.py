@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amps.cli
+import amps.netlist
 import amps.solver
 from amps.cli import main
 from amps.rectifier import bench_netlist_path
@@ -774,6 +775,95 @@ def test_memory_error_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
     assert main(argv + ["-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == "amps bench: error: out of memory\n"
+    assert not out.exists()
+
+
+def ladder(*cards):
+    """A resistor ladder of 1 024 unknowns (1 023 nodes and one source
+    branch), so that 2**19 rows of its record take 2**32 bytes."""
+    rungs = "".join(f"R{k} n{k} n{k + 1} 1k\n" for k in range(1, 1023))
+    return "\n".join(["ladder", "V1 n1 0 DC 1", rungs + "R1023 n1023 0 1k", *cards, ".END\n"])
+
+
+TEMPS_16 = ",".join(str(25 + t) for t in range(16))
+TEMPS_64 = ",".join(str(25 + t) for t in range(64))
+# (argv or netlist cards, the record's rows, its columns): each the largest
+# record within MAX_RECORD_BYTES or the smallest over it.  A bench config
+# records 5 currents, a bench sweep member 12 unknowns.
+RECORDS = {
+    "run-tran": ([".TRAN 1 524287"], 2**19, 1024),
+    "run-tran-over": ([".TRAN 1 524288"], 2**19 + 1, 1024),
+    "run-dc": ([".DC V1 0 524287 1"], 2**19, 1024),
+    "run-dc-over": ([".DC V1 0 524288 1"], 2**19 + 1, 1024),
+    "run-op-then-tran-over": ([".OP", ".TRAN 1 524288"], 2**19 + 1, 1024),
+    "bench": (["bench", "--freq", "1k", "--temp", TEMPS_16, "--periods", "5",
+               "--steps-per-period", "1342177"], 6710886, 80),
+    "bench-over": (["bench", "--freq", "1k", "--temp", TEMPS_16, "--periods", "3",
+                    "--steps-per-period", "2236962"], 6710887, 80),
+    "dc-sweep": (["dc-sweep", "--temp", TEMPS_64, "--from", "0", "--to", "699049",
+                  "--step", "1"], 699050, 768),
+    "dc-sweep-over": (["dc-sweep", "--temp", TEMPS_64, "--from", "0", "--to", "699050",
+                       "--step", "1"], 699051, 768),
+    "device-curves-over": (["device-curves", "--model", "CMOSN", "--vds-to", "524288",
+                            "--vds-step", "1", "--vgs", ",".join(f"{k}m" for k in range(1024))],
+                           2**19 + 1, 1024),
+}
+
+
+@pytest.mark.parametrize("case", RECORDS)
+def test_record_within_its_limit_runs_and_one_row_over_is_rejected_before_any_solve(
+        tmp_path, capsys, monkeypatch, case):
+    """Each handler checks its records' size (rows x columns x 8 bytes)
+    against ``MAX_RECORD_BYTES`` before its first solve: a record within the
+    limit reaches the first Newton solve (patched to stop there, so nothing
+    is allocated), and one row over it is one stderr line and exit 1, with
+    no solve and no output.  For ``run`` that holds for every job, so an
+    ``.OP`` before a transient over the limit is not solved either."""
+    argv, rows, columns = RECORDS[case]
+    over = case.endswith("-over")
+    within = rows - over  # the most rows within the limit
+    assert within * columns * 8 <= amps.netlist.MAX_RECORD_BYTES < (within + 1) * columns * 8
+    monkeypatch.setattr(amps.solver, "_newton_batch", no_newton)
+    monkeypatch.setattr(amps.cli, "eval_mosfet_into", no_newton)
+    if case.startswith("run"):
+        argv = ["run", str(write(tmp_path, "ladder.cir", ladder(*argv)))]
+    out = tmp_path / "out"
+    argv = argv + ["-o", str(out / "x.csv" if argv[0] in ("run", "device-curves") else out)]
+    if not over:
+        with pytest.raises(AssertionError, match="a Newton step ran"):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"amps {argv[0]}: error: a record of {rows} x {columns} values takes "
+            f"{rows * columns * 8} bytes, over the limit of 4294967296\n")
+    assert not out.exists()
+
+
+def test_device_curves_table_at_the_record_limit_is_written(tmp_path, monkeypatch):
+    """``device-curves``' record is its table, rows of vds by columns of vgs;
+    the rule is checked at a limit lowered to 3 x 101 values, so that the
+    table within it is written and not allocated at 2**32 bytes."""
+    monkeypatch.setattr(amps.netlist, "MAX_RECORD_BYTES", 8 * 3 * 101)
+    argv = ["device-curves", "--model", "CMOSN", "--vds-step", "0.015", "-o"]
+    assert main(argv + [str(tmp_path / "x.csv")]) == 0
+    assert len(read_csv_columns(tmp_path / "x.csv")[1]) == 101
+    assert main(["device-curves", "--model", "CMOSN", "--vgs", "0.5,1,1.5,2", "--vds-step",
+                 "0.015", "-o", str(tmp_path / "y.csv")]) == 1
+    assert not (tmp_path / "y.csv").exists()
+
+
+def test_bench_record_over_the_limit_is_one_line_before_any_solve(tmp_path, capsys,
+                                                                   monkeypatch):
+    """The default 6 frequencies at 5 temperatures, 9 990 periods of 1 000
+    steps, would record 11.2 GiB: refused before the first DC solve."""
+    monkeypatch.setattr(amps.solver, "_newton_batch", no_newton)
+    out = tmp_path / "out"
+    assert main(["bench", "--temp", "25,40,55,70,85", "--periods", "9990",
+                 "--steps-per-period", "1000", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "amps bench: error: a record of 9990001 x 150 values takes 11988001200 bytes, "
+        "over the limit of 4294967296\n")
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amps.netlist import (
+    MAX_RECORD_BYTES,
     MAX_STEPS,
     DcSpec,
     DcSweepDirective,
@@ -15,6 +16,7 @@ from amps.netlist import (
     NetlistError,
     SinSpec,
     TranDirective,
+    check_record,
     check_sweep_step,
     parse_model_card,
     parse_netlist,
@@ -412,6 +414,30 @@ def test_step_bounds_are_the_steps_the_solver_takes():
     # 10^7 whole steps and a half one to stop: the grid appends stop
     with pytest.raises(ValueError, match="more than 10000000 steps"):
         DcSweepDirective("V1", 0.0, MAX_STEPS + 0.5, 1.0)
+
+
+def test_tran_steps_are_the_steps_the_solver_takes():
+    """``TranDirective.steps`` is the one count of a transient's steps, which
+    the solver's last step and the record rule both read: floor(tstop/tstep)
+    with the ratio's rounding forgiven (0.7u/0.07u is 9.999999999999998 in
+    floats)."""
+    for card, steps in ((".TRAN 0.07u 0.7u", 10), (".TRAN 0.01n 100u", MAX_STEPS)):
+        doc = parse_netlist(wrap("V1 a 0 DC 1", "R1 a 0 1k", card))
+        (tran,) = [d for d in doc.directives if isinstance(d, TranDirective)]
+        assert tran.steps == steps
+
+
+def test_record_rule_holds_at_its_limit():
+    """An analysis's record may take ``MAX_RECORD_BYTES`` (2**32 B, 8 per
+    value), whatever its shape, and not one value more."""
+    assert MAX_RECORD_BYTES == 2**32
+    check_record(2**29, 1)
+    check_record(2**19, 2**10)
+    with pytest.raises(ValueError, match="^a record of 536870913 x 1 values takes 4294967304 "
+                                         "bytes, over the limit of 4294967296$"):
+        check_record(2**29 + 1, 1)
+    with pytest.raises(ValueError, match="over the limit"):
+        check_record(2**19, 2**10 + 1)
 
 
 def test_sweep_grid_ends_on_stop_within_its_rounding():

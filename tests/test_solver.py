@@ -603,6 +603,36 @@ def test_transient_nonconvergence_carries_partial():
     assert isinstance(err.__cause__, SingularMatrixError)  # the step's own failure
 
 
+def test_every_transient_record_shares_one_increasing_time_base_of_finite_values():
+    """What a ``WaveformSet`` from ``solve_lockstep`` guarantees, so that
+    ``Waveform`` and ``write_csv`` need not check it: every waveform is on
+    the first one's times, which strictly increase, with one finite value
+    per time.  Checked on a transient, a lockstep of members with their own
+    steps, a rescued member, an aborted member's partial record and the
+    partial of a member whose first step fails (its t=0 sample alone)."""
+    from amps.rectifier import BenchConfig, run_bench
+
+    records = [solve_transient(graph_of(RC), TranDirective(1e-5, 1e-3), OPTS)]
+    records += run_bench([BenchConfig(frequency=f, periods=3, steps_per_period=spp)
+                          for f, spp in ((1e3, 100), (1e6, 200), (1e8, 150))])
+    cfgs = [BenchConfig(frequency=f, periods=3, steps_per_period=100) for f in (3e7, 1e7, 1e8)]
+    _, aborted, rescued = run_bench(cfgs, SolverOptions(max_newton_iters=6))
+    assert rescued.stats["rescues"] > 0
+    records += [rescued, aborted.partial]
+    g = graph_of(SINGULAR)
+    (first,) = solve_lockstep([g], [TranDirective(1e-6, 1e-4)], OPTS, [zero_start(g)],
+                              voltages=True)
+    records.append(first.partial)
+    assert first.partial.waveforms[0].times.tolist() == [0.0]
+    for ws in records:
+        times = ws.waveforms[0].times
+        assert np.all(np.diff(times) > 0)
+        for w in ws.waveforms:
+            assert np.array_equal(w.times, times)
+            assert len(w.values) == len(times)
+            assert np.all(np.isfinite(w.values))
+
+
 def test_zero_start_reports_a_finite_kcl_excess():
     """A start the caller builds checked no residual, so the transient's
     largest KCL excess is its steps' alone: finite and within tolerance."""
