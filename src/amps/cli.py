@@ -30,7 +30,6 @@ from .netlist import (
     check_record,
     parse_netlist,
     parse_number,
-    sweep_values,
     validate,
 )
 from .rectifier import BenchConfig, compare, retained_window, run_bench
@@ -236,7 +235,7 @@ def cmd_run(args) -> int:
         if isinstance(d, TranDirective):  # every unknown and current source, each step
             check_record(d.steps + 1, g.size + len(g.isources))
         elif isinstance(d, DcSweepDirective):
-            check_record(len(sweep_values(d.start, d.stop, d.step)), g.size)
+            check_record(d.steps + 1, g.size)
     for idx, (directive, temp) in enumerate(jobs, start=1):
         graph = graphs[temp]
         names, units = zip(*unknown_columns(graph))
@@ -365,9 +364,10 @@ def cmd_device_curves(args) -> int:
         raise ValueError(f"model {card.name} is {card.polarity}, not {args.polarity}")
     table = device_table([derive_params(card, args.w, args.l, args.temp)])
     sign = 1.0 if card.polarity == "NMOS" else -1.0
-    vds = sign * np.array(sweep_values(args.vds_from, args.vds_to, args.vds_step))
+    sweep = DcSweepDirective("VDS", args.vds_from, args.vds_to, args.vds_step)
     labels = _distinct([f"id_vgs{v:g}" for v in args.vgs])
-    check_record(len(vds), len(labels))
+    check_record(sweep.steps + 1, len(labels))
+    vds = sign * sweep.values()
     id_table = np.empty((len(vds), len(args.vgs)))
     for lo in range(0, len(vds), _CURVE_ROWS):  # one kernel call per block of rows
         vg, vd = np.meshgrid(sign * np.array(args.vgs), vds[lo:lo + _CURVE_ROWS])

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
+import numpy as np
+
 
 class NetlistError(ValueError):
     """Netlist syntax or semantic error, carrying a 1-based line number."""
@@ -168,36 +170,10 @@ def check_record(rows: int, columns: int) -> None:
                          f"bytes, over the limit of {MAX_RECORD_BYTES}")
 
 
-def check_sweep_step(start: float, stop: float, step: float) -> None:
-    """Reject a sweep step that is zero, points away from ``stop`` or takes
-    more than ``MAX_STEPS`` steps to reach it: ``sweep_values``' grid takes
-    floor(count) steps, and one more unless the last lands on stop."""
-    if step == 0 or (stop - start) * step < 0:
-        raise ValueError(f"sweep step {step:g} is zero or sign inconsistent with stop - start")
-    count = (stop - start) / step + 1e-9  # compared unfloored: it may be infinite
-    lands = abs(start + MAX_STEPS * step - stop) <= abs(step) * 1e-9 * MAX_STEPS  # end rule
-    if not count < MAX_STEPS + 1 or (count >= MAX_STEPS and not lands):
-        raise ValueError(f"sweep step {step:g} takes more than {MAX_STEPS} steps")
-
-
-def sweep_values(start: float, stop: float, step: float) -> list[float]:
-    """``start``, ``start + step``, ... up to ``stop``: the last whole step is stop
-    if it lands within 1e-9 of the steps' span of it; if not, stop follows it."""
-    check_sweep_step(start, stop, step)
-    if start == stop:
-        return [start]
-    count = int(math.floor((stop - start) / step + 1e-9))
-    values = [start + i * step for i in range(count + 1)]
-    if abs(values[-1] - stop) <= abs(step) * 1e-9 * max(count, 1):
-        values[-1] = stop
-    else:
-        values.append(stop)
-    return values
-
-
 @dataclass(frozen=True)
 class DcSweepDirective:
-    """A ``.DC`` card; a step that ``check_sweep_step`` rejects raises ValueError."""
+    """A ``.DC`` card; a step that is zero, points away from ``stop`` or takes
+    more than ``MAX_STEPS`` steps raises ValueError."""
 
     source: str
     start: float
@@ -205,7 +181,30 @@ class DcSweepDirective:
     step: float
 
     def __post_init__(self):
-        check_sweep_step(self.start, self.stop, self.step)
+        if self.step == 0 or (self.stop - self.start) * self.step < 0:
+            raise ValueError(f"sweep step {self.step:g} is zero or sign inconsistent "
+                             "with stop - start")
+        # the ratio first: ``steps`` floors it, so it must be finite
+        if not (self.stop - self.start) / self.step < 2 * MAX_STEPS or self.steps > MAX_STEPS:
+            raise ValueError(f"sweep step {self.step:g} takes more than {MAX_STEPS} steps")
+
+    @property
+    def steps(self) -> int:
+        """The steps the sweep takes: floor((stop - start)/step), forgiving the
+        ratio's rounding, and one more to stop unless the last whole step
+        lands on it within 1e-9 of the steps' span."""
+        whole = math.floor((self.stop - self.start) / self.step + 1e-9)
+        miss = abs(self.start + whole * self.step - self.stop)
+        return whole if miss <= abs(self.step) * 1e-9 * max(whole, 1) else whole + 1
+
+    def values(self) -> np.ndarray:
+        """The swept values: ``start + i * step`` for each of the ``steps``
+        steps, then ``stop``."""
+        grid = np.arange(self.steps + 1, dtype=float)
+        grid *= self.step
+        grid += self.start
+        grid[-1] = self.stop
+        return grid
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from importlib.resources import files
 import numpy as np
 
 from .analysis import PrecisionReport, WaveformError, WaveformSet
-from .netlist import (DcSweepDirective, TranDirective, check_record, parse_netlist,
-                      sweep_values)
+from .netlist import DcSweepDirective, TranDirective, check_record, parse_netlist
 from .solver import (
     CircuitGraph,
     SolverError,
@@ -209,9 +208,8 @@ def bench_dc_transfer(
     the same results as one at a time.
     """
     options = options or SolverOptions()
-    values = sweep_values(sweep.start, sweep.stop, sweep.step)
-    check_record(len(values), sum(graph.size for graph in graphs))  # the sweep's unknowns
-    starts = solve_dc([graph.with_source(sweep.source, values[0]) for graph in graphs], options)
+    check_record(sweep.steps + 1, sum(graph.size for graph in graphs))  # the sweep's unknowns
+    starts = solve_dc([graph.with_source(sweep.source, sweep.start) for graph in graphs], options)
     record = dc_sweep_lockstep(graphs, sweep, options, starts)
     results = []
     for b, graph in enumerate(graphs):

@@ -65,7 +65,6 @@ from .netlist import (
     NetlistDocument,
     SourceSpec,
     TranDirective,
-    sweep_values,
     validate,
 )
 
@@ -690,11 +689,11 @@ def solve_dc(graphs: Sequence[CircuitGraph],
 
 def dc_sweep(graph: CircuitGraph, sweep: DcSweepDirective, options: SolverOptions) -> SweepRecord:
     """The ``.DC`` analysis ``sweep``: the one-member ``dc_sweep_lockstep``
-    from ``solve_dc`` of the circuit with the source held at the grid's first
-    value.  Each point starts from the last converged one; a point that does
-    not converge is recorded (not converged, NaN unknowns).
+    from ``solve_dc`` of the circuit with the source held at ``sweep.start``,
+    its first point.  Each point starts from the last converged one; a point
+    that does not converge is recorded (not converged, NaN unknowns).
     """
-    first = graph.with_source(sweep.source, sweep_values(sweep.start, sweep.stop, sweep.step)[0])
+    first = graph.with_source(sweep.source, sweep.start)
     return dc_sweep_lockstep([graph], sweep, options, solve_dc([first], options))
 
 
@@ -717,25 +716,25 @@ def dc_sweep_lockstep(
 ) -> SweepRecord:
     """The ``.DC`` analysis ``sweep`` of circuits that share one topology, solved together.
 
-    Member b's point at the first value of ``sweep_values``' grid is
-    ``starts[b]``, or not converged if that is a SolverError.  Each later
-    value is one batched Newton solve for every member, from its last
-    converged point (zeros before it has one); the members that fail there
-    fall back to gmin stepping from zeros together, and a member that fails
-    that too is not converged there (NaN unknowns).  Each member's column of
-    the returned record is the one ``dc_sweep`` gives it.
+    Member b's first point is ``starts[b]``, its operating point with the
+    source held at ``sweep.start``, or not converged if that is a
+    SolverError.  Each later value of ``sweep.values()`` is one batched
+    Newton solve for every member, from its last converged point (zeros
+    before it has one); the members that fail there fall back to gmin
+    stepping from zeros together, and a member that fails that too is not
+    converged there (NaN unknowns).  Each member's column is ``dc_sweep``'s.
     """
     if not graphs or len(starts) != len(graphs):
         raise ValueError("need one first point per graph, and at least one graph")
     batch = _Batch(graphs, options)  # ValueError unless the members share one topology
-    values = sweep_values(sweep.start, sweep.stop, sweep.step)
+    values = sweep.values()
     count, points, size = len(graphs), len(values), graphs[0].size
     src = _source_values(graphs)
     # each member's (row, column) of the swept source in ``src``
     held = (np.arange(count), [(*gr.isources, *gr.vsources).index(gr.find_source(sweep.source))
                                for gr in graphs])
     record = SweepRecord(
-        values=np.array(values, dtype=float),
+        values=values,
         x=np.full((points, count, size), np.nan),
         converged=np.zeros((points, count), dtype=bool),
         iterations=np.zeros((points, count), dtype=int),
@@ -845,15 +844,13 @@ def solve_lockstep(
     i_prev = np.zeros_like(v_prev)
     cap_geq = [np.array([al * gr.cap_c for al, gr in zip(alpha, graphs)]) for alpha in alphas]
     results: list = list(starts)  # a failed start is its member's result
-    time_bases: dict[tuple, np.ndarray] = {}  # built once for the members that share them
 
     def waveforms(b: int, upto: int) -> WaveformSet:
         gr, h_b = graphs[b], tsteps[b]
-        if (h_b, upto) not in time_bases:
-            time_bases[h_b, upto] = _readonly(np.arange(upto + 1) * h_b)
+        times = _readonly(np.arange(upto + 1) * h_b)
         columns = (unknown_columns(gr) + [(f"i({s.name})", "A") for s in gr.isources])[first - 1:]
         return WaveformSet(
-            [Waveform(name, time_bases[h_b, upto], values)
+            [Waveform(name, times, values)
              for (name, _), values in zip(columns, record[: upto + 1, b].T)],
             dict(columns),
             {"max_kcl_excess": float(max_excess[b]), "newton_iterations": int(total_iters[b]),

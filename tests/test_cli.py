@@ -853,6 +853,33 @@ def test_device_curves_table_at_the_record_limit_is_written(tmp_path, monkeypatc
     assert not (tmp_path / "y.csv").exists()
 
 
+def test_sweep_grid_is_built_once_after_the_first_solve(tmp_path, monkeypatch):
+    """A ``.DC`` job counts its steps (``DcSweepDirective.steps``) before any
+    solve and builds its grid (``DcSweepDirective.values``) once, in the
+    sweep: a run at the 10^7-step bound builds none before its first Newton
+    solve, and a small run and a two-temperature ``dc-sweep`` one each."""
+    built = []
+    values = amps.netlist.DcSweepDirective.values
+
+    def counted(sweep):
+        built.append(sweep)
+        return values(sweep)
+
+    monkeypatch.setattr(amps.netlist.DcSweepDirective, "values", counted)
+    big = write(tmp_path, "big.cir", DIVIDER.replace(".OP", ".DC V1 0 1e7 1"))
+    with monkeypatch.context() as stopped:
+        stopped.setattr(amps.solver, "_newton_batch", no_newton)
+        with pytest.raises(AssertionError, match="a Newton step ran"):
+            main(["run", str(big), "-o", str(tmp_path / "big.csv")])
+    assert built == []
+    small = write(tmp_path, "small.cir", DIVIDER.replace(".OP", ".DC V1 0 2 0.5"))
+    assert main(["run", str(small), "-o", str(tmp_path / "small.csv")]) == 0
+    assert len(built) == 1
+    assert main(["dc-sweep", "--from", "-20u", "--to", "20u", "--step", "10u",
+                 "--temp", "25,75", "-o", str(tmp_path / "dc")]) == 0
+    assert len(built) == 2
+
+
 def test_bench_record_over_the_limit_is_one_line_before_any_solve(tmp_path, capsys,
                                                                    monkeypatch):
     """The default 6 frequencies at 5 temperatures, 9 990 periods of 1 000

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,12 +18,10 @@ from amps.netlist import (
     SinSpec,
     TranDirective,
     check_record,
-    check_sweep_step,
     parse_model_card,
     parse_netlist,
     parse_number,
     serialize_netlist,
-    sweep_values,
     validate,
 )
 from amps.rectifier import MODEL_CARDS, bench_netlist_path
@@ -380,11 +379,11 @@ def test_tran_directive():
 def test_step_counts_are_bounded():
     """A sweep or transient of more than MAX_STEPS steps, or of a count that
     overflows a float, is rejected where the count is defined."""
-    check_sweep_step(0.0, 1.0, 1.0 / MAX_STEPS)
+    DcSweepDirective("V1", 0.0, 1.0, 1.0 / MAX_STEPS)
     TranDirective(tstep=1.0 / MAX_STEPS, tstop=1.0)
     for start, stop, step in ((0.0, 1.0, 1e-8), (-200e-6, 200e-6, 1e-320), (-1e308, 1e308, 1.0)):
         with pytest.raises(ValueError, match="more than 10000000 steps"):
-            check_sweep_step(start, stop, step)
+            DcSweepDirective("V1", start, stop, step)
     with pytest.raises(NetlistError, match=r"\.DC sweep step"):
         parse_netlist(wrap("V1 a 0 DC 1", "R1 a 0 1k", ".DC V1 0 1 1e-8"))
     with pytest.raises(NetlistError, match=r"tstop <= 10000000\*tstep"):
@@ -396,7 +395,7 @@ def test_step_counts_are_bounded():
 
 def test_step_bounds_are_the_steps_the_solver_takes():
     """The bounds count the steps a run takes, floor(tstop/tstep + 1e-9) for
-    ``.TRAN`` and the intervals of ``sweep_values``' grid for a sweep, so a
+    ``.TRAN`` and ``DcSweepDirective.steps`` for a sweep, so a
     card of exactly 10 or 10^7 steps passes whatever the rounding of its
     ratio, and one step past a bound fails."""
     for m in range(1, 1000):
@@ -427,6 +426,66 @@ def test_tran_steps_are_the_steps_the_solver_takes():
         assert tran.steps == steps
 
 
+def test_sweep_steps_are_the_steps_the_solver_takes():
+    """``DcSweepDirective.steps`` is the one count of a sweep's steps, which
+    the record rule reads and ``values()`` builds: the whole steps with the
+    ratio's rounding forgiven (0.7/0.07 is 9.999999999999998 in floats), and
+    one more to a stop that no whole step lands on.  The grid is float64, of
+    ``steps + 1`` points, and ends exactly on stop."""
+    cards = ((".DC V1 0 0.7 0.07", 10), (".DC V1 0 70m 7n", MAX_STEPS), (".DC V1 0 1 0.3", 4),
+             (".DC V1 1 1 1", 0))
+    for card, steps in cards:
+        doc = parse_netlist(wrap("V1 a 0 DC 1", "R1 a 0 1k", card))
+        (sweep,) = [d for d in doc.directives if isinstance(d, DcSweepDirective)]
+        assert sweep.steps == steps
+        grid = sweep.values()
+        assert grid.dtype == np.float64 and grid.shape == (steps + 1,)
+        assert grid[-1:].tobytes() == np.float64(sweep.stop).tobytes()
+    assert grid.tolist() == [1.0]
+    assert DcSweepDirective("V1", 0.0, 1.0, 0.3).values().tolist() == [
+        0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
+
+
+def listed_grid(start: float, stop: float, step: float) -> list[float]:
+    """The sweep grid built as a Python list, one ``start + i * step`` at a
+    time: the construction ``DcSweepDirective.values`` replaces."""
+    if start == stop:
+        return [start]
+    count = int(math.floor((stop - start) / step + 1e-9))
+    values = [start + i * step for i in range(count + 1)]
+    if abs(values[-1] - stop) <= abs(step) * 1e-9 * max(count, 1):
+        values[-1] = stop
+    else:
+        values.append(stop)
+    return values
+
+
+# a sweep's span over its step: near a whole number of steps (within the
+# 1e-9 rule or not), or anywhere between two
+RATIOS = st.builds(lambda n, frac: n + frac, st.integers(0, 2000),
+                   st.floats(-1e-6, 1e-6) | st.floats(0.0, 1.0)).filter(lambda r: r >= 1e-3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), RATIOS)
+def test_sweep_grid_is_the_listed_grid(start, span, ratio):
+    """``values()`` holds the bits of ``listed_grid`` for every sweep of up
+    to about 2 000 steps; a sweep of no width is its one point, stop, which
+    equals start (the list gave start, a zero of the other sign at most)."""
+    stop = start + span
+    step = span / ratio if span else ratio
+    try:
+        sweep = DcSweepDirective("V1", start, stop, step)
+    except ValueError as exc:  # a step that underflows to zero
+        assert step == 0 and "is zero" in str(exc)
+        return
+    expected = listed_grid(start, stop, step)
+    if start == stop:
+        expected = [stop]
+    assert sweep.values().tobytes() == np.array(expected).tobytes()
+    assert sweep.steps == len(expected) - 1
+
+
 def test_record_rule_holds_at_its_limit():
     """An analysis's record may take ``MAX_RECORD_BYTES`` (2**32 B, 8 per
     value), whatever its shape, and not one value more."""
@@ -445,8 +504,10 @@ def test_sweep_grid_ends_on_stop_within_its_rounding():
     the steps' span, so a stop that is a whole number of steps away, up to
     rounding, leaves no sliver of a step at the end; one half a step further
     is appended."""
-    assert sweep_values(0.0, 100 + 2e-8, 1.0) == [*map(float, range(100)), 100 + 2e-8]
-    assert sweep_values(0.0, 100.5, 1.0) == [*map(float, range(101)), 100.5]
+    assert DcSweepDirective("V1", 0.0, 100 + 2e-8, 1.0).values().tolist() == [
+        *map(float, range(100)), 100 + 2e-8]
+    assert DcSweepDirective("V1", 0.0, 100.5, 1.0).values().tolist() == [
+        *map(float, range(101)), 100.5]
 
 
 # arguments that each card, and the record it builds, rejects

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amps.analysis import Waveform, WaveformError, WaveformSet
-from amps.netlist import DcSweepDirective, parse_netlist, sweep_values, validate
+from amps.netlist import DcSweepDirective, parse_netlist, validate
 from amps.rectifier import (
     BenchConfig,
     IdealOutputs,
@@ -386,8 +386,8 @@ def test_dc_transfer_member_whose_first_point_fails(monkeypatch):
 
     temps = (25.0, 75.0, 100.0)
     graphs = [bench_graph(BenchConfig(temp=t)) for t in temps]
-    values = sweep_values(-20e-6, 20e-6, 10e-6)
     sweep = DcSweepDirective("IIN", -20e-6, 20e-6, 10e-6)
+    values = sweep.values().tolist()
     alone = [bench_dc_transfer([g], sweep)[0] for g in graphs]
     failing_starts(monkeypatch, lambda g: g.doc is graphs[1].doc)
     got = bench_dc_transfer(graphs, sweep)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from amps.netlist import DcSweepDirective, TranDirective, parse_netlist, sweep_values
+from amps.netlist import DcSweepDirective, TranDirective, parse_netlist
 from amps.rectifier import MODEL_CARDS
 from amps.solver import (
     NonConvergenceError,
@@ -490,7 +490,7 @@ def test_lockstep_dc_sweeps_match_single_sweeps(monkeypatch):
     temps = (25.0, 50.0, 75.0, 100.0)
     graphs = [bench_graph(BenchConfig(temp=t)) for t in temps]
     directive = DcSweepDirective("IIN", -100e-6, 100e-6, 20e-6)
-    values = sweep_values(-100e-6, 100e-6, 20e-6)
+    values = directive.values().tolist()
     firsts = solve_dc([g.with_source("IIN", values[0]) for g in graphs], opts)
     fallbacks.clear()
     sweep = dc_sweep_lockstep(graphs, directive, opts, firsts)
@@ -777,7 +777,7 @@ def test_carried_evaluation_changes_no_lockstep_sweep(monkeypatch):
     opts = SolverOptions(max_newton_iters=6, reltol=1.5e-5)
     graphs = [bench_graph(BenchConfig(temp=t)) for t in (25.0, 50.0, 75.0, 100.0)]
     directive = DcSweepDirective("IIN", -100e-6, 100e-6, 20e-6)
-    first = sweep_values(-100e-6, 100e-6, 20e-6)[0]
+    first = directive.start
 
     def sweep(carry: bool):
         counts = kernel_counted(monkeypatch, carry)
