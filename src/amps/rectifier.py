@@ -64,10 +64,10 @@ class BenchConfig:
     steps_per_period: int = 1000
 
     def __post_init__(self):
-        if self.amplitude_pp <= 0:
-            raise ValueError(f"amplitude {self.amplitude_pp:g} A must be > 0")
-        if self.frequency <= 0:
-            raise ValueError(f"frequency {self.frequency:g} Hz must be > 0")
+        if not 0 < self.amplitude_pp < np.inf:  # NaN fails too
+            raise ValueError(f"amplitude {self.amplitude_pp:g} A must be > 0 and finite")
+        if not 0 < self.frequency < np.inf:
+            raise ValueError(f"frequency {self.frequency:g} Hz must be > 0 and finite")
         if self.periods < 1 or self.steps_per_period < 10:
             raise ValueError("need at least 1 period and 10 steps per period")
         try:

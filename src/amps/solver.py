@@ -16,8 +16,9 @@ the capacitor history currents are arguments of each Newton solve.
 
 Nonlinear solves are damped Newton-Raphson over dense LU; the members whose
 solve fails (a DC point, sweep point or transient step) fall back to gmin
-stepping together, one ``_ladder`` call (from zeros at DC).  Transient
-integration is fixed-step trapezoidal with a backward-Euler first step.  Every Newton
+stepping together, one ``_ladder`` call on the solve's own ``_Batch``, whose
+alpha each stage keeps (from zeros at DC).  Transient integration is
+fixed-step trapezoidal with a backward-Euler first step.  Every Newton
 solve, of one circuit or of several that share one topology, runs on one
 batched kernel (``_newton_batch``): each iteration is one assembly and one
 LU solve for every circuit of the batch, spent ones too.  Each assembly
@@ -33,7 +34,8 @@ transients (``solve_lockstep``, each with its own ``TranDirective``;
 one ``DcSweepDirective`` (``dc_sweep_lockstep``; ``dc_sweep`` is its
 one-member form), which take each sweep value together.
 A transient whose start or step fails, or that is done, stays in its batch
-as a spent row, so a lockstep builds one ``_Batch`` per integration phase.
+as a spent row, so a lockstep builds one ``_Batch`` per integration phase,
+and each finished member's ``WaveformSet`` once, after the march.
 
 A solve that finds no point raises (a member of a batched solve returns) a
 ``SolverError``: ``NonConvergenceError`` names the unknown (node or source
@@ -92,9 +94,10 @@ class NonConvergenceError(SolverError):
 
 
 class TransientNonConvergence(SolverError):
-    def __init__(self, time: float, partial: WaveformSet, cause: Exception):
+    """A transient step that failed even after a gmin-stepping rescue, at ``time``."""
+
+    def __init__(self, time: float, cause: Exception):
         self.time = time
-        self.partial = partial
         super().__init__(f"transient aborted at t={time:.6e}s: {cause}")
         self.__cause__ = cause
 
@@ -399,33 +402,38 @@ class _Batch:
     Each member is a graph with gmin (the options' unless given) and a
     companion factor ``alpha`` (one, or one per member) fixed: its column
     factors ``coef``, Jacobian base ``j_base`` and device constants
-    ``devices`` are stacked along the member axis.  The members are fixed:
+    ``devices`` are stacked along the member axis.  It keeps its ``graphs``,
+    options ``opt``, each member's ``alpha`` and capacitor companion
+    conductances ``cap_g`` (alpha times each capacitance): the integration
+    phase that ``_ladder`` keeps at each gmin stage and from which a
+    transient step takes its history currents.  The members are fixed:
     gathers, row sums and the Jacobian scatter use index tables offset per
     member, built once, so each member's sums keep their element order and
     its values are the ones it gets alone, whatever the batch size.  Members
     whose topologies differ raise ValueError.
     """
 
-    __slots__ = ("g", "opt", "groups", "coef", "j_base", "devices", "tol", "clamp", "neg_clamp",
-                 "at_terms", "at_ends", "at_sum", "at_row", "at_jac", "at_value", "jac_sign")
+    __slots__ = ("graphs", "g", "opt", "alpha", "cap_g", "groups", "coef", "j_base", "devices",
+                 "tol", "clamp", "neg_clamp", "at_terms", "at_ends", "at_sum", "at_row", "at_jac",
+                 "at_value", "jac_sign")
 
     def __init__(self, graphs: Sequence[CircuitGraph], options: SolverOptions, *,
                  gmin: float | None = None, alpha: float | Sequence[float] = 0.0):
         g = self.g = graphs[0]
         if not all(_same_topology(g, gr) for gr in graphs[1:]):
             raise ValueError("lockstep members must share one topology")
-        self.opt = options
+        self.graphs, self.opt = graphs, options
         gmin = options.gmin if gmin is None else gmin
         rows = len(graphs)
-        alphas = np.broadcast_to(alpha, rows)
+        alphas = self.alpha = np.broadcast_to(alpha, rows)
         # the groups of current columns, in ``build_graph``'s order: the zero,
         # resistors, capacitors, current sources, voltage-source currents,
         # MOSFET channels, gmin loads, source equations and source values
         ends = np.cumsum((0, 1, g.res_g.size, g.cap_c.size, len(g.isources), g.m,
                           len(g.mosfets), g.gmin_rows.size, g.m, g.m)).tolist()
         self.groups = [slice(a, b) for a, b in zip(ends, ends[1:])]
-        cap_g = alphas[:, None] * np.array([gr.cap_c for gr in graphs])
-        self.coef = self.columns(rows, None, np.array([gr.res_g for gr in graphs]), cap_g,
+        self.cap_g = alphas[:, None] * np.array([gr.cap_c for gr in graphs])
+        self.coef = self.columns(rows, None, np.array([gr.res_g for gr in graphs]), self.cap_g,
                                  None, 1.0, None, gmin, 1.0, None)
         j_base = np.array([gr.G + a * gr.C for gr, a in zip(graphs, alphas)])
         j_base[:, g.gmin_rows, g.gmin_rows] += gmin
@@ -572,24 +580,23 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
     return out, iters, excess, out_dev, iters + evaluated, errors
 
 
-def _ladder(graphs: Sequence[CircuitGraph], options: SolverOptions, xg: np.ndarray,
-            src: np.ndarray, cap_ieq: np.ndarray, stages: Sequence[float],
-            alpha: float | Sequence[float] = 0.0, dev: np.ndarray | None = None,
+def _ladder(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray,
+            stages: Sequence[float], dev: np.ndarray | None = None,
             going: np.ndarray | None = None):
-    """Newton solves of the members of ``graphs`` that ``going`` marks (all
-    when None) through ``stages`` of gmin at companion factor ``alpha`` (one,
-    or one per member), each from the one before, the first from ``xg`` (as
-    ``_newton_batch``, whose other arguments these are).  A member stops at
-    the first stage it fails.  Returns (xg, iterations, residual_excess, dev,
-    assemblies, evaluations, errors) as ``_newton_batch`` does, each count
-    summed over a member's stages, and ``errors`` its failing stage's error.
+    """Newton solves of the members of ``batch`` that ``going`` marks (all
+    when None) through ``stages`` of gmin at the batch's companion factors,
+    each from the one before, the first from ``xg`` (as ``_newton_batch``,
+    whose other arguments these are).  A member stops at the first stage it
+    fails.  Returns (xg, iterations, residual_excess, dev, assemblies,
+    evaluations, errors) as ``_newton_batch`` does, each count summed over a
+    member's stages, and ``errors`` its failing stage's error.
     """
     going = np.ones(len(xg), dtype=bool) if going is None else going.copy()
     iterations, assemblies, evaluations = totals = np.zeros((3, len(xg)), dtype=int)
     errors: dict[int, Exception] = {}
     for gmin in stages:
-        batch = _Batch(graphs, options, gmin=gmin, alpha=alpha)
-        xg, iters, excess, dev, evals, failed = _newton_batch(batch, xg, src, cap_ieq, dev, going)
+        stage = _Batch(batch.graphs, batch.opt, gmin=gmin, alpha=batch.alpha)
+        xg, iters, excess, dev, evals, failed = _newton_batch(stage, xg, src, cap_ieq, dev, going)
         np.add(totals, (iters, iters + 1, evals), out=totals, where=going)
         errors.update(failed)
         going[list(failed)] = False
@@ -620,10 +627,9 @@ def _operating_point(graph: CircuitGraph, xg: np.ndarray, iterations, excess) ->
     return OperatingPoint(xg[1 : graph.n + 1], xg[graph.n + 1:], int(iterations), float(excess))
 
 
-def _dc_points(batch: _Batch, graphs: Sequence[CircuitGraph], xg: np.ndarray, src: np.ndarray,
-               dev: np.ndarray | None = None):
+def _dc_points(batch: _Batch, xg: np.ndarray, src: np.ndarray, dev: np.ndarray | None = None):
     """SPICE2's operating-point procedure (Nagel, UCB/ERL M520, 1975) for the
-    members ``graphs`` of ``batch``: a plain Newton solve from ``xg`` (as
+    members of ``batch`` (alpha 0): a plain Newton solve from ``xg`` (as
     ``_newton_batch``), then gmin stepping from zeros for those that fail it.
     Returns (xg, iterations, residual_excess, dev, errors), ``errors``
     mapping a member that fails both to a NonConvergenceError logging both.
@@ -633,7 +639,7 @@ def _dc_points(batch: _Batch, graphs: Sequence[CircuitGraph], xg: np.ndarray, sr
     if not plain:
         return xg, iters, excess, dev, {}
     failed = np.array([b in plain for b in range(len(xg))])
-    sx, si, se, sd, *_, lost = _ladder(graphs, batch.opt, np.zeros_like(xg), src, cap_ieq,
+    sx, si, se, sd, *_, lost = _ladder(batch, np.zeros_like(xg), src, cap_ieq,
                                        _gmin_stages(batch.opt.gmin), going=failed)
     solved = np.array([b in plain and b not in lost for b in range(len(xg))])
     xg[solved], iters[solved], excess[solved], dev[:, solved] = (
@@ -681,7 +687,7 @@ def solve_dc(graphs: Sequence[CircuitGraph],
     if not graphs:
         return []
     xg, iters, excess, _, errors = _dc_points(
-        _Batch(graphs, options), graphs, np.zeros((len(graphs), graphs[0].size + 1)),
+        _Batch(graphs, options), np.zeros((len(graphs), graphs[0].size + 1)),
         _source_values(graphs))
     return [errors[b] if b in errors else _operating_point(g, xg[b], iters[b], excess[b])
             for b, g in enumerate(graphs)]
@@ -746,7 +752,7 @@ def dc_sweep_lockstep(
     for k in range(points):
         if k:  # the kernel returns a failed member's start and its evaluation
             src[held] = values[k]
-            last, iters, excess, dev, errors = _dc_points(batch, graphs, last, src, dev)
+            last, iters, excess, dev, errors = _dc_points(batch, last, src, dev)
             ok = np.array([b not in errors for b in range(count)])
         record.x[k, ok] = last[ok, 1:]
         record.converged[k] = ok
@@ -794,22 +800,21 @@ def solve_lockstep(
     integration phase (ValueError unless the members share one topology).
     A member whose start is a SolverError (its DC operating point failed)
     gets it as its result and takes no step; one whose step fails even after
-    a gmin-stepping rescue gets its TransientNonConvergence, with its
-    partial record (t=0 to its last accepted step); the others go on.  A
-    stopped member's row stays, spent.  Each member's waveforms and stats
-    are the ones it gets alone: the current sources' values and every
-    unknown, or with ``voltages`` false only the voltage-source branch
-    currents, all on one time base ``np.arange(steps + 1) * tstep``.
+    a gmin-stepping rescue (on that phase's ``_Batch``) gets a
+    TransientNonConvergence at that step's time; the others go on.  A
+    stopped member's row stays, spent.  After the march each finished
+    member's waveforms and stats, the ones it gets alone, are built once:
+    the current sources' values and every unknown, or with ``voltages``
+    false only the voltage-source branch currents, all on one time base
+    ``np.arange(steps + 1) * tstep``.
     ``solve_transient`` is the one-member form with ``voltages``.
     """
     if not len(graphs) == len(trans) == len(starts):
         raise ValueError("need one TranDirective and one start per graph")
     if not graphs:
         return []
-    tsteps = [t.tstep for t in trans]
     # backward Euler for the first step, trapezoidal after it
-    alphas = [[a / h for h in tsteps] for a in (1.0, 2.0)]
-    batches = [_Batch(graphs, sopts, alpha=alpha) for alpha in alphas]
+    batches = [_Batch(graphs, sopts, alpha=[a / t.tstep for t in trans]) for a in (1.0, 2.0)]
     g = graphs[0]
     n, count, ni = g.n, len(graphs), len(g.isources)
     last = np.array([t.steps for t in trans])  # each member's last step
@@ -824,17 +829,12 @@ def solve_lockstep(
     # (spec and step) is evaluated once per step for all the members it drives
     src = _source_values(graphs)
     waves: dict[tuple, int] = {}
-    at = [(b, j, waves.setdefault((s.spec, h), len(waves)))
-          for b, (gr, h) in enumerate(zip(graphs, tsteps))
+    at = [(b, j, waves.setdefault((s.spec, t.tstep), len(waves)))
+          for b, (gr, t) in enumerate(zip(graphs, trans))
           for j, s in enumerate((*gr.isources, *gr.vsources)) if not isinstance(s.spec, DcSpec)]
     rows, cols, which = np.array(at, dtype=int).reshape(-1, 3).T
     record = np.empty((last.max() + 1, count, width + ni))
-
-    def keep(k: int) -> None:
-        record[k, :, :width] = xg[:, first:]
-        record[k, :, width:] = src[:, :ni]
-
-    keep(0)
+    record[0, :, :width], record[0, :, width:] = xg[:, first:], src[:, :ni]
 
     def cap_voltage(xg: np.ndarray) -> np.ndarray:
         va, vb = xg.take(g.cap_ends, axis=1).transpose(1, 0, 2)
@@ -842,51 +842,45 @@ def solve_lockstep(
 
     v_prev = cap_voltage(xg)
     i_prev = np.zeros_like(v_prev)
-    cap_geq = [np.array([al * gr.cap_c for al, gr in zip(alpha, graphs)]) for alpha in alphas]
     results: list = list(starts)  # a failed start is its member's result
-
-    def waveforms(b: int, upto: int) -> WaveformSet:
-        gr, h_b = graphs[b], tsteps[b]
-        times = _readonly(np.arange(upto + 1) * h_b)
-        columns = (unknown_columns(gr) + [(f"i({s.name})", "A") for s in gr.isources])[first - 1:]
-        return WaveformSet(
-            [Waveform(name, times, values)
-             for (name, _), values in zip(columns, record[: upto + 1, b].T)],
-            dict(columns),
-            {"max_kcl_excess": float(max_excess[b]), "newton_iterations": int(total_iters[b]),
-             "assemblies": int(assemblies[b]), "evaluations": int(evaluations[b]),
-             "rescues": int(rescues[b]), "steps": upto, "tstep": h_b})
-
     for k in range(1, last.max() + 1):
         if not going.any():
             break
         src[rows, cols] = np.array([spec.value_at(k * h) for spec, h in waves])[which]
-        phase = min(k, 2) - 1
+        batch = batches[min(k, 2) - 1]
         # the backward-Euler step starts from i_prev = 0
-        cap_ieq = -cap_geq[phase] * v_prev - i_prev
-        xg, iters, excess, dev, evals, errors = _newton_batch(
-            batches[phase], xg, src, cap_ieq, dev, going)
+        cap_ieq = -batch.cap_g * v_prev - i_prev
+        xg, iters, excess, dev, evals, errors = _newton_batch(batch, xg, src, cap_ieq, dev, going)
         np.add(assemblies, iters + 1, out=assemblies, where=going)
         np.add(evaluations, evals, out=evaluations, where=going)
         if errors:  # a gmin-stepping rescue of the members whose step failed
             failed = np.array([b in errors for b in range(count)])
             rescues += failed
             xg, rescue_iters, rescue_excess, dev, used, evaluated, lost = _ladder(
-                graphs, sopts, xg, src, cap_ieq, _gmin_stages(sopts.gmin), alphas[phase], dev,
-                failed)
+                batch, xg, src, cap_ieq, _gmin_stages(sopts.gmin), dev, failed)
             for b, exc in lost.items():  # a spent row from here
-                results[b] = TransientNonConvergence(k * tsteps[b], waveforms(b, k - 1), exc)
+                results[b] = TransientNonConvergence(k * trans[b].tstep, exc)
                 going[b] = False
             iters[failed], excess[failed] = rescue_iters[failed], rescue_excess[failed]
             assemblies += used  # zero where no rescue ran
             evaluations += evaluated
         np.add(total_iters, iters, out=total_iters, where=going)
         np.maximum(max_excess, excess, out=max_excess, where=going)
-        keep(k)
+        record[k, :, :width], record[k, :, width:] = xg[:, first:], src[:, :ni]
         v_new = cap_voltage(xg)
-        i_prev = cap_geq[phase] * v_new + cap_ieq
+        i_prev = batch.cap_g * v_new + cap_ieq
         v_prev = v_new
-        for b in (going & (last == k)).nonzero()[0]:
-            results[b] = waveforms(b, k)
-            going[b] = False
+        going &= last != k  # a member that took its last step is done
+    for b, (gr, t) in enumerate(zip(graphs, trans)):
+        if isinstance(results[b], SolverError):
+            continue
+        times = _readonly(np.arange(t.steps + 1) * t.tstep)
+        columns = (unknown_columns(gr) + [(f"i({s.name})", "A") for s in gr.isources])[first - 1:]
+        results[b] = WaveformSet(
+            [Waveform(name, times, values)
+             for (name, _), values in zip(columns, record[: t.steps + 1, b].T)],
+            dict(columns),
+            {"max_kcl_excess": float(max_excess[b]), "newton_iterations": int(total_iters[b]),
+             "assemblies": int(assemblies[b]), "evaluations": int(evaluations[b]),
+             "rescues": int(rescues[b]), "steps": t.steps, "tstep": t.tstep})
     return results

@@ -22,6 +22,8 @@ from amps.solver import (
     NonConvergenceError,
     SolverOptions,
     TransientNonConvergence,
+    dc_sweep_lockstep,
+    solve_dc,
 )
 
 HALF_AMP = 200e-6
@@ -112,6 +114,16 @@ def test_bench_config_validation():
         BenchConfig(amplitude_pp=0.0)
     with pytest.raises(ValueError):
         BenchConfig(frequency=-1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(("field", "name"), [("amplitude_pp", "amplitude"),
+                                           ("frequency", "frequency")])
+def test_bench_config_rejects_non_finite_values(field, name, value):
+    """A NaN or infinite amplitude or frequency is named as that field, not
+    found later in the generated netlist or blamed on the step count."""
+    with pytest.raises(ValueError, match=f"^{name} .* must be > 0"):
+        BenchConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +242,15 @@ def test_lockstep_members_match_single_runs():
 
 
 def test_lockstep_rescue_and_abort_stay_with_their_member(monkeypatch):
-    import amps.solver
+    from tests.test_solver import ladder_calls
 
-    rescued = []
-    ladder = amps.solver._ladder
-
-    def counted_rescue(graphs, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None,
-                       going=None):
-        if np.any(alpha):  # a transient step's rescue; DC gmin stepping runs at alpha = 0
-            rescued.extend(graphs[b].isources[0].spec.frequency for b in going.nonzero()[0])
-        return ladder(graphs, options, xg, src, cap_ieq, stages, alpha, dev, going)
-
-    monkeypatch.setattr(amps.solver, "_ladder", counted_rescue)
+    calls = ladder_calls(monkeypatch)
     opts = SolverOptions(max_newton_iters=6)
     cfgs = [BenchConfig(frequency=f, periods=3, steps_per_period=100) for f in (3e7, 1e7, 1e8)]
     batch = run_bench(cfgs, opts)
+    # each rescued member's frequency; DC gmin stepping runs at alpha = 0
+    rescued = [call.batch.graphs[b].isources[0].spec.frequency
+               for call in calls if np.any(call.batch.alpha) for b in call.going.nonzero()[0]]
     assert 1e8 in rescued, "the 100 MHz member should need gmin-stepping rescues"
     for cfg, got in zip(cfgs, batch):
         (alone,) = run_bench([cfg], opts)
@@ -252,7 +258,8 @@ def test_lockstep_rescue_and_abort_stay_with_their_member(monkeypatch):
             assert isinstance(got, TransientNonConvergence)
             assert isinstance(alone, TransientNonConvergence)
             assert got.time == alone.time == pytest.approx(5.1e-8)
-            got, alone = got.partial, alone.partial
+            assert str(got) == str(alone)
+            continue
         assert got.stats == alone.stats
         for a, b in zip(got.waveforms, alone.waveforms):
             assert np.array_equal(a.values, b.values)
@@ -291,15 +298,50 @@ def test_lockstep_members_with_mixed_step_counts_match_single_runs(monkeypatch, 
         assert type(got) is type(alone)
         if isinstance(got, TransientNonConvergence):
             assert got.time == alone.time
-            got, alone = got.partial, alone.partial
-        else:
-            assert got.stats["steps"] == cfg.periods * cfg.steps_per_period
-            assert (got.stats["rescues"] > 0) == (cap == 6)
+            assert str(got) == str(alone)
+            continue
+        assert got.stats["steps"] == cfg.periods * cfg.steps_per_period
+        assert (got.stats["rescues"] > 0) == (cap == 6)
         assert got.stats == alone.stats
         assert got.names() == alone.names()
         for a, b in zip(got.waveforms, alone.waveforms, strict=True):
             assert a.times.tobytes() == b.times.tobytes()
             assert a.values.tobytes() == b.values.tobytes()
+
+
+# (assemblies, evaluations, newton_iterations, rescues) of each member of the
+# three-member rescue bench, or its abort message, by Newton iteration cap
+RESCUE_BENCH_WORK = {
+    6: {3e7: (1170, 805, 811, 6), 1e8: (1067, 735, 759, 3),
+        1e7: "transient aborted at t=5.100000e-08s: "
+             "Newton did not converge (worst residual 1.477e-05 at node cmp)"},
+    8: {3e7: (1066, 734, 752, 3), 1e8: (1073, 741, 759, 3),
+        1e7: "transient aborted at t=5.100000e-08s: "
+             "Newton did not converge (worst residual 9.516e-06 at node in)"},
+}
+
+
+@pytest.mark.parametrize("cap", sorted(RESCUE_BENCH_WORK))
+def test_rescue_bench_work_is_pinned(cap):
+    """The solver's work on the rescue bench, counted exactly: a change that
+    moves a count (or an abort) fails here, whatever the host's timing."""
+    cfgs = [BenchConfig(frequency=f, periods=3, steps_per_period=100) for f in (3e7, 1e7, 1e8)]
+    work = {}
+    for cfg, got in zip(cfgs, run_bench(cfgs, SolverOptions(max_newton_iters=cap))):
+        work[cfg.frequency] = str(got) if isinstance(got, TransientNonConvergence) else tuple(
+            got.stats[k] for k in ("assemblies", "evaluations", "newton_iterations", "rescues"))
+    assert work == RESCUE_BENCH_WORK[cap]
+
+
+def test_fallback_sweep_work_is_pinned():
+    """The same for the 4-temperature sweep whose members fall back to gmin
+    stepping: each member's Newton updates summed over its points."""
+    opts = SolverOptions(max_newton_iters=6, reltol=1.5e-5)
+    graphs = [bench_graph(BenchConfig(temp=t)) for t in (25.0, 50.0, 75.0, 100.0)]
+    sweep = DcSweepDirective("IIN", -100e-6, 100e-6, 20e-6)
+    starts = solve_dc([g.with_source("IIN", sweep.start) for g in graphs], opts)
+    record = dc_sweep_lockstep(graphs, sweep, opts, starts)
+    assert record.iterations.sum(axis=0).tolist() == [92, 96, 104, 104]
 
 
 # ---------------------------------------------------------------------------

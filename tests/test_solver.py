@@ -2,6 +2,7 @@
 
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ def test_gmin_stepping_after_plain_newton_fails(monkeypatch):
     g = graph_of(DIODE_NMOS)
     (unforced,) = solve_dc([g], opts)
     kernel, ladder = amps.solver._newton_batch, amps.solver._ladder
-    forced, ladders = [], []  # the forced error; (stages, going, result) of each stage loop run
+    forced = []  # the forced error
 
     def plain_fails(*args):
         result = kernel(*args)
@@ -272,15 +273,10 @@ def test_gmin_stepping_after_plain_newton_fails(monkeypatch):
             result[5][0] = forced[0]
         return result
 
-    def recorded(graphs, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None, going=None):
-        result = ladder(graphs, options, xg, src, cap_ieq, stages, alpha, dev, going)
-        ladders.append((stages, going, result))
-        return result
-
     monkeypatch.setattr(amps.solver, "_newton_batch", plain_fails)
-    monkeypatch.setattr(amps.solver, "_ladder", recorded)
+    ladders = ladder_calls(monkeypatch)
     (op,) = solve_dc([g], opts)
-    ((stages, going, stepped),) = ladders
+    ((_, stages, going, _, stepped),) = ladders
     assert len(forced) == 1 and going.tolist() == [True]  # the forced member, alone
     assert not stepped[-1]  # gmin stepping found the point
     assert len(stages) == amps.solver.GMIN_STEPS + 1
@@ -291,7 +287,8 @@ def test_gmin_stepping_after_plain_newton_fails(monkeypatch):
     xg, total = np.zeros((1, g.size + 1)), 0
     src = amps.solver._source_values([g])
     for stage in stages:
-        xg, iters, excess, *_ = ladder([g], opts, xg, src, np.zeros((1, g.cap_c.size)), [stage])
+        xg, iters, excess, *_ = ladder(amps.solver._Batch([g], opts), xg, src,
+                                       np.zeros((1, g.cap_c.size)), [stage])
         total += iters[0]
     assert op.iterations == total == stepped[1][0] > iters[0]
     assert xg[0, 1:].tobytes() == np.concatenate((op.voltages, op.branch_currents)).tobytes()
@@ -456,8 +453,9 @@ def reference_sweep(graph, name, values, options):
             op = newton_solve(held, x_prev, options)
         except SolverError:
             xg, iters, excess, *_, errors = amps.solver._ladder(
-                [held], options, np.zeros((1, held.size + 1)), amps.solver._source_values([held]),
-                np.zeros((1, held.cap_c.size)), amps.solver._gmin_stages(options.gmin))
+                amps.solver._Batch([held], options), np.zeros((1, held.size + 1)),
+                amps.solver._source_values([held]), np.zeros((1, held.cap_c.size)),
+                amps.solver._gmin_stages(options.gmin))
             op = None if errors else OperatingPoint(xg[0, 1 : held.n + 1], xg[0, held.n + 1:],
                                                     int(iters[0]), float(excess[0]))
         if op is not None:
@@ -473,19 +471,9 @@ def test_lockstep_dc_sweeps_match_single_sweeps(monkeypatch):
     gmin stepping mid-sweep; the 25 and 50 degC members also fail their first
     points (non-converged, NaN), the 75 and 100 degC members none.
     """
-    import amps.solver
     from amps.rectifier import BenchConfig, bench_graph
 
-    fallbacks = []
-    ladder = amps.solver._ladder
-
-    def counted(graphs, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None, going=None):
-        # each member's temperature and IIN, the only current source
-        for b in range(len(graphs)) if going is None else going.nonzero()[0]:
-            fallbacks.append((graphs[b].mosfets[0].temp, float(src[b, 0])))
-        return ladder(graphs, options, xg, src, cap_ieq, stages, alpha, dev, going)
-
-    monkeypatch.setattr(amps.solver, "_ladder", counted)
+    fallbacks = ladder_calls(monkeypatch)
     opts = SolverOptions(max_newton_iters=6, reltol=1.5e-5)
     temps = (25.0, 50.0, 75.0, 100.0)
     graphs = [bench_graph(BenchConfig(temp=t)) for t in temps]
@@ -494,7 +482,9 @@ def test_lockstep_dc_sweeps_match_single_sweeps(monkeypatch):
     firsts = solve_dc([g.with_source("IIN", values[0]) for g in graphs], opts)
     fallbacks.clear()
     sweep = dc_sweep_lockstep(graphs, directive, opts, firsts)
-    in_lockstep = list(fallbacks)
+    # each falling-back member's temperature and IIN, the only current source
+    in_lockstep = [(call.batch.graphs[b].mosfets[0].temp, float(call.src[b, 0]))
+                   for call in fallbacks for b in call.going.nonzero()[0]]
     for temp in temps:
         assert any(t == temp and v != values[0] for t, v in in_lockstep), temp
 
@@ -594,12 +584,11 @@ def test_periodic_steady_state_on_bench():
     assert np.sqrt(np.mean((second - last) ** 2)) < 0.01 * scale
 
 
-def test_transient_nonconvergence_carries_partial():
+def test_transient_nonconvergence_carries_time_and_cause():
     g = graph_of(SINGULAR)
     (err,) = solve_lockstep([g], [TranDirective(1e-6, 1e-4)], OPTS, [zero_start(g)], voltages=True)
     assert isinstance(err, TransientNonConvergence)
     assert err.time == pytest.approx(1e-6)
-    assert err.partial.stats["steps"] == 0
     assert isinstance(err.__cause__, SingularMatrixError)  # the step's own failure
 
 
@@ -608,22 +597,16 @@ def test_every_transient_record_shares_one_increasing_time_base_of_finite_values
     ``Waveform`` and ``write_csv`` need not check it: every waveform is on
     the first one's times, which strictly increase, with one finite value
     per time.  Checked on a transient, a lockstep of members with their own
-    steps, a rescued member, an aborted member's partial record and the
-    partial of a member whose first step fails (its t=0 sample alone)."""
+    steps and a member rescued beside one that aborts."""
     from amps.rectifier import BenchConfig, run_bench
 
     records = [solve_transient(graph_of(RC), TranDirective(1e-5, 1e-3), OPTS)]
     records += run_bench([BenchConfig(frequency=f, periods=3, steps_per_period=spp)
                           for f, spp in ((1e3, 100), (1e6, 200), (1e8, 150))])
     cfgs = [BenchConfig(frequency=f, periods=3, steps_per_period=100) for f in (3e7, 1e7, 1e8)]
-    _, aborted, rescued = run_bench(cfgs, SolverOptions(max_newton_iters=6))
+    _, _, rescued = run_bench(cfgs, SolverOptions(max_newton_iters=6))
     assert rescued.stats["rescues"] > 0
-    records += [rescued, aborted.partial]
-    g = graph_of(SINGULAR)
-    (first,) = solve_lockstep([g], [TranDirective(1e-6, 1e-4)], OPTS, [zero_start(g)],
-                              voltages=True)
-    records.append(first.partial)
-    assert first.partial.waveforms[0].times.tolist() == [0.0]
+    records.append(rescued)
     for ws in records:
         times = ws.waveforms[0].times
         assert np.all(np.diff(times) > 0)
@@ -643,25 +626,17 @@ def test_zero_start_reports_a_finite_kcl_excess():
 
 
 def test_rescued_transient_leaves_graph_unchanged(monkeypatch):
-    import amps.solver
     from amps.rectifier import BenchConfig, build_bench_netlist
 
-    rescues = []
-    ladder = amps.solver._ladder
-
-    def counted_rescue(graphs, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None,
-                       going=None):
-        if np.any(alpha):  # a transient step's rescue; DC gmin stepping runs at alpha = 0
-            rescues.append(xg)
-        return ladder(graphs, options, xg, src, cap_ieq, stages, alpha, dev, going)
-
-    monkeypatch.setattr(amps.solver, "_ladder", counted_rescue)
+    calls = ladder_calls(monkeypatch)
     cfg = BenchConfig(frequency=1e8, periods=3, steps_per_period=100)
     g = graph_of(build_bench_netlist(cfg), temp=cfg.temp)
     opts = SolverOptions(max_newton_iters=6)
     trans = tran_of(g)
     (before,) = solve_dc([g], opts)
     first = solve_transient(g, trans, opts)
+    # a transient step's rescue; DC gmin stepping runs at alpha = 0
+    rescues = [call for call in calls if np.any(call.batch.alpha)]
     assert rescues, "the transient should need gmin-stepping rescues"
     assert first.stats["rescues"] == len(rescues)
     second = solve_transient(g, trans, opts)
@@ -703,6 +678,30 @@ def kernel_counted(monkeypatch, carry: bool) -> list[int]:
 
     monkeypatch.setattr(amps.solver, "_newton_batch", wrapper)
     return counted
+
+
+class LadderCall(NamedTuple):
+    batch: object  # the ``_Batch`` whose stages the call runs
+    stages: list
+    going: np.ndarray
+    src: np.ndarray
+    result: tuple
+
+
+def ladder_calls(monkeypatch) -> list[LadderCall]:
+    """Patch the gmin ladder to record each call; a transient step's rescue
+    is a call with ``np.any(call.batch.alpha)``, DC gmin stepping runs at 0."""
+    import amps.solver
+
+    ladder, calls = amps.solver._ladder, []
+
+    def wrapper(batch, xg, src, cap_ieq, stages, dev=None, going=None):
+        result = ladder(batch, xg, src, cap_ieq, stages, dev, going)
+        calls.append(LadderCall(batch, stages, going, src, result))
+        return result
+
+    monkeypatch.setattr(amps.solver, "_ladder", wrapper)
+    return calls
 
 
 def test_dc_points_of_one_topology_share_each_newton_solve(monkeypatch):
@@ -753,7 +752,8 @@ def test_carried_evaluation_changes_no_rescued_or_aborted_transient(monkeypatch)
     for a, b in zip(got, dropped):
         if isinstance(b, amps.solver.TransientNonConvergence):
             assert isinstance(a, amps.solver.TransientNonConvergence) and a.time == b.time
-            a, b = a.partial, b.partial
+            assert str(a) == str(b)
+            continue
         assert a.stats["evaluations"] < b.stats["evaluations"] == b.stats["assemblies"]
         assert {**a.stats, "evaluations": 0} == {**b.stats, "evaluations": 0}
         for wa, wb in zip(a.waveforms, b.waveforms, strict=True):
@@ -764,16 +764,9 @@ def test_carried_evaluation_changes_no_lockstep_sweep(monkeypatch):
     """The same for the 4-temperature sweep whose members fall back to gmin
     stepping: every field of the record is the same bits, and the carry
     saves device evaluations."""
-    import amps.solver
     from amps.rectifier import BenchConfig, bench_graph
 
     fallbacks = []
-    ladder = amps.solver._ladder
-
-    def counted(graphs, options, xg, src, cap_ieq, stages, alpha=0.0, dev=None, going=None):
-        fallbacks.extend(graphs[b].mosfets[0].temp for b in going.nonzero()[0])
-        return ladder(graphs, options, xg, src, cap_ieq, stages, alpha, dev, going)
-
     opts = SolverOptions(max_newton_iters=6, reltol=1.5e-5)
     graphs = [bench_graph(BenchConfig(temp=t)) for t in (25.0, 50.0, 75.0, 100.0)]
     directive = DcSweepDirective("IIN", -100e-6, 100e-6, 20e-6)
@@ -782,9 +775,11 @@ def test_carried_evaluation_changes_no_lockstep_sweep(monkeypatch):
     def sweep(carry: bool):
         counts = kernel_counted(monkeypatch, carry)
         starts = solve_dc([g.with_source("IIN", first) for g in graphs], opts)
-        monkeypatch.setattr(amps.solver, "_ladder", counted)  # the sweep's fallbacks only
+        calls = ladder_calls(monkeypatch)  # the sweep's fallbacks only
         record = dc_sweep_lockstep(graphs, directive, opts, starts)
         monkeypatch.undo()
+        fallbacks.extend(call.batch.graphs[b].mosfets[0].temp
+                         for call in calls for b in call.going.nonzero()[0])
         return record, sum(counts)
 
     (got, evaluations), (dropped, dropped_evaluations) = sweep(True), sweep(False)
