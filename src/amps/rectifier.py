@@ -68,6 +68,8 @@ class BenchConfig:
             raise ValueError(f"amplitude {self.amplitude_pp:g} A must be > 0 and finite")
         if not 0 < self.frequency < np.inf:
             raise ValueError(f"frequency {self.frequency:g} Hz must be > 0 and finite")
+        if not np.isfinite(self.temp):  # its range is derive_params'
+            raise ValueError(f"temperature {self.temp:g} degC must be finite")
         if self.periods < 1 or self.steps_per_period < 10:
             raise ValueError("need at least 1 period and 10 steps per period")
         try:

@@ -2,17 +2,16 @@
 
 Unknowns are the non-ground node voltages followed by the branch currents of
 the voltage sources.  ``build_graph`` compiles a netlist once, at one
-temperature, into immutable MNA stamps (Ho, Ruehli & Brennan, IEEE TCAS
-1975): the linear stamp ``G`` (resistors, voltage-source incidence), the
-capacitance stamp ``C`` (capacitors, MOSFET overlaps), the gmin rows (nodes
-a MOSFET touches), one table of currents (the branches, each voltage
-source's equation, the gmin loads) whose ordered sums give every row's
-residual and tolerance scale, and a MOSFET table with the precomputed
-scatter of device conductances into the Jacobian.  A solve context
-(``_Batch``) fixes, for each of its circuits, gmin and the companion factor
-alpha (0 for DC, 1/h backward Euler, 2/h trapezoidal) once: its Jacobian is
-``G + alpha*C + gmin*D`` plus the device scatter, and the source values and
-the capacitor history currents are arguments of each Newton solve.
+temperature, into immutable MNA tables (Ho, Ruehli & Brennan, IEEE TCAS
+1975): the gmin rows (nodes a MOSFET touches), one table of currents (the
+branches, each voltage source's equation, the gmin loads) whose ordered sums
+give every row's residual and tolerance scale, and a MOSFET table with the
+precomputed scatter of device conductances into the Jacobian.  A solve
+context (``_Batch``) fixes, for each of its circuits, gmin and the companion
+factor alpha (0 for DC, 1/h backward Euler, 2/h trapezoidal) once: the
+Jacobian's linear part is stamped from the same current columns whose sums
+give F, and the source values and the capacitor history currents are
+arguments of each Newton solve.
 
 Nonlinear solves are damped Newton-Raphson over dense LU; the members whose
 solve fails (a DC point, sweep point or transient step) fall back to gmin
@@ -155,7 +154,7 @@ _MOS_STAMP = (
 
 @dataclass(frozen=True, eq=False)
 class CircuitGraph:
-    """A netlist compiled at one temperature into MNA stamps (built by ``build_graph``).
+    """A netlist compiled at one temperature into MNA tables (built by ``build_graph``).
 
     Node numbering is dense and deterministic (order of first appearance);
     ground is index 0 and never gets a matrix row.  Every array is
@@ -170,12 +169,9 @@ class CircuitGraph:
     vsources: tuple[_Source, ...]
     isources: tuple[_Source, ...]
     mosfets: tuple[MosfetParams, ...]
-    G: np.ndarray
-    C: np.ndarray
     gmin_rows: np.ndarray
     res_g: np.ndarray
     cap_c: np.ndarray
-    cap_ends: np.ndarray  # (2, capacitors): nodes a and b, current flowing from a to b
     # The Newton kernel's current columns.  Each is a factor
     # (``_Batch.coef``) times the difference of two entries of the
     # unknowns after a ground column, plus a term fixed for the solve
@@ -183,7 +179,8 @@ class CircuitGraph:
     # currents in its order, the resistors, the capacitors (companion
     # history), the current sources, the voltage sources (their unknowns) and
     # the MOSFET channels (their id); the gmin loads; and for each voltage
-    # source its equation's residual V(p) - V(m) - e and its value e.
+    # source its equation's residual V(p) - V(m) - e and its value e.  Their
+    # factors also stamp the Jacobian's linear part (``_Batch.j_base``).
     col_a: np.ndarray
     col_b: np.ndarray
     # The residual of each row sums its entries (column, sign, row) in list
@@ -212,7 +209,7 @@ class CircuitGraph:
         raise KeyError(f"no source named {name}")
 
     def with_source(self, name: str, value: float) -> CircuitGraph:
-        """The same circuit with one source held at a DC value; shares every stamp."""
+        """The same circuit with one source held at a DC value; shares every table."""
         src = self.find_source(name)
         held = replace(src, spec=DcSpec(value))
 
@@ -226,15 +223,6 @@ def _readonly(a) -> np.ndarray:
     a = np.asarray(a)
     a.flags.writeable = False
     return a
-
-
-def _two_terminal_stamp(size: int, branches: list[tuple[int, int, float]]) -> np.ndarray:
-    M = np.zeros((size, size))
-    for a, b, v in branches:
-        for r, c, s in ((a, a, v), (b, b, v), (a, b, -v), (b, a, -v)):
-            if r and c:
-                M[r - 1, c - 1] += s
-    return M
 
 
 def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
@@ -273,13 +261,6 @@ def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
                 if c > 0:
                     caps.append((na, nb, c))
     size = n + len(vsources)
-
-    G = _two_terminal_stamp(size, res)
-    for k, src in enumerate(vsources):
-        for node, sign in ((src.p, 1.0), (src.m, -1.0)):
-            if node:
-                G[node - 1, n + k] += sign
-                G[n + k, node - 1] += sign
 
     # the table of two-terminal branches, current flowing from node a to node
     # b: resistors, capacitors, current sources, voltage sources, MOSFET
@@ -332,12 +313,9 @@ def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
         vsources=tuple(vsources),
         isources=tuple(isources),
         mosfets=tuple(mosfets),
-        G=_readonly(G),
-        C=_readonly(_two_terminal_stamp(size, caps)),
         gmin_rows=_readonly(np.array(gmin_rows, dtype=int)),
         res_g=_readonly([g for _, _, g in res]),
         cap_c=_readonly([c for _, _, c in caps]),
-        cap_ends=_readonly(np.array([(a, b) for a, b, _ in caps], dtype=int).reshape(-1, 2).T),
         col_a=_readonly(np.array([a for a, _ in columns], dtype=int)),
         col_b=_readonly(np.array([b for _, b in columns], dtype=int)),
         sum_col=_readonly(np.array([c for c, _, _ in sums], dtype=int)),
@@ -401,8 +379,10 @@ class _Batch:
 
     Each member is a graph with gmin (the options' unless given) and a
     companion factor ``alpha`` (one, or one per member) fixed: its column
-    factors ``coef``, Jacobian base ``j_base`` and device constants
-    ``devices`` are stacked along the member axis.  It keeps its ``graphs``,
+    factors ``coef``, Jacobian base ``j_base`` (the linear part, stamped from
+    the current columns: resistors and source incidence, alpha times the
+    capacitances, gmin on the gmin rows) and device constants ``devices``
+    are stacked along the member axis.  It keeps its ``graphs``,
     options ``opt``, each member's ``alpha`` and capacitor companion
     conductances ``cap_g`` (alpha times each capacitance): the integration
     phase that ``_ladder`` keeps at each gmin stage and from which a
@@ -432,12 +412,10 @@ class _Batch:
         ends = np.cumsum((0, 1, g.res_g.size, g.cap_c.size, len(g.isources), g.m,
                           len(g.mosfets), g.gmin_rows.size, g.m, g.m)).tolist()
         self.groups = [slice(a, b) for a, b in zip(ends, ends[1:])]
-        self.cap_g = alphas[:, None] * np.array([gr.cap_c for gr in graphs])
-        self.coef = self.columns(rows, None, np.array([gr.res_g for gr in graphs]), self.cap_g,
-                                 None, 1.0, None, gmin, 1.0, None)
-        j_base = np.array([gr.G + a * gr.C for gr, a in zip(graphs, alphas)])
-        j_base[:, g.gmin_rows, g.gmin_rows] += gmin
-        self.j_base = j_base.reshape(rows, -1)
+        res_g = np.array([gr.res_g for gr in graphs])
+        cap_c = np.array([gr.cap_c for gr in graphs])
+        self.cap_g = alphas[:, None] * cap_c
+        self.coef = self.columns(rows, None, res_g, self.cap_g, None, 1.0, None, gmin, 1.0, None)
         self.devices = tuple(np.stack([gr.devices for gr in graphs], axis=1))
         self.tol = np.concatenate((np.full(g.n, options.abstol_i), np.full(g.m, options.vntol)))
         self.clamp = np.full(g.size, np.inf)  # update damping on nonlinear-device nodes
@@ -454,6 +432,24 @@ class _Batch:
         self.at_jac = (g.mos_jac + g.size * g.size * r).ravel()
         self.at_value = (g.mos_value * rows * devices + devices * r + g.mos_device).ravel()
         self.jac_sign = np.tile(g.mos_sign, rows)
+        # the Jacobian's linear part, stamped from the current columns whose
+        # sums give F: each sum-list entry adds sign*coef at its column's end
+        # a and subtracts it at end b, so every cell sums in element order
+        col_ends = np.stack((g.col_a, g.col_b), axis=1)[g.sum_col]
+        col_ends[g.sum_row == g.size] = 0  # the discarded row, like ground, gets nothing
+        entry, side = np.nonzero(col_ends)  # each entry's two ends adjacent
+        at_cell = (g.sum_row[entry] * g.size + col_ends[entry, side] - 1 + g.size**2 * r).ravel()
+        at_coef, sign = self.at_sum[:, entry], g.sum_sign[entry] * (1.0 - 2.0 * side)
+
+        def stamp(*values):
+            coef = self.columns(rows, *values).take(at_coef) * sign
+            return np.bincount(at_cell, coef.ravel(), rows * g.size**2).reshape(rows, -1)
+
+        # alpha times the capacitances' own stamp, as alpha*(c1 + c2) is not alpha*c1 + alpha*c2
+        linear = stamp(None, res_g, None, None, 1.0, None, None, 1.0, None)
+        capacitance = stamp(None, None, cap_c, None, None, None, None, None, None)
+        self.j_base = linear + alphas[:, None] * capacitance
+        self.j_base.reshape(rows, g.size, g.size)[:, g.gmin_rows, g.gmin_rows] += gmin
 
     def columns(self, rows: int, *values) -> np.ndarray:
         """Rows of current columns from each group's value or member rows (None: zeros)."""
@@ -836,11 +832,8 @@ def solve_lockstep(
     record = np.empty((last.max() + 1, count, width + ni))
     record[0, :, :width], record[0, :, width:] = xg[:, first:], src[:, :ni]
 
-    def cap_voltage(xg: np.ndarray) -> np.ndarray:
-        va, vb = xg.take(g.cap_ends, axis=1).transpose(1, 0, 2)
-        return va - vb
-
-    v_prev = cap_voltage(xg)
+    cap_ends = batches[0].at_ends[..., batches[0].groups[2]]  # each capacitor's ends in xg
+    v_prev = np.subtract(*xg.take(cap_ends))
     i_prev = np.zeros_like(v_prev)
     results: list = list(starts)  # a failed start is its member's result
     for k in range(1, last.max() + 1):
@@ -867,7 +860,7 @@ def solve_lockstep(
         np.add(total_iters, iters, out=total_iters, where=going)
         np.maximum(max_excess, excess, out=max_excess, where=going)
         record[k, :, :width], record[k, :, width:] = xg[:, first:], src[:, :ni]
-        v_new = cap_voltage(xg)
+        v_new = np.subtract(*xg.take(cap_ends))
         i_prev = batch.cap_g * v_new + cap_ieq
         v_prev = v_new
         going &= last != k  # a member that took its last step is done

@@ -126,6 +126,13 @@ def test_bench_config_rejects_non_finite_values(field, name, value):
         BenchConfig(**{field: value})
 
 
+@pytest.mark.parametrize("temp", [float("nan"), float("inf"), float("-inf")])
+def test_bench_config_rejects_non_finite_temp(temp):
+    """Named as the temperature, not found later in the generated netlist."""
+    with pytest.raises(ValueError, match="^temperature .* must be finite"):
+        BenchConfig(temp=temp)
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

@@ -111,16 +111,34 @@ def test_build_graph_rejects_invalid():
         graph_of("bad\nR1 a 0 1k\nR2 a 0 1k\n.END\n")  # no sources
 
 
-def reference_dc_assembly(g, x):
-    """DC residual, Jacobian and tolerance scales stamped element by element."""
-    from amps.device import eval_mosfet
+def test_built_graph_arrays_are_read_only():
+    """Every array field of a built graph, the bench's and a chain's."""
+    import dataclasses
+
+    from amps.rectifier import bench_netlist_path
+
+    for g in (graph_of(bench_netlist_path().read_text(), temp=25.0), graph_of(inverter_chain())):
+        arrays = {f.name: getattr(g, f.name) for f in dataclasses.fields(g)
+                  if isinstance(getattr(g, f.name), np.ndarray)}
+        assert len(arrays) > 10
+        assert [name for name, a in arrays.items() if a.flags.writeable] == []
+
+
+def reference_assembly(g, x, alpha):
+    """Residual, Jacobian and tolerance scales stamped element by element, at
+    companion factor ``alpha`` (0 at DC) with no capacitor history."""
+    from amps.device import eval_mosfet, overlap_caps
     from amps.netlist import ElementKind
 
-    n, nodes = g.n, g.doc.nodes
+    n, size, nodes = g.n, g.size, g.doc.nodes
     V = np.concatenate(([0.0], x[:n]))
     fe, se = np.zeros(n + 1), np.zeros(n + 1)
-    J = g.G.copy()
-    J[g.gmin_rows, g.gmin_rows] += OPTS.gmin
+    G, C = np.zeros((size, size)), np.zeros((size, size))
+
+    def two_terminal(M, a, b, v):
+        for r, c, s in ((a, a, v), (b, b, v), (a, b, -v), (b, a, -v)):
+            if r and c:
+                M[r - 1, c - 1] += s
 
     def branch(a, b, cur):
         fe[a] += cur
@@ -130,11 +148,33 @@ def reference_dc_assembly(g, x):
     elements = {kind: [e for e in g.doc.elements if e.kind is kind] for kind in ElementKind}
     for e in elements[ElementKind.RESISTOR]:
         a, b = (nodes[t] for t in e.nodes)
+        two_terminal(G, a, b, 1.0 / e.value)
         branch(a, b, (1.0 / e.value) * (V[a] - V[b]))
+    # the capacitors and each MOSFET's gate overlaps, in netlist order
+    overlaps = iter(g.mosfets)
+    for e in g.doc.elements:
+        ends = [nodes[t] for t in e.nodes]
+        if e.kind is ElementKind.CAPACITOR:
+            caps = [(*ends, e.value)]
+        elif e.kind is ElementKind.MOSFET:
+            d, gt, s, b = ends
+            caps = [(gt, t, c) for t, c in zip((d, s, b), overlap_caps(next(overlaps)))]
+        else:
+            continue
+        for a, b, c in caps:
+            if c > 0:
+                two_terminal(C, a, b, c)
+                branch(a, b, (alpha * c) * (V[a] - V[b]))
     for src in g.isources:
         branch(src.p, src.m, src.spec.value_at(0.0))
     for k, src in enumerate(g.vsources):
         branch(src.p, src.m, x[n + k])
+        for node, sign in ((src.p, 1.0), (src.m, -1.0)):
+            if node:
+                G[node - 1, n + k] += sign
+                G[n + k, node - 1] += sign
+    J = G + alpha * C
+    J[g.gmin_rows, g.gmin_rows] += OPTS.gmin
     for params, e in zip(g.mosfets, elements[ElementKind.MOSFET]):
         d, gt, s, b = (nodes[t] for t in e.nodes)
         ev = eval_mosfet(params, V[gt] - V[s], V[d] - V[s], V[b] - V[s])
@@ -150,25 +190,37 @@ def reference_dc_assembly(g, x):
     return np.concatenate((fe[1:], fb)), J, np.concatenate((se[1:], np.abs(e)))
 
 
-@pytest.mark.parametrize("text", ["bench", DIODE_NMOS, DIVIDER])
+# two capacitors on one node, whose alpha*(c1 + c2) is not alpha*c1 + alpha*c2
+RC_PAIR = """rc pair
+V1 in 0 DC 1
+R1 in out 1k
+C1 out 0 1u
+C2 out in 2.2n
+.END
+"""
+
+
+@pytest.mark.parametrize("text", ["bench", DIODE_NMOS, DIVIDER, RC_PAIR])
 def test_compiled_dc_assembly_matches_element_stamping(text):
-    """Bit for bit, for one member and for each of three: near-singular DC
-    Jacobians make Newton's path hinge on the last bit."""
+    """Bit for bit, at DC and at a 1 ns trapezoidal step's companion factor
+    2/h, for one member and for each of three: near-singular DC Jacobians
+    make Newton's path hinge on the last bit."""
     import amps.solver
     from amps.rectifier import bench_netlist_path
 
     doc = parse_netlist(bench_netlist_path().read_text() if text == "bench" else text)
-    for temps in ((27.0,), (25.0, 60.0, 100.0)):
-        graphs = [build_graph(doc, temp) for temp in temps]
-        batch = amps.solver._Batch(graphs, OPTS)
-        x = np.random.default_rng(7).uniform(-1.5, 1.5, (len(graphs), graphs[0].size))
-        src = amps.solver._source_values(graphs)
-        fixed = batch.fixed_currents(src, np.zeros((len(graphs), graphs[0].cap_c.size)))
-        xg = np.concatenate((np.zeros((len(graphs), 1)), x), axis=1)
-        got = batch.assemble(xg, fixed)
-        for b, g in enumerate(graphs):
-            for a, want in zip(got, reference_dc_assembly(g, x[b])):
-                assert np.array_equal(a[b], want)
+    for alpha in (0.0, 2 / 1e-9):
+        for temps in ((27.0,), (25.0, 60.0, 100.0)):
+            graphs = [build_graph(doc, temp) for temp in temps]
+            batch = amps.solver._Batch(graphs, OPTS, alpha=alpha)
+            x = np.random.default_rng(7).uniform(-1.5, 1.5, (len(graphs), graphs[0].size))
+            src = amps.solver._source_values(graphs)
+            fixed = batch.fixed_currents(src, np.zeros((len(graphs), graphs[0].cap_c.size)))
+            xg = np.concatenate((np.zeros((len(graphs), 1)), x), axis=1)
+            got = batch.assemble(xg, fixed)
+            for b, g in enumerate(graphs):
+                for a, want in zip(got, reference_assembly(g, x[b], alpha)):
+                    assert np.array_equal(a[b], want)
 
 
 # ---------------------------------------------------------------------------
