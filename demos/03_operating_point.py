@@ -1,4 +1,4 @@
-"""DC operating points: plain Newton, and what the homotopies are for.
+"""DC operating points: plain Newton, and ``solve_dc`` with its gmin-stepping fallback.
 
 Run:  python demos/03_operating_point.py
 """

@@ -407,6 +407,9 @@ def parse_netlist(text: str) -> NetlistDocument:
                 raise NetlistError(f"{name}: expected 2 nodes and a source spec", lineno)
             spec = _parse_source_tokens(tokens[3:], lineno)
             elem = ElementCard(kind=kind, name=name, nodes=(tokens[1], tokens[2]), source=spec)
+        for word in (tokens[0], *elem.nodes):  # names become CSV columns
+            if "," in word:
+                raise NetlistError(f"{word!r}: a name cannot contain ','", lineno)
         for n in elem.nodes:
             node_index(n)
         doc.elements.append(elem)

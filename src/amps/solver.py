@@ -5,9 +5,10 @@ the voltage sources.  ``build_graph`` compiles a netlist once, at one
 temperature, into immutable MNA tables (Ho, Ruehli & Brennan, IEEE TCAS
 1975): the gmin rows (nodes a MOSFET touches), one table of currents (the
 branches, each voltage source's equation, the gmin loads) whose ordered sums
-give every row's residual and tolerance scale, and a MOSFET table with the
-precomputed scatter of device conductances into the Jacobian.  A solve
-context (``_Batch``) fixes, for each of its circuits, gmin and the companion
+give every row's residual and tolerance scale, and the MOSFET terminals.  A
+solve context (``_Batch``) derives every index into F and J from these
+tables (the scatter of device conductances into J from the MOSFET
+terminals) and fixes, for each of its circuits, gmin and the companion
 factor alpha (0 for DC, 1/h backward Euler, 2/h trapezoidal) once: the
 Jacobian's linear part is stamped from the same current columns whose sums
 give F, and the source values and the capacitor history currents are
@@ -142,14 +143,15 @@ class _Source:
     spec: SourceSpec
 
 
-# Jacobian entries of one MOSFET as (row terminal, column terminal, value,
-# sign), with terminals d=0, g=1, s=2, b=3 and values id=0, gm=1, gds=2,
-# gmbs=3, gsum=gm+gds+gmbs=4.  The drain row gets +d(id), the source row
-# -d(id).
-_MOS_STAMP = (
-    (0, 0, 2, 1.0), (0, 1, 1, 1.0), (0, 3, 3, 1.0), (0, 2, 4, -1.0),
-    (2, 2, 4, 1.0), (2, 0, 2, -1.0), (2, 1, 1, -1.0), (2, 3, 3, -1.0),
-)
+# The Jacobian entries of one MOSFET, one per column: row terminal, column
+# terminal, value, sign; terminals d=0, g=1, s=2, b=3, values id=0, gm=1,
+# gds=2, gmbs=3, gsum=gm+gds+gmbs=4.  The drain row gets +d(id), the source
+# row -d(id) in s, d, g, b order: a source tied to its bulk sums +gsum, -gmbs.
+_MOS_STAMP = np.array((
+    (0, 0, 2, 1), (0, 1, 1, 1), (0, 3, 3, 1), (0, 2, 4, -1),
+    (2, 2, 4, 1), (2, 0, 2, -1), (2, 1, 1, -1), (2, 3, 3, -1),
+)).T
+_MOS_STAMP.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,14 +194,8 @@ class CircuitGraph:
     sum_sign: np.ndarray
     sum_row: np.ndarray
     sum_starts: np.ndarray
-    mos_terms: np.ndarray  # (4, MOSFETs): d, g, s, b node indices
+    mos_terms: np.ndarray  # (4, MOSFETs): d, g, s, b node indices; J's scatter derives from it
     devices: np.ndarray  # (10, MOSFETs): ``device_table`` of ``mosfets``
-    # the Jacobian entries of the MOSFETs, in device order: flat index in
-    # J, device, evaluated value (id, gm, gds, gmbs, gsum) and sign
-    mos_jac: np.ndarray
-    mos_device: np.ndarray
-    mos_value: np.ndarray
-    mos_sign: np.ndarray
 
     def find_source(self, name: str) -> _Source:
         name = name.upper()
@@ -297,12 +293,6 @@ def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
         starts.append(len(sums))  # a last segment, of no row
         sums += [(gmin_col + q, 1.0, row) for q, row in enumerate(gmin_rows)]
 
-    entries = [
-        ((t[r] - 1) * size + t[c] - 1, k, value, sign)
-        for k, t in enumerate(terms)
-        for r, c, value, sign in _MOS_STAMP
-        if t[r] and t[c]
-    ]
     terms = np.array(terms, dtype=int).reshape(-1, 4)
     return CircuitGraph(
         doc=doc,
@@ -324,10 +314,6 @@ def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
         sum_starts=_readonly(np.array(starts, dtype=int)),
         mos_terms=_readonly(terms.T),
         devices=_readonly(device_table(mosfets)),
-        mos_jac=_readonly(np.array([e[0] for e in entries], dtype=int)),
-        mos_device=_readonly(np.array([e[1] for e in entries], dtype=int)),
-        mos_value=_readonly(np.array([e[2] for e in entries], dtype=int)),
-        mos_sign=_readonly([e[3] for e in entries]),
     )
 
 
@@ -364,8 +350,7 @@ def _failure(g: CircuitGraph, F: np.ndarray, J: np.ndarray, over: np.ndarray) ->
 
 
 def _same_topology(a: CircuitGraph, b: CircuitGraph) -> bool:
-    tables = ("col_a", "col_b", "sum_col", "sum_sign", "sum_row", "gmin_rows", "mos_terms",
-              "mos_jac", "mos_device", "mos_value", "mos_sign")
+    tables = ("col_a", "col_b", "sum_col", "sum_sign", "sum_row", "gmin_rows", "mos_terms")
     return (
         (a.n, a.size, a.res_g.size, a.cap_c.size, len(a.isources))
         == (b.n, b.size, b.res_g.size, b.cap_c.size, len(b.isources))
@@ -389,8 +374,10 @@ class _Batch:
     transient step takes its history currents.  The members are fixed:
     gathers, row sums and the Jacobian scatter use index tables offset per
     member, built once, so each member's sums keep their element order and
-    its values are the ones it gets alone, whatever the batch size.  Members
-    whose topologies differ raise ValueError.
+    its values are the ones it gets alone, whatever the batch size.  Each
+    index table derives from graph tables (the Jacobian scatter from
+    ``mos_terms`` and ``_MOS_STAMP``).  Members whose topologies differ
+    raise ValueError.
     """
 
     __slots__ = ("graphs", "g", "opt", "alpha", "cap_g", "groups", "coef", "j_base", "devices",
@@ -429,9 +416,14 @@ class _Batch:
         self.at_ends = np.stack((g.col_a, g.col_b))[:, None] + width * r
         self.at_sum = g.sum_col + cols * r
         self.at_row = (g.sum_row + width * r).ravel()
-        self.at_jac = (g.mos_jac + g.size * g.size * r).ravel()
-        self.at_value = (g.mos_value * rows * devices + devices * r + g.mos_device).ravel()
-        self.jac_sign = np.tile(g.mos_sign, rows)
+        # the MOSFET stamp's entries off ground, device by device in stamp order
+        row_t, col_t, value, sign = _MOS_STAMP
+        row, col = g.mos_terms[row_t].T, g.mos_terms[col_t].T  # (devices, 8)
+        device, entry = np.nonzero((row > 0) & (col > 0))
+        cell = (row[device, entry] - 1) * g.size + col[device, entry] - 1
+        self.at_jac = (cell + g.size**2 * r).ravel()
+        self.at_value = (value[entry] * rows * devices + devices * r + device).ravel()
+        self.jac_sign = np.tile(sign[entry].astype(float), rows)
         # the Jacobian's linear part, stamped from the current columns whose
         # sums give F: each sum-list entry adds sign*coef at its column's end
         # a and subtracts it at end b, so every cell sums in element order

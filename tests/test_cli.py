@@ -87,6 +87,15 @@ def test_run_syntax_error_has_line_number(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_run_name_with_a_comma_writes_nothing(tmp_path, capsys):
+    text = "comma\nV1 a,b 0 DC 1\nR1 a,b 0 1k\n.OP\n.TRAN 1n 20n\n.END\n"
+    src = write(tmp_path, "comma.cir", text)
+    assert main(["run", str(src), "-o", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "amps run: error: line 2: 'a,b': a name cannot contain ','\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["comma.cir"]
+
+
 def test_run_nonconvergent_exits_2(tmp_path, capsys, monkeypatch):
     # no Newton update: every DC strategy fails at its first assembly
     monkeypatch.setattr(amps.cli, "SolverOptions", lambda: SolverOptions(max_newton_iters=0))

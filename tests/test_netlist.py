@@ -187,6 +187,15 @@ def test_duplicate_element_name():
         parse_netlist(wrap("R1 a 0 1k", "r1 a 0 2k"))
 
 
+@pytest.mark.parametrize(("card", "name"), [("R1 a,b 0 1k", "a,b"), ("R1,X a 0 1k", "R1,X")],
+                         ids=["node", "element"])
+def test_name_with_a_comma_rejected(card, name):
+    """A name becomes a CSV column (``v(a,b)``), where a comma would split it."""
+    with pytest.raises(NetlistError) as err:
+        parse_netlist(wrap("V1 a 0 DC 1", card))
+    assert str(err.value) == f"line 3: {name!r}: a name cannot contain ','"
+
+
 def test_duplicate_model_name():
     """The second card is rejected at its line, instead of replacing the first."""
     text = wrap(".MODEL NX NMOS VTO=0.5 KP=1e-4", "V1 d 0 DC 1.5",

@@ -200,15 +200,17 @@ C2 out in 2.2n
 """
 
 
-@pytest.mark.parametrize("text", ["bench", DIODE_NMOS, DIVIDER, RC_PAIR])
+@pytest.mark.parametrize("text", ["bench", "chain", DIODE_NMOS, DIVIDER, RC_PAIR])
 def test_compiled_dc_assembly_matches_element_stamping(text):
     """Bit for bit, at DC and at a 1 ns trapezoidal step's companion factor
     2/h, for one member and for each of three: near-singular DC Jacobians
-    make Newton's path hinge on the last bit."""
+    make Newton's path hinge on the last bit.  The chain's 40 MOSFETs tie
+    source to bulk, so +gsum and -gmbs sum into one cell in stamp order."""
     import amps.solver
     from amps.rectifier import bench_netlist_path
 
-    doc = parse_netlist(bench_netlist_path().read_text() if text == "bench" else text)
+    named = {"bench": bench_netlist_path().read_text(), "chain": inverter_chain(1)}
+    doc = parse_netlist(named.get(text, text))
     for alpha in (0.0, 2 / 1e-9):
         for temps in ((27.0,), (25.0, 60.0, 100.0)):
             graphs = [build_graph(doc, temp) for temp in temps]
@@ -855,8 +857,15 @@ def no_newton(*args):
     raise AssertionError("a Newton solve ran")
 
 
-@pytest.mark.parametrize(("first", "other"), [(DIVIDER, RC), (PARALLEL_TOP, PARALLEL_LOW)],
-                         ids=["counts", "tables"])
+# a MOSFET whose bulk is tied to its gate or to its drain: only the terminal table differs
+BULK_GATE = ("bulk\nV1 a 0 DC 1\nR1 a c 1k\nM1 c a 0 a NX W=1u L=1u\n"
+             ".MODEL NX NMOS VTO=0.7 KP=1e-4\n.END\n")
+BULK_DRAIN = BULK_GATE.replace("M1 c a 0 a", "M1 c a 0 c")
+
+
+@pytest.mark.parametrize(("first", "other"),
+                         [(DIVIDER, RC), (PARALLEL_TOP, PARALLEL_LOW), (BULK_GATE, BULK_DRAIN)],
+                         ids=["counts", "tables", "terminals"])
 def test_lockstep_members_must_share_one_topology(monkeypatch, first, other):
     import amps.solver
 
