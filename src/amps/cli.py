@@ -104,13 +104,16 @@ def _read_netlist(path: Path) -> NetlistDocument:
     return parse_netlist(text)
 
 
-def _output_target(out: str, directory: bool) -> Path:
+def _output_target(out: str, directory: bool, reads: str | Path | None = None) -> Path:
     """The ``-o`` path, checked before any solve: its nearest existing ancestor
     is a directory, and it is not an existing file where a ``directory`` is
-    needed, nor an existing directory where a file is."""
+    needed, nor an existing directory where a file is, nor the file the
+    command ``reads``."""
     path = Path(out)
     if path.exists() and path.is_dir() != directory:
         raise OSError(f"cannot write {path}: {'Not' if directory else 'Is'} a directory")
+    if reads and path.exists() and path.samefile(reads):
+        raise OSError(f"cannot write {path}: it is the input file")
     ancestor = next((p for p in path.parents if p.exists()), path.parent)
     if not ancestor.is_dir():
         raise OSError(f"cannot write {path}: {ancestor} is not a directory")
@@ -227,7 +230,7 @@ def cmd_run(args) -> int:
     if not jobs:
         raise ValueError(f"{path}: no analysis directives")
     single = len(jobs) == 1 and args.out and not Path(args.out).is_dir()
-    out = _output_target(args.out, directory=not single) if args.out else path.parent
+    out = _output_target(args.out, not single, reads=path) if args.out else path.parent
     # every temperature's graph before the first solve or write
     graphs = {temp: build_graph(doc, temp) for temp in dict.fromkeys(t for _, t in jobs)}
     for d, temp in jobs:  # every job's record within its bound before the first solve
@@ -352,11 +355,11 @@ def cmd_dc_sweep(args) -> int:
 
 
 def cmd_device_curves(args) -> int:
-    out = _output_target(args.out, directory=False)
     if args.cards:
         doc = _read_netlist(Path(args.cards))
     else:
         doc = parse_netlist("bundled model cards\n" + rectifier.MODEL_CARDS + "\n.END\n")
+    out = _output_target(args.out, directory=False, reads=args.cards)
     card = doc.models.get(args.model.upper())
     if card is None:
         raise KeyError(f"unknown model {args.model}")

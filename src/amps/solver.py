@@ -2,17 +2,17 @@
 
 Unknowns are the non-ground node voltages followed by the branch currents of
 the voltage sources.  ``build_graph`` compiles a netlist once, at one
-temperature, into immutable MNA tables (Ho, Ruehli & Brennan, IEEE TCAS
-1975): the gmin rows (nodes a MOSFET touches), one table of currents (the
-branches, each voltage source's equation, the gmin loads) whose ordered sums
-give every row's residual and tolerance scale, and the MOSFET terminals.  A
-solve context (``_Batch``) derives every index into F and J from these
-tables (the scatter of device conductances into J from the MOSFET
-terminals) and fixes, for each of its circuits, gmin and the companion
-factor alpha (0 for DC, 1/h backward Euler, 2/h trapezoidal) once: the
-Jacobian's linear part is stamped from the same current columns whose sums
-give F, and the source values and the capacitor history currents are
-arguments of each Newton solve.
+temperature, into immutable element tables for modified nodal analysis (Ho,
+Ruehli & Brennan, IEEE TCAS 1975): the sources, each resistor's and
+capacitor's ends and value, and the MOSFETs' terminals and constants.  A
+solve context (``_Batch``) lays out the solve from these: the current
+columns (branches, gmin loads, source equations), their ordered sums that
+give every row's residual and tolerance scale, the gmin rows (nodes a
+MOSFET touches) and the scatter of device conductances into J.  It fixes,
+for each of its circuits, gmin and the companion factor alpha (0 for DC,
+1/h backward Euler, 2/h trapezoidal) once: the Jacobian's linear part is
+stamped from the same current columns whose sums give F, and the source
+values and the capacitor history currents are arguments of each Newton solve.
 
 Nonlinear solves are damped Newton-Raphson over dense LU; the members whose
 solve fails (a DC point, sweep point or transient step) fall back to gmin
@@ -156,11 +156,11 @@ _MOS_STAMP.flags.writeable = False
 
 @dataclass(frozen=True, eq=False)
 class CircuitGraph:
-    """A netlist compiled at one temperature into MNA tables (built by ``build_graph``).
+    """A netlist compiled at one temperature into element tables (built by
+    ``build_graph``), from which ``_Batch`` lays out each solve.
 
     Node numbering is dense and deterministic (order of first appearance);
-    ground is index 0 and never gets a matrix row.  Every array is
-    read-only.
+    ground is index 0 and never gets a matrix row.  Every array is read-only.
     """
 
     doc: NetlistDocument
@@ -171,30 +171,13 @@ class CircuitGraph:
     vsources: tuple[_Source, ...]
     isources: tuple[_Source, ...]
     mosfets: tuple[MosfetParams, ...]
-    gmin_rows: np.ndarray
+    # (2, count): each resistor's or capacitor's (MOSFET gate overlaps
+    # included) (from, to) nodes, aligned with ``res_g`` or ``cap_c``
+    res_ends: np.ndarray
     res_g: np.ndarray
+    cap_ends: np.ndarray
     cap_c: np.ndarray
-    # The Newton kernel's current columns.  Each is a factor
-    # (``_Batch.coef``) times the difference of two entries of the
-    # unknowns after a ground column, plus a term fixed for the solve
-    # (``_Batch.fixed_currents``): a zero current; the branch table's
-    # currents in its order, the resistors, the capacitors (companion
-    # history), the current sources, the voltage sources (their unknowns) and
-    # the MOSFET channels (their id); the gmin loads; and for each voltage
-    # source its equation's residual V(p) - V(m) - e and its value e.  Their
-    # factors also stamp the Jacobian's linear part (``_Batch.j_base``).
-    col_a: np.ndarray
-    col_b: np.ndarray
-    # The residual of each row sums its entries (column, sign, row) in list
-    # order, row ``size`` being discarded: a node adds its zero, then its
-    # branch ends in table order, then its gmin current.  Segments of the
-    # list starting at ``sum_starts`` give the tolerance scales (largest
-    # magnitude): a node's zero and branch ends, a source's value.
-    sum_col: np.ndarray
-    sum_sign: np.ndarray
-    sum_row: np.ndarray
-    sum_starts: np.ndarray
-    mos_terms: np.ndarray  # (4, MOSFETs): d, g, s, b node indices; J's scatter derives from it
+    mos_terms: np.ndarray  # (4, MOSFETs): d, g, s, b node indices
     devices: np.ndarray  # (10, MOSFETs): ``device_table`` of ``mosfets``
 
     def find_source(self, name: str) -> _Source:
@@ -256,63 +239,24 @@ def build_graph(doc: NetlistDocument, temp: float) -> CircuitGraph:
             for (na, nb, c) in ((g, d, cgd), (g, s, cgs), (g, b, cgb)):
                 if c > 0:
                     caps.append((na, nb, c))
-    size = n + len(vsources)
 
-    # the table of two-terminal branches, current flowing from node a to node
-    # b: resistors, capacitors, current sources, voltage sources, MOSFET
-    # channels (drain to source)
-    ends = (
-        [(a, b) for a, b, _ in res + caps]
-        + [(src.p, src.m) for src in isources + vsources]
-        + [(d, s) for d, _, s, _ in terms]
-    )
-    m = len(vsources)
-    gmin_rows = sorted({t - 1 for term in terms for t in term if t})
-    # branch j of the table is column 1 + j; a voltage source's column is its current
-    columns = (
-        [(0, 0)] + [(a, b) for a, b, _ in res + caps] + [(src.p, src.m) for src in isources]
-        + [(n + 1 + k, 0) for k in range(m)] + [(d, s) for d, _, s, _ in terms]
-        + [(row + 1, 0) for row in gmin_rows] + [(src.p, src.m) for src in vsources]
-        + [(0, 0)] * m
-    )
-    gmin_col = 1 + len(ends)
-    residual = gmin_col + len(gmin_rows)  # the first source equation's column
-    node_ends: list[list[tuple[int, float]]] = [[(0, 1.0)] for _ in range(n + 1)]
-    for j, (a, b) in enumerate(ends, start=1):
-        node_ends[a].append((j, 1.0))
-        node_ends[b].append((j, -1.0))
-    sums = [(residual + k, 1.0, n + k) for k in range(m)]  # outside every segment
-    starts = []
-    for node in range(1, n + 1):
-        starts.append(len(sums))
-        sums += [(j, sign, node - 1) for j, sign in node_ends[node]]
-    for k in range(m):
-        starts.append(len(sums))
-        sums.append((residual + m + k, 1.0, size))
-    if gmin_rows:
-        starts.append(len(sums))  # a last segment, of no row
-        sums += [(gmin_col + q, 1.0, row) for q, row in enumerate(gmin_rows)]
+    def ends(branches):
+        return _readonly(np.array([(a, b) for a, b, _ in branches], dtype=int).reshape(-1, 2).T)
 
-    terms = np.array(terms, dtype=int).reshape(-1, 4)
     return CircuitGraph(
         doc=doc,
         node_names=tuple(node_names),
         n=n,
         m=len(vsources),
-        size=size,
+        size=n + len(vsources),
         vsources=tuple(vsources),
         isources=tuple(isources),
         mosfets=tuple(mosfets),
-        gmin_rows=_readonly(np.array(gmin_rows, dtype=int)),
+        res_ends=ends(res),
         res_g=_readonly([g for _, _, g in res]),
+        cap_ends=ends(caps),
         cap_c=_readonly([c for _, _, c in caps]),
-        col_a=_readonly(np.array([a for a, _ in columns], dtype=int)),
-        col_b=_readonly(np.array([b for _, b in columns], dtype=int)),
-        sum_col=_readonly(np.array([c for c, _, _ in sums], dtype=int)),
-        sum_sign=_readonly([sign for _, sign, _ in sums]),
-        sum_row=_readonly(np.array([r for _, _, r in sums], dtype=int)),
-        sum_starts=_readonly(np.array(starts, dtype=int)),
-        mos_terms=_readonly(terms.T),
+        mos_terms=_readonly(np.array(terms, dtype=int).reshape(-1, 4).T),
         devices=_readonly(device_table(mosfets)),
     )
 
@@ -350,12 +294,12 @@ def _failure(g: CircuitGraph, F: np.ndarray, J: np.ndarray, over: np.ndarray) ->
 
 
 def _same_topology(a: CircuitGraph, b: CircuitGraph) -> bool:
-    tables = ("col_a", "col_b", "sum_col", "sum_sign", "sum_row", "gmin_rows", "mos_terms")
-    return (
-        (a.n, a.size, a.res_g.size, a.cap_c.size, len(a.isources))
-        == (b.n, b.size, b.res_g.size, b.cap_c.size, len(b.isources))
-        and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in tables)
-    )
+    def sources(g):
+        return [(s.p, s.m) for s in g.isources], [(s.p, s.m) for s in g.vsources]
+
+    return (a.n, a.size, sources(a)) == (b.n, b.size, sources(b)) and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("res_ends", "cap_ends", "mos_terms"))
 
 
 class _Batch:
@@ -374,15 +318,16 @@ class _Batch:
     transient step takes its history currents.  The members are fixed:
     gathers, row sums and the Jacobian scatter use index tables offset per
     member, built once, so each member's sums keep their element order and
-    its values are the ones it gets alone, whatever the batch size.  Each
-    index table derives from graph tables (the Jacobian scatter from
-    ``mos_terms`` and ``_MOS_STAMP``).  Members whose topologies differ
-    raise ValueError.
+    its values are the ones it gets alone, whatever the batch size.  It lays
+    out every index into F and J from the graph's element tables: the current
+    columns' ends and ``groups``, the row sums (``sum_sign``, ``sum_starts``),
+    the gmin rows and the Jacobian scatter (``mos_terms``, ``_MOS_STAMP``).
+    Members whose topologies differ raise ValueError.
     """
 
     __slots__ = ("graphs", "g", "opt", "alpha", "cap_g", "groups", "coef", "j_base", "devices",
-                 "tol", "clamp", "neg_clamp", "at_terms", "at_ends", "at_sum", "at_row", "at_jac",
-                 "at_value", "jac_sign")
+                 "tol", "clamp", "neg_clamp", "sum_sign", "sum_starts", "at_terms", "at_ends",
+                 "at_sum", "at_row", "at_jac", "at_value", "jac_sign")
 
     def __init__(self, graphs: Sequence[CircuitGraph], options: SolverOptions, *,
                  gmin: float | None = None, alpha: float | Sequence[float] = 0.0):
@@ -391,57 +336,91 @@ class _Batch:
             raise ValueError("lockstep members must share one topology")
         self.graphs, self.opt = graphs, options
         gmin = options.gmin if gmin is None else gmin
-        rows = len(graphs)
+        rows, n, m, size = len(graphs), g.n, g.m, g.size
         alphas = self.alpha = np.broadcast_to(alpha, rows)
-        # the groups of current columns, in ``build_graph``'s order: the zero,
-        # resistors, capacitors, current sources, voltage-source currents,
-        # MOSFET channels, gmin loads, source equations and source values
-        ends = np.cumsum((0, 1, g.res_g.size, g.cap_c.size, len(g.isources), g.m,
-                          len(g.mosfets), g.gmin_rows.size, g.m, g.m)).tolist()
+        gmin_rows = np.flatnonzero(np.bincount(g.mos_terms.ravel(), minlength=n + 1)[1:])
+        isrc, vsrc = (np.array([(s.p, s.m) for s in group], dtype=int).reshape(-1, 2).T
+                      for group in (g.isources, g.vsources))
+        # The current columns, group by group.  Each is a factor (``coef``)
+        # times the difference of its ends a and b in the unknowns after a
+        # ground column, plus a term fixed for the solve (``fixed_currents``):
+        # a zero current; the currents of the branch table, which runs from
+        # node a to node b (resistors, capacitors, current sources, voltage
+        # sources, whose current is their unknown, and MOSFET channels, drain
+        # to source); the gmin loads; and for each voltage source its
+        # equation's residual V(p) - V(m) - e and its value e.
+        k, zeros = np.arange(m), np.zeros(n + m, dtype=int)
+        channels = g.mos_terms[[0, 2]]
+        groups = ([[0], [0]], g.res_ends, g.cap_ends, isrc, (n + 1 + k, zeros[:m]), channels,
+                  (gmin_rows + 1, 0 * gmin_rows), vsrc, (zeros[:m], zeros[:m]))
+        ends = np.cumsum([0] + [len(group[0]) for group in groups]).tolist()
         self.groups = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        col_ends = np.concatenate(groups, axis=1)
+        # The residual of each row sums its entries (segment, column, is end
+        # b, row) in list order, row ``size`` being discarded: a node adds its
+        # zero, then its branch ends in table order, end a (+) before end b
+        # (-), then its gmin current.  Segments 1, 2, ... give the tolerance
+        # scales (largest magnitude): each node's zero and branch ends, then
+        # each source's value.  The source equations come before every
+        # segment, and the gmin currents are a last segment, of no row.
+        at = np.concatenate((g.res_ends, g.cap_ends, isrc, vsrc, channels), axis=1).T.ravel()
+        segment, col, end_b, row = np.concatenate((  # at: each branch's ends a, b in turn
+            (np.full(m, -1), np.arange(ends[7], ends[8]), zeros[:m], n + k),
+            (np.arange(1, n + 1), zeros[:n], zeros[:n], np.arange(n)),
+            (at, np.repeat(np.arange(1, ends[6]), 2), np.arange(at.size) % 2, at - 1),
+            (n + 1 + k, np.arange(ends[8], ends[9]), zeros[:m], np.full(m, size)),
+            (0 * gmin_rows + n + m + 1, np.arange(ends[6], ends[7]), 0 * gmin_rows, gmin_rows),
+        ), axis=1)
+        keep = np.argsort(segment, kind="stable")
+        keep = keep[segment[keep] != 0]  # ground's branch ends
+        segment, sum_col, sum_row = segment[keep], col[keep], row[keep]
+        self.sum_sign = 1.0 - 2.0 * end_b[keep]
+        self.sum_starts = np.searchsorted(segment, np.arange(1, segment[-1] + 1))
         res_g = np.array([gr.res_g for gr in graphs])
         cap_c = np.array([gr.cap_c for gr in graphs])
-        self.cap_g = alphas[:, None] * cap_c
+        with np.errstate(all="ignore"):  # a huge capacitance overflows; the kernel reports it
+            self.cap_g = alphas[:, None] * cap_c
         self.coef = self.columns(rows, None, res_g, self.cap_g, None, 1.0, None, gmin, 1.0, None)
         self.devices = tuple(np.stack([gr.devices for gr in graphs], axis=1))
-        self.tol = np.concatenate((np.full(g.n, options.abstol_i), np.full(g.m, options.vntol)))
-        self.clamp = np.full(g.size, np.inf)  # update damping on nonlinear-device nodes
-        self.clamp[g.gmin_rows] = VSTEP_CLAMP
+        self.tol = np.concatenate((np.full(n, options.abstol_i), np.full(m, options.vntol)))
+        self.clamp = np.full(size, np.inf)  # update damping on nonlinear-device nodes
+        self.clamp[gmin_rows] = VSTEP_CLAMP
         self.neg_clamp = -self.clamp
         # index tables offset per member: gathers of the MOSFET terminals (g,
         # d, b, s) and the current columns' ends, row sums, Jacobian scatter
         r = np.arange(rows)[:, None]
-        width, cols, devices = g.size + 1, g.col_a.size, len(g.mosfets)
+        width, devices = size + 1, len(g.mosfets)
         self.at_terms = g.mos_terms[[1, 0, 3, 2], None] + width * r
-        self.at_ends = np.stack((g.col_a, g.col_b))[:, None] + width * r
-        self.at_sum = g.sum_col + cols * r
-        self.at_row = (g.sum_row + width * r).ravel()
+        self.at_ends = col_ends[:, None] + width * r
+        self.at_sum = sum_col + ends[-1] * r
+        self.at_row = (sum_row + width * r).ravel()
         # the MOSFET stamp's entries off ground, device by device in stamp order
         row_t, col_t, value, sign = _MOS_STAMP
         row, col = g.mos_terms[row_t].T, g.mos_terms[col_t].T  # (devices, 8)
         device, entry = np.nonzero((row > 0) & (col > 0))
-        cell = (row[device, entry] - 1) * g.size + col[device, entry] - 1
-        self.at_jac = (cell + g.size**2 * r).ravel()
+        cell = (row[device, entry] - 1) * size + col[device, entry] - 1
+        self.at_jac = (cell + size**2 * r).ravel()
         self.at_value = (value[entry] * rows * devices + devices * r + device).ravel()
         self.jac_sign = np.tile(sign[entry].astype(float), rows)
         # the Jacobian's linear part, stamped from the current columns whose
         # sums give F: each sum-list entry adds sign*coef at its column's end
         # a and subtracts it at end b, so every cell sums in element order
-        col_ends = np.stack((g.col_a, g.col_b), axis=1)[g.sum_col]
-        col_ends[g.sum_row == g.size] = 0  # the discarded row, like ground, gets nothing
+        col_ends = col_ends.T[sum_col]
+        col_ends[sum_row == size] = 0  # the discarded row, like ground, gets nothing
         entry, side = np.nonzero(col_ends)  # each entry's two ends adjacent
-        at_cell = (g.sum_row[entry] * g.size + col_ends[entry, side] - 1 + g.size**2 * r).ravel()
-        at_coef, sign = self.at_sum[:, entry], g.sum_sign[entry] * (1.0 - 2.0 * side)
+        at_cell = (sum_row[entry] * size + col_ends[entry, side] - 1 + size**2 * r).ravel()
+        at_coef, sign = self.at_sum[:, entry], self.sum_sign[entry] * (1.0 - 2.0 * side)
 
         def stamp(*values):
             coef = self.columns(rows, *values).take(at_coef) * sign
-            return np.bincount(at_cell, coef.ravel(), rows * g.size**2).reshape(rows, -1)
+            return np.bincount(at_cell, coef.ravel(), rows * size**2).reshape(rows, -1)
 
         # alpha times the capacitances' own stamp, as alpha*(c1 + c2) is not alpha*c1 + alpha*c2
         linear = stamp(None, res_g, None, None, 1.0, None, None, 1.0, None)
         capacitance = stamp(None, None, cap_c, None, None, None, None, None, None)
-        self.j_base = linear + alphas[:, None] * capacitance
-        self.j_base.reshape(rows, g.size, g.size)[:, g.gmin_rows, g.gmin_rows] += gmin
+        with np.errstate(all="ignore"):
+            self.j_base = linear + alphas[:, None] * capacitance
+        self.j_base.reshape(rows, size, size)[:, gmin_rows, gmin_rows] += gmin
 
     def columns(self, rows: int, *values) -> np.ndarray:
         """Rows of current columns from each group's value or member rows (None: zeros)."""
@@ -476,9 +455,9 @@ class _Batch:
             eval_mosfet_into(self.devices, v[:3] - v[3], dev)  # vgs, vds, vbs
         fixed[:, self.groups[5]] = dev[0]  # the MOSFET channels' columns
         flow = (self.coef * np.subtract(*xg.take(self.at_ends)) + fixed).take(self.at_sum)
-        flow *= g.sum_sign
+        flow *= self.sum_sign
         F = np.bincount(self.at_row, flow.ravel(), rows * (size + 1)).reshape(rows, -1)[:, :size]
-        scale = np.maximum.reduceat(np.abs(flow), g.sum_starts, axis=1)[:, :size]
+        scale = np.maximum.reduceat(np.abs(flow), self.sum_starts, axis=1)[:, :size]
         J = self.j_base.copy()
         np.add.at(J.reshape(-1), self.at_jac, dev.take(self.at_value) * self.jac_sign)
         return F, J.reshape(rows, size, size), scale, dev
@@ -833,8 +812,8 @@ def solve_lockstep(
             break
         src[rows, cols] = np.array([spec.value_at(k * h) for spec, h in waves])[which]
         batch = batches[min(k, 2) - 1]
-        # the backward-Euler step starts from i_prev = 0
-        cap_ieq = -batch.cap_g * v_prev - i_prev
+        with np.errstate(all="ignore"):  # inf*0 of a huge capacitance; the kernel reports it
+            cap_ieq = -batch.cap_g * v_prev - i_prev  # the backward-Euler step's i_prev is 0
         xg, iters, excess, dev, evals, errors = _newton_batch(batch, xg, src, cap_ieq, dev, going)
         np.add(assemblies, iters + 1, out=assemblies, where=going)
         np.add(evaluations, evals, out=evaluations, where=going)
@@ -852,9 +831,9 @@ def solve_lockstep(
         np.add(total_iters, iters, out=total_iters, where=going)
         np.maximum(max_excess, excess, out=max_excess, where=going)
         record[k, :, :width], record[k, :, width:] = xg[:, first:], src[:, :ni]
-        v_new = np.subtract(*xg.take(cap_ends))
-        i_prev = batch.cap_g * v_new + cap_ieq
-        v_prev = v_new
+        v_prev = np.subtract(*xg.take(cap_ends))
+        with np.errstate(all="ignore"):
+            i_prev = batch.cap_g * v_prev + cap_ieq
         going &= last != k  # a member that took its last step is done
     for b, (gr, t) in enumerate(zip(graphs, trans)):
         if isinstance(results[b], SolverError):

@@ -108,6 +108,21 @@ def test_run_nonconvergent_exits_2(tmp_path, capsys, monkeypatch):
     assert "nan" not in captured.err and "exhausted" not in captured.err
 
 
+# a capacitance whose companion conductance overflows to inf at the first step
+HUGE_CAP = "huge capacitor\nV1 a 0 SIN(0 1 1k)\nR1 a b 1k\nC1 b 0 1e308\n.TRAN 1u 1m\n.END\n"
+
+
+def test_run_overflowing_capacitance_is_one_line_exit_2(tmp_path, capsys):
+    """No numpy RuntimeWarning (an error under this suite's filter) reaches
+    stderr: the step's non-finite assembly is the one diagnostic."""
+    path = write(tmp_path, "huge.cir", HUGE_CAP)
+    assert main(["run", str(path), "-o", str(tmp_path / "huge.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"{path}: tran at 27 degC failed: transient aborted at t=1.000000e-06s: "
+                   "Newton did not converge (worst residual inf at non-finite assembly)\n")
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_run_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cir")]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -693,6 +708,26 @@ def test_unwritable_output_target_rejected_before_any_solve(tmp_path, capsys, mo
     assert (tmp_path / "afile").read_text() == "keep\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "in.cir", "-o", "in.cir"],
+     ["device-curves", "--model", "NX", "--cards", "in.cir", "-o", "in.cir"]],
+    ids=["run", "device-curves"],
+)
+def test_output_target_that_is_the_input_is_refused(tmp_path, capsys, monkeypatch, argv):
+    """``-o`` naming the file the command reads would overwrite its input."""
+    write(tmp_path, "in.cir", DIODE)
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(amps.solver, "_newton_batch", no_newton)
+    monkeypatch.setattr(amps.cli, "eval_mosfet_into", no_newton)
+    argv = [str(tmp_path / a) if a.endswith(".cir") else a for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"amps {argv[0]}: error: cannot write {tmp_path / 'in.cir'}: it is the input file\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "in.cir").read_text() == DIODE
+
+
 # ---------------------------------------------------------------------------
 # usage errors exit 1
 # ---------------------------------------------------------------------------
@@ -945,6 +980,7 @@ NETLISTS = {
     "shorted.cir": SHORTED,
     "loop.cir": LOOP,
     "island.cir": PATHOLOGICAL,
+    "huge.cir": HUGE_CAP,
 }
 GOOD_NETLISTS = ["rc.cir", "divider.cir"]
 RUN_NETLISTS = (GOOD_NETLISTS, sorted(NETLISTS.keys() - set(GOOD_NETLISTS)))
@@ -993,6 +1029,7 @@ def target_rejected(argv, target):
 @example(["run", "divider.cir", "--temp", "25,100"], "file")
 @example(["device-curves"], "directory")
 @example(["run", "rc.cir"], "missing parent")
+@example(["run", "huge.cir"], "new")
 def test_cli_contract_holds_for_drawn_argv(argv, target):
     rejected = target_rejected(argv, target)
     with tempfile.TemporaryDirectory() as tmp:
