@@ -807,34 +807,35 @@ def solve_lockstep(
     v_prev = np.subtract(*xg.take(cap_ends))
     i_prev = np.zeros_like(v_prev)
     results: list = list(starts)  # a failed start is its member's result
-    for k in range(1, last.max() + 1):
-        if not going.any():
-            break
-        src[rows, cols] = np.array([spec.value_at(k * h) for spec, h in waves])[which]
-        batch = batches[min(k, 2) - 1]
-        with np.errstate(all="ignore"):  # inf*0 of a huge capacitance; the kernel reports it
+    # a huge capacitance makes inf*0 in the history currents; the kernel reports it
+    with np.errstate(all="ignore"):
+        for k in range(1, last.max() + 1):
+            if not going.any():
+                break
+            src[rows, cols] = np.array([spec.value_at(k * h) for spec, h in waves])[which]
+            batch = batches[min(k, 2) - 1]
             cap_ieq = -batch.cap_g * v_prev - i_prev  # the backward-Euler step's i_prev is 0
-        xg, iters, excess, dev, evals, errors = _newton_batch(batch, xg, src, cap_ieq, dev, going)
-        np.add(assemblies, iters + 1, out=assemblies, where=going)
-        np.add(evaluations, evals, out=evaluations, where=going)
-        if errors:  # a gmin-stepping rescue of the members whose step failed
-            failed = np.array([b in errors for b in range(count)])
-            rescues += failed
-            xg, rescue_iters, rescue_excess, dev, used, evaluated, lost = _ladder(
-                batch, xg, src, cap_ieq, _gmin_stages(sopts.gmin), dev, failed)
-            for b, exc in lost.items():  # a spent row from here
-                results[b] = TransientNonConvergence(k * trans[b].tstep, exc)
-                going[b] = False
-            iters[failed], excess[failed] = rescue_iters[failed], rescue_excess[failed]
-            assemblies += used  # zero where no rescue ran
-            evaluations += evaluated
-        np.add(total_iters, iters, out=total_iters, where=going)
-        np.maximum(max_excess, excess, out=max_excess, where=going)
-        record[k, :, :width], record[k, :, width:] = xg[:, first:], src[:, :ni]
-        v_prev = np.subtract(*xg.take(cap_ends))
-        with np.errstate(all="ignore"):
+            xg, iters, excess, dev, evals, errors = _newton_batch(
+                batch, xg, src, cap_ieq, dev, going)
+            np.add(assemblies, iters + 1, out=assemblies, where=going)
+            np.add(evaluations, evals, out=evaluations, where=going)
+            if errors:  # a gmin-stepping rescue of the members whose step failed
+                failed = np.array([b in errors for b in range(count)])
+                rescues += failed
+                xg, rescue_iters, rescue_excess, dev, used, evaluated, lost = _ladder(
+                    batch, xg, src, cap_ieq, _gmin_stages(sopts.gmin), dev, failed)
+                for b, exc in lost.items():  # a spent row from here
+                    results[b] = TransientNonConvergence(k * trans[b].tstep, exc)
+                    going[b] = False
+                iters[failed], excess[failed] = rescue_iters[failed], rescue_excess[failed]
+                assemblies += used  # zero where no rescue ran
+                evaluations += evaluated
+            np.add(total_iters, iters, out=total_iters, where=going)
+            np.maximum(max_excess, excess, out=max_excess, where=going)
+            record[k, :, :width], record[k, :, width:] = xg[:, first:], src[:, :ni]
+            v_prev = np.subtract(*xg.take(cap_ends))
             i_prev = batch.cap_g * v_prev + cap_ieq
-        going &= last != k  # a member that took its last step is done
+            going &= last != k  # a member that took its last step is done
     for b, (gr, t) in enumerate(zip(graphs, trans)):
         if isinstance(results[b], SolverError):
             continue
