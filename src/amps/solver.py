@@ -5,19 +5,15 @@ the voltage sources.  ``build_graph`` compiles a netlist once, at one
 temperature, into immutable element tables for modified nodal analysis (Ho,
 Ruehli & Brennan, IEEE TCAS 1975): the sources, each resistor's and
 capacitor's ends and value, and the MOSFETs' terminals and constants.  A
-solve context (``_Batch``) lays out the solve from these: the current
-columns (branches, gmin loads, source equations), their ordered sums that
-give every row's residual and tolerance scale, the gmin rows (nodes a
-MOSFET touches) and the scatter of device conductances into J.  It fixes,
-for each of its circuits, gmin and the companion factor alpha (0 for DC,
-1/h backward Euler, 2/h trapezoidal) once: the Jacobian's linear part is
-stamped from the same current columns whose sums give F, and the source
-values and the capacitor history currents are arguments of each Newton solve.
+solve context (``_Batch``) lays out the solve from these once, and stages it
+at a gmin and a companion factor alpha (0 for DC, 1/h backward Euler, 2/h
+trapezoidal); the source values and the capacitor history currents are
+arguments of each Newton solve.
 
 Nonlinear solves are damped Newton-Raphson over dense LU; the members whose
 solve fails (a DC point, sweep point or transient step) fall back to gmin
-stepping together, one ``_ladder`` call on the solve's own ``_Batch``, whose
-alpha each stage keeps (from zeros at DC).  Transient integration is
+stepping together: one ``_ladder`` call re-stages a copy of the solve's
+``_Batch`` at each gmin (from zeros at DC).  Transient integration is
 fixed-step trapezoidal with a backward-Euler first step.  Every Newton
 solve, of one circuit or of several that share one topology, runs on one
 batched kernel (``_newton_batch``): each iteration is one assembly and one
@@ -45,6 +41,7 @@ Jacobian's null vector weighs most, ``TransientNonConvergence`` the time.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -102,7 +99,7 @@ class TransientNonConvergence(SolverError):
         self.__cause__ = cause
 
 
-GMIN_STEPS = 10  # gmin stepping: decades from 1e-2 S down to gmin
+GMIN_STEPS = 10  # gmin stepping: log-spaced steps from 1e-2 S to gmin (decades at 1e-12 S)
 VSTEP_CLAMP = 0.3  # V, per-update damping on nonlinear-device nodes
 CYCLE_FROM = 8  # Newton iteration from which an iterate that repeats an earlier one fails
 
@@ -303,42 +300,37 @@ def _same_topology(a: CircuitGraph, b: CircuitGraph) -> bool:
 
 
 class _Batch:
-    """Solve contexts of circuits that share one topology, stacked for
-    batched Newton solves.
+    """Solve contexts of circuits that share one topology, stacked along a
+    member axis for batched Newton solves: a layout, built once, and a stage.
 
-    Each member is a graph with gmin (the options' unless given) and a
-    companion factor ``alpha`` (one, or one per member) fixed: its column
-    factors ``coef``, Jacobian base ``j_base`` (the linear part, stamped from
-    the current columns: resistors and source incidence, alpha times the
-    capacitances, gmin on the gmin rows) and device constants ``devices``
-    are stacked along the member axis.  It keeps its ``graphs``,
-    options ``opt``, each member's ``alpha`` and capacitor companion
-    conductances ``cap_g`` (alpha times each capacitance): the integration
-    phase that ``_ladder`` keeps at each gmin stage and from which a
-    transient step takes its history currents.  The members are fixed:
-    gathers, row sums and the Jacobian scatter use index tables offset per
-    member, built once, so each member's sums keep their element order and
-    its values are the ones it gets alone, whatever the batch size.  It lays
-    out every index into F and J from the graph's element tables: the current
-    columns' ends and ``groups``, the row sums (``sum_sign``, ``sum_starts``),
-    the gmin rows and the Jacobian scatter (``mos_terms``, ``_MOS_STAMP``).
-    Members whose topologies differ raise ValueError.
+    The layout is every index into F and J, from the graphs' element tables:
+    the current columns (branches, gmin loads, source equations) and their
+    ``groups``, their ordered sums that give each row's residual and
+    tolerance scale (``sum_sign``, ``sum_starts``), the ``gmin_rows`` (nodes
+    a MOSFET touches) and the scatter of device conductances into J
+    (``mos_terms``, ``_MOS_STAMP``), offset per member: each member's sums
+    keep their element order and its values are the ones it gets alone,
+    whatever the batch size.  With it go the ``graphs``, options ``opt``,
+    ``devices`` and the Jacobian's ``linear`` and ``capacitance`` stamps
+    (see ``_stage``).  ``__init__`` stages the batch at ``alpha`` and the
+    options' gmin, and ``_ladder`` re-stages a copy at each gmin.  Members
+    whose topologies differ raise ValueError.
     """
 
     __slots__ = ("graphs", "g", "opt", "alpha", "cap_g", "groups", "coef", "j_base", "devices",
                  "tol", "clamp", "neg_clamp", "sum_sign", "sum_starts", "at_terms", "at_ends",
-                 "at_sum", "at_row", "at_jac", "at_value", "jac_sign")
+                 "at_sum", "at_row", "at_jac", "at_value", "jac_sign", "res_g", "cap_c", "linear",
+                 "capacitance", "gmin_rows")
 
     def __init__(self, graphs: Sequence[CircuitGraph], options: SolverOptions, *,
-                 gmin: float | None = None, alpha: float | Sequence[float] = 0.0):
+                 alpha: float | Sequence[float] = 0.0):
         g = self.g = graphs[0]
         if not all(_same_topology(g, gr) for gr in graphs[1:]):
             raise ValueError("lockstep members must share one topology")
         self.graphs, self.opt = graphs, options
-        gmin = options.gmin if gmin is None else gmin
         rows, n, m, size = len(graphs), g.n, g.m, g.size
-        alphas = self.alpha = np.broadcast_to(alpha, rows)
-        gmin_rows = np.flatnonzero(np.bincount(g.mos_terms.ravel(), minlength=n + 1)[1:])
+        gmin_rows = self.gmin_rows = np.flatnonzero(
+            np.bincount(g.mos_terms.ravel(), minlength=n + 1)[1:])
         isrc, vsrc = (np.array([(s.p, s.m) for s in group], dtype=int).reshape(-1, 2).T
                       for group in (g.isources, g.vsources))
         # The current columns, group by group.  Each is a factor (``coef``)
@@ -376,11 +368,8 @@ class _Batch:
         segment, sum_col, sum_row = segment[keep], col[keep], row[keep]
         self.sum_sign = 1.0 - 2.0 * end_b[keep]
         self.sum_starts = np.searchsorted(segment, np.arange(1, segment[-1] + 1))
-        res_g = np.array([gr.res_g for gr in graphs])
-        cap_c = np.array([gr.cap_c for gr in graphs])
-        with np.errstate(all="ignore"):  # a huge capacitance overflows; the kernel reports it
-            self.cap_g = alphas[:, None] * cap_c
-        self.coef = self.columns(rows, None, res_g, self.cap_g, None, 1.0, None, gmin, 1.0, None)
+        self.res_g = np.array([gr.res_g for gr in graphs])
+        self.cap_c = np.array([gr.cap_c for gr in graphs])
         self.devices = tuple(np.stack([gr.devices for gr in graphs], axis=1))
         self.tol = np.concatenate((np.full(n, options.abstol_i), np.full(m, options.vntol)))
         self.clamp = np.full(size, np.inf)  # update damping on nonlinear-device nodes
@@ -416,11 +405,26 @@ class _Batch:
             return np.bincount(at_cell, coef.ravel(), rows * size**2).reshape(rows, -1)
 
         # alpha times the capacitances' own stamp, as alpha*(c1 + c2) is not alpha*c1 + alpha*c2
-        linear = stamp(None, res_g, None, None, 1.0, None, None, 1.0, None)
-        capacitance = stamp(None, None, cap_c, None, None, None, None, None, None)
-        with np.errstate(all="ignore"):
-            self.j_base = linear + alphas[:, None] * capacitance
-        self.j_base.reshape(rows, size, size)[:, gmin_rows, gmin_rows] += gmin
+        self.linear = stamp(None, self.res_g, None, None, 1.0, None, None, 1.0, None)
+        self.capacitance = stamp(None, None, self.cap_c, None, None, None, None, None, None)
+        self._stage(alpha, options.gmin)
+
+    def _stage(self, alpha: float | Sequence[float], gmin: float) -> None:
+        """Stage the batch at gmin and companion factor ``alpha`` (one, or
+        one per member): each member's ``alpha``, capacitor companion
+        conductances ``cap_g`` (alpha times each capacitance), column factors
+        ``coef`` and Jacobian base ``j_base`` (the ``linear`` stamp of the
+        resistors and source incidence, plus alpha times the ``capacitance``
+        stamp, then gmin on the gmin rows).  It binds new arrays only, so a
+        copy re-staged here leaves its source's stage as it was.
+        """
+        rows, size = len(self.graphs), self.g.size
+        self.alpha = np.broadcast_to(alpha, rows)
+        with np.errstate(all="ignore"):  # a huge capacitance overflows; the kernel reports it
+            cap_g = self.cap_g = self.alpha[:, None] * self.cap_c
+            self.j_base = self.linear + self.alpha[:, None] * self.capacitance
+        self.coef = self.columns(rows, None, self.res_g, cap_g, None, 1.0, None, gmin, 1.0, None)
+        self.j_base.reshape(rows, size, size)[:, self.gmin_rows, self.gmin_rows] += gmin
 
     def columns(self, rows: int, *values) -> np.ndarray:
         """Rows of current columns from each group's value or member rows (None: zeros)."""
@@ -551,18 +555,20 @@ def _ladder(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray,
             stages: Sequence[float], dev: np.ndarray | None = None,
             going: np.ndarray | None = None):
     """Newton solves of the members of ``batch`` that ``going`` marks (all
-    when None) through ``stages`` of gmin at the batch's companion factors,
-    each from the one before, the first from ``xg`` (as ``_newton_batch``,
-    whose other arguments these are).  A member stops at the first stage it
-    fails.  Returns (xg, iterations, residual_excess, dev, assemblies,
-    evaluations, errors) as ``_newton_batch`` does, each count summed over a
-    member's stages, and ``errors`` its failing stage's error.
+    when None) through ``stages`` of gmin: each stage re-stages one copy of
+    ``batch`` at its gmin and the batch's companion factors, and solves from
+    the one before, the first from ``xg`` (as ``_newton_batch``, whose other
+    arguments these are).  A member stops at the first stage it fails.
+    Returns (xg, iterations, residual_excess, dev, assemblies, evaluations,
+    errors) as ``_newton_batch`` does, each count summed over a member's
+    stages, and ``errors`` its failing stage's error.
     """
     going = np.ones(len(xg), dtype=bool) if going is None else going.copy()
     iterations, assemblies, evaluations = totals = np.zeros((3, len(xg)), dtype=int)
     errors: dict[int, Exception] = {}
+    stage = copy.copy(batch)  # shares the batch's layout; its stage is its own
     for gmin in stages:
-        stage = _Batch(batch.graphs, batch.opt, gmin=gmin, alpha=batch.alpha)
+        stage._stage(batch.alpha, gmin)
         xg, iters, excess, dev, evals, failed = _newton_batch(stage, xg, src, cap_ieq, dev, going)
         np.add(totals, (iters, iters + 1, evals), out=totals, where=going)
         errors.update(failed)
@@ -573,7 +579,7 @@ def _ladder(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray,
 
 
 def _gmin_stages(gmin: float) -> list[float]:
-    """gmin stepping: one decade per stage from 1e-2 S down to ``gmin``."""
+    """gmin stepping: 11 log-spaced stages from 1e-2 S to ``gmin``, a decade apart at 1e-12 S."""
     return [float(g) for g in np.geomspace(1e-2, gmin, GMIN_STEPS + 1)]
 
 
@@ -646,9 +652,9 @@ def solve_dc(graphs: Sequence[CircuitGraph],
     """DC operating points of circuits that share one topology (ValueError
     unless they do), solved together: one per graph, the one it gets alone.
 
-    Each tries a plain Newton solve from zeros, then gmin stepping (one
-    decade per stage from 1e-2 S down to gmin) from zeros, each stage from
-    the one before; a point found by gmin stepping counts the updates of all
+    Each tries a plain Newton solve from zeros, then gmin stepping (11
+    log-spaced stages from 1e-2 S to gmin) from zeros, each stage from the
+    one before; a point found by gmin stepping counts the updates of all
     its stages.  A graph for which both fail gets a NonConvergenceError.
     """
     if not graphs:

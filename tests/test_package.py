@@ -40,3 +40,11 @@ def test_numpy_is_the_only_runtime_dependency(tmp_path):
     done = subprocess.run([sys.executable, "-c", RUN_EVERY_COMMAND, str(tmp_path)], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "['amps', 'numpy']"
+
+
+def test_source_lines_fit_100_columns():
+    """``wc -l src/amps/*.py`` measures the design only while no line packs
+    more code past the 100 columns that every source line keeps to."""
+    long = [f"{path.name}:{k}" for path in sorted(Path(amps.__file__).parent.glob("*.py"))
+            for k, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert long == []

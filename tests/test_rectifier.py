@@ -278,17 +278,9 @@ def test_lockstep_members_with_mixed_step_counts_match_single_runs(monkeypatch, 
     ``_Batch`` per integration phase, and each result is its solo run's bit
     for bit.  At a cap of 6 Newton iterations the first two members abort
     and the others need gmin-stepping rescues."""
-    import amps.solver
+    from tests.test_solver import layouts
 
-    built = []  # the phase batches: alpha per member at the options' gmin
-    init = amps.solver._Batch.__init__
-
-    def counted(self, graphs, options, *, gmin=None, alpha=0.0):
-        if gmin is None and np.any(alpha):
-            built.append(len(graphs))
-        init(self, graphs, options, gmin=gmin, alpha=alpha)
-
-    monkeypatch.setattr(amps.solver._Batch, "__init__", counted)
+    built = layouts(monkeypatch)  # (members, alpha) of each batch laid out
     opts = SolverOptions(max_newton_iters=cap)
     cfgs = [
         BenchConfig(frequency=1e3, periods=3, steps_per_period=100),
@@ -297,7 +289,9 @@ def test_lockstep_members_with_mixed_step_counts_match_single_runs(monkeypatch, 
         BenchConfig(frequency=3e7, temp=60.0, periods=5, steps_per_period=100),
     ]
     batch = run_bench(cfgs, opts)
-    assert built.count(len(cfgs)) == 2
+    # the DC start's and one per integration phase, whatever the rescues
+    assert len(built) == 3
+    assert [members for members, alpha in built if np.any(alpha)] == [len(cfgs)] * 2
     aborted = [isinstance(got, TransientNonConvergence) for got in batch]
     assert aborted == ([True, True, False, False] if cap == 6 else [False] * 4)
     for cfg, got in zip(cfgs, batch):
@@ -329,26 +323,37 @@ RESCUE_BENCH_WORK = {
 
 
 @pytest.mark.parametrize("cap", sorted(RESCUE_BENCH_WORK))
-def test_rescue_bench_work_is_pinned(cap):
+def test_rescue_bench_work_is_pinned(monkeypatch, cap):
     """The solver's work on the rescue bench, counted exactly: a change that
-    moves a count (or an abort) fails here, whatever the host's timing."""
+    moves a count (or an abort) fails here, whatever the host's timing.  Its
+    batches are laid out three times (the DC start's and the two integration
+    phases'): a rescue's gmin stages re-stage a copy of its phase's batch."""
+    from tests.test_solver import layouts
+
+    built = layouts(monkeypatch)
     cfgs = [BenchConfig(frequency=f, periods=3, steps_per_period=100) for f in (3e7, 1e7, 1e8)]
     work = {}
     for cfg, got in zip(cfgs, run_bench(cfgs, SolverOptions(max_newton_iters=cap))):
         work[cfg.frequency] = str(got) if isinstance(got, TransientNonConvergence) else tuple(
             got.stats[k] for k in ("assemblies", "evaluations", "newton_iterations", "rescues"))
     assert work == RESCUE_BENCH_WORK[cap]
+    assert len(built) == 3
 
 
-def test_fallback_sweep_work_is_pinned():
+def test_fallback_sweep_work_is_pinned(monkeypatch):
     """The same for the 4-temperature sweep whose members fall back to gmin
-    stepping: each member's Newton updates summed over its points."""
+    stepping: each member's Newton updates summed over its points, on one
+    layout for the starts and one for the sweep."""
+    from tests.test_solver import layouts
+
+    built = layouts(monkeypatch)
     opts = SolverOptions(max_newton_iters=6, reltol=1.5e-5)
     graphs = [bench_graph(BenchConfig(temp=t)) for t in (25.0, 50.0, 75.0, 100.0)]
     sweep = DcSweepDirective("IIN", -100e-6, 100e-6, 20e-6)
     starts = solve_dc([g.with_source("IIN", sweep.start) for g in graphs], opts)
     record = dc_sweep_lockstep(graphs, sweep, opts, starts)
     assert record.iterations.sum(axis=0).tolist() == [92, 96, 104, 104]
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,10 @@ def test_built_graph_arrays_are_read_only():
         assert [name for name, a in arrays.items() if a.flags.writeable] == []
 
 
-def reference_assembly(g, x, alpha):
+def reference_assembly(g, x, alpha, gmin=OPTS.gmin):
     """Residual, Jacobian and tolerance scales stamped element by element, at
-    companion factor ``alpha`` (0 at DC) with no capacitor history."""
+    companion factor ``alpha`` (0 at DC) and ``gmin``, with no capacitor
+    history."""
     from amps.device import eval_mosfet, overlap_caps
     from amps.netlist import ElementKind
 
@@ -178,7 +179,7 @@ def reference_assembly(g, x, alpha):
                 G[node - 1, n + k] += sign
                 G[n + k, node - 1] += sign
     J = G + alpha * C
-    J[gmin_rows, gmin_rows] += OPTS.gmin
+    J[gmin_rows, gmin_rows] += gmin
     for params, e in zip(g.mosfets, elements[ElementKind.MOSFET]):
         d, gt, s, b = (nodes[t] for t in e.nodes)
         ev = eval_mosfet(params, V[gt] - V[s], V[d] - V[s], V[b] - V[s])
@@ -188,7 +189,7 @@ def reference_assembly(g, x, alpha):
                           (s, s, gsum), (s, d, -ev.gds), (s, gt, -ev.gm), (s, b, -ev.gmbs)):
             if r and c:
                 J[r - 1, c - 1] += val
-    fe[1:][gmin_rows] += OPTS.gmin * x[gmin_rows]
+    fe[1:][gmin_rows] += gmin * x[gmin_rows]
     e = np.array([src.spec.value_at(0.0) for src in g.vsources])
     fb = np.array([V[src.p] - V[src.m] for src in g.vsources]) - e
     return np.concatenate((fe[1:], fb)), J, np.concatenate((se[1:], np.abs(e)))
@@ -209,24 +210,49 @@ def test_compiled_dc_assembly_matches_element_stamping(text):
     """Bit for bit, at DC and at a 1 ns trapezoidal step's companion factor
     2/h, for one member and for each of three: near-singular DC Jacobians
     make Newton's path hinge on the last bit.  The chain's 40 MOSFETs tie
-    source to bulk, so +gsum and -gmbs sum into one cell in stamp order."""
+    source to bulk, so +gsum and -gmbs sum into one cell in stamp order.
+    So is a copy of a batch built at the other factor, re-staged at this
+    one and at each of three gmin, as ``_ladder`` re-stages: it equals a
+    batch built there, shares its source's layout and leaves its stage."""
+    import copy
+    import dataclasses
+
     import amps.solver
     from amps.rectifier import bench_netlist_path
 
     named = {"bench": bench_netlist_path().read_text(), "chain": inverter_chain(1)}
     doc = parse_netlist(named.get(text, text))
-    for alpha in (0.0, 2 / 1e-9):
+    alphas = (0.0, 2 / 1e-9)
+    staged = ("coef", "j_base", "cap_g", "alpha")
+    for alpha, other in zip(alphas, alphas[::-1]):
         for temps in ((27.0,), (25.0, 60.0, 100.0)):
             graphs = [build_graph(doc, temp) for temp in temps]
             batch = amps.solver._Batch(graphs, OPTS, alpha=alpha)
             x = np.random.default_rng(7).uniform(-1.5, 1.5, (len(graphs), graphs[0].size))
             src = amps.solver._source_values(graphs)
-            fixed = batch.fixed_currents(src, np.zeros((len(graphs), graphs[0].cap_c.size)))
+            cap_ieq = np.zeros((len(graphs), graphs[0].cap_c.size))
             xg = np.concatenate((np.zeros((len(graphs), 1)), x), axis=1)
-            got = batch.assemble(xg, fixed)
+            got = batch.assemble(xg, batch.fixed_currents(src, cap_ieq))
             for b, g in enumerate(graphs):
                 for a, want in zip(got, reference_assembly(g, x[b], alpha)):
                     assert np.array_equal(a[b], want)
+
+            source = amps.solver._Batch(graphs, OPTS, alpha=other)
+            before = [getattr(source, name).tobytes() for name in staged]
+            stage = copy.copy(source)
+            for gmin in (1e-2, 1e-7, OPTS.gmin):
+                stage._stage(alpha, gmin)
+                built = amps.solver._Batch(graphs, dataclasses.replace(OPTS, gmin=gmin),
+                                           alpha=alpha)
+                for name in staged:
+                    assert getattr(stage, name).tobytes() == getattr(built, name).tobytes()
+                got = stage.assemble(xg, stage.fixed_currents(src, cap_ieq))
+                for b, g in enumerate(graphs):
+                    for a, want in zip(got, reference_assembly(g, x[b], alpha, gmin)):
+                        assert np.array_equal(a[b], want)
+            assert [getattr(source, name).tobytes() for name in staged] == before
+            assert all(getattr(stage, name) is getattr(source, name)
+                       for name in ("at_jac", "at_sum", "at_ends"))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +418,9 @@ def test_inverter_chain_dc_converges_alike_alone_and_in_a_batch(monkeypatch):
     g = graphs[0]
     with pytest.raises(NonConvergenceError):
         newton_solve(g, None, OPTS)
+    built = layouts(monkeypatch)
     (op,) = solve_dc([g], OPTS)
+    assert len(built) == 1  # for the plain solve and every gmin stage
     assert op.residual_excess <= 0.0
     alone = np.concatenate((op.voltages, op.branch_currents))
 
@@ -736,6 +764,21 @@ def kernel_counted(monkeypatch, carry: bool) -> list[int]:
 
     monkeypatch.setattr(amps.solver, "_newton_batch", wrapper)
     return counted
+
+
+def layouts(monkeypatch) -> list[tuple[int, object]]:
+    """Patch ``_Batch.__init__`` to record each batch it lays out: its member
+    count and ``alpha``.  A gmin stage re-stages a copy and lays out none."""
+    import amps.solver
+
+    init, built = amps.solver._Batch.__init__, []
+
+    def counted(self, graphs, options, *, alpha=0.0):
+        built.append((len(graphs), alpha))
+        init(self, graphs, options, alpha=alpha)
+
+    monkeypatch.setattr(amps.solver._Batch, "__init__", counted)
+    return built
 
 
 class LadderCall(NamedTuple):
