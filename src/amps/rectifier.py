@@ -176,12 +176,12 @@ def run_bench(
     that solver error in place of its waveforms.  Every netlist and graph is
     built first, so a bad config raises ValueError before any solve.  One
     ``solve_dc`` call finds every config's operating point; then the configs
-    run their transients in one lockstep, each the ``.TRAN`` of its netlist
-    with the results it gets alone (a failed start takes no step).
+    run their transients in one lockstep, each its ``BenchConfig.tran``, with
+    the results it gets alone (a failed start takes no step).
     """
     options = options or SolverOptions()
     graphs = [bench_graph(cfg) for cfg in configs]
-    trans = [d for g in graphs for d in g.doc.directives if isinstance(d, TranDirective)]
+    trans = [cfg.tran() for cfg in configs]
     # the lockstep record: each step's branch and source currents of every config
     check_record(max((t.steps for t in trans), default=0) + 1,
                  sum(g.m + len(g.isources) for g in graphs))

@@ -5,10 +5,10 @@ the voltage sources.  ``build_graph`` compiles a netlist once, at one
 temperature, into immutable element tables for modified nodal analysis (Ho,
 Ruehli & Brennan, IEEE TCAS 1975): the sources, each resistor's and
 capacitor's ends and value, and the MOSFETs' terminals and constants.  A
-solve context (``_Batch``) lays out the solve from these once, and stages it
+solve context (``_Batch``) lays out the solve from these once, stages it
 at a gmin and a companion factor alpha (0 for DC, 1/h backward Euler, 2/h
-trapezoidal); the source values and the capacitor history currents are
-arguments of each Newton solve.
+trapezoidal) and counts its members' work; the source values and the
+capacitor history currents are arguments of each Newton solve.
 
 Nonlinear solves are damped Newton-Raphson over dense LU; the members whose
 solve fails (a DC point, sweep point or transient step) fall back to gmin
@@ -30,8 +30,8 @@ transients (``solve_lockstep``, each with its own ``TranDirective``;
 one ``DcSweepDirective`` (``dc_sweep_lockstep``; ``dc_sweep`` is its
 one-member form), which take each sweep value together.
 A transient whose start or step fails, or that is done, stays in its batch
-as a spent row, so a lockstep builds one ``_Batch`` per integration phase,
-and each finished member's ``WaveformSet`` once, after the march.
+as a spent row, so a lockstep builds one ``_Batch``, and each finished
+member's ``WaveformSet`` once, after the march.
 
 A solve that finds no point raises (a member of a batched solve returns) a
 ``SolverError``: ``NonConvergenceError`` names the unknown (node or source
@@ -312,18 +312,18 @@ class _Batch:
     keep their element order and its values are the ones it gets alone,
     whatever the batch size.  With it go the ``graphs``, options ``opt``,
     ``devices`` and the Jacobian's ``linear`` and ``capacitance`` stamps
-    (see ``_stage``).  ``__init__`` stages the batch at ``alpha`` and the
-    options' gmin, and ``_ladder`` re-stages a copy at each gmin.  Members
-    whose topologies differ raise ValueError.
+    (see ``_stage``).  ``__init__`` stages the batch at DC and the options'
+    gmin; the entry that built it re-stages it, and ``_ladder`` a copy that
+    shares its ``work``: each member's assemblies, device evaluations and
+    gmin-stepping calls.  Members whose topologies differ raise ValueError.
     """
 
     __slots__ = ("graphs", "g", "opt", "alpha", "cap_g", "groups", "coef", "j_base", "devices",
                  "tol", "clamp", "neg_clamp", "sum_sign", "sum_starts", "at_terms", "at_ends",
                  "at_sum", "at_row", "at_jac", "at_value", "jac_sign", "res_g", "cap_c", "linear",
-                 "capacitance", "gmin_rows")
+                 "capacitance", "gmin_rows", "work")
 
-    def __init__(self, graphs: Sequence[CircuitGraph], options: SolverOptions, *,
-                 alpha: float | Sequence[float] = 0.0):
+    def __init__(self, graphs: Sequence[CircuitGraph], options: SolverOptions):
         g = self.g = graphs[0]
         if not all(_same_topology(g, gr) for gr in graphs[1:]):
             raise ValueError("lockstep members must share one topology")
@@ -407,7 +407,8 @@ class _Batch:
         # alpha times the capacitances' own stamp, as alpha*(c1 + c2) is not alpha*c1 + alpha*c2
         self.linear = stamp(None, self.res_g, None, None, 1.0, None, None, 1.0, None)
         self.capacitance = stamp(None, None, self.cap_c, None, None, None, None, None, None)
-        self._stage(alpha, options.gmin)
+        self.work = np.zeros((3, rows), dtype=int)
+        self._stage(0.0, options.gmin)
 
     def _stage(self, alpha: float | Sequence[float], gmin: float) -> None:
         """Stage the batch at gmin and companion factor ``alpha`` (one, or
@@ -491,12 +492,12 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
     result is recorded then, and its row stays in the batch, spent: nothing
     reads it again (it may go non-finite), and the others' iterates are the
     ones they get alone.
-    Returns (xg, iterations, residual_excess, dev, evaluations, errors):
-    each member's returned point and the device evaluation there (a failed
-    or spent member returns its start), its applied updates (it assembled
-    once more than that), how many of its assemblies evaluated the devices
-    (both meaningless for a spent member), and ``errors``, mapping each
-    failed member to the error it fails with.
+    Returns (xg, iterations, residual_excess, dev, errors): each member's
+    returned point and the device evaluation there (a failed or spent member
+    returns its start), its applied updates (meaningless for a spent
+    member), and ``errors``, mapping each failed member to the error it
+    fails with.  Each member it started adds its assemblies (one more than
+    its updates) and device evaluations to ``batch.work``.
     """
     g, opt = batch.g, batch.opt
     n, count = g.n, len(xg)
@@ -506,6 +507,7 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
     excess = np.full(count, np.nan)
     errors: dict[int, Exception] = {}
     going = np.ones(count, dtype=bool) if going is None else going.copy()  # still iterating
+    started = going.copy()
     x = xg.copy()
     fixed = batch.fixed_currents(src, cap_ieq)
     with np.errstate(all="ignore"):  # the device model overflows in its unused branches
@@ -548,7 +550,8 @@ def _newton_batch(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.nd
                     break
             x[:, 1:] -= np.minimum(np.maximum(step, batch.neg_clamp), batch.clamp)
             dev = None
-    return out, iters, excess, out_dev, iters + evaluated, errors
+    np.add(batch.work[:2], (iters + 1, iters + evaluated), out=batch.work[:2], where=started)
+    return out, iters, excess, out_dev, errors
 
 
 def _ladder(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray,
@@ -559,23 +562,24 @@ def _ladder(batch: _Batch, xg: np.ndarray, src: np.ndarray, cap_ieq: np.ndarray,
     ``batch`` at its gmin and the batch's companion factors, and solves from
     the one before, the first from ``xg`` (as ``_newton_batch``, whose other
     arguments these are).  A member stops at the first stage it fails.
-    Returns (xg, iterations, residual_excess, dev, assemblies, evaluations,
-    errors) as ``_newton_batch`` does, each count summed over a member's
-    stages, and ``errors`` its failing stage's error.
+    Returns (xg, iterations, residual_excess, dev, errors) as ``_newton_batch``
+    does, iterations summed over a member's stages and ``errors`` its failing
+    stage's error, and counts a gmin-stepping call in ``batch.work`` per member.
     """
     going = np.ones(len(xg), dtype=bool) if going is None else going.copy()
-    iterations, assemblies, evaluations = totals = np.zeros((3, len(xg)), dtype=int)
+    batch.work[2] += going
+    iterations = np.zeros(len(xg), dtype=int)
     errors: dict[int, Exception] = {}
-    stage = copy.copy(batch)  # shares the batch's layout; its stage is its own
+    stage = copy.copy(batch)  # shares the batch's layout and work; its stage is its own
     for gmin in stages:
         stage._stage(batch.alpha, gmin)
-        xg, iters, excess, dev, evals, failed = _newton_batch(stage, xg, src, cap_ieq, dev, going)
-        np.add(totals, (iters, iters + 1, evals), out=totals, where=going)
+        xg, iters, excess, dev, failed = _newton_batch(stage, xg, src, cap_ieq, dev, going)
+        np.add(iterations, iters, out=iterations, where=going)
         errors.update(failed)
         going[list(failed)] = False
         if not going.any():
             break
-    return xg, iterations, excess, dev, assemblies, evaluations, errors
+    return xg, iterations, excess, dev, errors
 
 
 def _gmin_stages(gmin: float) -> list[float]:
@@ -608,12 +612,12 @@ def _dc_points(batch: _Batch, xg: np.ndarray, src: np.ndarray, dev: np.ndarray |
     mapping a member that fails both to a NonConvergenceError logging both.
     """
     cap_ieq = np.zeros((len(xg), batch.g.cap_c.size))
-    xg, iters, excess, dev, _, plain = _newton_batch(batch, xg, src, cap_ieq, dev)
+    xg, iters, excess, dev, plain = _newton_batch(batch, xg, src, cap_ieq, dev)
     if not plain:
         return xg, iters, excess, dev, {}
     failed = np.array([b in plain for b in range(len(xg))])
-    sx, si, se, sd, *_, lost = _ladder(batch, np.zeros_like(xg), src, cap_ieq,
-                                       _gmin_stages(batch.opt.gmin), going=failed)
+    sx, si, se, sd, lost = _ladder(batch, np.zeros_like(xg), src, cap_ieq,
+                                   _gmin_stages(batch.opt.gmin), going=failed)
     solved = np.array([b in plain and b not in lost for b in range(len(xg))])
     xg[solved], iters[solved], excess[solved], dev[:, solved] = (
         sx[solved], si[solved], se[solved], sd[:, solved])
@@ -639,7 +643,7 @@ def newton_solve(
     x0 = np.concatenate(([0.0], x0))
     if not np.all(np.isfinite(x0)):
         raise ValueError("non-finite initial guess")
-    xg, iters, excess, _, _, errors = _newton_batch(
+    xg, iters, excess, _, errors = _newton_batch(
         _Batch([graph], options), x0[None], _source_values([graph]),
         np.zeros((1, graph.cap_c.size)))
     if errors:  # popped, so that the error's traceback does not keep it alive
@@ -769,25 +773,24 @@ def solve_lockstep(
     residual count in its stats; a DC operating point or one the caller
     builds) and takes the steps of its own ``.TRAN`` analysis ``trans[b]``:
     each step evaluates each distinct source waveform once and makes one
-    batched Newton solve for every running member, on one ``_Batch`` per
-    integration phase (ValueError unless the members share one topology).
-    A member whose start is a SolverError (its DC operating point failed)
-    gets it as its result and takes no step; one whose step fails even after
-    a gmin-stepping rescue (on that phase's ``_Batch``) gets a
-    TransientNonConvergence at that step's time; the others go on.  A
-    stopped member's row stays, spent.  After the march each finished
-    member's waveforms and stats, the ones it gets alone, are built once:
-    the current sources' values and every unknown, or with ``voltages``
-    false only the voltage-source branch currents, all on one time base
-    ``np.arange(steps + 1) * tstep``.
+    batched Newton solve for every running member, on one ``_Batch`` staged
+    at each integration phase (ValueError unless the members share one
+    topology), which counts their work.  A member whose start is a
+    SolverError (its DC operating point failed) gets it as its result and
+    takes no step; one whose step fails even after a gmin-stepping rescue
+    (on a copy of that ``_Batch``) gets a TransientNonConvergence at that
+    step's time; the others go on.  A stopped member's row stays, spent.
+    After the march each finished member's waveforms and stats, the ones it
+    gets alone, are built once: the current sources' values and every
+    unknown, or with ``voltages`` false only the voltage-source branch
+    currents, all on one time base ``np.arange(steps + 1) * tstep``.
     ``solve_transient`` is the one-member form with ``voltages``.
     """
     if not len(graphs) == len(trans) == len(starts):
         raise ValueError("need one TranDirective and one start per graph")
     if not graphs:
         return []
-    # backward Euler for the first step, trapezoidal after it
-    batches = [_Batch(graphs, sopts, alpha=[a / t.tstep for t in trans]) for a in (1.0, 2.0)]
+    batch = _Batch(graphs, sopts)  # ValueError unless the members share one topology
     g = graphs[0]
     n, count, ni = g.n, len(graphs), len(g.isources)
     last = np.array([t.steps for t in trans])  # each member's last step
@@ -796,7 +799,6 @@ def solve_lockstep(
     # each member's unknowns after a ground column, and the members stepping:
     # a member whose start failed is a spent row from step 1
     xg, going, total_iters, max_excess = _start_rows(graphs, starts)
-    assemblies, evaluations, rescues = np.zeros((3, count), dtype=int)
     dev = None  # each member's device evaluation at xg, once a solve has made one
     # DC source values are set once, and each distinct time-varying waveform
     # (spec and step) is evaluated once per step for all the members it drives
@@ -809,7 +811,7 @@ def solve_lockstep(
     record = np.empty((last.max() + 1, count, width + ni))
     record[0, :, :width], record[0, :, width:] = xg[:, first:], src[:, :ni]
 
-    cap_ends = batches[0].at_ends[..., batches[0].groups[2]]  # each capacitor's ends in xg
+    cap_ends = batch.at_ends[..., batch.groups[2]]  # each capacitor's ends in xg
     v_prev = np.subtract(*xg.take(cap_ends))
     i_prev = np.zeros_like(v_prev)
     results: list = list(starts)  # a failed start is its member's result
@@ -819,23 +821,18 @@ def solve_lockstep(
             if not going.any():
                 break
             src[rows, cols] = np.array([spec.value_at(k * h) for spec, h in waves])[which]
-            batch = batches[min(k, 2) - 1]
+            if k <= 2:  # backward Euler for the first step (alpha 1/h), trapezoidal after it
+                batch._stage([k / t.tstep for t in trans], sopts.gmin)
             cap_ieq = -batch.cap_g * v_prev - i_prev  # the backward-Euler step's i_prev is 0
-            xg, iters, excess, dev, evals, errors = _newton_batch(
-                batch, xg, src, cap_ieq, dev, going)
-            np.add(assemblies, iters + 1, out=assemblies, where=going)
-            np.add(evaluations, evals, out=evaluations, where=going)
+            xg, iters, excess, dev, errors = _newton_batch(batch, xg, src, cap_ieq, dev, going)
             if errors:  # a gmin-stepping rescue of the members whose step failed
                 failed = np.array([b in errors for b in range(count)])
-                rescues += failed
-                xg, rescue_iters, rescue_excess, dev, used, evaluated, lost = _ladder(
+                xg, rescue_iters, rescue_excess, dev, lost = _ladder(
                     batch, xg, src, cap_ieq, _gmin_stages(sopts.gmin), dev, failed)
                 for b, exc in lost.items():  # a spent row from here
                     results[b] = TransientNonConvergence(k * trans[b].tstep, exc)
                     going[b] = False
                 iters[failed], excess[failed] = rescue_iters[failed], rescue_excess[failed]
-                assemblies += used  # zero where no rescue ran
-                evaluations += evaluated
             np.add(total_iters, iters, out=total_iters, where=going)
             np.maximum(max_excess, excess, out=max_excess, where=going)
             record[k, :, :width], record[k, :, width:] = xg[:, first:], src[:, :ni]
@@ -852,6 +849,6 @@ def solve_lockstep(
              for (name, _), values in zip(columns, record[: t.steps + 1, b].T)],
             dict(columns),
             {"max_kcl_excess": float(max_excess[b]), "newton_iterations": int(total_iters[b]),
-             "assemblies": int(assemblies[b]), "evaluations": int(evaluations[b]),
-             "rescues": int(rescues[b]), "steps": t.steps, "tstep": t.tstep})
+             "assemblies": int(batch.work[0, b]), "evaluations": int(batch.work[1, b]),
+             "rescues": int(batch.work[2, b]), "steps": t.steps, "tstep": t.tstep})
     return results

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -48,3 +49,27 @@ def test_source_lines_fit_100_columns():
     long = [f"{path.name}:{k}" for path in sorted(Path(amps.__file__).parent.glob("*.py"))
             for k, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
     assert long == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module of ``src/amps`` imports is referenced in it,
+    exported in its ``__all__`` or imported on a line marked ``# noqa:
+    F401`` (a name kept for a tool that patches it there), so that a
+    deletion leaves no dead import behind."""
+    unused = []
+    for path in sorted(Path(amps.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        tree, lines = ast.parse(source), source.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                used.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in lines[node.lineno - 1]):
+                continue
+            unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                       for alias in node.names
+                       if (alias.asname or alias.name).partition(".")[0] not in used]
+    assert unused == []

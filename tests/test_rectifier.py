@@ -275,12 +275,21 @@ def test_lockstep_rescue_and_abort_stay_with_their_member(monkeypatch):
 @pytest.mark.parametrize("cap", [100, 6])
 def test_lockstep_members_with_mixed_step_counts_match_single_runs(monkeypatch, cap):
     """Members with their own step counts run in one lockstep on one
-    ``_Batch`` per integration phase, and each result is its solo run's bit
-    for bit.  At a cap of 6 Newton iterations the first two members abort
-    and the others need gmin-stepping rescues."""
+    ``_Batch``, staged at 1/h for the backward-Euler first step and at 2/h
+    from the second, and each result is its solo run's bit for bit.  At a
+    cap of 6 Newton iterations the first two members abort and the others
+    need gmin-stepping rescues."""
+    import amps.solver
     from tests.test_solver import layouts
 
-    built = layouts(monkeypatch)  # (members, alpha) of each batch laid out
+    built = layouts(monkeypatch)  # each batch laid out
+    stage, staged = amps.solver._Batch._stage, []  # (batch, alpha) of each stage
+
+    def recorded(self, alpha, gmin):
+        staged.append((self, np.broadcast_to(alpha, len(self.graphs)).tolist()))
+        stage(self, alpha, gmin)
+
+    monkeypatch.setattr(amps.solver._Batch, "_stage", recorded)
     opts = SolverOptions(max_newton_iters=cap)
     cfgs = [
         BenchConfig(frequency=1e3, periods=3, steps_per_period=100),
@@ -289,9 +298,11 @@ def test_lockstep_members_with_mixed_step_counts_match_single_runs(monkeypatch, 
         BenchConfig(frequency=3e7, temp=60.0, periods=5, steps_per_period=100),
     ]
     batch = run_bench(cfgs, opts)
-    # the DC start's and one per integration phase, whatever the rescues
-    assert len(built) == 3
-    assert [members for members, alpha in built if np.any(alpha)] == [len(cfgs)] * 2
+    # the DC start's and the march's, whatever the rescues
+    assert [len(b.graphs) for b in built] == [len(cfgs)] * 2
+    march = [alpha for b, alpha in staged if b is built[1]]  # a rescue stages a copy
+    assert march == [[0.0] * len(cfgs)] + [[a / cfg.tran().tstep for cfg in cfgs]
+                                           for a in (1.0, 2.0)]
     aborted = [isinstance(got, TransientNonConvergence) for got in batch]
     assert aborted == ([True, True, False, False] if cap == 6 else [False] * 4)
     for cfg, got in zip(cfgs, batch):
@@ -326,8 +337,9 @@ RESCUE_BENCH_WORK = {
 def test_rescue_bench_work_is_pinned(monkeypatch, cap):
     """The solver's work on the rescue bench, counted exactly: a change that
     moves a count (or an abort) fails here, whatever the host's timing.  Its
-    batches are laid out three times (the DC start's and the two integration
-    phases'): a rescue's gmin stages re-stage a copy of its phase's batch."""
+    batches are laid out twice (the DC start's and the march's): a rescue's
+    gmin stages re-stage a copy of the march's batch, which counts their
+    work."""
     from tests.test_solver import layouts
 
     built = layouts(monkeypatch)
@@ -337,7 +349,7 @@ def test_rescue_bench_work_is_pinned(monkeypatch, cap):
         work[cfg.frequency] = str(got) if isinstance(got, TransientNonConvergence) else tuple(
             got.stats[k] for k in ("assemblies", "evaluations", "newton_iterations", "rescues"))
     assert work == RESCUE_BENCH_WORK[cap]
-    assert len(built) == 3
+    assert len(built) == 2
 
 
 def test_fallback_sweep_work_is_pinned(monkeypatch):

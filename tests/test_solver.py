@@ -211,9 +211,10 @@ def test_compiled_dc_assembly_matches_element_stamping(text):
     2/h, for one member and for each of three: near-singular DC Jacobians
     make Newton's path hinge on the last bit.  The chain's 40 MOSFETs tie
     source to bulk, so +gsum and -gmbs sum into one cell in stamp order.
-    So is a copy of a batch built at the other factor, re-staged at this
+    So is a copy of a batch staged at the other factor, re-staged at this
     one and at each of three gmin, as ``_ladder`` re-stages: it equals a
-    batch built there, shares its source's layout and leaves its stage."""
+    batch built and staged there, shares its source's layout and leaves its
+    stage."""
     import copy
     import dataclasses
 
@@ -224,10 +225,16 @@ def test_compiled_dc_assembly_matches_element_stamping(text):
     doc = parse_netlist(named.get(text, text))
     alphas = (0.0, 2 / 1e-9)
     staged = ("coef", "j_base", "cap_g", "alpha")
+
+    def batch_at(graphs, alpha, gmin=OPTS.gmin):
+        batch = amps.solver._Batch(graphs, dataclasses.replace(OPTS, gmin=gmin))
+        batch._stage(alpha, gmin)
+        return batch
+
     for alpha, other in zip(alphas, alphas[::-1]):
         for temps in ((27.0,), (25.0, 60.0, 100.0)):
             graphs = [build_graph(doc, temp) for temp in temps]
-            batch = amps.solver._Batch(graphs, OPTS, alpha=alpha)
+            batch = batch_at(graphs, alpha)
             x = np.random.default_rng(7).uniform(-1.5, 1.5, (len(graphs), graphs[0].size))
             src = amps.solver._source_values(graphs)
             cap_ieq = np.zeros((len(graphs), graphs[0].cap_c.size))
@@ -237,13 +244,12 @@ def test_compiled_dc_assembly_matches_element_stamping(text):
                 for a, want in zip(got, reference_assembly(g, x[b], alpha)):
                     assert np.array_equal(a[b], want)
 
-            source = amps.solver._Batch(graphs, OPTS, alpha=other)
+            source = batch_at(graphs, other)
             before = [getattr(source, name).tobytes() for name in staged]
             stage = copy.copy(source)
             for gmin in (1e-2, 1e-7, OPTS.gmin):
                 stage._stage(alpha, gmin)
-                built = amps.solver._Batch(graphs, dataclasses.replace(OPTS, gmin=gmin),
-                                           alpha=alpha)
+                built = batch_at(graphs, alpha, gmin)
                 for name in staged:
                     assert getattr(stage, name).tobytes() == getattr(built, name).tobytes()
                 got = stage.assemble(xg, stage.fixed_currents(src, cap_ieq))
@@ -354,7 +360,7 @@ def test_gmin_stepping_after_plain_newton_fails(monkeypatch):
         result = kernel(*args)
         if not forced:  # the first call, the plain solve
             forced.append(NonConvergenceError("node d", 1.0))
-            result[5][0] = forced[0]
+            result[4][0] = forced[0]
         return result
 
     monkeypatch.setattr(amps.solver, "_newton_batch", plain_fails)
@@ -421,7 +427,9 @@ def test_inverter_chain_dc_converges_alike_alone_and_in_a_batch(monkeypatch):
     built = layouts(monkeypatch)
     (op,) = solve_dc([g], OPTS)
     assert len(built) == 1  # for the plain solve and every gmin stage
-    assert op.residual_excess <= 0.0
+    assert op.residual_excess <= 0.0 and op.iterations == 31
+    solve_transient(g, TranDirective(1e-9, 1e-8), OPTS)
+    assert len(built) == 3  # and for its DC start and its march, both integration phases
     alone = np.concatenate((op.voltages, op.branch_currents))
 
     # solve_dc of the chain as the first of three members
@@ -481,7 +489,7 @@ def test_failed_member_returns_its_start_and_the_evaluation_there():
     cap_ieq = np.zeros((2, g.cap_c.size))
     for cap, failed_at in ((20, 20), (100, 68)):
         batch = amps.solver._Batch([g, g], SolverOptions(max_newton_iters=cap))
-        xs, iters, excess, dev, _, errors = amps.solver._newton_batch(batch, start, src, cap_ieq)
+        xs, iters, excess, dev, errors = amps.solver._newton_batch(batch, start, src, cap_ieq)
         assert list(errors) == [1] and isinstance(errors[1], NonConvergenceError)
         assert iters.tolist() == [8, failed_at] and excess[0] <= 0.0
         assert xs[1].tobytes() == start[1].tobytes()
@@ -489,6 +497,26 @@ def test_failed_member_returns_its_start_and_the_evaluation_there():
         assert dev[:, 1].tobytes() == at_start[:, 1].tobytes()
         at_end = batch.assemble(xs, batch.fixed_currents(src, cap_ieq))[3]
         assert dev[:, 0].tobytes() == at_end[:, 0].tobytes()
+
+
+def test_spent_member_does_no_work():
+    """A member that ``going`` leaves out adds nothing to its batch's
+    ``work``; the other adds its assemblies and evaluations (one more than
+    its updates, none given), and a ``_ladder`` call counts a
+    gmin-stepping call only for the member it runs."""
+    import amps.solver
+
+    g = graph_of(DIODE_NMOS)
+    batch = amps.solver._Batch([g, g], OPTS)
+    start, src = np.zeros((2, g.size + 1)), amps.solver._source_values([g, g])
+    cap_ieq = np.zeros((2, g.cap_c.size))
+    _, iters, _, _, errors = amps.solver._newton_batch(batch, start, src, cap_ieq,
+                                                       going=np.array([True, False]))
+    assert not errors and iters[0] > 0
+    assert batch.work.T.tolist() == [[iters[0] + 1] * 2 + [0], [0, 0, 0]]
+    amps.solver._ladder(batch, start, src, cap_ieq, [1e-3], going=np.array([False, True]))
+    assert batch.work[:, 0].tolist() == [iters[0] + 1] * 2 + [0]
+    assert batch.work[2].tolist() == [0, 1] and batch.work[0, 1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -752,30 +780,32 @@ def test_sinusoid_source_waveform_recorded():
 
 def kernel_counted(monkeypatch, carry: bool) -> list[int]:
     """Patch the Newton kernel to pass on (or drop) the evaluation it is
-    given; the returned list collects each call's device evaluations."""
+    given; the returned list collects each call's device evaluations, as
+    the call adds them to its batch's ``work``."""
     import amps.solver
 
     kernel, counted = amps.solver._newton_batch, []
 
     def wrapper(batch, xg, src, cap_ieq, dev=None, going=None):
+        before = int(batch.work[1].sum())
         result = kernel(batch, xg, src, cap_ieq, dev if carry else None, going)
-        counted.append(int(result[4].sum()))
+        counted.append(int(batch.work[1].sum()) - before)
         return result
 
     monkeypatch.setattr(amps.solver, "_newton_batch", wrapper)
     return counted
 
 
-def layouts(monkeypatch) -> list[tuple[int, object]]:
-    """Patch ``_Batch.__init__`` to record each batch it lays out: its member
-    count and ``alpha``.  A gmin stage re-stages a copy and lays out none."""
+def layouts(monkeypatch) -> list[object]:
+    """Patch ``_Batch.__init__`` to record each batch it lays out.  An
+    integration phase or a gmin stage re-stages a batch and lays out none."""
     import amps.solver
 
     init, built = amps.solver._Batch.__init__, []
 
-    def counted(self, graphs, options, *, alpha=0.0):
-        built.append((len(graphs), alpha))
-        init(self, graphs, options, alpha=alpha)
+    def counted(self, graphs, options):
+        built.append(self)
+        init(self, graphs, options)
 
     monkeypatch.setattr(amps.solver._Batch, "__init__", counted)
     return built
